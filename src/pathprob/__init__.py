@@ -3,7 +3,7 @@ timed automata, approximated by a grid fixed-point scheme with a
 computable error bound, cross-checked by Monte Carlo simulation."""
 
 from .dynamics import Configuration, accepted_within, kappa, select_rule
-from .mc import Estimate, RngStream, estimate, estimate_k, sample_sojourn
+from .mc import Estimate, RngStream, estimate, estimate_k
 from .models import (
     Ctmc,
     Dta,

@@ -60,15 +60,6 @@ class Estimate:
         return (self.accepted + self.censored) / self.n
 
 
-def sample_sojourn(chain: Ctmc, state: str, rng) -> float:
-    """Exponential sojourn by inverse transform, t = -ln(U)/rate."""
-    rate = float(chain.exit_rates[chain.state_index(state)])
-    u = rng.random()
-    while u == 0.0:
-        u = rng.random()
-    return -math.log(u) / rate
-
-
 def default_k_max(graph: ProductGraph) -> int:
     """Step horizon heuristic; with absorption, censoring is rare."""
     chain = graph.ctmc
@@ -82,12 +73,17 @@ def _binomial_halfwidth(successes: int, n: int, confidence: float) -> float:
     return z * math.sqrt(p * (1.0 - p) / n)
 
 
+def _check_counts(n: int, k_max: int) -> None:
+    if n < 1:
+        raise ValueError(f"trial count must be at least 1, got {n}")
+    if k_max < 0:
+        raise ValueError(f"step bound must be non-negative, got {k_max}")
+
+
 class _Simulator:
     """Per-model tables so the trial loop stays allocation-light."""
 
-    def __init__(self, chain: Ctmc, dta: Dta):
-        self.chain = chain
-        self.dta = dta
+    def __init__(self, chain: Ctmc):
         self.rates = [float(r) for r in chain.exit_rates]
         self.cum_rows = [
             np.cumsum([float(p) for p in row]) for row in chain.transition
@@ -101,6 +97,7 @@ class _Simulator:
         )
 
     def sojourn(self, state_index: int, rng) -> float:
+        """Exponential sojourn by inverse transform, t = -ln(U)/rate."""
         u = rng.random()
         while u == 0.0:
             u = rng.random()
@@ -129,7 +126,8 @@ def estimate(
     """
     if k_max is None:
         k_max = default_k_max(graph)
-    sim = _Simulator(chain, dta)
+    _check_counts(n, k_max)
+    sim = _Simulator(chain)
     ceilings = dta.ceilings
     classes = graph.classes()
     finals = dta.final
@@ -193,9 +191,8 @@ def estimate_k(
 ) -> Estimate:
     """Acceptance strictly within k steps, exact semantics: no absorption
     shortcut and no valuation saturation."""
-    if k < 0:
-        raise ValueError("step bound must be non-negative")
-    sim = _Simulator(chain, dta)
+    _check_counts(n, k)
+    sim = _Simulator(chain)
     finals = dta.final
     rng_stream = RngStream(seed, stream)
     start_state = chain.state_index(state)

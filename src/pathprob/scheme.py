@@ -22,14 +22,17 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from . import regions
 from .dynamics import select_rule
 from .models import Ctmc, Dta, ModelConstants
-from .product import ALIVE, DEAD, FINAL, ProductGraph, ProductVertex
+from .product import ALIVE, ProductGraph, ProductVertex
 
 GAMMA_PRIME = "gamma_prime"
 GAMMA_DOUBLE = "gamma_double"
@@ -41,12 +44,24 @@ class GridPoint(NamedTuple):
     valuation: tuple
 
 
+def grid_cells(chain: Ctmc, dta: Dta, m: int) -> int:
+    """Number of (state, location, valuation) points of the m-grid."""
+    return (
+        len(chain.states)
+        * len(dta.locations)
+        * math.prod(m * c + 1 for c in dta.ceilings)
+    )
+
+
 class Grid:
     """All on-grid points for one (CTMC, DTA, m) triple.
 
-    Internally a valuation is an integer coordinate vector (numerators over
-    m), which keeps chain walks and reset closure exact and cheap; exact
-    rationals are materialized only at the API boundary.
+    Inside the grid a point is the key ``(state, location, coords)``, where
+    the integer vector ``coords`` holds the numerators of its valuation
+    over m; ``slots`` maps the key of every unknown to its row.  Exact
+    rationals are made only where callers see points: :attr:`b_m` and
+    :attr:`index` (built on first use), :meth:`points`, :meth:`class_at`
+    and :meth:`horizon`, and for the region algebra once per memo key.
     """
 
     def __init__(self, chain: Ctmc, dta: Dta, graph: ProductGraph, m: int):
@@ -59,39 +74,30 @@ class Grid:
         self.rho = Fraction(1, m)
         self.ceilings = dta.ceilings
         self.max_coords = tuple(m * c for c in dta.ceilings)
-        self._axis_values = [
-            [Fraction(j, m) for j in range(mc + 1)] for mc in self.max_coords
-        ]
+        self.d_m_size = grid_cells(chain, dta, m)
         self._code_by_coords: Dict[tuple, regions.RegionCode] = {}
         self._rule_memo: Dict[tuple, tuple] = {}
-        self._horizon_memo: Dict[tuple, int] = {}
         self._classes = graph.classes()
+        # state -> (label, positive jumps as (successor, probability))
+        self._jumps = {
+            s: (label, [(u, float(p)) for u, p in zip(chain.states, row) if p > 0])
+            for s, label, row in zip(chain.states, chain.labeling, chain.transition)
+        }
 
-        self.d_m_size = (
-            len(chain.states)
-            * len(dta.locations)
-            * int(np.prod([mc + 1 for mc in self.max_coords], dtype=object))
-        )
-
-        # alive non-final grid points in (state, location, valuation) order
-        unknowns: List[GridPoint] = []
-        bmax_flags: List[bool] = []
+        # alive non-final grid points in (state, location, coords) order
+        box = list(self._iter_coords())
+        self.slots: Dict[Tuple[str, str, tuple], int] = {}
         for s in chain.states:
             for q in dta.locations:
                 if q in dta.final:
                     continue
-                for coords in self._iter_coords():
+                for coords in box:
                     if self._class_by_coords(s, q, coords) == ALIVE:
-                        unknowns.append(GridPoint(s, q, self.valuation(coords)))
-                        bmax_flags.append(coords == self.max_coords)
-        self.b_m: Tuple[GridPoint, ...] = tuple(unknowns)
-        self.index: Dict[GridPoint, int] = {p: k for k, p in enumerate(unknowns)}
-        self.is_bmax = np.array(bmax_flags, dtype=bool)
-        self.horizons = np.array(
-            [self._horizon_coords(p.state, p.location, self.coords(p.valuation))
-             for p in unknowns],
-            dtype=np.int64,
+                        self.slots[(s, q, coords)] = len(self.slots)
+        self.is_bmax = np.array(
+            [coords == self.max_coords for _, _, coords in self.slots], dtype=bool
         )
+        self.horizons = self._horizons()
 
     # -- coordinates ------------------------------------------------------
 
@@ -99,7 +105,7 @@ class Grid:
         yield from itertools.product(*[range(mc + 1) for mc in self.max_coords])
 
     def valuation(self, coords: tuple) -> tuple:
-        return tuple(self._axis_values[i][j] for i, j in enumerate(coords))
+        return tuple(Fraction(j, self.m) for j in coords)
 
     def coords(self, valuation: Sequence) -> tuple:
         out = []
@@ -122,7 +128,19 @@ class Grid:
             self._code_by_coords[coords] = code
         return code
 
-    # -- classification ---------------------------------------------------
+    # -- exact points ------------------------------------------------------
+
+    @cached_property
+    def b_m(self) -> Tuple[GridPoint, ...]:
+        """The unknowns as exact points, in row order."""
+        return tuple(
+            GridPoint(s, q, self.valuation(coords)) for s, q, coords in self.slots
+        )
+
+    @cached_property
+    def index(self) -> Dict[GridPoint, int]:
+        """Row of each unknown, keyed by its exact point."""
+        return {point: k for k, point in enumerate(self.b_m)}
 
     def _class_by_coords(self, state: str, location: str, coords: tuple) -> str:
         vertex = ProductVertex(state, location, self.code_at(coords))
@@ -143,29 +161,24 @@ class Grid:
                         self._class_by_coords(s, q, coords),
                     )
 
+    def horizon(self, point: GridPoint) -> int:
+        k = self.index.get(point)
+        if k is None:
+            raise ValueError(f"{point} is not an unknown of the scheme")
+        return int(self.horizons[k])
+
     # -- horizons ----------------------------------------------------------
 
-    def _horizon_coords(self, state: str, location: str, coords: tuple) -> int:
+    def _horizons(self) -> np.ndarray:
         """Steps of saturated rho-delay until the boundary set or a dead
-        region; memoized along the shared diagonal chains."""
-        key = (state, location, coords)
-        chain_keys = []
-        while key not in self._horizon_memo:
-            s, q, c = key
-            if self._class_by_coords(s, q, c) == DEAD or c == self.max_coords:
-                self._horizon_memo[key] = 0
-                break
-            chain_keys.append(key)
-            key = (s, q, self._clamp_step(c))
-        for k in reversed(chain_keys):
-            nxt = (k[0], k[1], self._clamp_step(k[2]))
-            self._horizon_memo[k] = 1 + self._horizon_memo[nxt]
-        return self._horizon_memo[(state, location, coords)]
-
-    def horizon(self, point: GridPoint) -> int:
-        if point not in self.index:
-            raise ValueError(f"{point} is not an unknown of the scheme")
-        return int(self.horizons[self.index[point]])
+        region.  A step raises the coordinates, so it leads to a later key
+        of the same (state, location) and one backward pass suffices."""
+        out = [0] * len(self.slots)
+        for (s, q, coords), k in reversed(self.slots.items()):
+            if coords != self.max_coords:
+                nxt = self.slots.get((s, q, self._clamp_step(coords)))
+                out[k] = 1 if nxt is None else 1 + out[nxt]
+        return np.array(out, dtype=np.int64)
 
     # -- jump successors ---------------------------------------------------
 
@@ -192,27 +205,21 @@ class Grid:
 
         Returns ``(column, probability)`` pairs where ``column`` is an
         unknown index, ``None`` for a final target (value 1 folds into the
-        constant term) and entries for dead targets are dropped.
+        constant term) and entries for dead targets are dropped.  Outside
+        final locations a point is alive exactly when it has a slot.
         """
-        si = self.chain.state_index(state)
-        label = self.chain.labeling[si]
+        label, jumps = self._jumps[state]
         target_loc, resets = self._rule_at_plus(location, label, coords)
+        if target_loc in self.dta.final:
+            return [(None, p) for _, p in jumps]
         reset_coords = tuple(
             0 if i in resets else j for i, j in enumerate(coords)
         )
         out: List[Tuple[Optional[int], float]] = []
-        for uj, p in enumerate(self.chain.transition[si]):
-            if p <= 0:
-                continue
-            u = self.chain.states[uj]
-            cls = self._class_by_coords(u, target_loc, reset_coords)
-            if cls == DEAD:
-                continue
-            if cls == FINAL:
-                out.append((None, float(p)))
-            else:
-                col = self.index[GridPoint(u, target_loc, self.valuation(reset_coords))]
-                out.append((col, float(p)))
+        for u, p in jumps:
+            col = self.slots.get((u, target_loc, reset_coords))
+            if col is not None:
+                out.append((col, p))
         return out
 
 
@@ -234,10 +241,6 @@ class SchemeSystem:
     @property
     def size(self) -> int:
         return len(self.offset)
-
-    @property
-    def unknowns(self) -> Tuple[GridPoint, ...]:
-        return self.grid.b_m
 
     @property
     def horizons(self) -> np.ndarray:
@@ -283,9 +286,27 @@ def _pack(rows: List[Dict[int, float]], consts: List[float], grid: Grid,
     )
 
 
-def _row_weights(grid: Grid, state: str) -> Tuple[float, float]:
-    rho_lam = float(grid.rho * grid.chain.exit_rates[grid.chain.state_index(state)])
-    return 1.0 / (1.0 + rho_lam), rho_lam / (1.0 + rho_lam)
+def _row_weights(grid: Grid) -> Dict[str, Tuple[float, float]]:
+    """Per state, the delay weight ``1/(1+rho*lambda)`` and the jump weight
+    ``rho*lambda/(1+rho*lambda)``."""
+    out = {}
+    for s, rate in zip(grid.chain.states, grid.chain.exit_rates):
+        rho_lam = float(grid.rho * rate)
+        out[s] = (1.0 / (1.0 + rho_lam), rho_lam / (1.0 + rho_lam))
+    return out
+
+
+def _fold(row: Dict[int, float], const: float,
+          entries: Iterable[Tuple[Optional[int], float]], weight: float) -> float:
+    """Add weighted successor entries to ``row`` and return ``const`` plus
+    the weighted mass of final targets, whose value 1 folds into the
+    constant term."""
+    for col, p in entries:
+        if col is None:
+            const += weight * p
+        else:
+            row[col] = row.get(col, 0.0) + weight * p
+    return const
 
 
 def assemble_gamma_prime(grid: Grid) -> SchemeSystem:
@@ -297,31 +318,20 @@ def assemble_gamma_prime(grid: Grid) -> SchemeSystem:
     values.  Final targets fold their value 1 into the constant vector,
     dead targets contribute nothing.
     """
+    weights = _row_weights(grid)
     rows: List[Dict[int, float]] = []
     consts: List[float] = []
-    for k, point in enumerate(grid.b_m):
-        coords = grid.coords(point.valuation)
+    for s, q, coords in grid.slots:
         row: Dict[int, float] = {}
-        const = 0.0
-        if grid.is_bmax[k]:
-            for col, p in grid.successor_entries(point.state, point.location, coords):
-                if col is None:
-                    const += p
-                else:
-                    row[col] = row.get(col, 0.0) + p
+        entries = grid.successor_entries(s, q, coords)
+        if coords == grid.max_coords:
+            const = _fold(row, 0.0, entries, 1.0)
         else:
-            a, b = _row_weights(grid, point.state)
-            nxt = grid._clamp_step(coords)
-            cls = grid._class_by_coords(point.state, point.location, nxt)
-            if cls != DEAD:
-                col = grid.index[GridPoint(point.state, point.location,
-                                           grid.valuation(nxt))]
-                row[col] = row.get(col, 0.0) + a
-            for col, p in grid.successor_entries(point.state, point.location, coords):
-                if col is None:
-                    const += b * p
-                else:
-                    row[col] = row.get(col, 0.0) + b * p
+            a, b = weights[s]
+            col = grid.slots.get((s, q, grid._clamp_step(coords)))
+            if col is not None:
+                row[col] = a
+            const = _fold(row, 0.0, entries, b)
         rows.append(row)
         consts.append(const)
     return _pack(rows, consts, grid, GAMMA_PRIME)
@@ -333,41 +343,26 @@ def assemble_gamma_double(grid: Grid) -> SchemeSystem:
     Walks the saturated-delay chain of every unknown, accumulating the jump
     successors of each traversed point with geometrically decaying weight,
     and closes with the boundary tail: nothing when the chain dies, the
-    boundary point's successor row when it reaches the all-ceilings set.
+    boundary point's successor row when it reaches the all-ceilings set
+    (a boundary unknown has horizon 0 and is its own tail).
     """
+    weights = _row_weights(grid)
     rows: List[Dict[int, float]] = []
     consts: List[float] = []
-    for k, point in enumerate(grid.b_m):
-        coords = grid.coords(point.valuation)
+    for (s, q, coords), k in grid.slots.items():
+        a, b = weights[s]
         row: Dict[int, float] = {}
         const = 0.0
-        if grid.is_bmax[k]:
-            for col, p in grid.successor_entries(point.state, point.location, coords):
-                if col is None:
-                    const += p
-                else:
-                    row[col] = row.get(col, 0.0) + p
-        else:
-            a, b = _row_weights(grid, point.state)
-            weight = 1.0
-            current = coords
-            for _ in range(int(grid.horizons[k])):
-                for col, p in grid.successor_entries(point.state, point.location,
-                                                     current):
-                    if col is None:
-                        const += weight * b * p
-                    else:
-                        row[col] = row.get(col, 0.0) + weight * b * p
-                current = grid._clamp_step(current)
-                weight *= a
-            if grid._class_by_coords(point.state, point.location, current) != DEAD:
-                # tail at the all-ceilings boundary point
-                for col, p in grid.successor_entries(point.state, point.location,
-                                                     current):
-                    if col is None:
-                        const += weight * p
-                    else:
-                        row[col] = row.get(col, 0.0) + weight * p
+        weight = 1.0
+        current = coords
+        for _ in range(int(grid.horizons[k])):
+            const = _fold(row, const, grid.successor_entries(s, q, current),
+                          weight * b)
+            current = grid._clamp_step(current)
+            weight *= a
+        if (s, q, current) in grid.slots:
+            const = _fold(row, const, grid.successor_entries(s, q, current),
+                          weight)
         rows.append(row)
         consts.append(const)
     return _pack(rows, consts, grid, GAMMA_DOUBLE)

@@ -26,6 +26,7 @@ from .scheme import (
     SchemeSystem,
     assemble_gamma_prime,
     build_grid,
+    grid_cells,
     scaled_error_constants,
 )
 
@@ -65,15 +66,13 @@ class Solution:
 
     def value_at(self, state: str, location: str, valuation: Sequence) -> float:
         grid = self.system.grid
-        point = GridPoint(
-            state, location, tuple(Fraction(v) for v in valuation)
-        )
-        cls = grid.class_at(point)
+        cls = grid.class_at(GridPoint(state, location, tuple(valuation)))
         if cls == FINAL:
             return 1.0
         if cls == DEAD:
             return 0.0
-        return float(self.values[grid.index[point]])
+        k = grid.slots[(state, location, grid.coords(valuation))]
+        return float(self.values[k])
 
 
 def solve(
@@ -249,13 +248,6 @@ def _required_m(report: ErrorReport, epsilon: float) -> int:
     return max(report.m_min, int(math.ceil(demand)))
 
 
-def _grid_cells(chain: Ctmc, dta: Dta, m: int) -> int:
-    cells = len(chain.states) * len(dta.locations)
-    for c in dta.ceilings:
-        cells *= m * c + 1
-    return cells
-
-
 def approximate(
     chain: Ctmc,
     dta: Dta,
@@ -275,7 +267,9 @@ def approximate(
     must be given.  The start valuation is clamped into the ceiling box and
     snapped to the nearest grid point; the Lipschitz slack of the snap is
     part of the report.  Final locations answer exactly 1 and dead start
-    vertices exactly 0, without solving.
+    vertices exactly 0, without solving.  A grid above ``max_grid_cells``
+    cells (counting the ``2m`` grid of ``with_empirical``) is refused with
+    :class:`ValueError` before it is built.
     """
     if (m is None) == (epsilon is None):
         raise ValueError("specify exactly one of m and epsilon")
@@ -291,7 +285,7 @@ def approximate(
             raise ValueError("epsilon must lie in (0,1)")
         probe = error_report(graph, constants, 1)
         m_req = _required_m(probe, epsilon)
-        if m_req > 0 and _grid_cells(chain, dta, m_req) <= max_grid_cells:
+        if m_req > 0 and grid_cells(chain, dta, m_req) <= max_grid_cells:
             m = m_req
         elif not force_empirical:
             raise BoundInfeasibleError(
@@ -308,7 +302,15 @@ def approximate(
     if shortcut is not None:
         report = error_report(graph, constants, m)
         report.theoretical_bound = 0.0
-        return ApproxResult(shortcut, report, 0.0, _grid_cells(chain, dta, m))
+        return ApproxResult(shortcut, report, 0.0, grid_cells(chain, dta, m))
+
+    largest = 2 * m if with_empirical else m
+    cells = grid_cells(chain, dta, largest)
+    if cells > max_grid_cells:
+        raise ValueError(
+            f"the m = {largest} grid has {cells} cells, above the limit "
+            f"max_grid_cells = {max_grid_cells}"
+        )
 
     snapped, distance = _snap_to_grid(eta, dta.ceilings, m)
     grid, solution = _solved(chain, dta, m, tol)
@@ -339,7 +341,7 @@ def _empirical_m(chain, dta, state, location, eta, epsilon, tol, max_grid_cells)
     error of the finer grid)."""
     m = 8
     previous = None
-    while _grid_cells(chain, dta, m) <= max_grid_cells:
+    while grid_cells(chain, dta, m) <= max_grid_cells:
         snapped, _ = _snap_to_grid(eta, dta.ceilings, m)
         _, solution = _solved(chain, dta, m, tol)
         value = solution.value_at(state, location, snapped)

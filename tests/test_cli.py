@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import time
 
 import pytest
 
@@ -248,3 +249,31 @@ def test_epsilon_with_empirical_fallback(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["probability"] - (1 - math.exp(-1))) < 0.05
+
+
+def test_oversized_grid_is_refused_promptly(tmp_path, capsys):
+    query = ("--model", EXPOSURE, "--state", "a", "--location", "q0",
+             "--valuation", "x=0,y=0")
+    started = time.perf_counter()
+    code, _, err = run(capsys, "solve", *query, "--grid", "1000")
+    assert code == 1
+    assert "max_grid_cells" in err
+    code, _, err = run(capsys, "convergence", *query, "--grids", "4,1000",
+                       "--out", str(tmp_path / "conv.csv"))
+    assert code == 1
+    assert "max_grid_cells" in err
+    assert time.perf_counter() - started < 5.0
+
+
+@pytest.mark.parametrize("counts", [
+    ("--samples", "0"),
+    ("--samples", "-5"),
+    ("--samples", "100", "--kmax", "-1"),
+])
+def test_bad_trial_counts_exit_code(capsys, counts):
+    code, _, err = run(
+        capsys, "simulate", "--model", UNIT, "--state", "s", "--location",
+        "q0", *counts,
+    )
+    assert code == 1
+    assert "invalid model/query" in err

@@ -17,15 +17,19 @@ class _FixedRng:
         return self.value
 
 
+def _sojourn(chain, state, rng):
+    return mc._Simulator(chain).sojourn(chain.state_index(state), rng)
+
+
 def test_sojourn_inverse_transform(unit_deadline):
     chain, _ = unit_deadline
-    assert mc.sample_sojourn(chain, "s", _FixedRng(math.exp(-1))) == pytest.approx(1.0)
+    assert _sojourn(chain, "s", _FixedRng(math.exp(-1))) == pytest.approx(1.0)
 
 
 def test_sojourn_scales_with_rate(exposure_window):
     chain, _ = exposure_window
     # state b has rate 3
-    t = mc.sample_sojourn(chain, "b", _FixedRng(math.exp(-1)))
+    t = _sojourn(chain, "b", _FixedRng(math.exp(-1)))
     assert t == pytest.approx(1 / 3)
 
 
@@ -33,8 +37,8 @@ def test_sojourn_reproducible_sequence(unit_deadline):
     chain, _ = unit_deadline
     a = np.random.default_rng(5)
     b = np.random.default_rng(5)
-    first = [mc.sample_sojourn(chain, "s", a) for _ in range(10)]
-    second = [mc.sample_sojourn(chain, "s", b) for _ in range(10)]
+    first = [_sojourn(chain, "s", a) for _ in range(10)]
+    second = [_sojourn(chain, "s", b) for _ in range(10)]
     assert first == second
 
 
@@ -42,7 +46,7 @@ def test_sojourn_empirical_mean(exposure_window):
     chain, _ = exposure_window
     rng = np.random.default_rng(11)
     n = 100_000
-    draws = [mc.sample_sojourn(chain, "a", rng) for _ in range(n)]  # rate 2
+    draws = [_sojourn(chain, "a", rng) for _ in range(n)]  # rate 2
     assert np.mean(draws) == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(n))
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -197,6 +198,83 @@ def test_boundary_row_defect_above_contraction(departure, departure_graph):
     for kk in np.nonzero(grid.is_bmax)[0]:
         lo, hi = system.indptr[kk], system.indptr[kk + 1]
         assert 1.0 - system.data[lo:hi].sum() >= c
+
+
+# sha256 over (indptr, indices, data, offset, horizons, is_bmax), each array
+# with its dtype and shape, as assembled at commit ab91117 by the grid that
+# keyed its unknowns by Fraction valuations.
+GOLDEN_DIGESTS = {
+    ("unit_deadline", 4, "gamma_prime"):
+        "8ce5ae19328728083a0466a9edb1e44ae99468c810ad1556bac5eed94f2c842d",
+    ("unit_deadline", 4, "gamma_double"):
+        "06cf94db34ca536734e8a61e4b4441930dd4ec60633f1b228775291bb9455dee",
+    ("unit_deadline", 8, "gamma_prime"):
+        "bc425b06e2ef3a8a8b06243a3ea9340930905e3a56c4c5abc25de9b0312fb954",
+    ("unit_deadline", 8, "gamma_double"):
+        "be59ad9526728013b4e60ca6a79ed0ba39eb74c062526683a1070a1dec7c4c45",
+    ("unit_deadline", 16, "gamma_prime"):
+        "eaa67b4d1fe585ec8be977557ccc418d8403f1581c6b26a0b33e9aab8cac90e8",
+    ("unit_deadline", 16, "gamma_double"):
+        "60accad76972acc2497863e7bfc77f1f9ffa1881a181512f165effbbf6fb4553",
+    ("unit_deadline", 32, "gamma_prime"):
+        "34b6c30e6e196bfb1b45a79bfb6cc1764070b037fcf1762cf49e62b5bc953f35",
+    ("unit_deadline", 32, "gamma_double"):
+        "970e30610d19bd8c3dba16c9bdb296d21b0695a4d50d4ac813109acb352995a7",
+    ("exposure_window", 4, "gamma_prime"):
+        "21db6bfa3b6128113616c2acfa9f6d3842ba6cae123a936349cbcca9e80f36ac",
+    ("exposure_window", 4, "gamma_double"):
+        "191001a959dcbd45b33efc935d112fdd587ae42c1af42fd727e3fa8ebce8dc3c",
+    ("exposure_window", 8, "gamma_prime"):
+        "a43f1fb582b0f82e19fb36b1b60b3d40353c600a9dbb7792b84a24da0b9675a7",
+    ("exposure_window", 8, "gamma_double"):
+        "27a886c30e21ffc3db8024794d57fbc519c52b0180e745f42ffe71dcd1f531c8",
+    ("exposure_window", 16, "gamma_prime"):
+        "16119ee79c6aaf2cf2a86ce70412061edf8ceab896169a86aba588324c61dfeb",
+    ("exposure_window", 16, "gamma_double"):
+        "351c91dba391986626db4cbff65878a5ed9197b41713667e0b06fbdc9d3aa7bf",
+    ("exposure_window", 32, "gamma_prime"):
+        "2b73ce1bf401208d2cd8e50b3a8c4b989fe1902846242df544bbe74f302c1506",
+    ("exposure_window", 32, "gamma_double"):
+        "e1931b258faa93556d1c00936c814b957b5a4da0a790f695d98d9ad691c5bcd5",
+    ("departure", 4, "gamma_prime"):
+        "2d6ef9ad667707744e338642d3bee7dd83b0fbe5005560cb218cb113ff91eb46",
+    ("departure", 4, "gamma_double"):
+        "536718c985b7e86760db7228821c0f59aaa92be5f6090946f19ec49784d9ae62",
+    ("departure", 8, "gamma_prime"):
+        "a1fb50fd0f90d3663d8032919367b11479a923baf2ece5b0aa8493e4aa2d720b",
+    ("departure", 8, "gamma_double"):
+        "dd0538df0ba69a20895aa266f21106d0a77421931f3fe7bec39626c8f902158c",
+    ("departure", 16, "gamma_prime"):
+        "d74880b8e36357dfba767cc4df361da5f13e605ef450941a647577bd169df586",
+    ("departure", 16, "gamma_double"):
+        "e9441a8666ae9b17ebc7b9315408dcc2e982a690dac52f8e77dde0487933e404",
+    ("departure", 32, "gamma_prime"):
+        "fdec2c519429d449b0336cf3268ebf49363b02f86f2eb51f1ecf0ee20ce908d6",
+    ("departure", 32, "gamma_double"):
+        "9c6572a2b1b7db7328e7146e7a0a89477c0b59691fa718752a5feaed6c92c00d",
+}
+_ASSEMBLERS = {"gamma_prime": assemble_gamma_prime,
+               "gamma_double": assemble_gamma_double}
+_GRAPHS = {"unit_deadline": "unit_graph", "exposure_window": "exposure_graph",
+           "departure": "departure_graph"}
+
+
+def _system_digest(system):
+    h = hashlib.sha256()
+    for arr in (system.indptr, system.indices, system.data, system.offset,
+                system.grid.horizons, system.grid.is_bmax):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{arr.dtype.str}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("model, m, kind", list(GOLDEN_DIGESTS))
+def test_assembly_is_bit_identical_to_golden_digest(request, model, m, kind):
+    grid = build_grid(*request.getfixturevalue(model),
+                      request.getfixturevalue(_GRAPHS[model]), m)
+    system = _ASSEMBLERS[kind](grid)
+    assert _system_digest(system) == GOLDEN_DIGESTS[(model, m, kind)]
 
 
 def test_error_constants_unit_deadline(unit_deadline):
