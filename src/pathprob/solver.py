@@ -3,8 +3,14 @@
 The sparse system ``mu = C mu + d`` is solved by Gauss-Seidel sweeps that
 visit unknowns by increasing horizon, so information flows outward from
 the dead and boundary points; on single-clock models one pass is an exact
-back substitution.  A dense direct elimination acts as fallback for small
-systems when the sweeps stall.
+back substitution.  :func:`solve` builds the sweep plan of
+:mod:`pathprob.kernels` once per system: rows levelled by horizon and then
+by a sub-level, so a sweep updates a whole level at once.  Within a sweep
+an entry behind a row in horizon order reads the current iterate and an
+entry ahead of it reads the iterate the sweep started from, so every
+iterate equals that of the one-row-at-a-time sweep bit for bit.  A dense
+direct elimination acts as fallback for small systems when the sweeps
+stall.
 """
 
 from __future__ import annotations
@@ -92,21 +98,21 @@ def solve(
     if n == 0:
         empty = np.zeros(0)
         return Solution(system, empty, empty.copy(), 0.0, 0, "empty")
-    order = np.argsort(system.horizons, kind="stable").astype(np.int64)
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (n,):
         raise ValueError(f"start vector has shape {x.shape}, expected ({n},)")
+    plan = kernels.sweep_plan(system.indptr, system.indices, system.horizons)
 
     args = (system.indptr, system.indices, system.data, system.offset)
     residual = math.inf
     try:
         for sweep_count in range(1, max_sweeps + 1):
-            kernels.gauss_seidel_sweep(*args, x, order)
+            kernels.gauss_seidel_sweep(*args, x, plan)
             residual = kernels.max_residual(*args, x)
             if residual < tol:
                 return Solution(
                     system, x, np.clip(x, 0.0, 1.0), float(residual),
-                    sweep_count, f"sweep/{kernels.BACKEND}",
+                    sweep_count, "sweep",
                 )
     except ZeroDivisionError as exc:
         raise SolverError(

@@ -2,8 +2,9 @@
 
 Nothing here goes through the scheme-assembly or solver code paths under
 test: the unfolded system is transcribed directly from its defining
-equations and solved densely with numpy, and valuation generators produce
-exact rationals from seeded integer draws.
+equations and solved densely with numpy, valuation generators produce
+exact rationals from seeded integer draws, and the sweep kernel is checked
+against the sequential one-row-at-a-time Gauss-Seidel loops below.
 """
 
 import itertools
@@ -118,6 +119,48 @@ def unfolded_dense_system(chain, dta, graph, m):
 
 def solve_dense(mat, off):
     return np.linalg.solve(np.eye(len(off)) - mat, off)
+
+
+def gauss_seidel_sweep(indptr, indices, data, offset, x, order):
+    """One in-place Gauss-Seidel pass of ``x = M x + offset`` over ``order``.
+
+    Diagonal entries are moved to the left-hand side, so each visited row is
+    satisfied exactly at the moment it is updated.  Returns the largest
+    absolute update.
+    """
+    max_delta = 0.0
+    for i in order:
+        i = int(i)
+        acc = offset[i]
+        diag = 0.0
+        for k in range(indptr[i], indptr[i + 1]):
+            j = int(indices[k])
+            if j == i:
+                diag += data[k]
+            else:
+                acc += data[k] * x[j]
+        denom = 1.0 - diag
+        if denom <= 0.0:
+            raise ZeroDivisionError(f"row {i}: unit diagonal mass {diag}")
+        new = acc / denom
+        delta = abs(new - x[i])
+        if delta > max_delta:
+            max_delta = delta
+        x[i] = new
+    return max_delta
+
+
+def max_residual(indptr, indices, data, offset, x):
+    """Largest row defect ``|x - (M x + offset)|`` without touching ``x``."""
+    worst = 0.0
+    for i in range(len(x)):
+        acc = offset[i]
+        for k in range(indptr[i], indptr[i + 1]):
+            acc += data[k] * x[int(indices[k])]
+        defect = abs(x[i] - acc)
+        if defect > worst:
+            worst = defect
+    return worst
 
 
 def _coords_iter(maxima):

@@ -1,0 +1,118 @@
+"""The numpy sweep kernel against the sequential Gauss-Seidel loops.
+
+Every iterate, every largest update and every residual must be equal bit
+for bit to the one-row-at-a-time sweep in horizon order kept in
+``oracles``.  ``exposure_window`` reaches the sub-level, upper-read,
+diagonal, wide and narrow paths of the kernel, ``departure`` has diagonal
+self-loops and ``unit_deadline`` is the one-clock chain.
+"""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+import oracles
+from pathprob import kernels
+from pathprob.scheme import SchemeSystem, assemble_gamma_prime, build_grid
+from pathprob.solver import SolverError, solve
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+_GRAPHS = {"unit_deadline": "unit_graph", "exposure_window": "exposure_graph",
+           "departure": "departure_graph"}
+
+
+def _system(request, model, m):
+    return assemble_gamma_prime(build_grid(
+        *request.getfixturevalue(model), request.getfixturevalue(_GRAPHS[model]), m
+    ))
+
+
+@pytest.mark.parametrize("start", ["zeros", "random"])
+@pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
+@pytest.mark.parametrize("model", list(_GRAPHS))
+def test_sweeps_are_bit_identical_to_sequential_loops(request, model, m, start):
+    system = _system(request, model, m)
+    args = (system.indptr, system.indices, system.data, system.offset)
+    order = np.argsort(system.horizons, kind="stable")
+    plan = kernels.sweep_plan(system.indptr, system.indices, system.horizons)
+    x0 = (np.zeros(system.size) if start == "zeros"
+          else np.random.default_rng(3).random(system.size))
+    got, expected = x0.copy(), x0.copy()
+    for sweeps in range(1, 100):
+        largest = kernels.gauss_seidel_sweep(*args, got, plan)
+        assert largest == oracles.gauss_seidel_sweep(*args, expected, order)
+        assert np.array_equal(got, expected)
+        residual = kernels.max_residual(*args, got)
+        assert residual == oracles.max_residual(*args, expected)
+        if residual < 1e-10:
+            break
+    else:
+        pytest.fail("the sequential sweeps did not converge")
+    assert solve(system, x0=x0).sweeps == sweeps
+
+
+def test_exposure_window_plan_reaches_every_path(exposure_window, exposure_graph):
+    system = assemble_gamma_prime(build_grid(*exposure_window, exposure_graph, 16))
+    h = system.horizons
+    plan = kernels.sweep_plan(system.indptr, system.indices, h)
+    wide = [h[plan.order[lo]] for lo, _, counts in plan.steps if counts is not None]
+    assert any(counts is None for _, _, counts in plan.steps)
+    assert len(set(wide)) < len(wide)  # two wide levels share a horizon
+    rows = np.repeat(np.arange(system.size), np.diff(system.indptr))
+    cols = system.indices
+    assert (cols == rows).any()
+    assert (plan.rank[cols] > plan.rank[rows]).any()  # reads ahead
+
+
+def _unit_diagonal_system(width):
+    """``width`` rows of horizon 0, each holding only a diagonal entry of
+    mass 1/2, except the middle row, whose diagonal mass is 1."""
+    data = np.full(width, 0.5)
+    data[width // 2] = 1.0
+    grid = SimpleNamespace(horizons=np.zeros(width, dtype=np.int64),
+                           graph=SimpleNamespace(vertex_count=3))
+    return SchemeSystem("gamma_prime", grid, np.arange(width + 1),
+                        np.arange(width), data, np.full(width, 0.25))
+
+
+@pytest.mark.parametrize("width, wide", [(kernels.WIDE + 8, True), (3, False)])
+def test_unit_diagonal_raises(width, wide):
+    system = _unit_diagonal_system(width)
+    args = (system.indptr, system.indices, system.data, system.offset)
+    plan = kernels.sweep_plan(system.indptr, system.indices, system.horizons)
+    assert [counts is not None for _, _, counts in plan.steps] == [wide]
+    with pytest.raises(ZeroDivisionError):
+        kernels.gauss_seidel_sweep(*args, np.zeros(width), plan)
+    with pytest.raises(ZeroDivisionError):
+        oracles.gauss_seidel_sweep(*args, np.zeros(width), np.arange(width))
+    with pytest.raises(SolverError, match=r"2\|V\|\^2 = 18"):
+        solve(system)
+
+
+def test_solve_command_loads_no_scipy_and_no_compiled_extension():
+    script = "\n".join([
+        "import json, sys",
+        "from pathprob.cli import cli_main",
+        "code = cli_main(['solve', '--model', sys.argv[1], '--state', 'a',",
+        "                 '--location', 'q0', '--valuation', 'x=0,y=0', '--grid', '8'])",
+        "loaded = {name: getattr(mod, '__file__', None) or ''",
+        "          for name, mod in list(sys.modules.items())}",
+        "print(json.dumps([code, loaded]))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "models" / "exposure_window.json")],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    code, loaded = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0
+    assert not [name for name in loaded if name.split(".")[0] == "scipy"]
+    compiled = [name for name, path in loaded.items()
+                if name.split(".")[0] == "pathprob" and not path.endswith(".py")]
+    assert not compiled
