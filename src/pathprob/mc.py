@@ -2,31 +2,32 @@
 
 This is the independent statistical oracle for the grid solver.  Trials
 simulate the chain (exponential sojourns, jump matrix) and feed the label
-of each departed state with its sojourn into the automaton.  A trial stops
-early when a final location is reached (accept) or, in absorbing mode,
-when the tracked product vertex cannot reach a final vertex any more
-(reject; sound because that vertex has acceptance probability zero).
-Trials neither accepted nor rejected by the step horizon are reported as
-censored and kept out of the point estimate, bracketing the true value
-instead.
+of each departed state with its sojourn into the automaton.  One trial loop
+serves both estimators; its mode follows from whether it is given the
+product graph.  With the graph a trial also stops when its product vertex
+cannot reach a final vertex any more (reject; sound because that vertex
+has acceptance probability zero), clocks saturate at the ceilings, and
+trials still running at the step horizon are reported as censored,
+bracketing the true value.  Without it clocks run exactly and a trial not
+accepted within the horizon is rejected.
 
 Each trial owns an rng substream derived from (seed, stream, trial), so
-estimates with different horizons or with absorption toggled are paired
-path-by-path (common random numbers).
+estimates with different horizons or modes are paired path-by-path
+(common random numbers).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .dynamics import select_rule
-from .models import Ctmc, Dta
-from .product import DEAD, ProductGraph, ProductVertex
+from .models import Ctmc, Dta, check_start
+from .product import DEAD, ProductGraph, ProductVertex, classify
 from .regions import region_of
 
 
@@ -67,19 +68,6 @@ def default_k_max(graph: ProductGraph) -> int:
     return 16 * max(1, math.ceil(lam_t)) * graph.vertex_count
 
 
-def _binomial_halfwidth(successes: int, n: int, confidence: float) -> float:
-    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
-    p = successes / n
-    return z * math.sqrt(p * (1.0 - p) / n)
-
-
-def _check_counts(n: int, k_max: int) -> None:
-    if n < 1:
-        raise ValueError(f"trial count must be at least 1, got {n}")
-    if k_max < 0:
-        raise ValueError(f"step bound must be non-negative, got {k_max}")
-
-
 class _Simulator:
     """Per-model tables so the trial loop stays allocation-light."""
 
@@ -116,7 +104,6 @@ def estimate(
     seed: int = 0,
     stream: int = 0,
     confidence: float = 0.99,
-    absorb: bool = True,
 ) -> Estimate:
     """Estimate the unbounded acceptance probability with early absorption.
 
@@ -126,55 +113,8 @@ def estimate(
     """
     if k_max is None:
         k_max = default_k_max(graph)
-    _check_counts(n, k_max)
-    sim = _Simulator(chain)
-    ceilings = dta.ceilings
-    classes = graph.classes()
-    finals = dta.final
-    rng_stream = RngStream(seed, stream)
-    start_eta = tuple(min(float(v), float(c)) for v, c in zip(valuation, ceilings))
-    start_state = chain.state_index(state)
-
-    accepted = rejected = censored = 0
-    for trial in range(n):
-        rng = rng_stream.trial_rng(trial)
-        si, q, eta = start_state, location, start_eta
-        steps = 0
-        while True:
-            if q in finals:
-                accepted += 1
-                break
-            if absorb:
-                vertex = ProductVertex(
-                    chain.states[si], q, region_of(eta, ceilings)
-                )
-                if classes[graph.index[vertex]] == DEAD:
-                    rejected += 1
-                    break
-            if steps == k_max:
-                censored += 1
-                break
-            t = sim.sojourn(si, rng)
-            nxt = sim.jump(si, rng)
-            delayed = tuple(v + t for v in eta)
-            rule = select_rule(dta, q, chain.labeling[si], delayed)
-            q = rule.target
-            eta = tuple(
-                min(float(c), 0.0 if i in rule.resets else delayed[i])
-                for i, c in enumerate(ceilings)
-            )
-            si = nxt
-            steps += 1
-    return Estimate(
-        p_hat=accepted / n,
-        n=n,
-        halfwidth=_binomial_halfwidth(accepted, n, confidence),
-        confidence=confidence,
-        accepted=accepted,
-        dead_absorbed=rejected,
-        censored=censored,
-        k_max=k_max,
-    )
+    return _simulate(chain, dta, graph, state, location, valuation, n, k_max,
+                     seed, stream, confidence)
 
 
 def estimate_k(
@@ -190,43 +130,63 @@ def estimate_k(
     confidence: float = 0.99,
 ) -> Estimate:
     """Acceptance strictly within k steps, exact semantics: no absorption
-    shortcut and no valuation saturation."""
-    _check_counts(n, k)
-    sim = _Simulator(chain)
-    finals = dta.final
-    rng_stream = RngStream(seed, stream)
-    start_state = chain.state_index(state)
-    start_eta = tuple(float(v) for v in valuation)
+    shortcut and no valuation saturation; a trial not accepted within k
+    steps is a rejection, not a censored trial."""
+    est = _simulate(chain, dta, None, state, location, valuation, n, k,
+                    seed, stream, confidence)
+    return replace(est, censored=0)
 
-    accepted = 0
+
+def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
+              seed, stream, confidence) -> Estimate:
+    """The trial loop of both estimators; see the module docstring."""
+    if n < 1:
+        raise ValueError(f"trial count must be at least 1, got {n}")
+    if k_max < 0:
+        raise ValueError(f"step bound must be non-negative, got {k_max}")
+    check_start(chain, dta, state, location, valuation)
+    sim = _Simulator(chain)
+    ceilings, finals, labels = dta.ceilings, dta.final, chain.labeling
+    if graph is None:
+        caps, dead = (math.inf,) * len(ceilings), frozenset()
+    else:
+        caps = tuple(float(c) for c in ceilings)
+        dead = frozenset(v for v, c in classify(graph).items() if c == DEAD)
+    rng_stream = RngStream(seed, stream)
+    start_eta = tuple(min(float(v), cap) for v, cap in zip(valuation, caps))
+    start_state = chain.state_index(state)
+
+    accepted = rejected = censored = 0
     for trial in range(n):
         rng = rng_stream.trial_rng(trial)
         si, q, eta = start_state, location, start_eta
-        steps = 0
-        while True:
+        for steps in range(k_max + 1):
             if q in finals:
                 accepted += 1
                 break
-            if steps == k:
+            if graph is not None and ProductVertex(
+                chain.states[si], q, region_of(eta, ceilings)
+            ) in dead:
+                rejected += 1
+                break
+            if steps == k_max:
+                censored += 1
                 break
             t = sim.sojourn(si, rng)
             nxt = sim.jump(si, rng)
             delayed = tuple(v + t for v in eta)
-            rule = select_rule(dta, q, chain.labeling[si], delayed)
+            rule = select_rule(dta, q, labels[si], delayed)
             q = rule.target
+            # min(inf, v) == v, so uncapped clocks need no branch
             eta = tuple(
-                0.0 if i in rule.resets else delayed[i]
-                for i in range(len(delayed))
+                min(cap, 0.0 if i in rule.resets else delayed[i])
+                for i, cap in enumerate(caps)
             )
             si = nxt
-            steps += 1
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    p = accepted / n
     return Estimate(
-        p_hat=accepted / n,
-        n=n,
-        halfwidth=_binomial_halfwidth(accepted, n, confidence),
-        confidence=confidence,
-        accepted=accepted,
-        dead_absorbed=0,
-        censored=0,
-        k_max=k,
+        p_hat=p, n=n, halfwidth=z * math.sqrt(p * (1.0 - p) / n),
+        confidence=confidence, accepted=accepted, dead_absorbed=rejected,
+        censored=censored, k_max=k_max,
     )

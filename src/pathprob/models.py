@@ -213,12 +213,6 @@ class Dta:
     def t_max(self) -> int:
         return max(self.ceilings, default=0)
 
-    def clock_index(self, name: str) -> int:
-        try:
-            return self.clocks.index(name)
-        except ValueError:
-            raise KeyError(f"unknown clock {name!r}") from None
-
     def rules_from(self, location: str, signature: str) -> Tuple[Rule, ...]:
         return tuple(
             r
@@ -394,6 +388,23 @@ def pairing_report(chain: Ctmc, dta: Dta) -> ValidationReport:
             )
         )
     return ValidationReport()
+
+
+def check_start(chain: Ctmc, dta: Dta, state: str, location: str,
+                valuation: Sequence) -> None:
+    """Raise ValueError naming an unknown state or location, or a valuation
+    that is not one non-negative value per clock."""
+    if state not in chain.states:
+        raise ValueError(f"unknown state {state!r}")
+    if location not in dta.locations:
+        raise ValueError(f"unknown location {location!r}")
+    if len(valuation) != len(dta.clocks):
+        raise ValueError(
+            f"valuation has {len(valuation)} clocks, automaton has {len(dta.clocks)}"
+        )
+    for name, v in zip(dta.clocks, valuation):
+        if not v >= 0:
+            raise ValueError(f"clock {name!r} is {v}, want a non-negative value")
 
 
 def model_constants(chain: Ctmc, dta: Dta) -> ModelConstants:

@@ -60,13 +60,6 @@ class ProductGraph:
             self._classes = _classify_indices(self)
         return self._classes
 
-    @property
-    def alive(self) -> FrozenSet[int]:
-        """Vertices that can reach a final vertex (final ones included)."""
-        return frozenset(
-            i for i, c in enumerate(self.classes()) if c != DEAD
-        )
-
 
 def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
     """Construct vertices and edges of the product region graph.

@@ -24,7 +24,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .models import Ctmc, Dta, ModelConstants, model_constants
+from .models import Ctmc, Dta, ModelConstants, check_start, model_constants
 from .product import DEAD, FINAL, ProductGraph, build_graph, contraction_constant
 from .scheme import (
     Grid,
@@ -234,10 +234,7 @@ def _snap_to_grid(eta: Sequence, ceilings: Sequence[int], m: int):
     snapped = []
     distance = Fraction(0)
     for v, c in zip(eta, ceilings):
-        v = Fraction(v)
-        if v < 0:
-            raise ValueError("clock values must be non-negative")
-        v = min(v, Fraction(c))
+        v = min(Fraction(v), Fraction(c))
         scaled = v * m
         lo = math.floor(scaled)
         j = lo if scaled - lo <= Fraction(1, 2) else lo + 1
@@ -281,10 +278,7 @@ def approximate(
         raise ValueError("specify exactly one of m and epsilon")
     constants, graph = _analysis(chain, dta)
     eta = tuple(Fraction(v) for v in valuation)
-    if len(eta) != len(dta.clocks):
-        raise ValueError(
-            f"valuation has {len(eta)} clocks, automaton has {len(dta.clocks)}"
-        )
+    check_start(chain, dta, state, location, eta)
 
     if epsilon is not None:
         if not 0 < epsilon < 1:

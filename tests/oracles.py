@@ -3,18 +3,23 @@
 Nothing here goes through the scheme-assembly or solver code paths under
 test: the unfolded system is transcribed directly from its defining
 equations and solved densely with numpy, valuation generators produce
-exact rationals from seeded integer draws, and the sweep kernel is checked
-against the sequential one-row-at-a-time Gauss-Seidel loops below.
+exact rationals from seeded integer draws, the sweep kernel is checked
+against the sequential one-row-at-a-time Gauss-Seidel loops below, and the
+Monte Carlo trial loop against the two separate estimator loops it merged.
 """
 
 import itertools
 import math
 from fractions import Fraction
+from statistics import NormalDist
+from typing import Optional, Sequence
 
 import numpy as np
 
 from pathprob.dynamics import select_rule
-from pathprob.product import ALIVE, DEAD, FINAL, ProductVertex
+from pathprob.mc import Estimate, RngStream, _Simulator, default_k_max
+from pathprob.models import Ctmc, Dta
+from pathprob.product import ALIVE, DEAD, FINAL, ProductGraph, ProductVertex
 from pathprob.regions import plus_representative, region_of
 
 
@@ -188,3 +193,149 @@ def region_sequence(eta, ceilings):
         current = plus_representative(boundary, ceilings)
         sequence.append(region_of(current, ceilings))
     return sequence
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo: the absorbing estimator and the exact k-step estimator as two
+# separate loops, one per mode, each drawing from the per-trial substreams.
+
+
+def _binomial_halfwidth(successes: int, n: int, confidence: float) -> float:
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
+    p = successes / n
+    return z * math.sqrt(p * (1.0 - p) / n)
+
+
+def _check_counts(n: int, k_max: int) -> None:
+    if n < 1:
+        raise ValueError(f"trial count must be at least 1, got {n}")
+    if k_max < 0:
+        raise ValueError(f"step bound must be non-negative, got {k_max}")
+
+
+def estimate(
+    chain: Ctmc,
+    dta: Dta,
+    graph: ProductGraph,
+    state: str,
+    location: str,
+    valuation: Sequence,
+    n: int,
+    k_max: Optional[int] = None,
+    seed: int = 0,
+    stream: int = 0,
+    confidence: float = 0.99,
+    absorb: bool = True,
+) -> Estimate:
+    """Estimate the unbounded acceptance probability with early absorption.
+
+    The tracked clock valuation is saturated at the ceilings after every
+    step; values beyond a ceiling are interchangeable for the acceptance
+    probability, and saturation keeps the region lookup domain finite.
+    """
+    if k_max is None:
+        k_max = default_k_max(graph)
+    _check_counts(n, k_max)
+    sim = _Simulator(chain)
+    ceilings = dta.ceilings
+    classes = graph.classes()
+    finals = dta.final
+    rng_stream = RngStream(seed, stream)
+    start_eta = tuple(min(float(v), float(c)) for v, c in zip(valuation, ceilings))
+    start_state = chain.state_index(state)
+
+    accepted = rejected = censored = 0
+    for trial in range(n):
+        rng = rng_stream.trial_rng(trial)
+        si, q, eta = start_state, location, start_eta
+        steps = 0
+        while True:
+            if q in finals:
+                accepted += 1
+                break
+            if absorb:
+                vertex = ProductVertex(
+                    chain.states[si], q, region_of(eta, ceilings)
+                )
+                if classes[graph.index[vertex]] == DEAD:
+                    rejected += 1
+                    break
+            if steps == k_max:
+                censored += 1
+                break
+            t = sim.sojourn(si, rng)
+            nxt = sim.jump(si, rng)
+            delayed = tuple(v + t for v in eta)
+            rule = select_rule(dta, q, chain.labeling[si], delayed)
+            q = rule.target
+            eta = tuple(
+                min(float(c), 0.0 if i in rule.resets else delayed[i])
+                for i, c in enumerate(ceilings)
+            )
+            si = nxt
+            steps += 1
+    return Estimate(
+        p_hat=accepted / n,
+        n=n,
+        halfwidth=_binomial_halfwidth(accepted, n, confidence),
+        confidence=confidence,
+        accepted=accepted,
+        dead_absorbed=rejected,
+        censored=censored,
+        k_max=k_max,
+    )
+
+
+def estimate_k(
+    chain: Ctmc,
+    dta: Dta,
+    state: str,
+    location: str,
+    valuation: Sequence,
+    k: int,
+    n: int,
+    seed: int = 0,
+    stream: int = 0,
+    confidence: float = 0.99,
+) -> Estimate:
+    """Acceptance strictly within k steps, exact semantics: no absorption
+    shortcut and no valuation saturation."""
+    _check_counts(n, k)
+    sim = _Simulator(chain)
+    finals = dta.final
+    rng_stream = RngStream(seed, stream)
+    start_state = chain.state_index(state)
+    start_eta = tuple(float(v) for v in valuation)
+
+    accepted = 0
+    for trial in range(n):
+        rng = rng_stream.trial_rng(trial)
+        si, q, eta = start_state, location, start_eta
+        steps = 0
+        while True:
+            if q in finals:
+                accepted += 1
+                break
+            if steps == k:
+                break
+            t = sim.sojourn(si, rng)
+            nxt = sim.jump(si, rng)
+            delayed = tuple(v + t for v in eta)
+            rule = select_rule(dta, q, chain.labeling[si], delayed)
+            q = rule.target
+            eta = tuple(
+                0.0 if i in rule.resets else delayed[i]
+                for i in range(len(delayed))
+            )
+            si = nxt
+            steps += 1
+    return Estimate(
+        p_hat=accepted / n,
+        n=n,
+        halfwidth=_binomial_halfwidth(accepted, n, confidence),
+        confidence=confidence,
+        accepted=accepted,
+        dead_absorbed=0,
+        censored=0,
+        k_max=k,
+    )

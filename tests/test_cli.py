@@ -277,3 +277,20 @@ def test_bad_trial_counts_exit_code(capsys, counts):
     )
     assert code == 1
     assert "invalid model/query" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--grid", "4"),
+    ("simulate", "--samples", "10"),
+])
+@pytest.mark.parametrize("bad,named", [
+    (("--valuation", "x=-1/2"), "clock 'x'"),
+    (("--location", "nope"), "location 'nope'"),
+])
+def test_bad_start_exit_code(capsys, command, bad, named):
+    code, _, err = run(
+        capsys, command[0], "--model", UNIT, "--state", "s", "--location",
+        "q0", *command[1:], *bad,
+    )
+    assert code == 1
+    assert named in err

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracles
 from pathprob import mc
 
 F = Fraction
@@ -120,15 +121,16 @@ def test_k_estimates_converge_to_absorbing_estimate(exposure_window,
 
 
 def test_absorption_changes_no_outcome(exposure_window, exposure_graph):
+    """Absorption only stops trials that the exact k-step run rejects."""
     chain, dta = exposure_window
     with_absorb = mc.estimate(chain, dta, exposure_graph, "a", "q0",
                               (0.0, 0.0), n=10_000, k_max=48, seed=17)
-    without = mc.estimate(chain, dta, exposure_graph, "a", "q0", (0.0, 0.0),
-                          n=10_000, k_max=48, seed=17, absorb=False)
+    without = mc.estimate_k(chain, dta, "a", "q0", (0.0, 0.0), k=48,
+                            n=10_000, seed=17)
     assert with_absorb.accepted == without.accepted
     assert without.dead_absorbed == 0
     assert (with_absorb.dead_absorbed + with_absorb.censored
-            == without.censored)
+            == without.n - without.accepted)
 
 
 def test_censoring_reported_as_interval(exposure_window, exposure_graph):
@@ -181,3 +183,63 @@ def test_distinct_streams_are_distinct(unit_deadline, unit_graph):
     b = mc.estimate(chain, dta, unit_graph, "s", "q0", (0.0,), n=2000,
                     seed=1, stream=1)
     assert a != b
+
+
+# The merged trial loop against the two separate loops it replaced, kept in
+# ``oracles``: every Estimate must be equal field by field.  Besides a zero
+# start, the start lists hold final starts, dead starts and starts above a
+# ceiling, alive (exposure_window, departure) and dead (unit_deadline).
+_STARTS = {
+    "unit_deadline": [("s", "q0", (0.0,)), ("s", "q1", (0.0,)),
+                      ("s", "q0", (F(5, 2),))],
+    "exposure_window": [("a", "q0", (0.0, 0.0)), ("a", "q0", (F(1, 3), 2.5)),
+                        ("a", "q0", (1.5, 0.0)), ("c", "qf", (0.0, 0.0))],
+    "departure": [("w", "q0", (0.0,)), ("w", "q0", (F(7, 2),)),
+                  ("w", "qf", (0.0,))],
+}
+_GRAPHS = {"unit_deadline": "unit_graph", "exposure_window": "exposure_graph",
+           "departure": "departure_graph"}
+
+
+@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("model", list(_STARTS))
+def test_trial_loop_matches_separate_loops(request, model, seed, stream):
+    chain, dta = request.getfixturevalue(model)
+    graph = request.getfixturevalue(_GRAPHS[model])
+    runs = dict(n=200, seed=seed, stream=stream)
+    for start in _STARTS[model]:
+        for k_max in (None, 0, 1):
+            assert (mc.estimate(chain, dta, graph, *start, k_max=k_max, **runs)
+                    == oracles.estimate(chain, dta, graph, *start,
+                                        k_max=k_max, **runs))
+        for k in (0, 1, 16):
+            assert (mc.estimate_k(chain, dta, *start, k=k, **runs)
+                    == oracles.estimate_k(chain, dta, *start, k=k, **runs))
+
+
+def test_differential_starts_cover_every_outcome(exposure_window,
+                                                 exposure_graph):
+    """The exposure_window starts reach acceptance, absorption and
+    censoring, so the differential test compares all three counters."""
+    chain, dta = exposure_window
+    ests = [mc.estimate(chain, dta, exposure_graph, *start, k_max=k_max,
+                        n=200, seed=1)
+            for start in _STARTS["exposure_window"] for k_max in (None, 1)]
+    assert any(e.accepted for e in ests)
+    assert any(e.dead_absorbed for e in ests)
+    assert any(e.censored for e in ests)
+
+
+@pytest.mark.parametrize("start,named", [
+    (("a", "q0", (0.0, 0.0, 5.0)), "3 clocks"),
+    (("a", "q0", (0.0, -0.5)), "clock 'y'"),
+    (("a", "nope", (0.0, 0.0)), "location 'nope'"),
+    (("nosuch", "q0", (0.0, 0.0)), "state 'nosuch'"),
+])
+def test_bad_start_is_refused(exposure_window, exposure_graph, start, named):
+    chain, dta = exposure_window
+    with pytest.raises(ValueError, match=named):
+        mc.estimate(chain, dta, exposure_graph, *start, n=10)
+    with pytest.raises(ValueError, match=named):
+        mc.estimate_k(chain, dta, *start, k=4, n=10)

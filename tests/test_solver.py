@@ -158,6 +158,18 @@ def test_approximate_snaps_with_ties_toward_zero(unit_deadline, unit_graph):
     assert nearer.probability == quarter.probability
 
 
+@pytest.mark.parametrize("location,valuation,named", [
+    ("q1", (F(-1),), "clock 'x'"),  # checked before the final shortcut
+    ("q0", (F(-1, 2),), "clock 'x'"),
+    ("q0", (F(0), F(0)), "2 clocks"),
+    ("nope", (F(0),), "location 'nope'"),
+])
+def test_approximate_refuses_bad_start(unit_deadline, location, valuation,
+                                       named):
+    with pytest.raises(ValueError, match=named):
+        approximate(*unit_deadline, "s", location, valuation, m=4)
+
+
 def test_approximate_clamps_outside_box(unit_deadline):
     outside = approximate(*unit_deadline, "s", "q0", (F(5),), m=4)
     assert outside.probability == 0.0  # clamps to the dead ceiling
