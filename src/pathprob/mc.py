@@ -144,6 +144,8 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
         raise ValueError(f"trial count must be at least 1, got {n}")
     if k_max < 0:
         raise ValueError(f"step bound must be non-negative, got {k_max}")
+    if not 0 < confidence < 1:
+        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     check_start(chain, dta, state, location, valuation)
     sim = _Simulator(chain)
     ceilings, finals, labels = dta.ceilings, dta.final, chain.labeling

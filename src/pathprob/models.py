@@ -4,13 +4,17 @@ All probabilities, rates and guard data are exact rationals
 (`fractions.Fraction`); floating point enters only in the numerical solver
 and in error-bound reporting.  Validation never repairs a model silently:
 it returns itemized diagnostics and leaves repair to explicit calls.
+Determinism and totality of an automaton are decided together by one pass
+over a representative valuation of every clock region; each gap or
+overlap names such a representative as its witness, and a rule listed
+twice is an overlap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from . import regions
 
@@ -224,89 +228,19 @@ class Dta:
         return tuple(Fraction(0) for _ in self.clocks)
 
 
-# interval with rational endpoints; upper is None for +infinity
-class _Interval(NamedTuple):
-    lo: Fraction
-    lo_open: bool
-    hi: Optional[Fraction]
-    hi_open: bool
-
-    def empty(self) -> bool:
-        if self.hi is None:
-            return False
-        if self.lo < self.hi:
-            return False
-        return self.lo > self.hi or self.lo_open or self.hi_open
-
-    def pick(self) -> Fraction:
-        if self.hi is None:
-            return self.lo + 1 if self.lo_open else self.lo
-        if self.lo == self.hi:
-            return self.lo
-        return (self.lo + self.hi) / 2
-
-
-def _guard_box(guard: Guard, n_clocks: int) -> List[_Interval]:
-    box = [_Interval(Fraction(0), False, None, False) for _ in range(n_clocks)]
-    for term in guard.terms:
-        iv = box[term.clock]
-        b = Fraction(term.bound)
-        if term.op == "<":
-            if iv.hi is None or b < iv.hi or (b == iv.hi and not iv.hi_open):
-                iv = iv._replace(hi=b, hi_open=True)
-        elif term.op == "<=":
-            if iv.hi is None or b < iv.hi:
-                iv = iv._replace(hi=b, hi_open=False)
-        elif term.op == ">":
-            if b > iv.lo or (b == iv.lo and not iv.lo_open):
-                iv = iv._replace(lo=b, lo_open=True)
-        else:  # >=
-            if b > iv.lo:
-                iv = iv._replace(lo=b, lo_open=False)
-        box[term.clock] = iv
-    return box
-
-
-def guard_overlap_witness(
-    g1: Guard, g2: Guard, n_clocks: int
-) -> Optional[regions.ClockValuation]:
-    """Exact witness valuation in the intersection of two guards, or None.
-
-    Guards are conjunctions of single-clock bounds, so each feasible set is
-    a box and the intersection test reduces to per-clock interval
-    intersection.
-    """
-    witness = []
-    for iv1, iv2 in zip(_guard_box(g1, n_clocks), _guard_box(g2, n_clocks)):
-        lo, lo_open = max(
-            (iv1.lo, iv1.lo_open), (iv2.lo, iv2.lo_open)
-        )
-        if iv1.hi is None:
-            hi, hi_open = iv2.hi, iv2.hi_open
-        elif iv2.hi is None:
-            hi, hi_open = iv1.hi, iv1.hi_open
-        else:
-            hi, hi_open = min((iv1.hi, not iv1.hi_open), (iv2.hi, not iv2.hi_open))
-            hi_open = not hi_open
-        merged = _Interval(lo, lo_open, hi, hi_open)
-        if merged.empty():
-            return None
-        witness.append(merged.pick())
-    return tuple(witness)
-
-
 def validate_dta(dta: Dta) -> ValidationReport:
-    """Decide determinism and totality exactly.
+    """Decide determinism and totality exactly, in one pass over regions.
 
-    Determinism: distinct rules sharing (location, signature) must have
-    disjoint guards; overlaps are reported with a witness valuation.
-    Totality: for every (location, signature) the guards must cover every
-    region; guard satisfaction is region-invariant, so checking one
-    representative per region (including the above-ceiling faces) is a
-    complete cover test.
+    Guard constants never exceed the ceilings, so guard satisfaction is
+    constant on every region (Alur & Dill, 1994).  Exactly one rule of each
+    (location, signature) must therefore hold at one representative per
+    region, the above-ceiling faces included, which is what
+    :func:`pathprob.dynamics.select_rule` demands of every step.  No enabled
+    rule is a gap, two or more an overlap, even between identical rules;
+    each (location, signature, set of enabled rules) is reported once, with
+    the first representative where it occurs as the witness.
     """
     problems: List[str] = []
-    pairs = {(r.source, r.signature) for r in dta.rules}
     for rule in dta.rules:
         if rule.source not in dta.locations:
             problems.append(f"rule from unknown location {rule.source!r}")
@@ -317,28 +251,6 @@ def validate_dta(dta: Dta) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
 
-    for q, a in sorted(pairs):
-        group = dta.rules_from(q, a)
-        for i in range(len(group)):
-            for j in range(i + 1, len(group)):
-                r1, r2 = group[i], group[j]
-                if (r1.guard, r1.resets, r1.target) == (
-                    r2.guard,
-                    r2.resets,
-                    r2.target,
-                ):
-                    continue
-                w = guard_overlap_witness(r1.guard, r2.guard, len(dta.clocks))
-                if w is not None:
-                    rendered = ", ".join(
-                        f"{n}={v}" for n, v in zip(dta.clocks, w)
-                    )
-                    problems.append(
-                        f"rules ({q},{a},{r1.guard.render(dta.clocks)}) and "
-                        f"({q},{a},{r2.guard.render(dta.clocks)}) overlap, "
-                        f"witness {rendered}"
-                    )
-
     codes = regions.enumerate_region_codes(dta.ceilings)
     representatives = [
         regions.region_representative(c, dta.ceilings) for c in codes
@@ -346,13 +258,29 @@ def validate_dta(dta: Dta) -> ValidationReport:
     for q in dta.locations:
         for a in sorted(dta.alphabet):
             group = dta.rules_from(q, a)
+            reported = set()
             for rep in representatives:
-                if not any(regions.guard_sat(rep, r.guard) for r in group):
-                    rendered = ", ".join(
-                        f"{n}={v}" for n, v in zip(dta.clocks, rep)
-                    )
+                enabled = tuple(
+                    i for i, r in enumerate(group)
+                    if regions.guard_sat(rep, r.guard)
+                )
+                if len(enabled) == 1 or enabled in reported:
+                    continue
+                reported.add(enabled)
+                rendered = ", ".join(
+                    f"{n}={v}" for n, v in zip(dta.clocks, rep)
+                )
+                if not enabled:
                     problems.append(
                         f"no rule enabled for ({q},{a}) at {rendered}"
+                    )
+                else:
+                    clashing = " and ".join(
+                        f"({q},{a},{group[i].guard.render(dta.clocks)})"
+                        for i in enabled
+                    )
+                    problems.append(
+                        f"rules {clashing} overlap, witness {rendered}"
                     )
     return ValidationReport(tuple(problems))
 

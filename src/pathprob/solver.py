@@ -179,6 +179,8 @@ def error_report(
     m: int,
     empirical_estimate: Optional[float] = None,
 ) -> ErrorReport:
+    if m < 1:
+        raise ValueError("grid resolution m must be >= 1")
     m1, m2, m3 = scaled_error_constants(constants)
     c, m_min = contraction_constant(graph, constants)
     n = graph.vertex_count
@@ -276,6 +278,8 @@ def approximate(
     """
     if (m is None) == (epsilon is None):
         raise ValueError("specify exactly one of m and epsilon")
+    if m is not None and m < 1:
+        raise ValueError("grid resolution m must be >= 1")
     constants, graph = _analysis(chain, dta)
     eta = tuple(Fraction(v) for v in valuation)
     check_start(chain, dta, state, location, eta)
@@ -366,10 +370,14 @@ def prob_from_distribution(
 ) -> ApproxResult:
     """Mix per-state answers by an initial distribution over states.
 
-    ``theta`` maps state names to exact weights summing to one; zero-weight
-    states are skipped.  The reported bound is the worst per-state bound.
+    ``theta`` maps state names to exact weights in [0, 1] summing to one;
+    zero-weight states are skipped.  The reported bound is the worst
+    per-state bound.
     """
     weights = {s: Fraction(w) for s, w in theta.items()}
+    for s, w in weights.items():
+        if not 0 <= w <= 1:
+            raise ValueError(f"initial weight {w} of state {s!r} is outside [0, 1]")
     if sum(weights.values()) != 1:
         raise ValueError(f"initial distribution sums to {sum(weights.values())}")
     unknown = set(weights) - set(chain.states)

@@ -4,21 +4,24 @@ Nothing here goes through the scheme-assembly or solver code paths under
 test: the unfolded system is transcribed directly from its defining
 equations and solved densely with numpy, valuation generators produce
 exact rationals from seeded integer draws, the sweep kernel is checked
-against the sequential one-row-at-a-time Gauss-Seidel loops below, and the
-Monte Carlo trial loop against the two separate estimator loops it merged.
+against the sequential one-row-at-a-time Gauss-Seidel loops below, the
+Monte Carlo trial loop against the two separate estimator loops it merged,
+and the one-pass DTA validator against the interval-box overlap check and
+region cover sweep it replaced.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from statistics import NormalDist
-from typing import Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from pathprob import regions
 from pathprob.dynamics import select_rule
 from pathprob.mc import Estimate, RngStream, _Simulator, default_k_max
-from pathprob.models import Ctmc, Dta
+from pathprob.models import Ctmc, Dta, Guard, ValidationReport
 from pathprob.product import ALIVE, DEAD, FINAL, ProductGraph, ProductVertex
 from pathprob.regions import plus_representative, region_of
 
@@ -339,3 +342,142 @@ def estimate_k(
         censored=0,
         k_max=k,
     )
+
+
+# ---------------------------------------------------------------------------
+# DTA validation: determinism by pairwise intersection of guard boxes, with
+# rules identical in guard, resets and target exempt, and totality by a sweep
+# over region representatives.
+
+
+# interval with rational endpoints; upper is None for +infinity
+class _Interval(NamedTuple):
+    lo: Fraction
+    lo_open: bool
+    hi: Optional[Fraction]
+    hi_open: bool
+
+    def empty(self) -> bool:
+        if self.hi is None:
+            return False
+        if self.lo < self.hi:
+            return False
+        return self.lo > self.hi or self.lo_open or self.hi_open
+
+    def pick(self) -> Fraction:
+        if self.hi is None:
+            return self.lo + 1 if self.lo_open else self.lo
+        if self.lo == self.hi:
+            return self.lo
+        return (self.lo + self.hi) / 2
+
+
+def _guard_box(guard: Guard, n_clocks: int) -> List[_Interval]:
+    box = [_Interval(Fraction(0), False, None, False) for _ in range(n_clocks)]
+    for term in guard.terms:
+        iv = box[term.clock]
+        b = Fraction(term.bound)
+        if term.op == "<":
+            if iv.hi is None or b < iv.hi or (b == iv.hi and not iv.hi_open):
+                iv = iv._replace(hi=b, hi_open=True)
+        elif term.op == "<=":
+            if iv.hi is None or b < iv.hi:
+                iv = iv._replace(hi=b, hi_open=False)
+        elif term.op == ">":
+            if b > iv.lo or (b == iv.lo and not iv.lo_open):
+                iv = iv._replace(lo=b, lo_open=True)
+        else:  # >=
+            if b > iv.lo:
+                iv = iv._replace(lo=b, lo_open=False)
+        box[term.clock] = iv
+    return box
+
+
+def guard_overlap_witness(
+    g1: Guard, g2: Guard, n_clocks: int
+) -> Optional[regions.ClockValuation]:
+    """Exact witness valuation in the intersection of two guards, or None.
+
+    Guards are conjunctions of single-clock bounds, so each feasible set is
+    a box and the intersection test reduces to per-clock interval
+    intersection.
+    """
+    witness = []
+    for iv1, iv2 in zip(_guard_box(g1, n_clocks), _guard_box(g2, n_clocks)):
+        lo, lo_open = max(
+            (iv1.lo, iv1.lo_open), (iv2.lo, iv2.lo_open)
+        )
+        if iv1.hi is None:
+            hi, hi_open = iv2.hi, iv2.hi_open
+        elif iv2.hi is None:
+            hi, hi_open = iv1.hi, iv1.hi_open
+        else:
+            hi, hi_open = min((iv1.hi, not iv1.hi_open), (iv2.hi, not iv2.hi_open))
+            hi_open = not hi_open
+        merged = _Interval(lo, lo_open, hi, hi_open)
+        if merged.empty():
+            return None
+        witness.append(merged.pick())
+    return tuple(witness)
+
+
+def validate_dta(dta: Dta) -> ValidationReport:
+    """Decide determinism and totality exactly.
+
+    Determinism: distinct rules sharing (location, signature) must have
+    disjoint guards; overlaps are reported with a witness valuation.
+    Totality: for every (location, signature) the guards must cover every
+    region; guard satisfaction is region-invariant, so checking one
+    representative per region (including the above-ceiling faces) is a
+    complete cover test.
+    """
+    problems: List[str] = []
+    pairs = {(r.source, r.signature) for r in dta.rules}
+    for rule in dta.rules:
+        if rule.source not in dta.locations:
+            problems.append(f"rule from unknown location {rule.source!r}")
+        if rule.target not in dta.locations:
+            problems.append(f"rule to unknown location {rule.target!r}")
+        if rule.signature not in dta.alphabet:
+            problems.append(f"rule signature {rule.signature!r} not in alphabet")
+    if problems:
+        return ValidationReport(tuple(problems))
+
+    for q, a in sorted(pairs):
+        group = dta.rules_from(q, a)
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                r1, r2 = group[i], group[j]
+                if (r1.guard, r1.resets, r1.target) == (
+                    r2.guard,
+                    r2.resets,
+                    r2.target,
+                ):
+                    continue
+                w = guard_overlap_witness(r1.guard, r2.guard, len(dta.clocks))
+                if w is not None:
+                    rendered = ", ".join(
+                        f"{n}={v}" for n, v in zip(dta.clocks, w)
+                    )
+                    problems.append(
+                        f"rules ({q},{a},{r1.guard.render(dta.clocks)}) and "
+                        f"({q},{a},{r2.guard.render(dta.clocks)}) overlap, "
+                        f"witness {rendered}"
+                    )
+
+    codes = regions.enumerate_region_codes(dta.ceilings)
+    representatives = [
+        regions.region_representative(c, dta.ceilings) for c in codes
+    ]
+    for q in dta.locations:
+        for a in sorted(dta.alphabet):
+            group = dta.rules_from(q, a)
+            for rep in representatives:
+                if not any(regions.guard_sat(rep, r.guard) for r in group):
+                    rendered = ", ".join(
+                        f"{n}={v}" for n, v in zip(dta.clocks, rep)
+                    )
+                    problems.append(
+                        f"no rule enabled for ({q},{a}) at {rendered}"
+                    )
+    return ValidationReport(tuple(problems))

@@ -294,3 +294,43 @@ def test_bad_start_exit_code(capsys, command, bad, named):
     )
     assert code == 1
     assert named in err
+
+
+@pytest.mark.parametrize("confidence", ["0", "1.5"])
+def test_bad_confidence_exit_code(capsys, confidence):
+    code, _, err = run(
+        capsys, "simulate", "--model", UNIT, "--state", "s", "--location",
+        "q0", "--samples", "100", "--confidence", confidence,
+    )
+    assert code == 1
+    assert "confidence must lie in (0, 1)" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--state", "s", "--location", "q0", "--grid", "0"),
+    ("solve", "--state", "s", "--location", "q1", "--grid", "0"),
+    ("convergence", "--state", "s", "--location", "q0", "--grids", "0,4"),
+    ("bound", "--grid", "0"),
+])
+def test_grid_below_one_exit_code(tmp_path, capsys, command):
+    out = ("--out", str(tmp_path / "conv.csv"))
+    extra = out if command[0] == "convergence" else ()
+    code, _, err = run(capsys, command[0], "--model", UNIT, *command[1:], *extra)
+    assert code == 1
+    assert "grid resolution m must be >= 1" in err
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("command", [
+    ("graph",),
+    ("solve", "--state", "s", "--location", "q0", "--grid", "4"),
+])
+def test_duplicated_rule_is_refused_at_validation(tmp_path, capsys, command,
+                                                   copies):
+    doc = json.loads(pathlib.Path(UNIT).read_text())
+    doc["dta"]["rules"] += [doc["dta"]["rules"][0]] * copies
+    model = tmp_path / "duplicated.json"
+    model.write_text(json.dumps(doc))
+    code, _, err = run(capsys, command[0], "--model", str(model), *command[1:])
+    assert code == 1
+    assert "overlap" in err

@@ -243,3 +243,15 @@ def test_bad_start_is_refused(exposure_window, exposure_graph, start, named):
         mc.estimate(chain, dta, exposure_graph, *start, n=10)
     with pytest.raises(ValueError, match=named):
         mc.estimate_k(chain, dta, *start, k=4, n=10)
+
+
+@pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5])
+def test_confidence_outside_unit_interval_is_refused(unit_deadline, unit_graph,
+                                                     confidence):
+    chain, dta = unit_deadline
+    with pytest.raises(ValueError, match="confidence must lie in"):
+        mc.estimate(chain, dta, unit_graph, "s", "q0", (0.0,), n=10,
+                    confidence=confidence)
+    with pytest.raises(ValueError, match="confidence must lie in"):
+        mc.estimate_k(chain, dta, "s", "q0", (0.0,), k=4, n=10,
+                      confidence=confidence)

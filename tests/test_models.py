@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, find, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from pathprob.models import (
     Constraint,
     Ctmc,
@@ -10,7 +13,6 @@ from pathprob.models import (
     Guard,
     Rule,
     deadlock_repair,
-    guard_overlap_witness,
     model_constants,
     pairing_report,
     rational,
@@ -129,12 +131,21 @@ def test_validate_dta_reports_overlap_with_witness():
     assert any("overlap" in v and "x=3/2" in v for v in report.violations)
 
 
-def test_guard_overlap_witness_interval_midpoint():
-    g1 = Guard((Constraint(0, "<", 2),))
-    g2 = Guard((Constraint(0, ">", 1),))
-    assert guard_overlap_witness(g1, g2, 1) == (F(3, 2),)
-    g3 = Guard((Constraint(0, ">=", 2),))
-    assert guard_overlap_witness(g1, g3, 1) is None
+def test_validate_dta_reports_duplicated_rule_once():
+    rule = Rule("q0", "a", Guard((Constraint(0, "<", 1),)), frozenset(), "q1")
+    dta = _single_clock_dta(
+        [
+            rule,
+            Rule("q0", "a", Guard((Constraint(0, ">=", 1),)), frozenset(), "q2"),
+            rule,
+            Rule("q1", "a", Guard(), frozenset(), "q1"),
+            Rule("q2", "a", Guard(), frozenset(), "q2"),
+        ]
+    )
+    # x<1 covers the regions x=0 and 0<x<1; the clash is reported once
+    assert validate_dta(dta).violations == (
+        "rules (q0,a,x<1) and (q0,a,x<1) overlap, witness x=0",
+    )
 
 
 def test_validate_dta_reports_missing_pair():
@@ -243,3 +254,115 @@ def test_sampled_determinism_and_totality(model_name, request):
             r for r in dta.rules_from(q, a) if guard_sat(eta, r.guard)
         ]
         assert len(enabled) == 1, (q, a, eta)
+
+
+# ---------------------------------------------------------------------------
+# Differential check of the one-pass validator against the interval-box
+# overlap check and region cover sweep it replaced (tests/oracles.py).
+
+_CLOCKS = ("x", "y")
+_LOCATIONS = ("q0", "q1", "q2")
+_SIGNATURES = ("a", "b")
+
+
+@st.composite
+def random_dtas(draw):
+    """1-2 clocks, ceilings <= 2, 1-3 locations, 1-2 signatures and 0-3
+    random guards per (location, signature), plus copies of drawn rules, so
+    gaps, overlaps and exact duplicates all occur."""
+    clocks = _CLOCKS[: draw(st.integers(1, 2))]
+    locations = _LOCATIONS[: draw(st.integers(1, 3))]
+    alphabet = _SIGNATURES[: draw(st.integers(1, 2))]
+    clock = st.integers(0, len(clocks) - 1)
+    term = st.builds(
+        Constraint, clock, st.sampled_from(("<", "<=", ">", ">=")),
+        st.integers(0, 2),
+    )
+    guard = st.one_of(
+        st.just(Guard()),
+        st.lists(term, min_size=1, max_size=2).map(lambda t: Guard(tuple(t))),
+    )
+    rules = []
+    for q in locations:
+        for a in alphabet:
+            for g in draw(st.lists(guard, max_size=3)):
+                resets = draw(st.frozensets(clock))
+                rules.append(Rule(q, a, g, resets, draw(st.sampled_from(locations))))
+    if rules:
+        rules += draw(st.lists(st.sampled_from(rules), max_size=2))
+    return Dta(
+        locations=locations,
+        final=frozenset(),
+        clocks=clocks,
+        rules=tuple(rules),
+        alphabet=frozenset(alphabet),
+    )
+
+
+def _flagged(report):
+    """(location, signature) pairs reported with a gap and with an overlap."""
+    gaps, overlaps = set(), set()
+    for v in report.violations:
+        if v.startswith("no rule enabled for ("):
+            gaps.add(tuple(v.split("(", 1)[1].split(")", 1)[0].split(",")))
+        else:
+            assert v.startswith("rules (") and "overlap, witness" in v, v
+            overlaps.add(tuple(v.split("(", 1)[1].split(",")[:2]))
+    return gaps, overlaps
+
+
+def _duplicate_clashes(dta):
+    """Pairs holding two rules identical in guard, resets and target whose
+    guard some valuation satisfies: the clashes the old check exempted."""
+    seen, clashes = set(), set()
+    for r in dta.rules:
+        if r in seen and oracles.guard_overlap_witness(
+            r.guard, r.guard, len(dta.clocks)
+        ) is not None:
+            clashes.add((r.source, r.signature))
+        seen.add(r)
+    return clashes
+
+
+# a gap and an overlap that only the open intervals 0<x<1 and 0<y<1 show
+_OPEN_ONLY = Dta(
+    locations=("q0",),
+    final=frozenset(),
+    clocks=("x", "y"),
+    rules=(
+        Rule("q0", "a", Guard((Constraint(0, "<=", 0),)), frozenset(), "q0"),
+        Rule("q0", "a", Guard((Constraint(0, ">=", 1),)), frozenset(), "q0"),
+        Rule("q0", "b", Guard((Constraint(1, "<", 1),)), frozenset(), "q0"),
+        Rule("q0", "b", Guard((Constraint(1, ">", 0),)), frozenset(), "q0"),
+    ),
+    alphabet=frozenset({"a", "b"}),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(random_dtas())
+@example(_OPEN_ONLY)
+def test_validate_dta_matches_interval_box_oracle(dta):
+    gaps, overlaps = _flagged(validate_dta(dta))
+    old_gaps, old_overlaps = _flagged(oracles.validate_dta(dta))
+    assert gaps == old_gaps
+    assert overlaps == old_overlaps | _duplicate_clashes(dta)
+
+
+@pytest.mark.parametrize("kind", ["valid", "gap", "overlap", "duplicate"])
+def test_random_dtas_reach_every_verdict(kind):
+    """Some drawn (location, signature) pair is valid, has a gap, has an
+    overlap of distinct rules, or clashes only between identical rules."""
+    def shows(dta):
+        gaps, overlaps = _flagged(oracles.validate_dta(dta))
+        dupes = _duplicate_clashes(dta) - overlaps
+        pairs = {(q, a) for q in dta.locations for a in dta.alphabet}
+        return {
+            "valid": bool(pairs - gaps - overlaps - dupes),
+            "gap": bool(gaps),
+            "overlap": bool(overlaps),
+            "duplicate": bool(dupes),
+        }[kind]
+
+    find(random_dtas(), shows,
+         settings=settings(derandomize=True, database=None, deadline=None))

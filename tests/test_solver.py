@@ -228,3 +228,8 @@ def test_distribution_skips_zero_weight_and_rejects_unnormalized(unit_deadline):
         prob_from_distribution(*unit_deadline, {"s": F(1, 2)}, "q0", (F(0),), m=4)
     with pytest.raises(ValueError):
         prob_from_distribution(*unit_deadline, {"zz": 1}, "q0", (F(0),), m=4)
+    # sums to one, but would mix the answer to 1.18
+    with pytest.raises(ValueError, match=r"state 's' is outside \[0, 1\]"):
+        prob_from_distribution(
+            *unit_deadline, {"s": 2, "g": -1}, "q0", (F(0),), m=4
+        )
