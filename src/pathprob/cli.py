@@ -247,10 +247,15 @@ _COMMANDS = {
 }
 
 
+_parser: Optional[_Parser] = None
+
+
 def cli_main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:  # built on first use, not at import
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

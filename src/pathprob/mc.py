@@ -27,7 +27,7 @@ import numpy as np
 
 from .dynamics import select_rule
 from .models import Ctmc, Dta, check_start
-from .product import DEAD, ProductGraph, ProductVertex, classify
+from .product import DEAD_CLASS, ProductGraph
 from .regions import region_of
 
 
@@ -150,10 +150,13 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
     sim = _Simulator(chain)
     ceilings, finals, labels = dta.ceilings, dta.final, chain.labeling
     if graph is None:
-        caps, dead = (math.inf,) * len(ceilings), frozenset()
+        caps, dead = (math.inf,) * len(ceilings), None
     else:
         caps = tuple(float(c) for c in ceilings)
-        dead = frozenset(v for v, c in classify(graph).items() if c == DEAD)
+        # [state][location][region number] -> the vertex is dead
+        dead = (graph.class_table == DEAD_CLASS).tolist()
+        number = graph.region_number
+        location_number = {q: i for i, q in enumerate(dta.locations)}
     rng_stream = RngStream(seed, stream)
     start_eta = tuple(min(float(v), cap) for v, cap in zip(valuation, caps))
     start_state = chain.state_index(state)
@@ -166,9 +169,9 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
             if q in finals:
                 accepted += 1
                 break
-            if graph is not None and ProductVertex(
-                chain.states[si], q, region_of(eta, ceilings)
-            ) in dead:
+            if dead is not None and dead[si][location_number[q]][
+                number[region_of(eta, ceilings)]
+            ]:
                 rejected += 1
                 break
             if steps == k_max:

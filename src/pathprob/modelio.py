@@ -24,7 +24,7 @@ from .models import (
     validate_ctmc,
     validate_dta,
 )
-from .product import ProductGraph
+from .product import ProductGraph, size_report
 from .regions import RegionCode
 from .solver import ApproxResult
 
@@ -141,6 +141,12 @@ def model_from_document(doc: dict) -> Tuple[Ctmc, Dta]:
 
 
 def validate_pair(chain: Ctmc, dta: Dta) -> None:
+    """Raise :class:`ModelValidationError` listing every problem of the
+    pair; a product graph above ``product.MAX_VERTICES`` vertices is
+    refused first, before any clock region is enumerated."""
+    oversized = size_report(chain, dta)
+    if not oversized.ok:
+        raise ModelValidationError(oversized)
     problems = (
         validate_ctmc(chain).violations
         + validate_dta(dta).violations

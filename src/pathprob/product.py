@@ -2,25 +2,50 @@
 
 Vertices are (state, location, region) triples over the full region
 enumeration, not just the forward-reachable part: the grid scheme needs a
-class for every grid point.  An edge witnesses a positive-probability jump
-through a non-marginal delay; reachability of a final vertex characterizes
-positivity of the acceptance probability, so classification always comes
-from this graph and never from grid connectivity.
+class for every grid point.  Regions are numbered once, in the order of
+:func:`regions.enumerate_region_codes`, and vertex ``(s, q, r)`` of state
+number s, location number q and region number r is number
+``(s * locations + q) * regions + r``.  An edge witnesses a
+positive-probability jump through a non-marginal delay; reachability of a
+final vertex characterizes positivity of the acceptance probability, so
+classification always comes from this graph and never from grid
+connectivity.
+
+The graph answers "which class, which rule" by number from two tables:
+``class_table[state, location, region]`` (an index into
+:data:`CLASS_NAMES`) and the rule table ``rule_target`` /
+``rule_resets[location, label, region]``, the target location and reset
+clocks of the rule enabled immediately after the region, taken once at its
+plus representative.  The grid, the assembly, the Monte Carlo absorption
+check and the solver's shortcut all read these tables.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, NamedTuple, Tuple
+
+import numpy as np
 
 from . import regions
-from .dynamics import Configuration, kappa
-from .models import Ctmc, Dta, ModelConstants
+from .dynamics import select_rule
+from .models import Ctmc, Dta, ModelConstants, ValidationReport
 
 FINAL = "final"
 ALIVE = "alive"
 DEAD = "dead"
+# class table entry -> class name
+CLASS_NAMES = (FINAL, ALIVE, DEAD)
+FINAL_CLASS, ALIVE_CLASS, DEAD_CLASS = range(3)
+
+# Largest product graph accepted: |V| = states x locations x regions.  The
+# region count grows as (ceiling + 2)^clocks times ordered set partitions
+# of the clocks (417 338 regions for 5 clocks at ceiling 3), and building
+# the graph takes about half a millisecond per vertex, so a small model
+# file could otherwise keep validation and graph building busy for many
+# minutes.  The count is taken in closed form before anything is enumerated.
+MAX_VERTICES = 50_000
 
 
 class ProductVertex(NamedTuple):
@@ -36,87 +61,115 @@ class ProductGraph:
     ctmc: Ctmc
     dta: Dta
     codes: Tuple[regions.RegionCode, ...]
+    region_number: Dict[regions.RegionCode, int]
+    labels: Tuple[str, ...]
     vertices: Tuple[ProductVertex, ...]
-    index: Dict[ProductVertex, int]
     successors: Tuple[Tuple[int, ...], ...]
     final_vertices: FrozenSet[int]
     witnesses: Dict[Tuple[int, int], Tuple[tuple, object]]
-    _classes: Optional[Tuple[str, ...]] = field(default=None, repr=False)
+    class_table: np.ndarray
+    rule_target: np.ndarray
+    rule_resets: np.ndarray
 
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
 
-    def vertex_of(self, state: str, location: str, eta) -> ProductVertex:
-        return ProductVertex(
-            state, location, regions.region_of(eta, self.dta.ceilings)
-        )
-
-    def class_of(self, vertex: ProductVertex) -> str:
-        return self.classes()[self.index[vertex]]
-
     def classes(self) -> Tuple[str, ...]:
-        if self._classes is None:
-            self._classes = _classify_indices(self)
-        return self._classes
+        """Class name of every vertex, by vertex number."""
+        return tuple(CLASS_NAMES[c] for c in self.class_table.ravel().tolist())
+
+
+def size_report(chain: Ctmc, dta: Dta) -> ValidationReport:
+    """Refuse a product graph above :data:`MAX_VERTICES` vertices."""
+    count = regions.region_count(dta.ceilings)
+    n = len(chain.states) * len(dta.locations) * count
+    if n <= MAX_VERTICES:
+        return ValidationReport()
+    return ValidationReport((
+        f"the product graph would have {n} vertices ({len(chain.states)} "
+        f"states x {len(dta.locations)} locations x {count} clock regions), "
+        f"above the limit MAX_VERTICES = {MAX_VERTICES}",
+    ))
 
 
 def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
-    """Construct vertices and edges of the product region graph.
+    """Construct vertices, edges, rule table and classes of the product
+    region graph.
 
-    For each (location, signature, region) the finite set of delay
-    intervals with constant region is enumerated once; one representative
-    delay per non-marginal interval is pushed through the one-step
-    transition function.  Edges then fan out over the CTMC states with
-    positive jump probability.  A concrete (valuation, delay) witness is
-    kept per edge.
+    The rule of each (location, label, region) is selected once at the
+    region's plus representative.  For each (location, label, region) the
+    finite set of delay intervals with constant region is enumerated once;
+    one representative delay per non-marginal interval is pushed through
+    the rule table (a non-marginal region is its own plus region).  Edges
+    then fan out over the CTMC states with positive jump probability.  A
+    concrete (valuation, delay) witness is kept per edge.  Raises
+    ``ValueError`` above :data:`MAX_VERTICES` vertices, before enumerating.
     """
+    oversized = size_report(chain, dta)
+    if not oversized.ok:
+        raise ValueError(str(oversized))
     ceilings = dta.ceilings
     codes = tuple(regions.enumerate_region_codes(ceilings))
-    vertices: List[ProductVertex] = []
-    index: Dict[ProductVertex, int] = {}
-    for s in chain.states:
-        for q in dta.locations:
-            for code in codes:
-                v = ProductVertex(s, q, code)
-                index[v] = len(vertices)
-                vertices.append(v)
+    number = {code: r for r, code in enumerate(codes)}
+    labels = tuple(sorted(dta.alphabet))
+    n_loc, n_reg = len(dta.locations), len(codes)
+    vertices = tuple(
+        ProductVertex(s, q, code)
+        for s in chain.states for q in dta.locations for code in codes
+    )
+    reps = [regions.region_representative(code, ceilings) for code in codes]
 
-    # (location, signature, region) -> [(target location, target region, eta, t)]
-    moves: Dict[Tuple[str, str, regions.RegionCode], list] = {}
-    for q in dta.locations:
-        for a in sorted(dta.alphabet):
-            for code in codes:
-                rep = regions.region_representative(code, ceilings)
+    # (location, label, region) -> (target location, reset clocks)
+    rules: Dict[Tuple[int, int, int], Tuple[int, List[int]]] = {}
+    rule_target = np.zeros((n_loc, len(labels), n_reg), dtype=np.int32)
+    rule_resets = np.zeros((n_loc, len(labels), n_reg, len(ceilings)), dtype=bool)
+    for qi, q in enumerate(dta.locations):
+        for ai, a in enumerate(labels):
+            for r, rep in enumerate(reps):
+                rule = select_rule(
+                    dta, q, a, regions.plus_representative(rep, ceilings)
+                )
+                target, resets = dta.locations.index(rule.target), sorted(rule.resets)
+                rules[(qi, ai, r)] = (target, resets)
+                rule_target[qi, ai, r] = target
+                rule_resets[qi, ai, r, resets] = True
+
+    # (location, label, region) -> [(target location, target region, eta, t)]
+    moves: Dict[Tuple[int, int, int], list] = {}
+    for qi in range(n_loc):
+        for ai in range(len(labels)):
+            for r, rep in enumerate(reps):
                 seen = {}
                 for t in regions.delay_representatives(rep, ceilings, dta.t_max):
-                    delayed_code = regions.region_of(
-                        regions.delay(rep, t), ceilings
-                    )
-                    if delayed_code.is_marginal():
+                    delayed = regions.delay(rep, t)
+                    code = regions.region_of(delayed, ceilings)
+                    if code.is_marginal():
                         continue
-                    nxt = kappa(dta, Configuration(q, rep), a, t)
-                    key = (nxt.location, regions.region_of(nxt.valuation, ceilings))
+                    target, resets = rules[(qi, ai, number[code])]
+                    after = regions.reset(delayed, resets)
+                    key = (target, number[regions.region_of(after, ceilings)])
                     seen.setdefault(key, (rep, t))
-                moves[(q, a, code)] = [
+                moves[(qi, ai, r)] = [
                     (loc, reg, eta, t) for (loc, reg), (eta, t) in seen.items()
                 ]
 
     successors: List[Tuple[int, ...]] = []
     witnesses: Dict[Tuple[int, int], Tuple[tuple, object]] = {}
-    for v in vertices:
-        si = chain.state_index(v.state)
-        label = chain.labeling[si]
-        targets = set()
-        for uj, p in enumerate(chain.transition[si]):
-            if p <= 0:
-                continue
-            u = chain.states[uj]
-            for loc, reg, eta, t in moves[(v.location, label, v.region)]:
-                w = index[ProductVertex(u, loc, reg)]
-                targets.add(w)
-                witnesses.setdefault((index[v], w), (eta, t))
-        successors.append(tuple(sorted(targets)))
+    for si, row in enumerate(chain.transition):
+        ai = labels.index(chain.labeling[si])
+        for qi in range(n_loc):
+            for r in range(n_reg):
+                v = len(successors)
+                targets = set()
+                for uj, p in enumerate(row):
+                    if p <= 0:
+                        continue
+                    for loc, reg, eta, t in moves[(qi, ai, r)]:
+                        w = (uj * n_loc + loc) * n_reg + reg
+                        targets.add(w)
+                        witnesses.setdefault((v, w), (eta, t))
+                successors.append(tuple(sorted(targets)))
 
     final_vertices = frozenset(
         i for i, v in enumerate(vertices) if v.location in dta.final
@@ -125,22 +178,30 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
         ctmc=chain,
         dta=dta,
         codes=codes,
-        vertices=tuple(vertices),
-        index=index,
+        region_number=number,
+        labels=labels,
+        vertices=vertices,
         successors=tuple(successors),
         final_vertices=final_vertices,
         witnesses=witnesses,
+        class_table=_class_table(
+            successors, final_vertices,
+            (len(chain.states), n_loc, n_reg),
+        ),
+        rule_target=rule_target,
+        rule_resets=rule_resets,
     )
 
 
-def _classify_indices(graph: ProductGraph) -> Tuple[str, ...]:
-    n = graph.vertex_count
+def _class_table(successors, final_vertices, shape) -> np.ndarray:
+    """Backward reachability of the final vertices, as a class table."""
+    n = len(successors)
     predecessors: List[List[int]] = [[] for _ in range(n)]
-    for i, targets in enumerate(graph.successors):
+    for i, targets in enumerate(successors):
         for j in targets:
             predecessors[j].append(i)
     reaches = [False] * n
-    stack = list(graph.final_vertices)
+    stack = list(final_vertices)
     for i in stack:
         reaches[i] = True
     while stack:
@@ -149,21 +210,14 @@ def _classify_indices(graph: ProductGraph) -> Tuple[str, ...]:
             if not reaches[i]:
                 reaches[i] = True
                 stack.append(i)
-    out = []
-    for i in range(n):
-        if i in graph.final_vertices:
-            out.append(FINAL)
-        elif reaches[i]:
-            out.append(ALIVE)
-        else:
-            out.append(DEAD)
-    return tuple(out)
+    table = np.where(reaches, ALIVE_CLASS, DEAD_CLASS).astype(np.int8)
+    table[list(final_vertices)] = FINAL_CLASS
+    return table.reshape(shape)
 
 
 def classify(graph: ProductGraph) -> Dict[ProductVertex, str]:
     """Per-vertex class from backward reachability of the final vertices."""
-    classes = graph.classes()
-    return {v: classes[i] for i, v in enumerate(graph.vertices)}
+    return dict(zip(graph.vertices, graph.classes()))
 
 
 class Contraction(NamedTuple):

@@ -18,7 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence, Tuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
+
+import numpy as np
 
 ClockValuation = Tuple[Fraction, ...]
 
@@ -59,18 +61,6 @@ def reset(eta: Sequence, clocks: Iterable[int]) -> tuple:
     """Set the given clock indices to zero, keep the rest."""
     zeroed = set(clocks)
     return tuple(0 * v if i in zeroed else v for i, v in enumerate(eta))
-
-
-def clamp_delay(eta: Sequence, t, ceilings: Sequence[int]) -> tuple:
-    """Delay by ``t`` but saturate each clock at its ceiling.
-
-    The saturated delay keeps grid valuations inside the box spanned by the
-    ceilings; acceptance probabilities are unchanged because values above a
-    ceiling are indistinguishable to every guard.
-    """
-    if t < 0:
-        raise ValueError(f"negative delay {t}")
-    return tuple(min(c, v + t) for v, c in zip(eta, ceilings))
 
 
 def guard_sat(eta: Sequence, guard) -> bool:
@@ -140,46 +130,6 @@ def region_of(eta: Sequence, ceilings: Sequence[int]) -> RegionCode:
 def is_marginal(code: RegionCode) -> bool:
     """True iff some clock at or below its ceiling has fractional part zero."""
     return code.is_marginal()
-
-
-def equiv_g(a: Sequence, b: Sequence, ceilings: Sequence[int]) -> bool:
-    """Guard equivalence: same above-ceiling clocks, and matching integral
-    parts and zero-fraction flags on the clocks at or below the ceiling."""
-    for i, c in enumerate(ceilings):
-        above_a, above_b = a[i] > c, b[i] > c
-        if above_a != above_b:
-            return False
-        if not above_a:
-            if int_part(a[i]) != int_part(b[i]):
-                return False
-            if (frac_part(a[i]) > 0) != (frac_part(b[i]) > 0):
-                return False
-    return True
-
-
-def equivalent(a: Sequence, b: Sequence, ceilings: Sequence[int]) -> bool:
-    """The definitional region predicate: guard equivalence plus agreement
-    of the pairwise fractional-part order on clocks at or below ceilings.
-
-    Kept separate from :func:`region_of` so that tests can confront the
-    canonical encoding with the definition it is supposed to capture.
-    """
-    if not equiv_g(a, b, ceilings):
-        return False
-    below = [i for i, c in enumerate(ceilings) if a[i] <= c and b[i] <= c]
-    for x, y in itertools.combinations(below, 2):
-        fax, fay = frac_part(a[x]), frac_part(a[y])
-        fbx, fby = frac_part(b[x]), frac_part(b[y])
-        if (fax < fay) != (fbx < fby) or (fax == fay) != (fbx == fby):
-            return False
-    return True
-
-
-def equiv_b(a: Sequence, b: Sequence, ceilings: Sequence[int]) -> bool:
-    """Bound equivalence: per clock, equal values or both above the ceiling."""
-    return all(
-        (a[i] > c and b[i] > c) or a[i] == b[i] for i, c in enumerate(ceilings)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +260,28 @@ def enumerate_region_codes(ceilings: Sequence[int]) -> list:
     return codes
 
 
+def region_count(ceilings: Sequence[int]) -> int:
+    """``len(enumerate_region_codes(ceilings))``, without enumerating.
+
+    A clock has ``c + 2`` options with a zero fractional part or above its
+    ceiling and ``c`` with a positive one; the n clocks of positive
+    fractional part are then ordered by an ordered set partition, of which
+    there are Fubini(n).  So the count weights the coefficient of ``z**n``
+    in the product over clocks of ``(c + 2) + c*z`` by Fubini(n).
+    """
+    poly = [1]
+    for c in ceilings:
+        nxt = [0] * (len(poly) + 1)
+        for n, coef in enumerate(poly):
+            nxt[n] += coef * (c + 2)
+            nxt[n + 1] += coef * c
+        poly = nxt
+    fubini = [1]
+    for n in range(1, len(poly)):
+        fubini.append(sum(math.comb(n, k) * fubini[n - k] for k in range(1, n + 1)))
+    return sum(coef * f for coef, f in zip(poly, fubini))
+
+
 def region_representative(
     code: RegionCode, ceilings: Sequence[int]
 ) -> ClockValuation:
@@ -374,3 +346,41 @@ def sample_in_region(
         else:
             values.append(Fraction(opt[0]) + block_fracs[i])
     return tuple(values)
+
+
+# ---------------------------------------------------------------------------
+# Numbered regions on the grid
+
+
+def grid_region_numbers(
+    ceilings: Sequence[int], m: int, numbers: Mapping[RegionCode, int]
+) -> np.ndarray:
+    """Region number of every point of the m-grid over the ceiling box.
+
+    Points are the integer vectors ``j`` with ``0 <= j[i] <= m*ceilings[i]``
+    (valuation ``j/m``) in ``itertools.product`` order; ``numbers`` maps a
+    region to its number.  No grid point exceeds a ceiling, so its region
+    is fixed by an integer signature: per clock ``j // m`` and whether m
+    divides ``j``, and per pair of clocks the sign of ``j_a % m - j_b % m``.
+    One exact :func:`region_of` call per distinct signature numbers them all.
+    """
+    k = len(ceilings)
+    shape = tuple(m * c + 1 for c in ceilings)
+    points = np.indices(shape).reshape(k, math.prod(shape)).T
+    whole, rest = np.divmod(points, m)
+    signature = np.concatenate(
+        [2 * whole + (rest == 0)]
+        + [np.sign(rest[:, [a]] - rest[:, [b]])
+           for a, b in itertools.combinations(range(k), 2)],
+        axis=1,
+    )
+    _, first, inverse = np.unique(
+        signature, axis=0, return_index=True, return_inverse=True
+    )
+    table = np.array(
+        [numbers[region_of(tuple(Fraction(int(j), m) for j in points[i]),
+                           ceilings)]
+         for i in first],
+        dtype=np.int64,
+    )
+    return table[inverse.reshape(-1)]

@@ -1,8 +1,10 @@
 """Grid construction and assembly of the fixed-point linear schemes.
 
 The unit box spanned by the clock ceilings is discretized with step
-``rho = 1/m``.  Each grid point inherits the class (final / alive / dead)
-of its region vertex in the product graph.  The alive non-final points are
+``rho = 1/m``.  Each grid point is given its region number once, from an
+integer signature of its coordinates, and inherits the class (final /
+alive / dead) of its region vertex and the jump rule of its region from
+the product graph's class and rule tables.  The alive non-final points are
 the unknowns of two equivalent sparse systems:
 
 * the one-step form ``mu = C mu + d``: each interior row couples a point to
@@ -30,9 +32,8 @@ from typing import (
 import numpy as np
 
 from . import regions
-from .dynamics import select_rule
 from .models import Ctmc, Dta, ModelConstants
-from .product import ALIVE, ProductGraph, ProductVertex
+from .product import ALIVE_CLASS, CLASS_NAMES, ProductGraph
 
 GAMMA_PRIME = "gamma_prime"
 GAMMA_DOUBLE = "gamma_double"
@@ -58,10 +59,12 @@ class Grid:
 
     Inside the grid a point is the key ``(state, location, coords)``, where
     the integer vector ``coords`` holds the numerators of its valuation
-    over m; ``slots`` maps the key of every unknown to its row.  Exact
-    rationals are made only where callers see points: :attr:`b_m` and
-    :attr:`index` (built on first use), :meth:`points`, :meth:`class_at`
-    and :meth:`horizon`, and for the region algebra once per memo key.
+    over m; ``slots`` maps the key of every unknown to its row.  Each box
+    point's region number comes from :func:`regions.grid_region_numbers`,
+    and its class and jump rule from the product graph's class and rule
+    tables.  Exact rationals are made only where callers see points:
+    :attr:`b_m` and :attr:`index` (built on first use), :meth:`points`,
+    :meth:`class_at` and :meth:`horizon`.
     """
 
     def __init__(self, chain: Ctmc, dta: Dta, graph: ProductGraph, m: int):
@@ -75,25 +78,27 @@ class Grid:
         self.ceilings = dta.ceilings
         self.max_coords = tuple(m * c for c in dta.ceilings)
         self.d_m_size = grid_cells(chain, dta, m)
-        self._code_by_coords: Dict[tuple, regions.RegionCode] = {}
-        self._rule_memo: Dict[tuple, tuple] = {}
-        self._classes = graph.classes()
-        # state -> (label, positive jumps as (successor, probability))
+        self._location_number = {q: i for i, q in enumerate(dta.locations)}
+        # state -> (label number, positive jumps as (successor, probability))
         self._jumps = {
-            s: (label, [(u, float(p)) for u, p in zip(chain.states, row) if p > 0])
+            s: (graph.labels.index(label),
+                [(u, float(p)) for u, p in zip(chain.states, row) if p > 0])
             for s, label, row in zip(chain.states, chain.labeling, chain.transition)
         }
+        # [location][label][region] -> target location number, reset flags
+        self._rule_target = graph.rule_target.tolist()
+        self._rule_resets = graph.rule_resets.tolist()
 
         # alive non-final grid points in (state, location, coords) order
         box = list(self._iter_coords())
+        numbers = regions.grid_region_numbers(self.ceilings, m, graph.region_number)
+        self._region_at = dict(zip(box, numbers.tolist()))
         self.slots: Dict[Tuple[str, str, tuple], int] = {}
-        for s in chain.states:
-            for q in dta.locations:
-                if q in dta.final:
-                    continue
-                for coords in box:
-                    if self._class_by_coords(s, q, coords) == ALIVE:
-                        self.slots[(s, q, coords)] = len(self.slots)
+        for si, s in enumerate(chain.states):
+            for qi, q in enumerate(dta.locations):
+                alive = graph.class_table[si, qi, numbers] == ALIVE_CLASS
+                for i in np.flatnonzero(alive).tolist():
+                    self.slots[(s, q, box[i])] = len(self.slots)
         self.is_bmax = np.array(
             [coords == self.max_coords for _, _, coords in self.slots], dtype=bool
         )
@@ -121,12 +126,11 @@ class Grid:
             min(j + 1, mc) for j, mc in zip(coords, self.max_coords)
         )
 
-    def code_at(self, coords: tuple) -> regions.RegionCode:
-        code = self._code_by_coords.get(coords)
-        if code is None:
-            code = regions.region_of(self.valuation(coords), self.ceilings)
-            self._code_by_coords[coords] = code
-        return code
+    def _class_name(self, state: str, location: str, coords: tuple) -> str:
+        return CLASS_NAMES[self.graph.class_table[
+            self.chain.state_index(state), self._location_number[location],
+            self._region_at[coords],
+        ]]
 
     # -- exact points ------------------------------------------------------
 
@@ -142,12 +146,8 @@ class Grid:
         """Row of each unknown, keyed by its exact point."""
         return {point: k for k, point in enumerate(self.b_m)}
 
-    def _class_by_coords(self, state: str, location: str, coords: tuple) -> str:
-        vertex = ProductVertex(state, location, self.code_at(coords))
-        return self._classes[self.graph.index[vertex]]
-
     def class_at(self, point: GridPoint) -> str:
-        return self._class_by_coords(
+        return self._class_name(
             point.state, point.location, self.coords(point.valuation)
         )
 
@@ -158,7 +158,7 @@ class Grid:
                 for coords in self._iter_coords():
                     yield (
                         GridPoint(s, q, self.valuation(coords)),
-                        self._class_by_coords(s, q, coords),
+                        self._class_name(s, q, coords),
                     )
 
     def horizon(self, point: GridPoint) -> int:
@@ -182,38 +182,27 @@ class Grid:
 
     # -- jump successors ---------------------------------------------------
 
-    def _rule_at_plus(self, location: str, label: str, coords: tuple):
-        """Target location and reset set of the rule enabled immediately
-        after the grid valuation; guard selection happens at the nudged
-        representative, the reset applies to the grid valuation itself."""
-        code = self.code_at(coords)
-        key = (location, label, code)
-        hit = self._rule_memo.get(key)
-        if hit is None:
-            eta_plus = regions.plus_representative(
-                self.valuation(coords), self.ceilings
-            )
-            rule = select_rule(self.dta, location, label, eta_plus)
-            hit = (rule.target, tuple(sorted(rule.resets)))
-            self._rule_memo[key] = hit
-        return hit
-
     def successor_entries(
         self, state: str, location: str, coords: tuple
     ) -> List[Tuple[Optional[int], float]]:
         """Jump-successor contributions of one grid point.
 
-        Returns ``(column, probability)`` pairs where ``column`` is an
-        unknown index, ``None`` for a final target (value 1 folds into the
-        constant term) and entries for dead targets are dropped.  Outside
-        final locations a point is alive exactly when it has a slot.
+        The rule table gives the target location and reset clocks of the
+        rule enabled immediately after the grid valuation; the reset applies
+        to the grid valuation itself.  Returns ``(column, probability)``
+        pairs where ``column`` is an unknown index, ``None`` for a final
+        target (value 1 folds into the constant term) and entries for dead
+        targets are dropped.  Outside final locations a point is alive
+        exactly when it has a slot.
         """
         label, jumps = self._jumps[state]
-        target_loc, resets = self._rule_at_plus(location, label, coords)
+        qi, r = self._location_number[location], self._region_at[coords]
+        target_loc = self.dta.locations[self._rule_target[qi][label][r]]
         if target_loc in self.dta.final:
             return [(None, p) for _, p in jumps]
+        resets = self._rule_resets[qi][label][r]
         reset_coords = tuple(
-            0 if i in resets else j for i, j in enumerate(coords)
+            0 if zero else j for zero, j in zip(resets, coords)
         )
         out: List[Tuple[Optional[int], float]] = []
         for u, p in jumps:
@@ -249,13 +238,6 @@ class SchemeSystem:
     @property
     def rho(self) -> Fraction:
         return self.grid.rho
-
-    def row(self, k: int) -> Dict[int, float]:
-        lo, hi = self.indptr[k], self.indptr[k + 1]
-        return {
-            int(j): float(v)
-            for j, v in zip(self.indices[lo:hi], self.data[lo:hi])
-        }
 
     def dense(self) -> Tuple[np.ndarray, np.ndarray]:
         n = self.size

@@ -25,7 +25,10 @@ import numpy as np
 
 from . import kernels
 from .models import Ctmc, Dta, ModelConstants, check_start, model_constants
-from .product import DEAD, FINAL, ProductGraph, build_graph, contraction_constant
+from .product import (
+    DEAD, DEAD_CLASS, FINAL, ProductGraph, build_graph, contraction_constant,
+)
+from .regions import region_of
 from .scheme import (
     Grid,
     GridPoint,
@@ -154,8 +157,11 @@ class ErrorReport:
 
     ``theoretical_bound`` is |V| * c^(-|V|) * M3 * rho, astronomically large
     for most models; it is still the honest guarantee.  The optional
-    ``empirical_estimate`` comes from comparing two grid resolutions and is
-    a heuristic, clearly not a bound.
+    ``empirical_estimate`` is ``|v_m - v_2m|``, a heuristic and clearly not
+    a bound.  On a first-order scheme it tracks the error of the 2m value
+    and under-reports that of the reported ``v_m``, which is about twice
+    as large: on ``unit_deadline`` at m = 64 it reads 1.42e-3 while the
+    reported value is 2.86e-3 from 1 - e^-1.
     """
 
     m: int
@@ -333,8 +339,9 @@ def approximate(
 def _shortcut(graph: ProductGraph, state: str, location: str, eta) -> Optional[float]:
     if location in graph.dta.final:
         return 1.0
-    vertex = graph.vertex_of(state, location, eta)
-    if graph.class_of(vertex) == DEAD:
+    region = graph.region_number[region_of(eta, graph.dta.ceilings)]
+    if graph.class_table[graph.ctmc.state_index(state),
+                         graph.dta.locations.index(location), region] == DEAD_CLASS:
         return 0.0
     return None
 

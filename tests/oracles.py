@@ -23,7 +23,7 @@ from pathprob.dynamics import select_rule
 from pathprob.mc import Estimate, RngStream, _Simulator, default_k_max
 from pathprob.models import Ctmc, Dta, Guard, ValidationReport
 from pathprob.product import ALIVE, DEAD, FINAL, ProductGraph, ProductVertex
-from pathprob.regions import plus_representative, region_of
+from pathprob.regions import frac_part, int_part, plus_representative, region_of
 
 
 def random_valuation(rng, ceilings, max_den=12, beyond=1):
@@ -48,9 +48,32 @@ def bound_equivalent_partner(rng, eta, ceilings):
     return tuple(out)
 
 
+def vertex_numbers(graph):
+    """Vertex number of each product vertex, read off ``graph.vertices``."""
+    return {v: i for i, v in enumerate(graph.vertices)}
+
+
 def vertex_class(graph, state, location, eta):
     code = region_of(eta, graph.dta.ceilings)
-    return graph.classes()[graph.index[ProductVertex(state, location, code)]]
+    return graph.classes()[vertex_numbers(graph)[ProductVertex(state, location, code)]]
+
+
+def reachability_classes(graph):
+    """Class name of every product vertex, by vertex number, from a
+    backward search over ``graph.successors`` from the vertices at final
+    locations."""
+    final = {i for i, v in enumerate(graph.vertices)
+             if v.location in graph.dta.final}
+    reaching = set(final)
+    changed = True
+    while changed:
+        changed = False
+        for i, targets in enumerate(graph.successors):
+            if i not in reaching and reaching.intersection(targets):
+                reaching.add(i)
+                changed = True
+    return [FINAL if i in final else ALIVE if i in reaching else DEAD
+            for i in range(graph.vertex_count)]
 
 
 def unfolded_dense_system(chain, dta, graph, m):
@@ -125,6 +148,15 @@ def unfolded_dense_system(chain, dta, graph, m):
     return unknowns, mat, off
 
 
+def row(system, k):
+    """Row k of a scheme system as {column: coefficient}."""
+    lo, hi = system.indptr[k], system.indptr[k + 1]
+    return {
+        int(j): float(v)
+        for j, v in zip(system.indices[lo:hi], system.data[lo:hi])
+    }
+
+
 def solve_dense(mat, off):
     return np.linalg.solve(np.eye(len(off)) - mat, off)
 
@@ -173,6 +205,64 @@ def max_residual(indptr, indices, data, offset, x):
 
 def _coords_iter(maxima):
     return itertools.product(*[range(mx + 1) for mx in maxima])
+
+
+# ---------------------------------------------------------------------------
+# Region equivalences by their definitions, and the saturated delay.
+
+
+def clamp_delay(eta: Sequence, t, ceilings: Sequence[int]) -> tuple:
+    """Delay by ``t`` but saturate each clock at its ceiling.
+
+    The saturated delay keeps grid valuations inside the box spanned by the
+    ceilings; acceptance probabilities are unchanged because values above a
+    ceiling are indistinguishable to every guard.
+    """
+    if t < 0:
+        raise ValueError(f"negative delay {t}")
+    return tuple(min(c, v + t) for v, c in zip(eta, ceilings))
+
+
+
+
+def equiv_g(a: Sequence, b: Sequence, ceilings: Sequence[int]) -> bool:
+    """Guard equivalence: same above-ceiling clocks, and matching integral
+    parts and zero-fraction flags on the clocks at or below the ceiling."""
+    for i, c in enumerate(ceilings):
+        above_a, above_b = a[i] > c, b[i] > c
+        if above_a != above_b:
+            return False
+        if not above_a:
+            if int_part(a[i]) != int_part(b[i]):
+                return False
+            if (frac_part(a[i]) > 0) != (frac_part(b[i]) > 0):
+                return False
+    return True
+
+
+def equivalent(a: Sequence, b: Sequence, ceilings: Sequence[int]) -> bool:
+    """The definitional region predicate: guard equivalence plus agreement
+    of the pairwise fractional-part order on clocks at or below ceilings.
+
+    Kept separate from :func:`region_of` so that tests can confront the
+    canonical encoding with the definition it is supposed to capture.
+    """
+    if not equiv_g(a, b, ceilings):
+        return False
+    below = [i for i, c in enumerate(ceilings) if a[i] <= c and b[i] <= c]
+    for x, y in itertools.combinations(below, 2):
+        fax, fay = frac_part(a[x]), frac_part(a[y])
+        fbx, fby = frac_part(b[x]), frac_part(b[y])
+        if (fax < fay) != (fbx < fby) or (fax == fay) != (fbx == fby):
+            return False
+    return True
+
+
+def equiv_b(a: Sequence, b: Sequence, ceilings: Sequence[int]) -> bool:
+    """Bound equivalence: per clock, equal values or both above the ceiling."""
+    return all(
+        (a[i] > c and b[i] > c) or a[i] == b[i] for i, c in enumerate(ceilings)
+    )
 
 
 def region_sequence(eta, ceilings):
@@ -242,6 +332,7 @@ def estimate(
     sim = _Simulator(chain)
     ceilings = dta.ceilings
     classes = graph.classes()
+    numbers = vertex_numbers(graph)
     finals = dta.final
     rng_stream = RngStream(seed, stream)
     start_eta = tuple(min(float(v), float(c)) for v, c in zip(valuation, ceilings))
@@ -260,7 +351,7 @@ def estimate(
                 vertex = ProductVertex(
                     chain.states[si], q, region_of(eta, ceilings)
                 )
-                if classes[graph.index[vertex]] == DEAD:
+                if classes[numbers[vertex]] == DEAD:
                     rejected += 1
                     break
             if steps == k_max:

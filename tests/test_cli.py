@@ -7,6 +7,7 @@ import pytest
 
 from pathprob import modelio
 from pathprob.cli import cli_main, parse_valuation
+from pathprob.product import MAX_VERTICES
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 UNIT = str(ROOT / "models" / "unit_deadline.json")
@@ -334,3 +335,38 @@ def test_duplicated_rule_is_refused_at_validation(tmp_path, capsys, command,
     code, _, err = run(capsys, command[0], "--model", str(model), *command[1:])
     assert code == 1
     assert "overlap" in err
+
+
+def test_oversized_region_count_is_refused_promptly(tmp_path, capsys):
+    """5 clocks at ceiling 3 have 417 338 regions; the count is refused
+    from the closed form before a region is enumerated."""
+    doc = json.loads(pathlib.Path(UNIT).read_text())
+    clocks = ["x", "y", "z", "u", "v"]
+    doc["dta"]["clocks"] = clocks
+    doc["dta"]["rules"][0]["guard"] = " & ".join(f"{c}<=3" for c in clocks)
+    model = tmp_path / "five_clocks.json"
+    model.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    code, _, err = run(capsys, "graph", "--model", str(model))
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert "2504028 vertices" in err  # 2 states x 3 locations x 417 338
+    assert "417338 clock regions" in err
+    assert f"MAX_VERTICES = {MAX_VERTICES}" in err
+
+
+def test_commands_share_one_parser_in_one_process(capsys):
+    """The parser is built once per process; a second command after a
+    first one still parses its own arguments."""
+    code, out, _ = run(
+        capsys, "solve", "--model", UNIT, "--state", "s", "--location", "q0",
+        "--valuation", "x=0", "--grid", "4",
+    )
+    assert code == 0
+    assert json.loads(out)["probability"] == pytest.approx(0.5904, abs=1e-12)
+    code, out, _ = run(capsys, "graph", "--model", UNIT)
+    assert code == 0
+    assert json.loads(out)["vertex_count"] == 24
+    code, _, err = run(capsys, "graph")
+    assert code == 64
+    assert "--model" in err

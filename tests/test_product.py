@@ -1,12 +1,19 @@
+import hashlib
+import json
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from pathprob import mc
+from pathprob import mc, modelio
 from pathprob.dynamics import Configuration, kappa
-from pathprob.models import model_constants
-from pathprob.product import ALIVE, DEAD, FINAL, classify, contraction_constant
+from pathprob.models import Constraint, Dta, Guard, Rule, model_constants
+from pathprob.product import (
+    ALIVE, DEAD, FINAL, MAX_VERTICES, ProductVertex, build_graph, classify,
+    contraction_constant, size_report,
+)
 from pathprob.regions import region_of
 
 F = Fraction
@@ -18,20 +25,37 @@ def test_vertex_count_is_full_product(unit_graph):
     assert len(unit_graph.codes) == 4
 
 
+def _vertex(graph, state, location, eta):
+    """Vertex of (state, location, eta) and its number, which is
+    (state * locations + location) * regions + region."""
+    vertex = ProductVertex(state, location, region_of(eta, graph.dta.ceilings))
+    number = (
+        (graph.ctmc.state_index(state) * len(graph.dta.locations)
+         + graph.dta.locations.index(location)) * len(graph.codes)
+        + graph.region_number[vertex.region]
+    )
+    assert graph.vertices[number] == vertex
+    return vertex, number
+
+
 def test_interior_start_has_edge_to_goal(unit_graph):
-    v = unit_graph.vertex_of("s", "q0", (F(1, 2),))
-    targets = unit_graph.successors[unit_graph.index[v]]
-    goal = unit_graph.vertex_of("g", "q1", (F(3, 4),))
-    assert unit_graph.index[goal] in targets
+    _, v = _vertex(unit_graph, "s", "q0", (F(1, 2),))
+    targets = unit_graph.successors[v]
+    _, goal = _vertex(unit_graph, "g", "q1", (F(3, 4),))
+    assert goal in targets
 
 
 def test_classification_on_unit_deadline(unit_graph):
     classes = classify(unit_graph)
-    assert classes[unit_graph.vertex_of("s", "q0", (F(0),))] == ALIVE
-    assert classes[unit_graph.vertex_of("s", "q0", (F(1),))] == DEAD
-    assert classes[unit_graph.vertex_of("s", "q0", (F(2),))] == DEAD
-    assert classes[unit_graph.vertex_of("s", "q1", (F(0),))] == FINAL
-    assert classes[unit_graph.vertex_of("g", "q0", (F(0),))] == DEAD
+
+    def cls(state, location, eta):
+        return classes[_vertex(unit_graph, state, location, eta)[0]]
+
+    assert cls("s", "q0", (F(0),)) == ALIVE
+    assert cls("s", "q0", (F(1),)) == DEAD
+    assert cls("s", "q0", (F(2),)) == DEAD
+    assert cls("s", "q1", (F(0),)) == FINAL
+    assert cls("g", "q0", (F(0),)) == DEAD
 
 
 def test_final_class_everywhere_final(exposure_graph):
@@ -124,3 +148,65 @@ def test_monte_carlo_agrees_with_classification(exposure_window, exposure_graph)
         )
         assert est.p_hat == 0.0
         assert est.dead_absorbed == est.n
+
+
+# sha256 of modelio.graph_document (JSON with sorted keys) and of
+# modelio.graph_to_dot, recorded at commit 921799c, before the product graph
+# numbered its regions; `pathprob graph` prints the first and writes the
+# second.
+GRAPH_DIGESTS = {
+    "unit_deadline": (
+        "3dc2d244d36a0b77780367e3b99bb5e895c60eedc4872c0f83fb3507ef62aeca",
+        "195c63bfd8ab5724cab9a75087a0b80007307de54611b5647f5937ed7adaafbc",
+    ),
+    "exposure_window": (
+        "36055d5efe966238105173e8e24374265f0afcf7b42a7569d1b74954dcfc10cd",
+        "c944107552d70f51c74fc226a2164c739334be0f1933873be38d349b3026fd3c",
+    ),
+    "departure": (
+        "e66919dc8c99b8c1e72fabb111119e109fbee32f6ee85d1058b6401da20e235e",
+        "965cf72b720a1f56184987dc506a809b2f0c6169e8f9e2f0705ed0b0aa1dc7db",
+    ),
+}
+_GRAPHS = {"unit_deadline": "unit_graph", "exposure_window": "exposure_graph",
+           "departure": "departure_graph"}
+
+
+@pytest.mark.parametrize("model", list(GRAPH_DIGESTS))
+def test_graph_output_is_identical_to_golden_digest(request, model):
+    graph = request.getfixturevalue(_GRAPHS[model])
+    document = json.dumps(modelio.graph_document(graph), sort_keys=True)
+    dot = modelio.graph_to_dot(graph)
+    assert (
+        hashlib.sha256(document.encode()).hexdigest(),
+        hashlib.sha256(dot.encode()).hexdigest(),
+    ) == GRAPH_DIGESTS[model]
+
+
+def test_oversized_product_graph_is_refused_before_enumeration(unit_deadline):
+    chain, _ = unit_deadline
+    clocks = tuple(f"x{i}" for i in range(5))
+    dta = Dta(
+        locations=("q0",),
+        final=frozenset(),
+        clocks=clocks,
+        rules=(Rule("q0", "a", Guard(tuple(
+            Constraint(i, "<=", 3) for i in range(5))), frozenset(), "q0"),),
+        alphabet=frozenset({"a"}),
+    )
+    vertices = len(chain.states) * 417_338
+    assert vertices > MAX_VERTICES
+    started = time.perf_counter()
+    with pytest.raises(ValueError) as err:
+        build_graph(chain, dta)
+    assert time.perf_counter() - started < 1.0
+    assert f"{vertices} vertices" in str(err.value)
+    assert f"MAX_VERTICES = {MAX_VERTICES}" in str(err.value)
+    assert not size_report(chain, dta).ok
+
+
+def test_shipped_models_are_under_the_vertex_limit(unit_graph, exposure_graph,
+                                                   departure_graph):
+    for graph in (unit_graph, exposure_graph, departure_graph):
+        assert size_report(graph.ctmc, graph.dta).ok
+        assert graph.vertex_count <= MAX_VERTICES

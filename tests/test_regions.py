@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -6,26 +7,30 @@ import pytest
 from pathprob.models import Constraint, Guard
 from pathprob.regions import (
     backtrack,
-    clamp_delay,
     delay,
     delay_intervals,
     delay_representatives,
     enumerate_region_codes,
-    equiv_b,
-    equiv_g,
-    equivalent,
     frac_set,
     guard_sat,
     is_marginal,
     minus_representative,
     plus_representative,
+    region_count,
     region_of,
     region_representative,
     reset,
     sample_in_region,
     UnknownClockError,
 )
-from oracles import random_valuation, region_sequence
+from oracles import (
+    clamp_delay,
+    equiv_b,
+    equiv_g,
+    equivalent,
+    random_valuation,
+    region_sequence,
+)
 
 F = Fraction
 H = F(1, 2)
@@ -96,6 +101,15 @@ def test_region_count_is_finite_and_stable():
     codes = enumerate_region_codes((1, 1))
     assert len(codes) == len(set(codes)) == 18
     assert len(enumerate_region_codes((1,))) == 4
+
+
+def test_region_count_closed_form_matches_enumeration():
+    for k in range(4):
+        for ceilings in itertools.product(range(3), repeat=k):
+            assert region_count(ceilings) == len(enumerate_region_codes(ceilings))
+    assert region_count((2, 2, 2, 2)) == len(enumerate_region_codes((2, 2, 2, 2)))
+    assert region_count((2, 2, 2, 2)) == 4784
+    assert region_count((3,) * 5) == 417_338
 
 
 def test_representative_round_trip():

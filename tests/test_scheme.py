@@ -15,7 +15,7 @@ from pathprob.scheme import (
     scaled_error_constants,
 )
 from pathprob.solver import solve
-from oracles import unfolded_dense_system
+from oracles import row, unfolded_dense_system
 
 F = Fraction
 
@@ -73,7 +73,7 @@ def test_one_step_row_shape_interior(unit_grid4):
     jump successor folds 1/1.25 ratios into the constant."""
     system = assemble_gamma_prime(unit_grid4)
     k = unit_grid4.index[GridPoint("s", "q0", (F(3, 4),))]
-    assert system.row(k) == {}
+    assert row(system, k) == {}
     assert system.offset[k] == pytest.approx(0.25 / 1.25, abs=1e-15)
     solution = solve(system)
     assert solution.value_at("s", "q0", (F(3, 4),)) == pytest.approx(0.2, abs=1e-14)
@@ -83,7 +83,7 @@ def test_one_step_row_couples_to_delay_neighbour(unit_grid4):
     system = assemble_gamma_prime(unit_grid4)
     k = unit_grid4.index[GridPoint("s", "q0", (F(1, 2),))]
     j = unit_grid4.index[GridPoint("s", "q0", (F(3, 4),))]
-    assert system.row(k) == {j: pytest.approx(1 / 1.25, abs=1e-15)}
+    assert row(system, k) == {j: pytest.approx(1 / 1.25, abs=1e-15)}
 
 
 def test_closed_form_chain_value(unit_grid4):
@@ -101,17 +101,17 @@ def test_boundary_row_is_convex_combination_without_self_term(departure,
     k = grid.index[GridPoint("w", "q0", (F(1),))]
     # the only successor is the final location, so the row is empty and the
     # constant carries the full jump mass
-    assert system.row(k) == {}
+    assert row(system, k) == {}
     assert system.offset[k] == 1.0
     # interior rows of this model carry a genuine self-loop column
     j = grid.index[GridPoint("w", "q0", (F(1, 2),))]
-    assert j in system.row(j)
+    assert j in row(system, j)
 
 
 def test_unfolded_row_matches_hand_expansion(unit_grid4):
     system = assemble_gamma_double(unit_grid4)
     k = unit_grid4.index[GridPoint("s", "q0", (F(1, 2),))]
-    assert system.row(k) == {}
+    assert row(system, k) == {}
     assert system.offset[k] == pytest.approx(0.36, abs=1e-14)
 
 
@@ -121,7 +121,7 @@ def test_unfolded_offsets_telescope(unit_grid4):
     a = 1 / 1.25
     for k, point in enumerate(unit_grid4.b_m):
         n = unit_grid4.horizons[k]
-        assert system.row(k) == {}
+        assert row(system, k) == {}
         assert system.offset[k] == pytest.approx(1 - a ** n, abs=1e-13)
 
 
@@ -145,10 +145,10 @@ def test_unfolded_assembly_against_independent_transcription(
         point = GridPoint(s, q, tuple(F(j, 4) for j in coords))
         kk = grid.index[point]
         assert kk == k  # identical canonical ordering
-        row = system.row(k)
+        packed = row(system, k)
         dense_row = {j: mat[k, j] for j in np.nonzero(mat[k])[0]}
-        assert set(row) == set(dense_row)
-        for j, value in row.items():
+        assert set(packed) == set(dense_row)
+        for j, value in packed.items():
             assert value == pytest.approx(dense_row[j], abs=1e-14)
         assert off[k] == pytest.approx(system.offset[k], abs=1e-14)
 
