@@ -4,8 +4,9 @@ All probabilities, rates and guard data are exact rationals
 (`fractions.Fraction`); floating point enters only in the numerical solver
 and in error-bound reporting.  Validation never repairs a model silently:
 it returns itemized diagnostics and leaves repair to explicit calls.
-Determinism and totality of an automaton are decided together by one pass
-over a representative valuation of every clock region; each gap or
+Determinism and totality of an automaton are decided together from one
+table of the rules enabled at a representative valuation of every clock
+region, the table the product graph reads its rules from; each gap or
 overlap names such a representative as its witness, and a rule listed
 twice is an overlap.
 """
@@ -228,17 +229,40 @@ class Dta:
         return tuple(Fraction(0) for _ in self.clocks)
 
 
-def validate_dta(dta: Dta) -> ValidationReport:
-    """Decide determinism and totality exactly, in one pass over regions.
+def enabled_rules(
+    dta: Dta, representatives: Sequence[regions.ClockValuation]
+) -> List[List[List[Tuple[Rule, ...]]]]:
+    """The rules enabled at each region, as ``table[q][a][r]``.
 
-    Guard constants never exceed the ceilings, so guard satisfaction is
-    constant on every region (Alur & Dill, 1994).  Exactly one rule of each
-    (location, signature) must therefore hold at one representative per
-    region, the above-ceiling faces included, which is what
-    :func:`pathprob.dynamics.select_rule` demands of every step.  No enabled
-    rule is a gap, two or more an overlap, even between identical rules;
-    each (location, signature, set of enabled rules) is reported once, with
-    the first representative where it occurs as the witness.
+    ``q`` numbers ``dta.locations``, ``a`` the sorted alphabet and ``r``
+    the regions, of which ``representatives[r]`` is a valuation.  Each
+    entry is the tuple of rules of that (location, signature), in rule
+    order, whose guard holds at the representative.  Guard constants never
+    exceed the ceilings, so guard satisfaction is constant on every region
+    (Alur & Dill, 1994) and the entry holds for the whole region.  This is
+    the one place where guards are evaluated over regions: validation and
+    the product graph both read this table.
+    """
+    return [
+        [
+            [tuple(rule for rule in group if regions.guard_sat(rep, rule.guard))
+             for rep in representatives]
+            for group in (dta.rules_from(q, a) for a in sorted(dta.alphabet))
+        ]
+        for q in dta.locations
+    ]
+
+
+def validate_dta(dta: Dta) -> ValidationReport:
+    """Decide determinism and totality exactly, from the enabled-rule table.
+
+    Exactly one rule of each (location, signature) must be enabled at every
+    region of :func:`enabled_rules`, the above-ceiling faces included,
+    which is what :func:`pathprob.dynamics.select_rule` demands of every
+    step.  No enabled rule is a gap, two or more an overlap, even between
+    identical rules; each (location, signature, set of enabled rules) is
+    reported once, with the representative of the first region where it
+    occurs as the witness.
     """
     problems: List[str] = []
     for rule in dta.rules:
@@ -255,15 +279,11 @@ def validate_dta(dta: Dta) -> ValidationReport:
     representatives = [
         regions.region_representative(c, dta.ceilings) for c in codes
     ]
-    for q in dta.locations:
-        for a in sorted(dta.alphabet):
-            group = dta.rules_from(q, a)
+    table = enabled_rules(dta, representatives)
+    for q, per_label in zip(dta.locations, table):
+        for a, per_region in zip(sorted(dta.alphabet), per_label):
             reported = set()
-            for rep in representatives:
-                enabled = tuple(
-                    i for i, r in enumerate(group)
-                    if regions.guard_sat(rep, r.guard)
-                )
+            for rep, enabled in zip(representatives, per_region):
                 if len(enabled) == 1 or enabled in reported:
                     continue
                 reported.add(enabled)
@@ -276,8 +296,8 @@ def validate_dta(dta: Dta) -> ValidationReport:
                     )
                 else:
                     clashing = " and ".join(
-                        f"({q},{a},{group[i].guard.render(dta.clocks)})"
-                        for i in enabled
+                        f"({q},{a},{rule.guard.render(dta.clocks)})"
+                        for rule in enabled
                     )
                     problems.append(
                         f"rules {clashing} overlap, witness {rendered}"

@@ -11,12 +11,18 @@ final vertex characterizes positivity of the acceptance probability, so
 classification always comes from this graph and never from grid
 connectivity.
 
+Guards are evaluated once per region, by :func:`models.enabled_rules`, the
+table validation reads too.  Edges come from one exact delay walk per
+region: the non-marginal regions its representative reaches, the first of
+which is its plus region.  Everything after that, the rule each step fires
+and the region after its reset, is looked up by region number.
+
 The graph answers "which class, which rule" by number from two tables:
 ``class_table[state, location, region]`` (an index into
 :data:`CLASS_NAMES`) and the rule table ``rule_target`` /
 ``rule_resets[location, label, region]``, the target location and reset
-clocks of the rule enabled immediately after the region, taken once at its
-plus representative.  The grid, the assembly, the Monte Carlo absorption
+clocks of the rule enabled immediately after the region, the one enabled
+at its plus region.  The grid, the assembly, the Monte Carlo absorption
 check and the solver's shortcut all read these tables.
 """
 
@@ -29,8 +35,10 @@ from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 import numpy as np
 
 from . import regions
-from .dynamics import select_rule
-from .models import Ctmc, Dta, ModelConstants, ValidationReport
+from .models import (
+    Ctmc, Dta, ModelConstants, ModelIntegrityError, ValidationReport,
+    enabled_rules,
+)
 
 FINAL = "final"
 ALIVE = "alive"
@@ -42,9 +50,11 @@ FINAL_CLASS, ALIVE_CLASS, DEAD_CLASS = range(3)
 # Largest product graph accepted: |V| = states x locations x regions.  The
 # region count grows as (ceiling + 2)^clocks times ordered set partitions
 # of the clocks (417 338 regions for 5 clocks at ceiling 3), and building
-# the graph takes about half a millisecond per vertex, so a small model
-# file could otherwise keep validation and graph building busy for many
-# minutes.  The count is taken in closed form before anything is enumerated.
+# the graph takes 0.06-0.12 ms per vertex (0.26 s for 4 080 vertices over
+# 3 clocks, 3.3 s for 28 704 over 4 clocks at ceiling 2; one core of a
+# 2-vCPU Xeon, Python 3.11), so a small model file could otherwise keep
+# validation and graph building busy for many minutes.  The count is taken
+# in closed form before anything is enumerated.
 MAX_VERTICES = 50_000
 
 
@@ -97,13 +107,19 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
     """Construct vertices, edges, rule table and classes of the product
     region graph.
 
-    The rule of each (location, label, region) is selected once at the
-    region's plus representative.  For each (location, label, region) the
-    finite set of delay intervals with constant region is enumerated once;
-    one representative delay per non-marginal interval is pushed through
-    the rule table (a non-marginal region is its own plus region).  Edges
-    then fan out over the CTMC states with positive jump probability.  A
-    concrete (valuation, delay) witness is kept per edge.  Raises
+    The rules come from :func:`models.enabled_rules` at one representative
+    per region.  Each region's representative is delayed once through the
+    finite set of delay intervals with constant region; the non-marginal
+    regions it reaches, each with its representative delay, form the
+    region's delay walk, whose first step is the region's plus region.  The
+    rule table takes each region's rule at that plus region, and raises
+    :class:`ModelIntegrityError` where none or several rules are enabled
+    there.  A non-marginal region is its own plus region, so a step of the
+    walk into region r' fires the rule of r'; the region after its reset
+    depends only on r' and the reset clocks and is computed once per pair.
+    The moves of each (location, label, region) are then integer lookups,
+    and edges fan out over the CTMC states with positive jump probability.
+    A concrete (valuation, delay) witness is kept per edge.  Raises
     ``ValueError`` above :data:`MAX_VERTICES` vertices, before enumerating.
     """
     oversized = size_report(chain, dta)
@@ -119,37 +135,53 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
         for s in chain.states for q in dta.locations for code in codes
     )
     reps = [regions.region_representative(code, ceilings) for code in codes]
+    enabled = enabled_rules(dta, reps)
 
-    # (location, label, region) -> (target location, reset clocks)
-    rules: Dict[Tuple[int, int, int], Tuple[int, List[int]]] = {}
+    # region -> [(non-marginal region reached, delay)], plus region first
+    walks: List[List[Tuple[int, object]]] = []
+    for rep in reps:
+        walk = []
+        for t in regions.delay_representatives(rep, ceilings, dta.t_max):
+            r = number[regions.region_of(regions.delay(rep, t), ceilings)]
+            if not codes[r].is_marginal():
+                walk.append((r, t))
+        walks.append(walk)
+
     rule_target = np.zeros((n_loc, len(labels), n_reg), dtype=np.int32)
     rule_resets = np.zeros((n_loc, len(labels), n_reg, len(ceilings)), dtype=bool)
     for qi, q in enumerate(dta.locations):
         for ai, a in enumerate(labels):
-            for r, rep in enumerate(reps):
-                rule = select_rule(
-                    dta, q, a, regions.plus_representative(rep, ceilings)
-                )
-                target, resets = dta.locations.index(rule.target), sorted(rule.resets)
-                rules[(qi, ai, r)] = (target, resets)
-                rule_target[qi, ai, r] = target
-                rule_resets[qi, ai, r, resets] = True
+            for r, walk in enumerate(walks):
+                plus = walk[0][0]
+                rules = enabled[qi][ai][plus]
+                if len(rules) != 1:
+                    raise ModelIntegrityError(
+                        f"{len(rules)} rules enabled at ({q},{a}) for "
+                        f"valuation {reps[plus]}; the automaton is not "
+                        f"deterministic+total"
+                    )
+                rule_target[qi, ai, r] = dta.locations.index(rules[0].target)
+                rule_resets[qi, ai, r, sorted(rules[0].resets)] = True
 
+    # (non-marginal region, reset clocks) -> region after the reset
+    after: Dict[Tuple[int, FrozenSet[int]], int] = {}
+    location_number = {q: qi for qi, q in enumerate(dta.locations)}
     # (location, label, region) -> [(target location, target region, eta, t)]
     moves: Dict[Tuple[int, int, int], list] = {}
     for qi in range(n_loc):
         for ai in range(len(labels)):
-            for r, rep in enumerate(reps):
+            for r, walk in enumerate(walks):
                 seen = {}
-                for t in regions.delay_representatives(rep, ceilings, dta.t_max):
-                    delayed = regions.delay(rep, t)
-                    code = regions.region_of(delayed, ceilings)
-                    if code.is_marginal():
-                        continue
-                    target, resets = rules[(qi, ai, number[code])]
-                    after = regions.reset(delayed, resets)
-                    key = (target, number[regions.region_of(after, ceilings)])
-                    seen.setdefault(key, (rep, t))
+                for reached, t in walk:
+                    (rule,) = enabled[qi][ai][reached]
+                    key = (reached, rule.resets)
+                    if key not in after:
+                        after[key] = number[regions.region_of(
+                            regions.reset(reps[reached], rule.resets), ceilings
+                        )]
+                    seen.setdefault(
+                        (location_number[rule.target], after[key]), (reps[r], t)
+                    )
                 moves[(qi, ai, r)] = [
                     (loc, reg, eta, t) for (loc, reg), (eta, t) in seen.items()
                 ]

@@ -355,8 +355,12 @@ def scaled_error_constants(constants: ModelConstants) -> Tuple[float, float, flo
     truncation constant and the per-row scheme error constant.
 
     Computed in floating point and rounded up one ulp each so reported
-    bounds stay on the safe side.
+    bounds stay on the safe side.  When no guard constrains a clock
+    (``t_max == 0``, which includes an automaton without clocks) all three
+    are exactly zero and are returned as such.
     """
+    if constants.t_max == 0:
+        return 0.0, 0.0, 0.0
     lam_t = float(constants.lambda_max * constants.t_max)
     m1 = constants.clock_count * lam_t * math.exp(lam_t)
     m2 = 2.0 * float(constants.lambda_max) * m1

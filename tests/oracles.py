@@ -6,15 +6,16 @@ equations and solved densely with numpy, valuation generators produce
 exact rationals from seeded integer draws, the sweep kernel is checked
 against the sequential one-row-at-a-time Gauss-Seidel loops below, the
 Monte Carlo trial loop against the two separate estimator loops it merged,
-and the one-pass DTA validator against the interval-box overlap check and
-region cover sweep it replaced.
+the one-pass DTA validator against the interval-box overlap check and
+region cover sweep it replaced, and the product graph against the
+per-(location, label, region) delay walk it replaced.
 """
 
 import itertools
 import math
 from fractions import Fraction
 from statistics import NormalDist
-from typing import List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +23,9 @@ from pathprob import regions
 from pathprob.dynamics import select_rule
 from pathprob.mc import Estimate, RngStream, _Simulator, default_k_max
 from pathprob.models import Ctmc, Dta, Guard, ValidationReport
-from pathprob.product import ALIVE, DEAD, FINAL, ProductGraph, ProductVertex
+from pathprob.product import (
+    ALIVE, DEAD, FINAL, ProductGraph, ProductVertex, _class_table, size_report,
+)
 from pathprob.regions import frac_part, int_part, plus_representative, region_of
 
 
@@ -572,3 +575,110 @@ def validate_dta(dta: Dta) -> ValidationReport:
                         f"no rule enabled for ({q},{a}) at {rendered}"
                     )
     return ValidationReport(tuple(problems))
+
+
+# ---------------------------------------------------------------------------
+# Product graph: the region walk that selected a rule with select_rule at
+# every plus representative and repeated the exact delay walk once per
+# (location, label, region).  The package derives the same graph from one
+# enabled-rule table and one delay walk per region.
+
+
+def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
+    """Construct vertices, edges, rule table and classes of the product
+    region graph.
+
+    The rule of each (location, label, region) is selected once at the
+    region's plus representative.  For each (location, label, region) the
+    finite set of delay intervals with constant region is enumerated once;
+    one representative delay per non-marginal interval is pushed through
+    the rule table (a non-marginal region is its own plus region).  Edges
+    then fan out over the CTMC states with positive jump probability.  A
+    concrete (valuation, delay) witness is kept per edge.  Raises
+    ``ValueError`` above :data:`MAX_VERTICES` vertices, before enumerating.
+    """
+    oversized = size_report(chain, dta)
+    if not oversized.ok:
+        raise ValueError(str(oversized))
+    ceilings = dta.ceilings
+    codes = tuple(regions.enumerate_region_codes(ceilings))
+    number = {code: r for r, code in enumerate(codes)}
+    labels = tuple(sorted(dta.alphabet))
+    n_loc, n_reg = len(dta.locations), len(codes)
+    vertices = tuple(
+        ProductVertex(s, q, code)
+        for s in chain.states for q in dta.locations for code in codes
+    )
+    reps = [regions.region_representative(code, ceilings) for code in codes]
+
+    # (location, label, region) -> (target location, reset clocks)
+    rules: Dict[Tuple[int, int, int], Tuple[int, List[int]]] = {}
+    rule_target = np.zeros((n_loc, len(labels), n_reg), dtype=np.int32)
+    rule_resets = np.zeros((n_loc, len(labels), n_reg, len(ceilings)), dtype=bool)
+    for qi, q in enumerate(dta.locations):
+        for ai, a in enumerate(labels):
+            for r, rep in enumerate(reps):
+                rule = select_rule(
+                    dta, q, a, regions.plus_representative(rep, ceilings)
+                )
+                target, resets = dta.locations.index(rule.target), sorted(rule.resets)
+                rules[(qi, ai, r)] = (target, resets)
+                rule_target[qi, ai, r] = target
+                rule_resets[qi, ai, r, resets] = True
+
+    # (location, label, region) -> [(target location, target region, eta, t)]
+    moves: Dict[Tuple[int, int, int], list] = {}
+    for qi in range(n_loc):
+        for ai in range(len(labels)):
+            for r, rep in enumerate(reps):
+                seen = {}
+                for t in regions.delay_representatives(rep, ceilings, dta.t_max):
+                    delayed = regions.delay(rep, t)
+                    code = regions.region_of(delayed, ceilings)
+                    if code.is_marginal():
+                        continue
+                    target, resets = rules[(qi, ai, number[code])]
+                    after = regions.reset(delayed, resets)
+                    key = (target, number[regions.region_of(after, ceilings)])
+                    seen.setdefault(key, (rep, t))
+                moves[(qi, ai, r)] = [
+                    (loc, reg, eta, t) for (loc, reg), (eta, t) in seen.items()
+                ]
+
+    successors: List[Tuple[int, ...]] = []
+    witnesses: Dict[Tuple[int, int], Tuple[tuple, object]] = {}
+    for si, row in enumerate(chain.transition):
+        ai = labels.index(chain.labeling[si])
+        for qi in range(n_loc):
+            for r in range(n_reg):
+                v = len(successors)
+                targets = set()
+                for uj, p in enumerate(row):
+                    if p <= 0:
+                        continue
+                    for loc, reg, eta, t in moves[(qi, ai, r)]:
+                        w = (uj * n_loc + loc) * n_reg + reg
+                        targets.add(w)
+                        witnesses.setdefault((v, w), (eta, t))
+                successors.append(tuple(sorted(targets)))
+
+    final_vertices = frozenset(
+        i for i, v in enumerate(vertices) if v.location in dta.final
+    )
+    return ProductGraph(
+        ctmc=chain,
+        dta=dta,
+        codes=codes,
+        region_number=number,
+        labels=labels,
+        vertices=vertices,
+        successors=tuple(successors),
+        final_vertices=final_vertices,
+        witnesses=witnesses,
+        class_table=_class_table(
+            successors, final_vertices,
+            (len(chain.states), n_loc, n_reg),
+        ),
+        rule_target=rule_target,
+        rule_resets=rule_resets,
+    )

@@ -166,6 +166,29 @@ def test_bound_subcommand(capsys):
     assert doc["theoretical_bound"] > 1  # honest but vacuous
 
 
+CLOCKLESS = {
+    "ctmc": {"states": [
+        {"name": "s", "rate": "1", "label": "a", "transitions": {"g": "1"}},
+        {"name": "g", "rate": "1", "label": "b", "transitions": {"g": "1"}},
+    ]},
+    "dta": {"clocks": [], "locations": ["q0", "q1"], "final": ["q1"], "rules": [
+        {"from": q, "signature": a, "guard": "true", "resets": [], "to": to}
+        for q, a, to in (("q0", "a", "q0"), ("q0", "b", "q1"),
+                         ("q1", "a", "q1"), ("q1", "b", "q1"))
+    ]},
+}
+
+
+def test_bound_subcommand_without_clocks_is_exactly_zero(tmp_path, capsys):
+    model = tmp_path / "clockless.json"
+    model.write_text(json.dumps(CLOCKLESS))
+    code, out, _ = run(capsys, "bound", "--model", str(model), "--grid", "4")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["M1"] == doc["M3"] == 0.0
+    assert doc["theoretical_bound"] == 0.0
+
+
 def test_convergence_subcommand(tmp_path, capsys):
     out_csv = tmp_path / "conv.csv"
     code, _, _ = run(

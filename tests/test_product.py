@@ -6,15 +6,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from pathprob import mc, modelio
 from pathprob.dynamics import Configuration, kappa
-from pathprob.models import Constraint, Dta, Guard, Rule, model_constants
+from pathprob.modelio import validate_pair
+from pathprob.models import (
+    Constraint, Ctmc, Dta, Guard, ModelIntegrityError, Rule, model_constants,
+)
 from pathprob.product import (
     ALIVE, DEAD, FINAL, MAX_VERTICES, ProductVertex, build_graph, classify,
     contraction_constant, size_report,
 )
 from pathprob.regions import region_of
+from oracles import build_graph as reference_graph
+from test_tables import _chain_of_splits, random_models
 
 F = Fraction
 
@@ -210,3 +216,127 @@ def test_shipped_models_are_under_the_vertex_limit(unit_graph, exposure_graph,
     for graph in (unit_graph, exposure_graph, departure_graph):
         assert size_report(graph.ctmc, graph.dta).ok
         assert graph.vertex_count <= MAX_VERTICES
+
+
+# ---------------------------------------------------------------------------
+# Differential gate: the graph from the enabled-rule table and one delay walk
+# per region equals the one from the per-(location, label, region) walk.
+
+
+def assert_same_graph(chain, dta):
+    got, want = build_graph(chain, dta), reference_graph(chain, dta)
+    assert got.codes == want.codes
+    assert got.region_number == want.region_number
+    assert got.labels == want.labels
+    assert got.vertices == want.vertices
+    assert got.successors == want.successors
+    assert list(got.witnesses.items()) == list(want.witnesses.items())
+    assert got.final_vertices == want.final_vertices
+    for name in ("class_table", "rule_target", "rule_resets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def five_locations():
+    """Three clocks at ceilings 2, 1, 1, five locations and two labels.
+    Rule groups split the box on one clock or on a conjunction, reset
+    different clock sets, and q3 traps every run with x >= 2, so the graph
+    has final, alive and dead vertices."""
+    x, y, z = 0, 1, 2
+    C = Constraint
+    groups = {
+        ("q0", "a"): [((C(x, "<", 1),), {y}, "q1"),
+                      ((C(x, ">=", 1), C(x, "<", 2)), {x}, "q2"),
+                      ((C(x, ">=", 2),), {y, z}, "q0")],
+        ("q0", "b"): [((C(y, "<=", 1),), {y}, "q3"),
+                      ((C(y, ">", 1),), set(), "q0")],
+        ("q1", "a"): [((C(z, "<", 1),), {z}, "q1"),
+                      ((C(z, ">=", 1),), {x, y}, "qf")],
+        ("q1", "b"): [((), {x, z}, "q2")],
+        ("q2", "a"): [((C(x, ">", 1), C(y, "<", 1)), set(), "q3"),
+                      ((C(x, ">", 1), C(y, ">=", 1)), {x, y, z}, "q0"),
+                      ((C(x, "<=", 1),), {z}, "q2")],
+        ("q2", "b"): [((C(y, "<", 1),), set(), "q0"),
+                      ((C(y, ">=", 1),), {y}, "q3")],
+        ("q3", "a"): [((C(z, ">", 0), C(x, "<", 2)), set(), "qf"),
+                      ((C(z, "<=", 0), C(x, "<", 2)), {x}, "q3"),
+                      ((C(x, ">=", 2),), set(), "q3")],
+        ("q3", "b"): [((C(x, "<", 2),), {x, y, z}, "q1"),
+                      ((C(x, ">=", 2),), set(), "q3")],
+        ("qf", "a"): [((), set(), "qf")],
+        ("qf", "b"): [((), set(), "qf")],
+    }
+    rules = tuple(Rule(q, a, Guard(terms), frozenset(resets), target)
+                  for (q, a), group in groups.items()
+                  for terms, resets, target in group)
+    chain = Ctmc(states=("s", "t"),
+                 transition=((F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))),
+                 exit_rates=(F(2), F(1)), labeling=("a", "b"))
+    dta = Dta(locations=("q0", "q1", "q2", "q3", "qf"),
+              final=frozenset({"qf"}), clocks=("x", "y", "z"), rules=rules,
+              alphabet=frozenset({"a", "b"}))
+    return chain, dta
+
+
+@pytest.mark.parametrize("model", ["unit_deadline", "exposure_window",
+                                   "departure"])
+def test_graph_matches_reference_on_fixed_models(request, model):
+    assert_same_graph(*request.getfixturevalue(model))
+
+
+def test_graph_matches_reference_on_five_locations():
+    chain, dta = five_locations()
+    validate_pair(chain, dta)
+    graph = build_graph(chain, dta)
+    assert graph.vertex_count == 2 * 5 * 152
+    assert set(graph.classes()) == {FINAL, ALIVE, DEAD}
+    assert_same_graph(chain, dta)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(random_models())
+@example(_chain_of_splits())
+def test_graph_matches_reference_on_random_models(model):
+    validate_pair(*model)
+    assert_same_graph(*model)
+
+
+# ---------------------------------------------------------------------------
+# Unvalidated automata: the graph refuses exactly where a run would select
+# no rule or several, which is at the plus region of some region.
+
+
+def _one_clock(*guards):
+    chain = Ctmc(states=("s",), transition=((F(1),),), exit_rates=(F(1),),
+                 labeling=("a",))
+    dta = Dta(locations=("q0",), final=frozenset(), clocks=("x",),
+              rules=tuple(Rule("q0", "a", Guard(terms), frozenset(), "q0")
+                          for terms in guards),
+              alphabet=frozenset({"a"}))
+    return chain, dta
+
+
+def test_gap_in_an_open_region_is_refused():
+    # 1 < x < 2 enables nothing
+    chain, dta = _one_clock((Constraint(0, "<=", 1),),
+                            (Constraint(0, ">=", 2),))
+    with pytest.raises(ModelIntegrityError):
+        build_graph(chain, dta)
+
+
+def test_overlap_in_an_open_region_is_refused():
+    # 1 < x < 2 enables both rules
+    chain, dta = _one_clock((Constraint(0, "<", 2),),
+                            (Constraint(0, ">", 1),))
+    with pytest.raises(ModelIntegrityError):
+        build_graph(chain, dta)
+
+
+def test_gap_at_a_boundary_point_only_builds():
+    # x = 1 enables nothing, but no run fires a rule there: every delay is
+    # positive, so every step selects at a plus region
+    chain, dta = _one_clock((Constraint(0, "<", 1),),
+                            (Constraint(0, ">", 1),))
+    graph = build_graph(chain, dta)
+    assert graph.vertex_count == 4
+    assert_same_graph(chain, dta)

@@ -128,6 +128,24 @@ def test_error_report_fields(unit_deadline, unit_graph):
     assert error_report(unit_graph, k, 64).below_threshold is True
 
 
+def test_error_constants_of_a_clockless_pair_are_exactly_zero():
+    """Without clocks the scheme is exact in time: the constants are zero,
+    not rounded up to the smallest subnormal, and so is the bound."""
+    chain = Ctmc(states=("s", "g"), transition=((F(0), F(1)), (F(0), F(1))),
+                 exit_rates=(F(1), F(1)), labeling=("a", "b"))
+    dta = Dta(
+        locations=("q0", "q1"), final=frozenset({"q1"}), clocks=(),
+        rules=(Rule("q0", "a", Guard(), frozenset(), "q0"),
+               Rule("q0", "b", Guard(), frozenset(), "q1"),
+               Rule("q1", "a", Guard(), frozenset(), "q1"),
+               Rule("q1", "b", Guard(), frozenset(), "q1")),
+        alphabet=frozenset({"a", "b"}),
+    )
+    report = error_report(build_graph(chain, dta), model_constants(chain, dta), 4)
+    assert report.m1 == report.m2 == report.m3 == 0.0
+    assert report.theoretical_bound == 0.0
+
+
 def test_bound_halves_when_m_doubles(unit_deadline, unit_graph):
     k = model_constants(*unit_deadline)
     coarse = error_report(unit_graph, k, 100).theoretical_bound
