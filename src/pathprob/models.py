@@ -6,15 +6,16 @@ and in error-bound reporting.  Validation never repairs a model silently:
 it returns itemized diagnostics and leaves repair to explicit calls.
 Determinism and totality of an automaton are decided together from one
 table of the rules enabled at a representative valuation of every clock
-region, the table the product graph reads its rules from; each gap or
-overlap names such a representative as its witness, and a rule listed
-twice is an overlap.
+region, :func:`region_rules`, built once per automaton and read by the
+product graph too; each gap or overlap names such a representative as its
+witness, and a rule listed twice is an overlap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from . import regions
@@ -229,35 +230,48 @@ class Dta:
         return tuple(Fraction(0) for _ in self.clocks)
 
 
-def enabled_rules(
-    dta: Dta, representatives: Sequence[regions.ClockValuation]
-) -> List[List[List[Tuple[Rule, ...]]]]:
-    """The rules enabled at each region, as ``table[q][a][r]``.
+class RegionRules(NamedTuple):
+    """The clock regions of an automaton and the rules enabled in each."""
+
+    codes: Tuple[regions.RegionCode, ...]
+    representatives: Tuple[regions.ClockValuation, ...]
+    enabled: Tuple[Tuple[Tuple[Tuple[Rule, ...], ...], ...], ...]
+
+
+@lru_cache(maxsize=8)
+def region_rules(dta: Dta) -> RegionRules:
+    """The regions of the automaton's ceilings, in
+    :func:`regions.enumerate_region_codes` order, one representative
+    valuation of each, and the rules enabled there as ``enabled[q][a][r]``.
 
     ``q`` numbers ``dta.locations``, ``a`` the sorted alphabet and ``r``
-    the regions, of which ``representatives[r]`` is a valuation.  Each
-    entry is the tuple of rules of that (location, signature), in rule
-    order, whose guard holds at the representative.  Guard constants never
-    exceed the ceilings, so guard satisfaction is constant on every region
-    (Alur & Dill, 1994) and the entry holds for the whole region.  This is
-    the one place where guards are evaluated over regions: validation and
-    the product graph both read this table.
+    the regions.  Each entry is the tuple of rules of that (location,
+    signature), in rule order, whose guard holds at the representative.
+    Guard constants never exceed the ceilings, so guard satisfaction is
+    constant on every region (Alur & Dill, 1994) and the entry holds for
+    the whole region.  This is the one place where regions are enumerated
+    and guards evaluated over them; the result is cached per automaton,
+    and validation and the product graph both read it.
     """
-    return [
-        [
-            [tuple(rule for rule in group if regions.guard_sat(rep, rule.guard))
-             for rep in representatives]
+    codes = tuple(regions.enumerate_region_codes(dta.ceilings))
+    reps = tuple(regions.region_representative(c, dta.ceilings) for c in codes)
+    enabled = tuple(
+        tuple(
+            tuple(tuple(rule for rule in group
+                        if regions.guard_sat(rep, rule.guard))
+                  for rep in reps)
             for group in (dta.rules_from(q, a) for a in sorted(dta.alphabet))
-        ]
+        )
         for q in dta.locations
-    ]
+    )
+    return RegionRules(codes, reps, enabled)
 
 
 def validate_dta(dta: Dta) -> ValidationReport:
     """Decide determinism and totality exactly, from the enabled-rule table.
 
     Exactly one rule of each (location, signature) must be enabled at every
-    region of :func:`enabled_rules`, the above-ceiling faces included,
+    region of :func:`region_rules`, the above-ceiling faces included,
     which is what :func:`pathprob.dynamics.select_rule` demands of every
     step.  No enabled rule is a gap, two or more an overlap, even between
     identical rules; each (location, signature, set of enabled rules) is
@@ -275,11 +289,7 @@ def validate_dta(dta: Dta) -> ValidationReport:
     if problems:
         return ValidationReport(tuple(problems))
 
-    codes = regions.enumerate_region_codes(dta.ceilings)
-    representatives = [
-        regions.region_representative(c, dta.ceilings) for c in codes
-    ]
-    table = enabled_rules(dta, representatives)
+    _, representatives, table = region_rules(dta)
     for q, per_label in zip(dta.locations, table):
         for a, per_region in zip(sorted(dta.alphabet), per_label):
             reported = set()

@@ -11,8 +11,9 @@ final vertex characterizes positivity of the acceptance probability, so
 classification always comes from this graph and never from grid
 connectivity.
 
-Guards are evaluated once per region, by :func:`models.enabled_rules`, the
-table validation reads too.  Edges come from one exact delay walk per
+Regions and the rules enabled in each come from
+:func:`models.region_rules`, the table validation reads too, built
+once per automaton.  Edges come from one exact delay walk per
 region: the non-marginal regions its representative reaches, the first of
 which is its plus region.  Everything after that, the rule each step fires
 and the region after its reset, is looked up by region number.
@@ -37,7 +38,7 @@ import numpy as np
 from . import regions
 from .models import (
     Ctmc, Dta, ModelConstants, ModelIntegrityError, ValidationReport,
-    enabled_rules,
+    region_rules,
 )
 
 FINAL = "final"
@@ -107,14 +108,14 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
     """Construct vertices, edges, rule table and classes of the product
     region graph.
 
-    The rules come from :func:`models.enabled_rules` at one representative
-    per region.  Each region's representative is delayed once through the
-    finite set of delay intervals with constant region; the non-marginal
-    regions it reaches, each with its representative delay, form the
-    region's delay walk, whose first step is the region's plus region.  The
-    rule table takes each region's rule at that plus region, and raises
-    :class:`ModelIntegrityError` where none or several rules are enabled
-    there.  A non-marginal region is its own plus region, so a step of the
+    The regions, one representative each, and the rules enabled there
+    come from :func:`models.region_rules`.  Each region's representative
+    is delayed once through the finite set of delay intervals with
+    constant region; the non-marginal regions it reaches, each with its
+    representative delay, form the region's delay walk, whose first step
+    is the region's plus region.  The rule table takes each region's rule
+    at that plus region, and raises :class:`ModelIntegrityError` where none
+    or several rules are enabled there.  A non-marginal region is its own plus region, so a step of the
     walk into region r' fires the rule of r'; the region after its reset
     depends only on r' and the reset clocks and is computed once per pair.
     The moves of each (location, label, region) are then integer lookups,
@@ -126,7 +127,7 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
     if not oversized.ok:
         raise ValueError(str(oversized))
     ceilings = dta.ceilings
-    codes = tuple(regions.enumerate_region_codes(ceilings))
+    codes, reps, enabled = region_rules(dta)
     number = {code: r for r, code in enumerate(codes)}
     labels = tuple(sorted(dta.alphabet))
     n_loc, n_reg = len(dta.locations), len(codes)
@@ -134,8 +135,6 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
         ProductVertex(s, q, code)
         for s in chain.states for q in dta.locations for code in codes
     )
-    reps = [regions.region_representative(code, ceilings) for code in codes]
-    enabled = enabled_rules(dta, reps)
 
     # region -> [(non-marginal region reached, delay)], plus region first
     walks: List[List[Tuple[int, object]]] = []

@@ -1,11 +1,15 @@
 """Grid construction and assembly of the fixed-point linear schemes.
 
 The unit box spanned by the clock ceilings is discretized with step
-``rho = 1/m``.  Each grid point is given its region number once, from an
-integer signature of its coordinates, and inherits the class (final /
-alive / dead) of its region vertex and the jump rule of its region from
-the product graph's class and rule tables.  The alive non-final points are
-the unknowns of two equivalent sparse systems:
+``rho = 1/m``.  A point of the box is the integer vector ``coords`` of the
+numerators of its valuation over m, and ``b``, its position in
+``itertools.product`` order; a grid point is the integer cell
+``c = (state * L + location) * B + b`` over L locations and B box points.
+Each box point is given its region number once, from an integer signature
+of its coordinates, and every cell inherits the class (final / alive /
+dead) of its region vertex and the jump rule of its region from the
+product graph's class and rule tables, by array lookups.  The alive
+cells, in cell order, are the unknowns of two equivalent sparse systems:
 
 * the one-step form ``mu = C mu + d``: each interior row couples a point to
   its saturated diagonal-delay neighbour and to its jump successors;
@@ -13,21 +17,19 @@ the unknowns of two equivalent sparse systems:
   through the point's horizon with geometric weights, leaving only jump
   successors and a boundary tail.
 
-The unfolded system is produced by literally unfolding one-step rows, so
-both assemblies share one successor code path; an independent transcription
-of the unfolded equations lives in the test suite as a cross-check.
+Both assemblies read the grid's per-row successor arrays, the row of the
+delay neighbour and the row of each jump successor, and pack their
+entries into CSR rows the same way; an independent transcription of the
+unfolded equations lives in the test suite as a cross-check.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import (
-    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
-)
+from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -55,15 +57,21 @@ def grid_cells(chain: Ctmc, dta: Dta, m: int) -> int:
 
 
 class Grid:
-    """All on-grid points for one (CTMC, DTA, m) triple.
+    """All points of the m-grid for one (CTMC, DTA) pair, as cell numbers.
 
-    Inside the grid a point is the key ``(state, location, coords)``, where
-    the integer vector ``coords`` holds the numerators of its valuation
-    over m; ``slots`` maps the key of every unknown to its row.  Each box
-    point's region number comes from :func:`regions.grid_region_numbers`,
-    and its class and jump rule from the product graph's class and rule
-    tables.  Exact rationals are made only where callers see points:
-    :attr:`b_m` and :attr:`index` (built on first use), :meth:`points`,
+    ``cell_class[c]`` is the class of cell c (an index into
+    :data:`CLASS_NAMES`), ``cells[k]`` the cell of row k, the k-th unknown
+    in cell order, and ``slot_of[c]`` the row of cell c, or -1 when c is
+    dead or final.  Per row, ``row_state`` is its CTMC state number,
+    ``delay_row`` the row of its saturated rho-delay neighbour (-1 when
+    that point is dead, and on the all-ceilings boundary ``is_bmax``),
+    ``jump_rows[k, u]`` the row a jump to state u lands on (-1 when the
+    jump has probability 0 or lands on a dead or final point) and
+    ``to_final`` whether the rule enabled immediately after the point
+    leads to a final location.  The rule comes from the rule table at the
+    point's region, and its reset applies to the grid valuation itself.
+    Exact rationals are made only where callers see points: :attr:`b_m`
+    and :attr:`index` (built on first use), :meth:`points`,
     :meth:`class_at` and :meth:`horizon`.
     """
 
@@ -78,36 +86,56 @@ class Grid:
         self.ceilings = dta.ceilings
         self.max_coords = tuple(m * c for c in dta.ceilings)
         self.d_m_size = grid_cells(chain, dta, m)
-        self._location_number = {q: i for i, q in enumerate(dta.locations)}
-        # state -> (label number, positive jumps as (successor, probability))
-        self._jumps = {
-            s: (graph.labels.index(label),
-                [(u, float(p)) for u, p in zip(chain.states, row) if p > 0])
-            for s, label, row in zip(chain.states, chain.labeling, chain.transition)
-        }
-        # [location][label][region] -> target location number, reset flags
-        self._rule_target = graph.rule_target.tolist()
-        self._rule_resets = graph.rule_resets.tolist()
+        shape = tuple(mc + 1 for mc in self.max_coords)
+        self.box_size = math.prod(shape)
+        self.strides = tuple(math.prod(shape[i + 1:]) for i in range(len(shape)))
+        strides = np.array(self.strides, dtype=np.int64)
+        region = regions.grid_region_numbers(self.ceilings, m, graph.region_number)
 
-        # alive non-final grid points in (state, location, coords) order
-        box = list(self._iter_coords())
-        numbers = regions.grid_region_numbers(self.ceilings, m, graph.region_number)
-        self._region_at = dict(zip(box, numbers.tolist()))
-        self.slots: Dict[Tuple[str, str, tuple], int] = {}
-        for si, s in enumerate(chain.states):
-            for qi, q in enumerate(dta.locations):
-                alive = graph.class_table[si, qi, numbers] == ALIVE_CLASS
-                for i in np.flatnonzero(alive).tolist():
-                    self.slots[(s, q, box[i])] = len(self.slots)
-        self.is_bmax = np.array(
-            [coords == self.max_coords for _, _, coords in self.slots], dtype=bool
+        self.cell_class = graph.class_table[:, :, region].ravel()
+        self.cells = np.flatnonzero(self.cell_class == ALIVE_CLASS)
+        self.slot_of = np.full(self.d_m_size, -1, dtype=np.int32)
+        self.slot_of[self.cells] = np.arange(len(self.cells))
+
+        b = self.cells % self.box_size
+        self.row_state, location = np.divmod(
+            self.cells // self.box_size, len(dta.locations)
+        )
+        coords = b[:, None] // strides % np.array(shape, dtype=np.int64)
+        self.is_bmax = b == self.box_size - 1
+        stepped = self.cells + (coords < self.max_coords) @ strides
+        self.delay_row = np.where(self.is_bmax, -1, self.slot_of[stepped])
+
+        label = np.array([graph.labels.index(a) for a in chain.labeling])
+        rule = (location, label[self.row_state], region[b])
+        target = graph.rule_target[rule]
+        after = b - (graph.rule_resets[rule] * coords) @ strides
+        self.to_final = np.array([q in dta.final for q in dta.locations])[target]
+        self.jump_prob = np.array(chain.transition, dtype=np.float64)
+        jumps = (np.arange(len(chain.states)) * len(dta.locations)
+                 + target[:, None]) * self.box_size + after[:, None]
+        self.jump_rows = np.where(
+            self.jump_prob[self.row_state] > 0, self.slot_of[jumps], -1
         )
         self.horizons = self._horizons()
 
-    # -- coordinates ------------------------------------------------------
+    # -- horizons ----------------------------------------------------------
 
-    def _iter_coords(self) -> Iterator[tuple]:
-        yield from itertools.product(*[range(mc + 1) for mc in self.max_coords])
+    def _horizons(self) -> np.ndarray:
+        """Steps of saturated rho-delay until the boundary set or a dead
+        region.  A chain of delay steps reaches the all-ceilings point
+        within ``max(max_coords)`` steps, so pointer jumping along
+        ``delay_row`` counts them in that many bits of rounds: after round
+        t a row holds the steps among its next 2^t chain points."""
+        n = len(self.cells)
+        after = np.append(np.where(self.delay_row < 0, n, self.delay_row), n)
+        steps = np.append(np.where(self.is_bmax, 0, 1), 0)
+        for _ in range(max(self.max_coords, default=0).bit_length()):
+            steps = steps + steps[after]
+            after = after[after]
+        return steps[:n]
+
+    # -- exact points ------------------------------------------------------
 
     def valuation(self, coords: tuple) -> tuple:
         return tuple(Fraction(j, self.m) for j in coords)
@@ -121,25 +149,30 @@ class Grid:
             out.append(int(j))
         return tuple(out)
 
-    def _clamp_step(self, coords: tuple) -> tuple:
-        return tuple(
-            min(j + 1, mc) for j, mc in zip(coords, self.max_coords)
+    def cell(self, state: str, location: str, coords: Sequence[int]) -> int:
+        """Cell number of the point with integer coordinates ``coords``."""
+        place = (self.chain.state_index(state) * len(self.dta.locations)
+                 + self.dta.locations.index(location))
+        return place * self.box_size + sum(
+            j * stride for j, stride in zip(coords, self.strides)
         )
 
-    def _class_name(self, state: str, location: str, coords: tuple) -> str:
-        return CLASS_NAMES[self.graph.class_table[
-            self.chain.state_index(state), self._location_number[location],
-            self._region_at[coords],
-        ]]
+    def _point(self, cell: int) -> GridPoint:
+        place, b = divmod(cell, self.box_size)
+        s, q = divmod(place, len(self.dta.locations))
+        coords = tuple(b // stride % (mc + 1)
+                       for stride, mc in zip(self.strides, self.max_coords))
+        return GridPoint(self.chain.states[s], self.dta.locations[q],
+                         self.valuation(coords))
 
-    # -- exact points ------------------------------------------------------
+    def _cell_of(self, point: GridPoint) -> int:
+        return self.cell(point.state, point.location,
+                         self.coords(point.valuation))
 
     @cached_property
     def b_m(self) -> Tuple[GridPoint, ...]:
         """The unknowns as exact points, in row order."""
-        return tuple(
-            GridPoint(s, q, self.valuation(coords)) for s, q, coords in self.slots
-        )
+        return tuple(self._point(c) for c in self.cells.tolist())
 
     @cached_property
     def index(self) -> Dict[GridPoint, int]:
@@ -147,69 +180,18 @@ class Grid:
         return {point: k for k, point in enumerate(self.b_m)}
 
     def class_at(self, point: GridPoint) -> str:
-        return self._class_name(
-            point.state, point.location, self.coords(point.valuation)
-        )
+        return CLASS_NAMES[self.cell_class[self._cell_of(point)]]
 
     def points(self) -> Iterator[Tuple[GridPoint, str]]:
-        """Every grid point with its class, in canonical order."""
-        for s in self.chain.states:
-            for q in self.dta.locations:
-                for coords in self._iter_coords():
-                    yield (
-                        GridPoint(s, q, self.valuation(coords)),
-                        self._class_name(s, q, coords),
-                    )
+        """Every grid point with its class, in cell order."""
+        for c, cls in enumerate(self.cell_class.tolist()):
+            yield self._point(c), CLASS_NAMES[cls]
 
     def horizon(self, point: GridPoint) -> int:
-        k = self.index.get(point)
-        if k is None:
+        k = int(self.slot_of[self._cell_of(point)])
+        if k < 0:
             raise ValueError(f"{point} is not an unknown of the scheme")
         return int(self.horizons[k])
-
-    # -- horizons ----------------------------------------------------------
-
-    def _horizons(self) -> np.ndarray:
-        """Steps of saturated rho-delay until the boundary set or a dead
-        region.  A step raises the coordinates, so it leads to a later key
-        of the same (state, location) and one backward pass suffices."""
-        out = [0] * len(self.slots)
-        for (s, q, coords), k in reversed(self.slots.items()):
-            if coords != self.max_coords:
-                nxt = self.slots.get((s, q, self._clamp_step(coords)))
-                out[k] = 1 if nxt is None else 1 + out[nxt]
-        return np.array(out, dtype=np.int64)
-
-    # -- jump successors ---------------------------------------------------
-
-    def successor_entries(
-        self, state: str, location: str, coords: tuple
-    ) -> List[Tuple[Optional[int], float]]:
-        """Jump-successor contributions of one grid point.
-
-        The rule table gives the target location and reset clocks of the
-        rule enabled immediately after the grid valuation; the reset applies
-        to the grid valuation itself.  Returns ``(column, probability)``
-        pairs where ``column`` is an unknown index, ``None`` for a final
-        target (value 1 folds into the constant term) and entries for dead
-        targets are dropped.  Outside final locations a point is alive
-        exactly when it has a slot.
-        """
-        label, jumps = self._jumps[state]
-        qi, r = self._location_number[location], self._region_at[coords]
-        target_loc = self.dta.locations[self._rule_target[qi][label][r]]
-        if target_loc in self.dta.final:
-            return [(None, p) for _, p in jumps]
-        resets = self._rule_resets[qi][label][r]
-        reset_coords = tuple(
-            0 if zero else j for zero, j in zip(resets, coords)
-        )
-        out: List[Tuple[Optional[int], float]] = []
-        for u, p in jumps:
-            col = self.slots.get((u, target_loc, reset_coords))
-            if col is not None:
-                out.append((col, p))
-        return out
 
 
 def build_grid(chain: Ctmc, dta: Dta, graph: ProductGraph, m: int) -> Grid:
@@ -248,47 +230,46 @@ class SchemeSystem:
         return mat, self.offset.copy()
 
 
-def _pack(rows: List[Dict[int, float]], consts: List[float], grid: Grid,
-          kind: str) -> SchemeSystem:
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    cols: List[int] = []
-    vals: List[float] = []
-    for k, row in enumerate(rows):
-        for j in sorted(row):
-            cols.append(j)
-            vals.append(row[j])
-        indptr[k + 1] = len(cols)
-    return SchemeSystem(
-        kind=kind,
-        grid=grid,
-        indptr=indptr,
-        indices=np.array(cols, dtype=np.int64),
-        data=np.array(vals, dtype=np.float64),
-        offset=np.array(consts, dtype=np.float64),
-    )
+def _weights(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
+    """Per row, the delay weight ``1/(1+rho*lambda)`` and the jump weight
+    ``rho*lambda/(1+rho*lambda)`` of its state."""
+    rho_lam = np.array([float(grid.rho * rate) for rate in grid.chain.exit_rates])
+    return ((1.0 / (1.0 + rho_lam))[grid.row_state],
+            (rho_lam / (1.0 + rho_lam))[grid.row_state])
 
 
-def _row_weights(grid: Grid) -> Dict[str, Tuple[float, float]]:
-    """Per state, the delay weight ``1/(1+rho*lambda)`` and the jump weight
-    ``rho*lambda/(1+rho*lambda)``."""
-    out = {}
-    for s, rate in zip(grid.chain.states, grid.chain.exit_rates):
-        rho_lam = float(grid.rho * rate)
-        out[s] = (1.0 / (1.0 + rho_lam), rho_lam / (1.0 + rho_lam))
-    return out
+def _jump_entries(grid: Grid, rows: np.ndarray, at: np.ndarray,
+                  weight: np.ndarray, offset: np.ndarray):
+    """The jump successors of the unknowns ``at``, weighted per row by
+    ``weight``, as entries of ``rows``.  A final target adds its weighted
+    mass (value 1) to ``offset[rows]``, one CTMC state after another;
+    alive targets are returned as (row, column, value) arrays in (row,
+    state) order; dead targets contribute nothing."""
+    values = weight[:, None] * grid.jump_prob[grid.row_state[at]]
+    final = grid.to_final[at]
+    for u in range(values.shape[1]):
+        offset[rows] += np.where(final, values[:, u], 0.0)
+    cols = grid.jump_rows[at]
+    hit = cols >= 0
+    return np.broadcast_to(rows[:, None], cols.shape)[hit], cols[hit], values[hit]
 
 
-def _fold(row: Dict[int, float], const: float,
-          entries: Iterable[Tuple[Optional[int], float]], weight: float) -> float:
-    """Add weighted successor entries to ``row`` and return ``const`` plus
-    the weighted mass of final targets, whose value 1 folds into the
-    constant term."""
-    for col, p in entries:
-        if col is None:
-            const += weight * p
-        else:
-            row[col] = row.get(col, 0.0) + weight * p
-    return const
+def _csr(grid: Grid, kind: str, offset: np.ndarray, *parts) -> SchemeSystem:
+    """Pack (row, column, value) entries into rows sorted by column.
+    Entries sharing a row and a column are summed one after another, in
+    the order the parts list them: the order the scheme folds them in."""
+    rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
+    order = np.lexsort((cols, rows))  # stable, so ties keep their order
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    data = np.zeros(int(first.sum()))
+    np.add.at(data, np.cumsum(first) - 1, vals)  # in order, per entry
+    indptr = np.zeros(len(offset) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[first], minlength=len(offset)), out=indptr[1:])
+    return SchemeSystem(kind=kind, grid=grid, indptr=indptr,
+                        indices=cols[first].astype(np.int64), data=data,
+                        offset=offset)
 
 
 def assemble_gamma_prime(grid: Grid) -> SchemeSystem:
@@ -300,23 +281,16 @@ def assemble_gamma_prime(grid: Grid) -> SchemeSystem:
     values.  Final targets fold their value 1 into the constant vector,
     dead targets contribute nothing.
     """
-    weights = _row_weights(grid)
-    rows: List[Dict[int, float]] = []
-    consts: List[float] = []
-    for s, q, coords in grid.slots:
-        row: Dict[int, float] = {}
-        entries = grid.successor_entries(s, q, coords)
-        if coords == grid.max_coords:
-            const = _fold(row, 0.0, entries, 1.0)
-        else:
-            a, b = weights[s]
-            col = grid.slots.get((s, q, grid._clamp_step(coords)))
-            if col is not None:
-                row[col] = a
-            const = _fold(row, 0.0, entries, b)
-        rows.append(row)
-        consts.append(const)
-    return _pack(rows, consts, grid, GAMMA_PRIME)
+    delay_weight, jump_weight = _weights(grid)
+    rows = np.arange(len(grid.cells))
+    offset = np.zeros(len(rows))
+    delay = grid.delay_row >= 0
+    return _csr(
+        grid, GAMMA_PRIME, offset,
+        (rows[delay], grid.delay_row[delay], delay_weight[delay]),
+        _jump_entries(grid, rows, rows,
+                      np.where(grid.is_bmax, 1.0, jump_weight), offset),
+    )
 
 
 def assemble_gamma_double(grid: Grid) -> SchemeSystem:
@@ -326,28 +300,24 @@ def assemble_gamma_double(grid: Grid) -> SchemeSystem:
     successors of each traversed point with geometrically decaying weight,
     and closes with the boundary tail: nothing when the chain dies, the
     boundary point's successor row when it reaches the all-ceilings set
-    (a boundary unknown has horizon 0 and is its own tail).
+    (a boundary unknown has horizon 0 and is its own tail).  All rows
+    take their k-th step together.
     """
-    weights = _row_weights(grid)
-    rows: List[Dict[int, float]] = []
-    consts: List[float] = []
-    for (s, q, coords), k in grid.slots.items():
-        a, b = weights[s]
-        row: Dict[int, float] = {}
-        const = 0.0
-        weight = 1.0
-        current = coords
-        for _ in range(int(grid.horizons[k])):
-            const = _fold(row, const, grid.successor_entries(s, q, current),
-                          weight * b)
-            current = grid._clamp_step(current)
-            weight *= a
-        if (s, q, current) in grid.slots:
-            const = _fold(row, const, grid.successor_entries(s, q, current),
-                          weight)
-        rows.append(row)
-        consts.append(const)
-    return _pack(rows, consts, grid, GAMMA_DOUBLE)
+    delay_weight, jump_weight = _weights(grid)
+    n = len(grid.cells)
+    offset = np.zeros(n)
+    at = np.arange(n)  # each row's current point along its chain
+    weight = np.ones(n)
+    parts = []
+    for step in range(int(grid.horizons.max(initial=0))):
+        rows = np.flatnonzero(grid.horizons > step)
+        parts.append(_jump_entries(grid, rows, at[rows],
+                                   weight[rows] * jump_weight[rows], offset))
+        at[rows] = grid.delay_row[at[rows]]
+        weight[rows] *= delay_weight[rows]
+    rows = np.flatnonzero(at >= 0)
+    parts.append(_jump_entries(grid, rows, at[rows], weight[rows], offset))
+    return _csr(grid, GAMMA_DOUBLE, offset, *parts)
 
 
 def scaled_error_constants(constants: ModelConstants) -> Tuple[float, float, float]:

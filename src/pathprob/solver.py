@@ -26,12 +26,11 @@ import numpy as np
 from . import kernels
 from .models import Ctmc, Dta, ModelConstants, check_start, model_constants
 from .product import (
-    DEAD, DEAD_CLASS, FINAL, ProductGraph, build_graph, contraction_constant,
+    DEAD_CLASS, FINAL_CLASS, ProductGraph, build_graph, contraction_constant,
 )
 from .regions import region_of
 from .scheme import (
     Grid,
-    GridPoint,
     SchemeSystem,
     assemble_gamma_prime,
     build_grid,
@@ -73,15 +72,19 @@ class Solution:
     sweeps: int
     method: str
 
+    def value_of(self, cell: int) -> float:
+        """Value at a cell of the grid (see :meth:`Grid.cell`)."""
+        grid = self.system.grid
+        cls = grid.cell_class[cell]
+        if cls == FINAL_CLASS:
+            return 1.0
+        if cls == DEAD_CLASS:
+            return 0.0
+        return float(self.values[grid.slot_of[cell]])
+
     def value_at(self, state: str, location: str, valuation: Sequence) -> float:
         grid = self.system.grid
-        cls = grid.class_at(GridPoint(state, location, tuple(valuation)))
-        if cls == FINAL:
-            return 1.0
-        if cls == DEAD:
-            return 0.0
-        k = grid.slots[(state, location, grid.coords(valuation))]
-        return float(self.values[k])
+        return self.value_of(grid.cell(state, location, grid.coords(valuation)))
 
 
 def solve(
@@ -89,13 +92,13 @@ def solve(
     tol: float = 1e-10,
     max_sweeps: int = MAX_SWEEPS,
     x0: Optional[np.ndarray] = None,
-    direct_limit: int = DIRECT_LIMIT,
 ) -> Solution:
     """Solve ``mu = C mu + d`` to the requested residual.
 
     Raises :class:`SolverError` when the sweeps do not converge and the
-    system is too large for dense elimination, or when elimination finds
-    the matrix singular (possible below the guaranteed grid threshold).
+    system is too large for dense elimination (above
+    :data:`DIRECT_LIMIT` unknowns), or when elimination finds the matrix
+    singular (possible below the guaranteed grid threshold).
     """
     n = system.size
     if n == 0:
@@ -124,7 +127,7 @@ def solve(
             f"m > 2|V|^2 = {2 * system.grid.graph.vertex_count ** 2}",
         ) from exc
 
-    if n <= direct_limit:
+    if n <= DIRECT_LIMIT:
         mat, rhs = system.dense()
         try:
             x = np.linalg.solve(np.eye(n) - mat, rhs)
@@ -238,17 +241,16 @@ def _solved(chain: Ctmc, dta: Dta, m: int, tol: float) -> Tuple[Grid, Solution]:
 
 def _snap_to_grid(eta: Sequence, ceilings: Sequence[int], m: int):
     """Clamp into the ceiling box, then snap each clock to the nearest
-    multiple of 1/m with ties rounded toward zero."""
-    snapped = []
+    multiple of 1/m with ties rounded toward zero.  Returns the integer
+    coordinates of the grid point (numerators over m) and the distance."""
+    coords = []
     distance = Fraction(0)
     for v, c in zip(eta, ceilings):
-        v = min(Fraction(v), Fraction(c))
-        scaled = v * m
-        lo = math.floor(scaled)
-        j = lo if scaled - lo <= Fraction(1, 2) else lo + 1
-        snapped.append(Fraction(j, m))
-        distance = max(distance, abs(v - Fraction(j, m)))
-    return tuple(snapped), distance
+        num, den = min(Fraction(v), c).as_integer_ratio()
+        j = -((den - 2 * m * num) // (2 * den))  # ceil(v*m - 1/2)
+        coords.append(j)
+        distance = max(distance, Fraction(abs(m * num - j * den), m * den))
+    return tuple(coords), distance
 
 
 def _required_m(report: ErrorReport, epsilon: float) -> int:
@@ -322,14 +324,17 @@ def approximate(
             f"max_grid_cells = {max_grid_cells}"
         )
 
-    snapped, distance = _snap_to_grid(eta, dta.ceilings, m)
+    coords, distance = _snap_to_grid(eta, dta.ceilings, m)
     grid, solution = _solved(chain, dta, m, tol)
-    value = solution.value_at(state, location, snapped)
+    value = solution.value_of(grid.cell(state, location, coords))
 
     empirical = None
     if with_empirical:
-        _, finer = _solved(chain, dta, 2 * m, tol)
-        empirical = abs(value - finer.value_at(state, location, snapped))
+        finer_grid, finer = _solved(chain, dta, 2 * m, tol)
+        doubled = [2 * j for j in coords]
+        empirical = abs(value - finer.value_of(
+            finer_grid.cell(state, location, doubled)
+        ))
     report = error_report(graph, constants, m, empirical_estimate=empirical)
     report.snap_distance = float(distance)
     report.snap_slack = report.m1 * float(distance)
@@ -353,9 +358,9 @@ def _empirical_m(chain, dta, state, location, eta, epsilon, tol, max_grid_cells)
     m = 8
     previous = None
     while grid_cells(chain, dta, m) <= max_grid_cells:
-        snapped, _ = _snap_to_grid(eta, dta.ceilings, m)
-        _, solution = _solved(chain, dta, m, tol)
-        value = solution.value_at(state, location, snapped)
+        coords, _ = _snap_to_grid(eta, dta.ceilings, m)
+        grid, solution = _solved(chain, dta, m, tol)
+        value = solution.value_of(grid.cell(state, location, coords))
         if previous is not None and abs(value - previous) <= epsilon / 2:
             return m
         previous = value

@@ -1,3 +1,4 @@
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from pathprob import modelio, regions, solver
 from pathprob.models import (
     Constraint,
     Ctmc,
@@ -16,6 +18,7 @@ from pathprob.models import (
     model_constants,
     pairing_report,
     rational,
+    region_rules,
     validate_ctmc,
     validate_dta,
 )
@@ -366,3 +369,22 @@ def test_random_dtas_reach_every_verdict(kind):
 
     find(random_dtas(), shows,
          settings=settings(derandomize=True, database=None, deadline=None))
+
+
+def test_parse_and_solve_enumerate_the_regions_once(monkeypatch):
+    """Validation and the product graph read one cached enabled-rule
+    table: a fresh parse plus solve walks the clock regions once."""
+    region_rules.cache_clear()
+    solver._analysis.cache_clear()
+    solver._solved.cache_clear()
+    calls = []
+    enumerate_codes = regions.enumerate_region_codes
+    monkeypatch.setattr(regions, "enumerate_region_codes",
+                        lambda ceilings: calls.append(ceilings)
+                        or enumerate_codes(ceilings))
+    models = pathlib.Path(__file__).resolve().parents[1] / "models"
+    chain, dta = modelio.parse_model(str(models / "exposure_window.json"))
+    result = solver.approximate(chain, dta, "a", "q0", (0, 0), m=4)
+    assert 0 < result.probability < 1
+    assert calls == [dta.ceilings]
+    assert region_rules.cache_info().misses == 1

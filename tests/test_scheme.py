@@ -173,15 +173,23 @@ def test_unknown_columns_never_point_at_dead_or_final(exposure_window,
 
 def test_grid_closure_under_step_and_jump(exposure_window, exposure_graph):
     """The saturated step and every jump successor of a grid point are grid
-    points themselves."""
+    points themselves; the delay row names the stepped point whenever that
+    point is an unknown."""
     grid = build_grid(*exposure_window, exposure_graph, 4)
-    for point in grid.b_m:
+    n = len(grid.b_m)
+    for k, point in enumerate(grid.b_m):
         coords = grid.coords(point.valuation)
-        stepped = grid._clamp_step(coords)
+        stepped = tuple(min(j + 1, mx) for j, mx in zip(coords, grid.max_coords))
         assert all(0 <= j <= mx for j, mx in zip(stepped, grid.max_coords))
-        for col, _ in grid.successor_entries(point.state, point.location, coords):
-            if col is not None:
-                assert 0 <= col < len(grid.b_m)
+        neighbour = point._replace(valuation=grid.valuation(stepped))
+        nxt = int(grid.delay_row[k])
+        assert -1 <= nxt < n
+        if nxt >= 0:
+            assert grid.b_m[nxt] == neighbour
+        elif not grid.is_bmax[k]:
+            assert grid.class_at(neighbour) != ALIVE
+        for col in grid.jump_rows[k]:
+            assert -1 <= col < n
 
 
 def test_boundary_row_defect_above_contraction(departure, departure_graph):

@@ -97,9 +97,10 @@ def test_direct_fallback_agrees_with_sweeps(unit_deadline, unit_graph):
 
 
 def test_nonconvergence_error_carries_residual(exposure_window, exposure_graph):
-    system = _system(exposure_window, exposure_graph, 8)
+    # 6 272 unknowns, above DIRECT_LIMIT: no dense fallback after the sweep
+    system = _system(exposure_window, exposure_graph, 32)
     with pytest.raises(SolverError) as err:
-        solve(system, tol=1e-14, max_sweeps=1, direct_limit=0)
+        solve(system, tol=1e-14, max_sweeps=1)
     assert err.value.residual is not None and err.value.residual > 0
 
 
