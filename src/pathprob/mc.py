@@ -11,9 +11,23 @@ trials still running at the step horizon are reported as censored,
 bracketing the true value.  Without it clocks run exactly and a trial not
 accepted within the horizon is rejected.
 
+The loop advances batches of :data:`BATCH` trials in lockstep with numpy.
+Each step numbers the region of every delayed valuation at once
+(:func:`regions.region_numbers`) and looks up the target and resets of
+the rule enabled in that region, from integer tables taken from
+:func:`models.region_rules`.  That is the region of the delayed valuation
+itself, as :func:`dynamics.select_rule` sees it; the graph's rule table is
+taken at plus regions and differs on marginal ones.  The dead check reads
+the graph's class table.
+
 Each trial owns an rng substream derived from (seed, stream, trial), so
 estimates with different horizons or modes are paired path-by-path
-(common random numbers).
+(common random numbers).  Batching leaves the streams as they were: a
+trial takes its uniforms in the order a loop over single trials takes
+them (per step the sojourn, skipping zeros, then the jump), from a buffer
+of its next ``2 * CHUNK`` uniforms, refilled from a fresh copy of its
+stream advanced past the uniforms already taken.  So every estimate
+equals that of the one-trial-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -26,9 +40,16 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .dynamics import select_rule
-from .models import Ctmc, Dta, check_start
-from .product import DEAD_CLASS, ProductGraph
-from .regions import region_of
+from .models import Ctmc, Dta, ModelIntegrityError, check_start, region_rules
+from .product import DEAD_CLASS, ProductGraph, size_report
+from .regions import region_numbers
+# perfbench traces region_of and select_rule as bound in this module
+from .regions import region_of  # noqa: F401
+
+# trials advanced together in lockstep
+BATCH = 256
+# steps of uniforms (a sojourn and a jump each) drawn per buffer fill
+CHUNK = 16
 
 
 class RngStream(NamedTuple):
@@ -66,30 +87,6 @@ def default_k_max(graph: ProductGraph) -> int:
     chain = graph.ctmc
     lam_t = max(chain.exit_rates) * graph.dta.t_max
     return 16 * max(1, math.ceil(lam_t)) * graph.vertex_count
-
-
-class _Simulator:
-    """Per-model tables so the trial loop stays allocation-light."""
-
-    def __init__(self, chain: Ctmc):
-        self.rates = [float(r) for r in chain.exit_rates]
-        self.cum_rows = [
-            np.cumsum([float(p) for p in row]) for row in chain.transition
-        ]
-        for row in self.cum_rows:
-            row[-1] = 1.0
-
-    def jump(self, state_index: int, rng) -> int:
-        return int(
-            np.searchsorted(self.cum_rows[state_index], rng.random(), "right")
-        )
-
-    def sojourn(self, state_index: int, rng) -> float:
-        """Exponential sojourn by inverse transform, t = -ln(U)/rate."""
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        return -math.log(u) / self.rates[state_index]
 
 
 def estimate(
@@ -137,6 +134,70 @@ def estimate_k(
     return replace(est, censored=0)
 
 
+def _sojourns(uniforms: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Exponential sojourns by inverse transform, t = -ln(U)/rate, with
+    ``math.log`` per element (``np.log`` may differ in the last ulp)."""
+    return np.array([-math.log(u) for u in uniforms.tolist()]) / rates
+
+
+class _Uniforms:
+    """The uniforms of the live trials of a batch, each in stream order.
+
+    A trial's buffer holds the next ``2 * CHUNK`` uniforms of its stream.
+    It is filled when the trial takes its first uniform, and refilled when
+    exhausted from a fresh copy of the stream advanced past the uniforms
+    taken (PCG64 jumps ahead exactly), so no Generator outlives a fill.
+    """
+
+    def __init__(self, rng_stream: RngStream, trials: np.ndarray):
+        self.rng_stream = rng_stream
+        self.trials = trials
+        self.taken = np.zeros(len(trials), dtype=np.int64)
+        self.buffer = np.empty((len(trials), 2 * CHUNK))
+
+    def take(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
+        """The next uniform of each trial in ``rows`` (default: all)."""
+        if rows is None:
+            rows = np.arange(len(self.trials))
+        taken = self.taken[rows]
+        column = taken % (2 * CHUNK)
+        empty = column == 0
+        for row, at in zip(rows[empty].tolist(), taken[empty].tolist()):
+            rng = self.rng_stream.trial_rng(int(self.trials[row]))
+            rng.bit_generator.advance(at)
+            self.buffer[row] = rng.random(2 * CHUNK)
+        self.taken[rows] = taken + 1
+        return self.buffer[rows, column]
+
+    def keep(self, live: np.ndarray) -> None:
+        """Drop the trials where ``live`` is false."""
+        self.trials = self.trials[live]
+        self.taken = self.taken[live]
+        self.buffer = self.buffer[live]
+
+
+def _rule_tables(dta: Dta, names: Sequence[str]):
+    """Target number and reset mask of the rule enabled in each region, as
+    ``[location, label, region]`` arrays over :func:`models.region_rules`.
+
+    Locations are numbered as in ``names``, labels by the sorted alphabet,
+    and label number ``len(alphabet)`` stands for a label outside it.  The
+    target is -1 wherever not exactly one rule is enabled.
+    """
+    codes, _, enabled = region_rules(dta)
+    number = {q: i for i, q in enumerate(names)}
+    shape = (len(names), len(dta.alphabet) + 1, len(codes))
+    target = np.full(shape, -1, dtype=np.int64)
+    resets = np.zeros(shape + (len(dta.clocks),), dtype=bool)
+    for q, per_label in enumerate(enabled):
+        for a, per_region in enumerate(per_label):
+            for r, rules in enumerate(per_region):
+                if len(rules) == 1:
+                    target[q, a, r] = number[rules[0].target]
+                    resets[q, a, r, list(rules[0].resets)] = True
+    return target, resets
+
+
 def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
               seed, stream, confidence) -> Estimate:
     """The trial loop of both estimators; see the module docstring."""
@@ -147,47 +208,76 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     check_start(chain, dta, state, location, valuation)
-    sim = _Simulator(chain)
-    ceilings, finals, labels = dta.ceilings, dta.final, chain.labeling
+    # the rule tables span every region, like the product graph
+    oversized = size_report(chain, dta)
+    if not oversized.ok:
+        raise ValueError(str(oversized))
+    # an undeclared rule target is a location that enables no rule
+    names = dta.locations + tuple(
+        sorted({r.target for r in dta.rules} - set(dta.locations)))
+    target, resets = _rule_tables(dta, names)
+    final = np.array([q in dta.final for q in names])
+    alphabet = sorted(dta.alphabet)
+    label = np.array([alphabet.index(a) if a in dta.alphabet else len(alphabet)
+                      for a in chain.labeling])
+    rates = np.array([float(r) for r in chain.exit_rates])
+    cum_rows = np.cumsum([[float(p) for p in row] for row in chain.transition],
+                         axis=1)
+    cum_rows[:, -1] = 1.0
+    ceilings = dta.ceilings
     if graph is None:
-        caps, dead = (math.inf,) * len(ceilings), None
+        caps, dead = np.full(len(ceilings), math.inf), None
     else:
-        caps = tuple(float(c) for c in ceilings)
-        # [state][location][region number] -> the vertex is dead
-        dead = (graph.class_table == DEAD_CLASS).tolist()
-        number = graph.region_number
-        location_number = {q: i for i, q in enumerate(dta.locations)}
+        caps = np.array(ceilings, dtype=float)
+        dead = graph.class_table == DEAD_CLASS
     rng_stream = RngStream(seed, stream)
-    start_eta = tuple(min(float(v), cap) for v, cap in zip(valuation, caps))
+    start_eta = np.minimum(caps, [float(v) for v in valuation])
     start_state = chain.state_index(state)
+    start_location = names.index(location)
 
     accepted = rejected = censored = 0
-    for trial in range(n):
-        rng = rng_stream.trial_rng(trial)
-        si, q, eta = start_state, location, start_eta
+    for first in range(0, n, BATCH):
+        trials = np.arange(first, min(first + BATCH, n))
+        uniforms = _Uniforms(rng_stream, trials)
+        size = len(trials)
+        si, q = np.full(size, start_state), np.full(size, start_location)
+        eta = np.tile(start_eta, (size, 1))
         for steps in range(k_max + 1):
-            if q in finals:
-                accepted += 1
-                break
-            if dead is not None and dead[si][location_number[q]][
-                number[region_of(eta, ceilings)]
-            ]:
-                rejected += 1
-                break
+            done = final[q]
+            accepted += int(np.count_nonzero(done))
+            if dead is not None:
+                absorbed = ~done & dead[si, q, region_numbers(eta, ceilings)]
+                rejected += int(np.count_nonzero(absorbed))
+                done |= absorbed
+            if done.any():
+                live = ~done
+                si, q, eta = si[live], q[live], eta[live]
+                uniforms.keep(live)
+                if not len(q):
+                    break
             if steps == k_max:
-                censored += 1
+                censored += len(q)
                 break
-            t = sim.sojourn(si, rng)
-            nxt = sim.jump(si, rng)
-            delayed = tuple(v + t for v in eta)
-            rule = select_rule(dta, q, labels[si], delayed)
-            q = rule.target
+            u = uniforms.take()
+            zero = np.flatnonzero(u == 0.0)
+            while len(zero):
+                u[zero] = uniforms.take(zero)
+                zero = zero[u[zero] == 0.0]
+            delayed = eta + _sojourns(u, rates[si])[:, None]
+            nxt = np.count_nonzero(cum_rows[si] <= uniforms.take()[:, None],
+                                   axis=1)
+            a = label[si]
+            r = region_numbers(delayed, ceilings)
+            q_next = target[q, a, r]
+            if (q_next < 0).any():
+                i = int(np.flatnonzero(q_next < 0)[0])
+                # raises, naming the location, signature and valuation
+                select_rule(dta, names[q[i]], chain.labeling[si[i]],
+                            tuple(delayed[i].tolist()))
+                raise ModelIntegrityError("rule table and select_rule disagree")
             # min(inf, v) == v, so uncapped clocks need no branch
-            eta = tuple(
-                min(cap, 0.0 if i in rule.resets else delayed[i])
-                for i, cap in enumerate(caps)
-            )
-            si = nxt
+            eta = np.minimum(caps, np.where(resets[q, a, r], 0.0, delayed))
+            si, q = nxt, q_next
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p = accepted / n
     return Estimate(

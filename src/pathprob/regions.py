@@ -2,8 +2,9 @@
 
 Clock valuations are plain tuples of numbers indexed by the automaton's
 clock order.  All region logic is exact when the entries are
-`fractions.Fraction`; the same functions also accept floats (used by the
-Monte Carlo sampler, where boundary events have probability zero).
+`fractions.Fraction`; the same functions also accept floats, and
+:func:`region_numbers` numbers whole arrays of float valuations for the
+Monte Carlo sampler (where boundary events have probability zero).
 
 A region is an equivalence class of valuations that agree, per clock, on
 whether the value exceeds its ceiling, on the integral part and on whether
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -127,9 +129,69 @@ def region_of(eta: Sequence, ceilings: Sequence[int]) -> RegionCode:
     return RegionCode(tuple(per_clock), tuple(blocks))
 
 
-def is_marginal(code: RegionCode) -> bool:
-    """True iff some clock at or below its ceiling has fractional part zero."""
-    return code.is_marginal()
+@lru_cache(maxsize=8)
+def _region_keys(ceilings: Tuple[int, ...]) -> tuple:
+    """Digit weights, and the sorted integer keys of every region with
+    their region numbers, for :func:`region_numbers`.
+
+    A clock's digit is 0 above its ceiling, otherwise
+    ``1 + whole * (R + 1) + rank``: ``R`` counts the clocks with a positive
+    ceiling (only those can hold a positive fractional part) and ``rank``
+    is 0 for a zero fractional part, else one plus the number of distinct
+    smaller positive fractional parts, which is the block position in
+    ``frac_order``.  Digits are combined in mixed radix, so a key names
+    exactly one region.
+    """
+    top = sum(1 for c in ceilings if c > 0)
+    radices = [2 + c * (top + 1) for c in ceilings]
+    if math.prod(radices) >= 2 ** 63:
+        raise ValueError(
+            f"region keys of {len(ceilings)} clocks exceed 64 bits")
+    weights = [math.prod(radices[:i]) for i in range(len(ceilings))]
+    keys = []
+    for code in enumerate_region_codes(ceilings):
+        blocks = code.frac_order
+        # blocks are homogeneous, and a zero-fraction block comes first
+        shift = 0 if blocks and code.clocks[blocks[0][0]][1] else 1
+        rank_of = {i: r + shift
+                   for r, block in enumerate(blocks) for i in block}
+        keys.append(sum(
+            w * (0 if opt is None else 1 + opt[0] * (top + 1) + rank_of[i])
+            for i, (w, opt) in enumerate(zip(weights, code.clocks))
+        ))
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return (top, np.array(weights, dtype=np.int64),
+            np.array([keys[r] for r in order], dtype=np.int64), np.array(order))
+
+
+def region_numbers(valuations: np.ndarray,
+                   ceilings: Sequence[int]) -> np.ndarray:
+    """Region number, in :func:`enumerate_region_codes` order, of every row
+    of a float array of valuations; equal to numbering :func:`region_of`.
+
+    Per row and clock it takes the above-ceiling flag, the integral part,
+    whether the fractional part is zero and, from pairwise comparisons of
+    the positive fractional parts at or below the ceilings, the rank of
+    the clock's fractional part; see :func:`_region_keys`.  The fractional
+    part is ``v - floor(v)`` as in :func:`frac_part`, so the comparisons
+    are those of :func:`region_of` on the same floats.
+    """
+    top, weights, keys, order = _region_keys(tuple(ceilings))
+    x = np.asarray(valuations, dtype=float)
+    caps = np.asarray(ceilings, dtype=float)
+    above = x > caps
+    frac = x - np.floor(x)
+    positive = ~above & (frac > 0)
+    f = np.where(positive, frac, np.inf)
+    # smaller[n, i, j]: clock j holds a smaller positive fraction than i;
+    # first[n, j]: no clock before j holds the same one
+    smaller = f[:, None, :] < f[:, :, None]
+    earlier = np.tri(x.shape[1], k=-1, dtype=bool)
+    first = positive & ~((f[:, :, None] == f[:, None, :]) & earlier).any(axis=2)
+    rank = np.where(positive, 1 + (smaller & first[:, None, :]).sum(axis=2), 0)
+    whole = np.floor(np.minimum(x, caps)).astype(np.int64)
+    digits = np.where(above, 0, 1 + whole * (top + 1) + rank)
+    return order[np.searchsorted(keys, digits @ weights)]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 
 from pathprob import regions
 from pathprob.dynamics import select_rule
-from pathprob.mc import Estimate, RngStream, _Simulator, default_k_max
+from pathprob.mc import Estimate, RngStream, default_k_max
 from pathprob.models import Ctmc, Dta, Guard, ValidationReport
 from pathprob.product import (
     ALIVE, ALIVE_CLASS, CLASS_NAMES, DEAD, FINAL, ProductGraph, ProductVertex,
@@ -223,6 +223,11 @@ def _coords_iter(maxima):
 # Region equivalences by their definitions, and the saturated delay.
 
 
+def is_marginal(code: regions.RegionCode) -> bool:
+    """True iff some clock at or below its ceiling has fractional part zero."""
+    return code.is_marginal()
+
+
 def clamp_delay(eta: Sequence, t, ceilings: Sequence[int]) -> tuple:
     """Delay by ``t`` but saturate each clock at its ceiling.
 
@@ -302,7 +307,32 @@ def region_sequence(eta, ceilings):
 
 # ---------------------------------------------------------------------------
 # Monte Carlo: the absorbing estimator and the exact k-step estimator as two
-# separate loops, one per mode, each drawing from the per-trial substreams.
+# separate loops, one per mode, each drawing from the per-trial substreams
+# one trial and one uniform at a time.
+
+
+class _Simulator:
+    """Per-model tables so the trial loop stays allocation-light."""
+
+    def __init__(self, chain: Ctmc):
+        self.rates = [float(r) for r in chain.exit_rates]
+        self.cum_rows = [
+            np.cumsum([float(p) for p in row]) for row in chain.transition
+        ]
+        for row in self.cum_rows:
+            row[-1] = 1.0
+
+    def jump(self, state_index: int, rng) -> int:
+        return int(
+            np.searchsorted(self.cum_rows[state_index], rng.random(), "right")
+        )
+
+    def sojourn(self, state_index: int, rng) -> float:
+        """Exponential sojourn by inverse transform, t = -ln(U)/rate."""
+        u = rng.random()
+        while u == 0.0:
+            u = rng.random()
+        return -math.log(u) / self.rates[state_index]
 
 
 def _binomial_halfwidth(successes: int, n: int, confidence: float) -> float:

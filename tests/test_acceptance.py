@@ -21,7 +21,6 @@ from pathprob.regions import (
     delay,
     enumerate_region_codes,
     guard_sat,
-    is_marginal,
     minus_representative,
     plus_representative,
     region_of,
@@ -37,6 +36,7 @@ from pathprob.scheme import (
 from pathprob.solver import approximate, solve
 from oracles import (
     bound_equivalent_partner,
+    is_marginal,
     random_valuation,
     solve_dense,
     unfolded_dense_system,

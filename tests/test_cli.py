@@ -142,6 +142,17 @@ def test_simulate_subcommand(capsys):
     assert doc["p_low"] <= doc["p_hat"] <= doc["p_high"]
 
 
+def test_simulate_counts_are_pinned(capsys):
+    """The counts of the one-trial-at-a-time loop; batching the trials
+    must not move them."""
+    _, out, _ = run(
+        capsys, "simulate", "--model", UNIT, "--state", "s", "--location",
+        "q0", "--valuation", "x=0", "--samples", "20000", "--seed", "7",
+    )
+    doc = json.loads(out)
+    assert (doc["accepted"], doc["dead_absorbed"]) == (12589, 7411)
+
+
 def test_graph_subcommand(tmp_path, capsys):
     dot_file = tmp_path / "graph.dot"
     code, out, _ = run(capsys, "graph", "--model", UNIT, "--dot", str(dot_file))

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,10 @@ import pytest
 
 import oracles
 from pathprob import mc
+from pathprob.models import (
+    Constraint, Ctmc, Dta, Guard, ModelIntegrityError, Rule,
+)
+from pathprob.product import MAX_VERTICES
 
 F = Fraction
 
@@ -18,8 +23,13 @@ class _FixedRng:
         return self.value
 
 
+def _rate(chain, state):
+    return float(chain.exit_rates[chain.state_index(state)])
+
+
 def _sojourn(chain, state, rng):
-    return mc._Simulator(chain).sojourn(chain.state_index(state), rng)
+    return float(mc._sojourns(np.array([rng.random()]),
+                              np.array([_rate(chain, state)]))[0])
 
 
 def test_sojourn_inverse_transform(unit_deadline):
@@ -47,7 +57,7 @@ def test_sojourn_empirical_mean(exposure_window):
     chain, _ = exposure_window
     rng = np.random.default_rng(11)
     n = 100_000
-    draws = [_sojourn(chain, "a", rng) for _ in range(n)]  # rate 2
+    draws = mc._sojourns(rng.random(n), np.full(n, _rate(chain, "a")))  # rate 2
     assert np.mean(draws) == pytest.approx(0.5, abs=3 * 0.5 / math.sqrt(n))
 
 
@@ -255,3 +265,122 @@ def test_confidence_outside_unit_interval_is_refused(unit_deadline, unit_graph,
     with pytest.raises(ValueError, match="confidence must lie in"):
         mc.estimate_k(chain, dta, "s", "q0", (0.0,), k=4, n=10,
                       confidence=confidence)
+
+
+def test_streams_are_pinned(exposure_window, exposure_graph):
+    """The counts of the one-trial-at-a-time loop on the benchmark query;
+    batching the trials must not move them."""
+    chain, dta = exposure_window
+    start = ("a", "q0", (0.0, 0.0))
+    est = mc.estimate(chain, dta, exposure_graph, *start, n=5000, seed=7)
+    assert (est.accepted, est.dead_absorbed, est.censored) == (1311, 3689, 0)
+    est_k = mc.estimate_k(chain, dta, *start, k=16, n=5000, seed=7)
+    assert est_k.accepted == 1311
+
+
+def test_uniforms_follow_each_trial_stream():
+    """A batch's buffered uniforms are each trial's stream drawn one at a
+    time, over several refills, uneven takes and a dropped trial."""
+    stream = mc.RngStream(7, 1)
+    uniforms = mc._Uniforms(stream, np.arange(5, 9))
+    taken = {t: [] for t in range(5, 9)}
+    for step in range(5 * mc.CHUNK):
+        if step == 2 * mc.CHUNK:
+            uniforms.keep(uniforms.trials != 6)
+        rows = np.arange(len(uniforms.trials))
+        rows = rows if step % 3 else rows[::2]
+        for t, u in zip(uniforms.trials[rows].tolist(),
+                        uniforms.take(rows).tolist()):
+            taken[t].append(u)
+    for t, values in taken.items():
+        rng = stream.trial_rng(t)
+        assert values == [rng.random() for _ in values]
+
+
+class _ListStream:
+    """A fixed list of uniforms behind the Generator calls the loops make."""
+
+    def __init__(self, values):
+        self.values, self.at = values, 0
+        self.bit_generator = self
+
+    def advance(self, delta):
+        self.at += delta
+
+    def random(self, size=None):
+        count = 1 if size is None else size
+        out = self.values[self.at:self.at + count]
+        self.at += count
+        return out[0] if size is None else np.array(out)
+
+
+# positions of extra 0.0 uniforms in a trial's stream, by trial mod 3: one
+# before the first sojourn, and, after that shift, a run of two zeros whose
+# skip crosses from the first buffer fill into the second
+_ZEROS = {0: (0,), 1: (0, 2 * mc.CHUNK - 1, 2 * mc.CHUNK), 2: ()}
+
+
+def _zero_stream(self, trial):
+    values = np.random.default_rng((self.seed, self.index, trial)).random(400)
+    values = values.tolist()
+    for at in _ZEROS[trial % 3]:
+        values.insert(at, 0.0)
+    return _ListStream(values)
+
+
+def test_zero_sojourn_uniform_is_skipped_per_trial(monkeypatch,
+                                                   exposure_window,
+                                                   exposure_graph):
+    """A sojourn uniform of exactly 0.0 is redrawn for that trial only, as
+    the one-trial loop does, also across a buffer refill."""
+    monkeypatch.setattr(mc.RngStream, "trial_rng", _zero_stream)
+    chain, dta = exposure_window
+    start = ("a", "q0", (0.0, 0.0))
+    runs = dict(n=60, seed=3)
+    assert (mc.estimate(chain, dta, exposure_graph, *start, **runs)
+            == oracles.estimate(chain, dta, exposure_graph, *start, **runs))
+    for k in (1, 2 * mc.CHUNK):
+        assert (mc.estimate_k(chain, dta, *start, k=k, **runs)
+                == oracles.estimate_k(chain, dta, *start, k=k, **runs))
+
+
+def _one_clock_dta(*guards):
+    """Location q0 with one self-loop on signature a per guard on x."""
+    rules = tuple(
+        Rule("q0", "a", Guard(tuple(Constraint(0, op, b) for op, b in guard)),
+             frozenset(), "q0")
+        for guard in guards
+    )
+    return Dta(locations=("q0", "qf"), final=frozenset({"qf"}), clocks=("x",),
+               rules=rules, alphabet=frozenset({"a"}))
+
+
+@pytest.mark.parametrize("guards,count", [
+    (((("<", 1),),), "0 rules"),  # gap from x = 1 on
+    (((("<", 1),), (("<=", 1),)), "2 rules"),  # overlap below x = 1
+])
+def test_unvalidated_dta_step_is_refused(guards, count):
+    """Where the delayed valuation's region enables no rule or several,
+    the loop raises select_rule's error, naming location and signature."""
+    chain = Ctmc(states=("w",), transition=((F(1),),), exit_rates=(F(1),),
+                 labeling=("a",))
+    dta = _one_clock_dta(*guards)
+    for estimator in (mc.estimate_k, oracles.estimate_k):
+        with pytest.raises(ModelIntegrityError,
+                           match=rf"{count} enabled at \(q0,a\)"):
+            estimator(chain, dta, "w", "q0", (0.0,), k=50, n=50, seed=1)
+
+
+def test_oversized_automaton_is_refused_before_enumeration(unit_deadline):
+    """The exact k-step estimator builds no product graph, but its rule
+    tables span every region, so it refuses what build_graph refuses."""
+    chain, _ = unit_deadline
+    guard = Guard(tuple(Constraint(i, "<=", 3) for i in range(5)))
+    dta = Dta(locations=("q0",), final=frozenset(),
+              clocks=tuple(f"x{i}" for i in range(5)),
+              rules=(Rule("q0", "a", guard, frozenset(), "q0"),),
+              alphabet=frozenset({"a"}))
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=f"MAX_VERTICES = {MAX_VERTICES}"):
+        mc.estimate_k(chain, dta, "s", "q0", (0.0,) * 5, k=4, n=10)
+    assert time.perf_counter() - started < 1.0

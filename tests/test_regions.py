@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathprob.models import Constraint, Guard
 from pathprob.regions import (
@@ -13,10 +15,10 @@ from pathprob.regions import (
     enumerate_region_codes,
     frac_set,
     guard_sat,
-    is_marginal,
     minus_representative,
     plus_representative,
     region_count,
+    region_numbers,
     region_of,
     region_representative,
     reset,
@@ -28,6 +30,7 @@ from oracles import (
     equiv_b,
     equiv_g,
     equivalent,
+    is_marginal,
     random_valuation,
     region_sequence,
 )
@@ -351,3 +354,60 @@ def test_saturated_delay_matches_plain_delay_after_more_time():
         assert region_sequence(delay(saturated, tau), ceilings) == region_sequence(
             delay(plain, tau), ceilings
         )
+
+
+@st.composite
+def _valuation_rows(draw):
+    """Ceilings of 1-3 clocks and rows of float valuations over them:
+    integers, values at and above a ceiling, fractional parts shared
+    across clocks, arbitrary floats in the box and uncapped values up to
+    1e6, as the exact k-step estimator lets clocks run."""
+    ceilings = tuple(draw(st.lists(st.integers(0, 3), min_size=1,
+                                   max_size=3)))
+    shared = draw(st.sampled_from((0.125, 0.5, 0.75))
+                  | st.floats(0, 1, exclude_max=True))
+    top = max(ceilings) + 2
+    value = st.one_of(
+        st.integers(0, top).map(float),
+        st.integers(0, top).map(lambda w: w + shared),
+        st.floats(0, top),
+        st.floats(0, 1e6),
+    )
+    rows = draw(st.lists(st.lists(value, min_size=len(ceilings),
+                                  max_size=len(ceilings)),
+                         min_size=1, max_size=12))
+    return ceilings, rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_valuation_rows())
+def test_region_numbers_match_region_of(case):
+    """The vectorised numbering equals region_of's code, numbered in
+    enumeration order, row by row."""
+    ceilings, rows = case
+    number = {code: r for r, code in enumerate(enumerate_region_codes(ceilings))}
+    expected = [number[region_of(row, ceilings)] for row in rows]
+    assert region_numbers(np.array(rows), ceilings).tolist() == expected
+
+
+def _dyadic_representative(code, ceilings):
+    """A float valuation in the region ``code``: fraction blocks at
+    multiples of 1/8, exact in binary, so the floats stay in the region."""
+    values, rank = {}, 0
+    for block in code.frac_order:  # a zero-fraction block comes first
+        zero = code.clocks[block[0]][1]
+        rank += not zero
+        for i in block:
+            values[i] = code.clocks[i][0] + (0 if zero else rank / 8)
+    return [ceilings[i] + 0.5 if opt is None else values[i]
+            for i, opt in enumerate(code.clocks)]
+
+
+def test_region_numbers_cover_every_region():
+    """Every region gets its own number, the one of enumeration order."""
+    for ceilings in ((1,), (2, 1), (1, 0, 2), (2, 2, 2)):
+        codes = enumerate_region_codes(ceilings)
+        reps = [_dyadic_representative(c, ceilings) for c in codes]
+        assert [region_of(r, ceilings) for r in reps] == codes
+        assert region_numbers(np.array(reps), ceilings).tolist() == list(
+            range(len(codes)))
