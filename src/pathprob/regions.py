@@ -180,7 +180,8 @@ def region_numbers(valuations: np.ndarray,
     x = np.asarray(valuations, dtype=float)
     caps = np.asarray(ceilings, dtype=float)
     above = x > caps
-    frac = x - np.floor(x)
+    floor = np.floor(x)
+    frac = x - floor
     positive = ~above & (frac > 0)
     f = np.where(positive, frac, np.inf)
     # smaller[n, i, j]: clock j holds a smaller positive fraction than i;
@@ -189,7 +190,8 @@ def region_numbers(valuations: np.ndarray,
     earlier = np.tri(x.shape[1], k=-1, dtype=bool)
     first = positive & ~((f[:, :, None] == f[:, None, :]) & earlier).any(axis=2)
     rank = np.where(positive, 1 + (smaller & first[:, None, :]).sum(axis=2), 0)
-    whole = np.floor(np.minimum(x, caps)).astype(np.int64)
+    # capped, so the digits of clocks far above their ceilings stay small
+    whole = np.minimum(floor, caps).astype(np.int64)
     digits = np.where(above, 0, 1 + whole * (top + 1) + rank)
     return order[np.searchsorted(keys, digits @ weights)]
 
