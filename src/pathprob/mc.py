@@ -12,13 +12,16 @@ bracketing the true value.  Without it clocks run exactly and a trial not
 accepted within the horizon is rejected.
 
 The loop advances batches of :data:`BATCH` trials in lockstep with numpy.
-Each step numbers the region of every delayed valuation at once
-(:func:`regions.region_numbers`) and looks up the target and resets of
-the rule enabled in that region, from integer tables taken from
-:func:`models.region_rules`.  That is the region of the delayed valuation
-itself, as :func:`dynamics.select_rule` sees it; the graph's rule table is
-taken at plus regions and differs on marginal ones.  The dead check reads
-the graph's class table.
+Each step gives every delayed valuation its region signature at once
+(:func:`regions.region_signatures`) and takes the rule enabled there from
+:func:`dynamics.select_rule`, called once per distinct (location, label,
+region) met in the run, at the delayed valuation of its first trial; the
+answer holds for the whole region because guard constants are naturals.
+That is the region of the delayed valuation itself; the graph's rule
+table is taken at plus regions and differs on marginal ones.  The dead
+check reads the graph's class table, at the region :func:`regions.region_of`
+gives, once per distinct (state, location, region).  No region is
+enumerated, so the exact estimator runs on automata of any size.
 
 Each trial owns an rng substream derived from (seed, stream, trial), so
 estimates with different horizons or modes are paired path-by-path
@@ -40,11 +43,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .dynamics import select_rule
-from .models import Ctmc, Dta, ModelIntegrityError, check_start, region_rules
-from .product import DEAD_CLASS, ProductGraph, size_report
-from .regions import region_numbers
-# perfbench traces region_of and select_rule as bound in this module
-from .regions import region_of  # noqa: F401
+from .models import Ctmc, Dta, check_start
+from .product import DEAD_CLASS, ProductGraph
+from .regions import per_distinct_row, region_of, region_signatures
 
 # trials advanced together in lockstep
 BATCH = 256
@@ -176,26 +177,21 @@ class _Uniforms:
         self.buffer = self.buffer[live]
 
 
-def _rule_tables(dta: Dta, names: Sequence[str]):
-    """Target number and reset mask of the rule enabled in each region, as
-    ``[location, label, region]`` arrays over :func:`models.region_rules`.
+class _Memo:
+    """The answer of an exact scalar function per distinct row of integer
+    keys, computed at the row's first occurrence and kept for the run."""
 
-    Locations are numbered as in ``names``, labels by the sorted alphabet,
-    and label number ``len(alphabet)`` stands for a label outside it.  The
-    target is -1 wherever not exactly one rule is enabled.
-    """
-    codes, _, enabled = region_rules(dta)
-    number = {q: i for i, q in enumerate(names)}
-    shape = (len(names), len(dta.alphabet) + 1, len(codes))
-    target = np.full(shape, -1, dtype=np.int64)
-    resets = np.zeros(shape + (len(dta.clocks),), dtype=bool)
-    for q, per_label in enumerate(enabled):
-        for a, per_region in enumerate(per_label):
-            for r, rules in enumerate(per_region):
-                if len(rules) == 1:
-                    target[q, a, r] = number[rules[0].target]
-                    resets[q, a, r, list(rules[0].resets)] = True
-    return target, resets
+    def __init__(self):
+        self.known = {}
+
+    def __call__(self, keys: np.ndarray, answer) -> np.ndarray:
+        """``answer(i)`` for every row ``i`` of ``keys``, from the memo."""
+        def value_of(i):
+            key = keys[i].tobytes()
+            if key not in self.known:
+                self.known[key] = answer(i)
+            return self.known[key]
+        return per_distinct_row(keys, value_of)
 
 
 def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
@@ -208,15 +204,17 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     check_start(chain, dta, state, location, valuation)
-    # the rule tables span every region, like the product graph
-    oversized = size_report(chain, dta)
-    if not oversized.ok:
-        raise ValueError(str(oversized))
     # an undeclared rule target is a location that enables no rule
     names = dta.locations + tuple(
         sorted({r.target for r in dta.rules} - set(dta.locations)))
-    target, resets = _rule_tables(dta, names)
     final = np.array([q in dta.final for q in names])
+    # rules by number: the memo keeps numbers, the tables their effects
+    rule_number = {rule: i for i, rule in enumerate(dta.rules)}
+    target = np.array([names.index(r.target) for r in dta.rules])
+    resets = np.zeros((len(dta.rules), len(dta.clocks)), dtype=bool)
+    for i, rule in enumerate(dta.rules):
+        resets[i, list(rule.resets)] = True
+    rule_memo, class_memo = _Memo(), _Memo()
     alphabet = sorted(dta.alphabet)
     label = np.array([alphabet.index(a) if a in dta.alphabet else len(alphabet)
                       for a in chain.labeling])
@@ -226,10 +224,9 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
     cum_rows[:, -1] = 1.0
     ceilings = dta.ceilings
     if graph is None:
-        caps, dead = np.full(len(ceilings), math.inf), None
+        caps = np.full(len(ceilings), math.inf)
     else:
         caps = np.array(ceilings, dtype=float)
-        dead = graph.class_table == DEAD_CLASS
     rng_stream = RngStream(seed, stream)
     start_eta = np.minimum(caps, [float(v) for v in valuation])
     start_state = chain.state_index(state)
@@ -245,8 +242,13 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
         for steps in range(k_max + 1):
             done = final[q]
             accepted += int(np.count_nonzero(done))
-            if dead is not None:
-                absorbed = ~done & dead[si, q, region_numbers(eta, ceilings)]
+            if graph is not None:
+                keys = np.column_stack(
+                    (si, q, region_signatures(eta, ceilings)))
+                classes = class_memo(keys, lambda i: graph.class_table[
+                    si[i], q[i],
+                    graph.region_number[region_of(eta[i].tolist(), ceilings)]])
+                absorbed = ~done & (classes == DEAD_CLASS)
                 rejected += int(np.count_nonzero(absorbed))
                 done |= absorbed
             if done.any():
@@ -266,18 +268,15 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
             delayed = eta + _sojourns(u, rates[si])[:, None]
             nxt = np.count_nonzero(cum_rows[si] <= uniforms.take()[:, None],
                                    axis=1)
-            a = label[si]
-            r = region_numbers(delayed, ceilings)
-            q_next = target[q, a, r]
-            if (q_next < 0).any():
-                i = int(np.flatnonzero(q_next < 0)[0])
-                # raises, naming the location, signature and valuation
-                select_rule(dta, names[q[i]], chain.labeling[si[i]],
-                            tuple(delayed[i].tolist()))
-                raise ModelIntegrityError("rule table and select_rule disagree")
+            keys = np.column_stack(
+                (q, label[si], region_signatures(delayed, ceilings)))
+            # select_rule raises on a region with no or several rules
+            rule = rule_memo(keys, lambda i: rule_number[select_rule(
+                dta, names[q[i]], chain.labeling[si[i]],
+                tuple(delayed[i].tolist()))])
             # min(inf, v) == v, so uncapped clocks need no branch
-            eta = np.minimum(caps, np.where(resets[q, a, r], 0.0, delayed))
-            si, q = nxt, q_next
+            eta = np.minimum(caps, np.where(resets[rule], 0.0, delayed))
+            si, q = nxt, target[rule]
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p = accepted / n
     return Estimate(

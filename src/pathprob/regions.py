@@ -3,8 +3,9 @@
 Clock valuations are plain tuples of numbers indexed by the automaton's
 clock order.  All region logic is exact when the entries are
 `fractions.Fraction`; the same functions also accept floats, and
-:func:`region_numbers` numbers whole arrays of float valuations for the
-Monte Carlo sampler (where boundary events have probability zero).
+:func:`region_signatures` tells the regions of whole arrays of float
+valuations apart for the Monte Carlo sampler (where boundary events have
+probability zero).
 
 A region is an equivalence class of valuations that agree, per clock, on
 whether the value exceeds its ceiling, on the integral part and on whether
@@ -19,8 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, Tuple
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -129,71 +130,55 @@ def region_of(eta: Sequence, ceilings: Sequence[int]) -> RegionCode:
     return RegionCode(tuple(per_clock), tuple(blocks))
 
 
-@lru_cache(maxsize=8)
-def _region_keys(ceilings: Tuple[int, ...]) -> tuple:
-    """Digit weights, and the sorted integer keys of every region with
-    their region numbers, for :func:`region_numbers`.
+def _signatures(whole: np.ndarray, frac: np.ndarray,
+                above: np.ndarray) -> np.ndarray:
+    """Integer region signature of each row of valuations given by their
+    integral parts, fractional parts and above-ceiling flags.
 
-    A clock's digit is 0 above its ceiling, otherwise
-    ``1 + whole * (R + 1) + rank``: ``R`` counts the clocks with a positive
-    ceiling (only those can hold a positive fractional part) and ``rank``
-    is 0 for a zero fractional part, else one plus the number of distinct
-    smaller positive fractional parts, which is the block position in
-    ``frac_order``.  Digits are combined in mixed radix, so a key names
-    exactly one region.
+    Per clock -1 above its ceiling, else ``2 * whole + (frac == 0)``; per
+    pair of clocks the sign of the difference of their fractional parts,
+    0 when either is above its ceiling.  That is the data of a
+    :class:`RegionCode`, so two rows share a signature exactly when they
+    lie in the same region.
     """
-    top = sum(1 for c in ceilings if c > 0)
-    radices = [2 + c * (top + 1) for c in ceilings]
-    if math.prod(radices) >= 2 ** 63:
-        raise ValueError(
-            f"region keys of {len(ceilings)} clocks exceed 64 bits")
-    weights = [math.prod(radices[:i]) for i in range(len(ceilings))]
-    keys = []
-    for code in enumerate_region_codes(ceilings):
-        blocks = code.frac_order
-        # blocks are homogeneous, and a zero-fraction block comes first
-        shift = 0 if blocks and code.clocks[blocks[0][0]][1] else 1
-        rank_of = {i: r + shift
-                   for r, block in enumerate(blocks) for i in block}
-        keys.append(sum(
-            w * (0 if opt is None else 1 + opt[0] * (top + 1) + rank_of[i])
-            for i, (w, opt) in enumerate(zip(weights, code.clocks))
-        ))
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    return (top, np.array(weights, dtype=np.int64),
-            np.array([keys[r] for r in order], dtype=np.int64), np.array(order))
+    below = ~above
+    columns = [np.where(above, -1, 2 * whole + (frac == 0))]
+    for a, b in itertools.combinations(range(whole.shape[1]), 2):
+        columns.append(np.where(below[:, [a]] & below[:, [b]],
+                                np.sign(frac[:, [a]] - frac[:, [b]]), 0))
+    return np.concatenate(columns, axis=1).astype(np.int64, copy=False)
 
 
-def region_numbers(valuations: np.ndarray,
-                   ceilings: Sequence[int]) -> np.ndarray:
-    """Region number, in :func:`enumerate_region_codes` order, of every row
-    of a float array of valuations; equal to numbering :func:`region_of`.
-
-    Per row and clock it takes the above-ceiling flag, the integral part,
-    whether the fractional part is zero and, from pairwise comparisons of
-    the positive fractional parts at or below the ceilings, the rank of
-    the clock's fractional part; see :func:`_region_keys`.  The fractional
-    part is ``v - floor(v)`` as in :func:`frac_part`, so the comparisons
-    are those of :func:`region_of` on the same floats.
+def region_signatures(valuations: np.ndarray,
+                      ceilings: Sequence[int]) -> np.ndarray:
+    """The region signature (see :func:`_signatures`) of every row of a
+    float array of valuations.  The fractional part is ``v - floor(v)`` as
+    in :func:`frac_part`, so the comparisons are those :func:`region_of`
+    makes on the same floats, and two rows share a signature exactly when
+    :func:`region_of` gives them the same code.
     """
-    top, weights, keys, order = _region_keys(tuple(ceilings))
     x = np.asarray(valuations, dtype=float)
-    caps = np.asarray(ceilings, dtype=float)
-    above = x > caps
-    floor = np.floor(x)
-    frac = x - floor
-    positive = ~above & (frac > 0)
-    f = np.where(positive, frac, np.inf)
-    # smaller[n, i, j]: clock j holds a smaller positive fraction than i;
-    # first[n, j]: no clock before j holds the same one
-    smaller = f[:, None, :] < f[:, :, None]
-    earlier = np.tri(x.shape[1], k=-1, dtype=bool)
-    first = positive & ~((f[:, :, None] == f[:, None, :]) & earlier).any(axis=2)
-    rank = np.where(positive, 1 + (smaller & first[:, None, :]).sum(axis=2), 0)
-    # capped, so the digits of clocks far above their ceilings stay small
-    whole = np.minimum(floor, caps).astype(np.int64)
-    digits = np.where(above, 0, 1 + whole * (top + 1) + rank)
-    return order[np.searchsorted(keys, digits @ weights)]
+    whole = np.floor(x)
+    return _signatures(whole, x - whole, x > np.asarray(ceilings, dtype=float))
+
+
+def per_distinct_row(keys: np.ndarray,
+                     value_of: Callable[[int], int]) -> np.ndarray:
+    """``value_of(i)`` for every row of the integer array ``keys``, called
+    once per distinct row, at its first occurrence ``i``, in row order."""
+    # a stable sort of the rows puts each distinct row's first occurrence
+    # at the head of its run; rows without columns are all equal
+    order = np.lexsort(keys.T) if keys.shape[1] else np.arange(len(keys))
+    ranked = keys[order]
+    head = np.ones(len(order), dtype=bool)
+    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first = order[head]
+    table = np.empty(len(first), dtype=np.int64)
+    for run in np.argsort(first).tolist():
+        table[run] = value_of(int(first[run]))
+    values = np.empty(len(order), dtype=np.int64)
+    values[order] = table[np.cumsum(head) - 1]
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -425,26 +410,14 @@ def grid_region_numbers(
     (valuation ``j/m``) in ``itertools.product`` order; ``numbers`` maps a
     region to its number.  No grid point exceeds a ceiling, so its region
     is fixed by an integer signature: per clock ``j // m`` and whether m
-    divides ``j``, and per pair of clocks the sign of ``j_a % m - j_b % m``.
-    One exact :func:`region_of` call per distinct signature numbers them all.
+    divides ``j``, and per pair of clocks the sign of ``j_a % m - j_b % m``
+    (:func:`_signatures`).  One exact :func:`region_of` call per distinct
+    signature numbers them all.
     """
     k = len(ceilings)
     shape = tuple(m * c + 1 for c in ceilings)
     points = np.indices(shape).reshape(k, math.prod(shape)).T
     whole, rest = np.divmod(points, m)
-    signature = np.concatenate(
-        [2 * whole + (rest == 0)]
-        + [np.sign(rest[:, [a]] - rest[:, [b]])
-           for a, b in itertools.combinations(range(k), 2)],
-        axis=1,
-    )
-    _, first, inverse = np.unique(
-        signature, axis=0, return_index=True, return_inverse=True
-    )
-    table = np.array(
-        [numbers[region_of(tuple(Fraction(int(j), m) for j in points[i]),
-                           ceilings)]
-         for i in first],
-        dtype=np.int64,
-    )
-    return table[inverse.reshape(-1)]
+    signature = _signatures(whole, rest, np.zeros(points.shape, dtype=bool))
+    return per_distinct_row(signature, lambda i: numbers[region_of(
+        tuple(Fraction(int(j), m) for j in points[i]), ceilings)])

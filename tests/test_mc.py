@@ -10,7 +10,7 @@ from pathprob import mc
 from pathprob.models import (
     Constraint, Ctmc, Dta, Guard, ModelIntegrityError, Rule,
 )
-from pathprob.product import MAX_VERTICES
+from pathprob.product import build_graph, size_report
 
 F = Fraction
 
@@ -371,16 +371,56 @@ def test_unvalidated_dta_step_is_refused(guards, count):
             estimator(chain, dta, "w", "q0", (0.0,), k=50, n=50, seed=1)
 
 
-def test_oversized_automaton_is_refused_before_enumeration(unit_deadline):
-    """The exact k-step estimator builds no product graph, but its rule
-    tables span every region, so it refuses what build_graph refuses."""
+def test_exact_estimator_needs_no_region_enumeration(unit_deadline):
+    """The exact k-step estimator asks select_rule once per region met, so
+    it runs, like the one-trial loop, where build_graph refuses."""
     chain, _ = unit_deadline
-    guard = Guard(tuple(Constraint(i, "<=", 3) for i in range(5)))
-    dta = Dta(locations=("q0",), final=frozenset(),
-              clocks=tuple(f"x{i}" for i in range(5)),
-              rules=(Rule("q0", "a", guard, frozenset(), "q0"),),
-              alphabet=frozenset({"a"}))
+    clocks = 5
+    below = [Constraint(i, "<=", 3) for i in range(clocks)]
+    # total and deterministic: on a, the first clock past 3 is reset, and
+    # with none past 3 the run accepts; on b it stays
+    rules = tuple(
+        Rule("q0", "a", Guard(tuple(below[:i]) + (Constraint(i, ">", 3),)),
+             frozenset({i}), "q0")
+        for i in range(clocks)
+    ) + (Rule("q0", "a", Guard(tuple(below)), frozenset(), "qf"),
+         Rule("q0", "b", Guard(()), frozenset(), "q0"))
+    dta = Dta(locations=("q0", "qf"), final=frozenset({"qf"}),
+              clocks=tuple(f"x{i}" for i in range(clocks)), rules=rules,
+              alphabet=frozenset({"a", "b"}))
+    assert not size_report(chain, dta).ok
+    # accepted when the first sojourn is at most 0.5
+    start = ("s", "q0", (2.5, 0.25, 1.75, 0.0, 0.5))
     started = time.perf_counter()
-    with pytest.raises(ValueError, match=f"MAX_VERTICES = {MAX_VERTICES}"):
-        mc.estimate_k(chain, dta, "s", "q0", (0.0,) * 5, k=4, n=10)
+    est = mc.estimate_k(chain, dta, *start, k=3, n=200, seed=2)
     assert time.perf_counter() - started < 1.0
+    assert est == oracles.estimate_k(chain, dta, *start, k=3, n=200, seed=2)
+    assert 0 < est.accepted < 200
+
+
+def test_dead_check_tells_chain_states_apart():
+    """Leaving s moves on to t or d at the same location and clock region;
+    (t, q0) accepts at the next step while (d, q0) is dead, so the dead
+    check must not carry one state's class over to the other."""
+    chain = Ctmc(
+        states=("s", "t", "d"),
+        transition=((F(0), F(1, 2), F(1, 2)), (F(0), F(1), F(0)),
+                    (F(0), F(0), F(1))),
+        exit_rates=(F(1), F(1), F(1)),
+        labeling=("a", "b", "c"),
+    )
+    rules = tuple(Rule("q0", "a", Guard((Constraint(0, op, 1),)), frozenset(),
+                       "q0") for op in ("<", ">="))
+    rules += (Rule("q0", "b", Guard(), frozenset(), "qf"),
+              Rule("q0", "c", Guard(), frozenset(), "q0"))
+    rules += tuple(Rule("qf", a, Guard(), frozenset(), "qf") for a in "abc")
+    dta = Dta(locations=("q0", "qf"), final=frozenset({"qf"}), clocks=("x",),
+              rules=rules, alphabet=frozenset("abc"))
+    graph = build_graph(chain, dta)
+    for seed in (1, 2, 3):
+        runs = dict(n=300, seed=seed)
+        est = mc.estimate(chain, dta, graph, "s", "q0", (0.0,), **runs)
+        assert est == oracles.estimate(chain, dta, graph, "s", "q0", (0.0,),
+                                       **runs)
+        assert est.censored == 0
+        assert est.accepted + est.dead_absorbed == 300

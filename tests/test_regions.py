@@ -17,10 +17,11 @@ from pathprob.regions import (
     guard_sat,
     minus_representative,
     plus_representative,
+    per_distinct_row,
     region_count,
-    region_numbers,
     region_of,
     region_representative,
+    region_signatures,
     reset,
     sample_in_region,
     UnknownClockError,
@@ -381,13 +382,20 @@ def _valuation_rows(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(_valuation_rows())
-def test_region_numbers_match_region_of(case):
-    """The vectorised numbering equals region_of's code, numbered in
-    enumeration order, row by row."""
+def test_region_signatures_match_region_of(case):
+    """Two rows share a vectorised signature exactly when region_of gives
+    them the same code, and numbering each distinct signature at its first
+    row numbers every row as region_of does."""
     ceilings, rows = case
+    codes = [region_of(row, ceilings) for row in rows]
+    signatures = region_signatures(np.array(rows), ceilings)
+    for i, j in itertools.combinations(range(len(rows)), 2):
+        same = bool((signatures[i] == signatures[j]).all())
+        assert same == (codes[i] == codes[j])
     number = {code: r for r, code in enumerate(enumerate_region_codes(ceilings))}
-    expected = [number[region_of(row, ceilings)] for row in rows]
-    assert region_numbers(np.array(rows), ceilings).tolist() == expected
+    assert per_distinct_row(signatures,
+                            lambda i: number[codes[i]]).tolist() == [
+        number[code] for code in codes]
 
 
 def _dyadic_representative(code, ceilings):
@@ -403,11 +411,27 @@ def _dyadic_representative(code, ceilings):
             for i, opt in enumerate(code.clocks)]
 
 
-def test_region_numbers_cover_every_region():
-    """Every region gets its own number, the one of enumeration order."""
+def test_region_signatures_separate_every_region():
+    """Every region gets its own signature."""
     for ceilings in ((1,), (2, 1), (1, 0, 2), (2, 2, 2)):
         codes = enumerate_region_codes(ceilings)
         reps = [_dyadic_representative(c, ceilings) for c in codes]
         assert [region_of(r, ceilings) for r in reps] == codes
-        assert region_numbers(np.array(reps), ceilings).tolist() == list(
-            range(len(codes)))
+        signatures = region_signatures(np.array(reps), ceilings)
+        assert len({row.tobytes() for row in signatures}) == len(codes)
+
+
+def test_per_distinct_row_asks_once_at_the_first_occurrence():
+    keys = np.array([[2, 0], [1, 5], [2, 0], [1, 4], [1, 5], [2, 0]])
+    asked = []
+
+    def value_of(i):
+        asked.append(i)
+        return 10 * i
+
+    assert per_distinct_row(keys, value_of).tolist() == [0, 10, 0, 30, 10, 0]
+    assert asked == [0, 1, 3]
+    asked.clear()
+    assert per_distinct_row(np.zeros((3, 0), dtype=np.int64),
+                            value_of).tolist() == [0, 0, 0]
+    assert asked == [0]
