@@ -172,13 +172,14 @@ def per_distinct_row(keys: np.ndarray,
     ranked = keys[order]
     head = np.ones(len(order), dtype=bool)
     head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    first = order[head]
-    table = np.empty(len(first), dtype=np.int64)
-    for run in np.argsort(first).tolist():
-        table[run] = value_of(int(first[run]))
-    values = np.empty(len(order), dtype=np.int64)
-    values[order] = table[np.cumsum(head) - 1]
-    return values
+    run = np.empty(len(order), dtype=np.int64)
+    run[order] = np.cumsum(head) - 1
+    first = np.zeros(len(order), dtype=bool)
+    first[order[head]] = True
+    table = np.empty(int(head.sum()), dtype=np.int64)
+    for i in np.flatnonzero(first).tolist():
+        table[run[i]] = value_of(i)
+    return table[run]
 
 
 # ---------------------------------------------------------------------------
