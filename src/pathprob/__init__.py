@@ -22,7 +22,6 @@ from .modelio import parse_model, parse_model_text, serialize_model
 from .product import ProductGraph, ProductVertex, build_graph, classify, contraction_constant
 from .scheme import (
     Grid,
-    GridPoint,
     SchemeSystem,
     assemble_gamma_double,
     assemble_gamma_prime,

@@ -193,7 +193,7 @@ def _cmd_bound(args) -> int:
     _emit(
         {
             "m": report.m,
-            "rho": report.rho,
+            "rho": 1.0 / report.m,
             "|V|": report.vertex_count,
             "\U0001d520": report.contraction,
             "M1": report.m1,

@@ -158,16 +158,13 @@ def _scalar_step(indptr, indices, data, offset, x, start, rank, rows):
 
 def gauss_seidel_sweep(indptr, indices, data, offset, x, plan: SweepPlan):
     """One in-place Gauss-Seidel pass of ``x = M x + offset`` in horizon
-    order, following ``plan``.  Returns the largest absolute update."""
+    order, following ``plan``."""
     start = x.copy()
-    largest = 0.0
     for lo, hi, counts in plan.steps:
         rows = plan.order[lo:hi]
         args = (indptr, indices, data, offset, x, start, plan.rank, rows)
         new = _scalar_step(*args) if counts is None else _wide_step(*args, counts)
-        largest = max(largest, float(np.abs(new - start[rows]).max()))
         x[rows] = new
-    return largest
 
 
 def max_residual(indptr, indices, data, offset, x):

@@ -224,7 +224,7 @@ def result_document(result: ApproxResult, timing: float) -> dict:
         "theoretical_bound": report.theoretical_bound,
         "empirical_error_estimate": report.empirical_estimate,
         "m": report.m,
-        "rho": report.rho,
+        "rho": 1.0 / report.m,
         "grid_size": result.grid_points,
         "|V|": report.vertex_count,
         "\U0001d520": report.contraction,

@@ -28,23 +28,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, Iterator, NamedTuple, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from . import regions
 from .models import Ctmc, Dta, ModelConstants
-from .product import ALIVE_CLASS, CLASS_NAMES, ProductGraph
+from .product import ALIVE_CLASS, ProductGraph
 
 GAMMA_PRIME = "gamma_prime"
 GAMMA_DOUBLE = "gamma_double"
-
-
-class GridPoint(NamedTuple):
-    state: str
-    location: str
-    valuation: tuple
 
 
 def grid_cells(chain: Ctmc, dta: Dta, m: int) -> int:
@@ -70,9 +63,11 @@ class Grid:
     ``to_final`` whether the rule enabled immediately after the point
     leads to a final location.  The rule comes from the rule table at the
     point's region, and its reset applies to the grid valuation itself.
-    Exact rationals are made only where callers see points: :attr:`b_m`
-    and :attr:`index` (built on first use), :meth:`points`,
-    :meth:`class_at` and :meth:`horizon`.
+    The cell is the only form of a grid point: :meth:`cell` numbers the
+    point with given integer coordinates (the numerators of its valuation
+    over m), and ``horizons[k]`` is the horizon of row k.  A query's exact
+    start valuation becomes integer coordinates in one place,
+    :func:`pathprob.solver._snap_to_grid`.
     """
 
     def __init__(self, chain: Ctmc, dta: Dta, graph: ProductGraph, m: int):
@@ -82,7 +77,6 @@ class Grid:
         self.dta = dta
         self.graph = graph
         self.m = m
-        self.rho = Fraction(1, m)
         self.ceilings = dta.ceilings
         self.max_coords = tuple(m * c for c in dta.ceilings)
         self.d_m_size = grid_cells(chain, dta, m)
@@ -119,6 +113,14 @@ class Grid:
         )
         self.horizons = self._horizons()
 
+    def cell(self, state: str, location: str, coords: Sequence[int]) -> int:
+        """Cell number of the point with integer coordinates ``coords``."""
+        place = (self.chain.state_index(state) * len(self.dta.locations)
+                 + self.dta.locations.index(location))
+        return place * self.box_size + sum(
+            j * stride for j, stride in zip(coords, self.strides)
+        )
+
     # -- horizons ----------------------------------------------------------
 
     def _horizons(self) -> np.ndarray:
@@ -134,64 +136,6 @@ class Grid:
             steps = steps + steps[after]
             after = after[after]
         return steps[:n]
-
-    # -- exact points ------------------------------------------------------
-
-    def valuation(self, coords: tuple) -> tuple:
-        return tuple(Fraction(j, self.m) for j in coords)
-
-    def coords(self, valuation: Sequence) -> tuple:
-        out = []
-        for i, v in enumerate(valuation):
-            j = Fraction(v) * self.m
-            if j.denominator != 1 or not 0 <= j <= self.max_coords[i]:
-                raise ValueError(f"{tuple(valuation)} is not on the {self.m}-grid")
-            out.append(int(j))
-        return tuple(out)
-
-    def cell(self, state: str, location: str, coords: Sequence[int]) -> int:
-        """Cell number of the point with integer coordinates ``coords``."""
-        place = (self.chain.state_index(state) * len(self.dta.locations)
-                 + self.dta.locations.index(location))
-        return place * self.box_size + sum(
-            j * stride for j, stride in zip(coords, self.strides)
-        )
-
-    def _point(self, cell: int) -> GridPoint:
-        place, b = divmod(cell, self.box_size)
-        s, q = divmod(place, len(self.dta.locations))
-        coords = tuple(b // stride % (mc + 1)
-                       for stride, mc in zip(self.strides, self.max_coords))
-        return GridPoint(self.chain.states[s], self.dta.locations[q],
-                         self.valuation(coords))
-
-    def _cell_of(self, point: GridPoint) -> int:
-        return self.cell(point.state, point.location,
-                         self.coords(point.valuation))
-
-    @cached_property
-    def b_m(self) -> Tuple[GridPoint, ...]:
-        """The unknowns as exact points, in row order."""
-        return tuple(self._point(c) for c in self.cells.tolist())
-
-    @cached_property
-    def index(self) -> Dict[GridPoint, int]:
-        """Row of each unknown, keyed by its exact point."""
-        return {point: k for k, point in enumerate(self.b_m)}
-
-    def class_at(self, point: GridPoint) -> str:
-        return CLASS_NAMES[self.cell_class[self._cell_of(point)]]
-
-    def points(self) -> Iterator[Tuple[GridPoint, str]]:
-        """Every grid point with its class, in cell order."""
-        for c, cls in enumerate(self.cell_class.tolist()):
-            yield self._point(c), CLASS_NAMES[cls]
-
-    def horizon(self, point: GridPoint) -> int:
-        k = int(self.slot_of[self._cell_of(point)])
-        if k < 0:
-            raise ValueError(f"{point} is not an unknown of the scheme")
-        return int(self.horizons[k])
 
 
 def build_grid(chain: Ctmc, dta: Dta, graph: ProductGraph, m: int) -> Grid:
@@ -213,14 +157,6 @@ class SchemeSystem:
     def size(self) -> int:
         return len(self.offset)
 
-    @property
-    def horizons(self) -> np.ndarray:
-        return self.grid.horizons
-
-    @property
-    def rho(self) -> Fraction:
-        return self.grid.rho
-
     def dense(self) -> Tuple[np.ndarray, np.ndarray]:
         n = self.size
         mat = np.zeros((n, n))
@@ -233,7 +169,8 @@ class SchemeSystem:
 def _weights(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     """Per row, the delay weight ``1/(1+rho*lambda)`` and the jump weight
     ``rho*lambda/(1+rho*lambda)`` of its state."""
-    rho_lam = np.array([float(grid.rho * rate) for rate in grid.chain.exit_rates])
+    rho_lam = np.array([float(Fraction(rate, grid.m))
+                        for rate in grid.chain.exit_rates])
     return ((1.0 / (1.0 + rho_lam))[grid.row_state],
             (rho_lam / (1.0 + rho_lam))[grid.row_state])
 
@@ -327,12 +264,16 @@ def scaled_error_constants(constants: ModelConstants) -> Tuple[float, float, flo
     Computed in floating point and rounded up one ulp each so reported
     bounds stay on the safe side.  When no guard constrains a clock
     (``t_max == 0``, which includes an automaton without clocks) all three
-    are exactly zero and are returned as such.
+    are exactly zero and are returned as such; when ``exp(lambda*t_max)``
+    exceeds the float range, all three are infinite.
     """
     if constants.t_max == 0:
         return 0.0, 0.0, 0.0
     lam_t = float(constants.lambda_max * constants.t_max)
-    m1 = constants.clock_count * lam_t * math.exp(lam_t)
+    try:
+        m1 = constants.clock_count * lam_t * math.exp(lam_t)
+    except OverflowError:
+        m1 = math.inf
     m2 = 2.0 * float(constants.lambda_max) * m1
     m3 = constants.t_max * m2
     up = lambda v: math.nextafter(v, math.inf)  # noqa: E731

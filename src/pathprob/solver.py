@@ -40,6 +40,8 @@ from .scheme import (
 
 DIRECT_LIMIT = 3000
 MAX_SWEEPS = 5000
+TOLERANCE = 1e-10  # residual at which the sweeps stop
+MAX_GRID_CELLS = 5_000_000  # largest grid a query builds
 
 
 class SolverError(RuntimeError):
@@ -82,14 +84,10 @@ class Solution:
             return 0.0
         return float(self.values[grid.slot_of[cell]])
 
-    def value_at(self, state: str, location: str, valuation: Sequence) -> float:
-        grid = self.system.grid
-        return self.value_of(grid.cell(state, location, grid.coords(valuation)))
-
 
 def solve(
     system: SchemeSystem,
-    tol: float = 1e-10,
+    tol: float = TOLERANCE,
     max_sweeps: int = MAX_SWEEPS,
     x0: Optional[np.ndarray] = None,
 ) -> Solution:
@@ -107,7 +105,7 @@ def solve(
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (n,):
         raise ValueError(f"start vector has shape {x.shape}, expected ({n},)")
-    plan = kernels.sweep_plan(system.indptr, system.indices, system.horizons)
+    plan = kernels.sweep_plan(system.indptr, system.indices, system.grid.horizons)
 
     args = (system.indptr, system.indices, system.data, system.offset)
     residual = math.inf
@@ -158,8 +156,9 @@ def solve(
 class ErrorReport:
     """All constants feeding the a-priori bound, reported verbatim.
 
-    ``theoretical_bound`` is |V| * c^(-|V|) * M3 * rho, astronomically large
-    for most models; it is still the honest guarantee.  The optional
+    ``theoretical_bound`` is |V| * c^(-|V|) * M3 * rho with rho = 1/m,
+    astronomically large for most models and infinite beyond the float
+    range; it is still the honest guarantee.  The optional
     ``empirical_estimate`` is ``|v_m - v_2m|``, a heuristic and clearly not
     a bound.  On a first-order scheme it tracks the error of the 2m value
     and under-reports that of the reported ``v_m``, which is about twice
@@ -168,7 +167,6 @@ class ErrorReport:
     """
 
     m: int
-    rho: float
     m1: float
     m2: float
     m3: float
@@ -195,6 +193,8 @@ def error_report(
     n = graph.vertex_count
     if m3 == 0.0:
         bound = 0.0
+    elif c == 0.0:  # exp(-lambda*t_max) underflowed: no finite guarantee
+        bound = math.inf
     else:
         log_bound = math.log(n) - n * math.log(c) + math.log(m3) - math.log(m)
         bound = math.inf if log_bound > 709.0 else math.nextafter(
@@ -202,7 +202,6 @@ def error_report(
         )
     return ErrorReport(
         m=m,
-        rho=1.0 / m,
         m1=m1,
         m2=m2,
         m3=m3,
@@ -231,12 +230,11 @@ def _analysis(chain: Ctmc, dta: Dta) -> Tuple[ModelConstants, ProductGraph]:
     return model_constants(chain, dta), build_graph(chain, dta)
 
 
-@lru_cache(maxsize=8)
-def _solved(chain: Ctmc, dta: Dta, m: int, tol: float) -> Tuple[Grid, Solution]:
+@lru_cache(maxsize=2)  # a query reuses the m and 2m grids, no more
+def _solved(chain: Ctmc, dta: Dta, m: int) -> Tuple[Grid, Solution]:
     _, graph = _analysis(chain, dta)
     grid = build_grid(chain, dta, graph, m)
-    solution = solve(assemble_gamma_prime(grid), tol=tol)
-    return grid, solution
+    return grid, solve(assemble_gamma_prime(grid))
 
 
 def _snap_to_grid(eta: Sequence, ceilings: Sequence[int], m: int):
@@ -270,9 +268,7 @@ def approximate(
     m: Optional[int] = None,
     epsilon: Optional[float] = None,
     force_empirical: bool = False,
-    tol: float = 1e-10,
     with_empirical: bool = False,
-    max_grid_cells: int = 5_000_000,
 ) -> ApproxResult:
     """Approximate the acceptance probability from one starting triple.
 
@@ -280,7 +276,7 @@ def approximate(
     must be given.  The start valuation is clamped into the ceiling box and
     snapped to the nearest grid point; the Lipschitz slack of the snap is
     part of the report.  Final locations answer exactly 1 and dead start
-    vertices exactly 0, without solving.  A grid above ``max_grid_cells``
+    vertices exactly 0, without solving.  A grid above :data:`MAX_GRID_CELLS`
     cells (counting the ``2m`` grid of ``with_empirical``) is refused with
     :class:`ValueError` before it is built.
     """
@@ -297,7 +293,7 @@ def approximate(
             raise ValueError("epsilon must lie in (0,1)")
         probe = error_report(graph, constants, 1)
         m_req = _required_m(probe, epsilon)
-        if m_req > 0 and grid_cells(chain, dta, m_req) <= max_grid_cells:
+        if m_req > 0 and grid_cells(chain, dta, m_req) <= MAX_GRID_CELLS:
             m = m_req
         elif not force_empirical:
             raise BoundInfeasibleError(
@@ -307,8 +303,7 @@ def approximate(
                 m_required=m_req,
             )
         else:
-            m = _empirical_m(chain, dta, state, location, eta, epsilon,
-                             tol, max_grid_cells)
+            m = _empirical_m(chain, dta, state, location, eta, epsilon)
 
     shortcut = _shortcut(graph, state, location, eta)
     if shortcut is not None:
@@ -318,26 +313,27 @@ def approximate(
 
     largest = 2 * m if with_empirical else m
     cells = grid_cells(chain, dta, largest)
-    if cells > max_grid_cells:
+    if cells > MAX_GRID_CELLS:
         raise ValueError(
             f"the m = {largest} grid has {cells} cells, above the limit "
-            f"max_grid_cells = {max_grid_cells}"
+            f"max_grid_cells = {MAX_GRID_CELLS}"
         )
 
     coords, distance = _snap_to_grid(eta, dta.ceilings, m)
-    grid, solution = _solved(chain, dta, m, tol)
+    grid, solution = _solved(chain, dta, m)
     value = solution.value_of(grid.cell(state, location, coords))
 
     empirical = None
     if with_empirical:
-        finer_grid, finer = _solved(chain, dta, 2 * m, tol)
+        finer_grid, finer = _solved(chain, dta, 2 * m)
         doubled = [2 * j for j in coords]
         empirical = abs(value - finer.value_of(
             finer_grid.cell(state, location, doubled)
         ))
     report = error_report(graph, constants, m, empirical_estimate=empirical)
     report.snap_distance = float(distance)
-    report.snap_slack = report.m1 * float(distance)
+    if distance:  # an infinite M1 times a zero snap is no slack, not NaN
+        report.snap_slack = report.m1 * float(distance)
     return ApproxResult(value, report, solution.residual, grid.d_m_size)
 
 
@@ -351,22 +347,22 @@ def _shortcut(graph: ProductGraph, state: str, location: str, eta) -> Optional[f
     return None
 
 
-def _empirical_m(chain, dta, state, location, eta, epsilon, tol, max_grid_cells):
+def _empirical_m(chain, dta, state, location, eta, epsilon):
     """Richardson-style sizing: double m until successive values differ by
     at most epsilon/2 (first-order scheme, so the difference tracks the
     error of the finer grid)."""
     m = 8
     previous = None
-    while grid_cells(chain, dta, m) <= max_grid_cells:
+    while grid_cells(chain, dta, m) <= MAX_GRID_CELLS:
         coords, _ = _snap_to_grid(eta, dta.ceilings, m)
-        grid, solution = _solved(chain, dta, m, tol)
+        grid, solution = _solved(chain, dta, m)
         value = solution.value_of(grid.cell(state, location, coords))
         if previous is not None and abs(value - previous) <= epsilon / 2:
             return m
         previous = value
         m *= 2
     raise BoundInfeasibleError(
-        f"empirical sizing exceeded {max_grid_cells} grid cells before "
+        f"empirical sizing exceeded {MAX_GRID_CELLS} grid cells before "
         f"successive values settled within {epsilon / 2}",
         m_required=m,
     )

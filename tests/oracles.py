@@ -10,7 +10,8 @@ the one-pass DTA validator against the interval-box overlap check and
 region cover sweep it replaced, the product graph against the
 per-(location, label, region) delay walk it replaced, and the grid and
 both assemblies against the dict-keyed, point-by-point versions they
-replaced.
+replaced.  :func:`decode` reads a cell of the package's grid back as its
+state, location and integer coordinates.
 """
 
 import itertools
@@ -34,7 +35,7 @@ from pathprob.product import (
 )
 from pathprob.regions import frac_part, int_part, plus_representative, region_of
 from pathprob.scheme import (
-    GAMMA_DOUBLE, GAMMA_PRIME, GridPoint, SchemeSystem, grid_cells,
+    GAMMA_DOUBLE, GAMMA_PRIME, SchemeSystem, grid_cells,
 )
 
 
@@ -728,6 +729,25 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
 # (state, location, coords) and assembled each row as a dict, one point at
 # a time.  The package numbers every grid point as one integer cell and
 # assembles from per-row arrays; both must give the same arrays.
+
+
+def decode(grid, cell: int) -> Tuple[str, str, tuple]:
+    """State, location and integer coordinates (the numerators of the
+    valuation over m) of a cell of the package's grid, by dividing the cell
+    number ``(state * L + location) * B + b`` apart again."""
+    place, b = divmod(int(cell), grid.box_size)
+    s, q = divmod(place, len(grid.dta.locations))
+    coords = []
+    for mc in reversed(grid.max_coords):
+        b, j = divmod(b, mc + 1)
+        coords.append(j)
+    return grid.chain.states[s], grid.dta.locations[q], tuple(reversed(coords))
+
+
+class GridPoint(NamedTuple):
+    state: str
+    location: str
+    valuation: tuple
 
 
 class Grid:

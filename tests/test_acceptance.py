@@ -16,7 +16,7 @@ from pathprob import mc
 from pathprob.cli import cli_main
 from pathprob.dynamics import Configuration, accepted_within
 from pathprob.models import model_constants
-from pathprob.product import DEAD, FINAL, contraction_constant
+from pathprob.product import CLASS_NAMES, DEAD, FINAL, contraction_constant
 from pathprob.regions import (
     delay,
     enumerate_region_codes,
@@ -36,6 +36,7 @@ from pathprob.scheme import (
 from pathprob.solver import approximate, solve
 from oracles import (
     bound_equivalent_partner,
+    decode,
     is_marginal,
     random_valuation,
     solve_dense,
@@ -94,7 +95,9 @@ def test_criterion_2_first_order_convergence(unit_deadline, unit_graph):
     values = {}
     for m in (8, 16, 32, 64, 128):
         grid = build_grid(*unit_deadline, unit_graph, m)
-        values[m] = solve(assemble_gamma_prime(grid)).value_at("s", "q0", (F(0),))
+        values[m] = solve(assemble_gamma_prime(grid)).value_of(
+            grid.cell("s", "q0", (0,))
+        )
     ratios = {
         m: abs(values[m] - EXACT_UNIT) / abs(values[2 * m] - EXACT_UNIT)
         for m in (8, 16, 32, 64)
@@ -139,13 +142,13 @@ def test_criterion_4_monte_carlo_cross_validation(exposure_window,
                                                   exposure_graph):
     started = time.perf_counter()
     chain, dta = exposure_window
-    query = ("a", "q0", (F(0), F(0)))
-    fine = solve(
-        assemble_gamma_prime(build_grid(chain, dta, exposure_graph, 64))
-    ).value_at(*query)
-    coarse = solve(
-        assemble_gamma_prime(build_grid(chain, dta, exposure_graph, 32))
-    ).value_at(*query)
+    query = ("a", "q0", (0, 0))
+    fine_grid = build_grid(chain, dta, exposure_graph, 64)
+    fine = solve(assemble_gamma_prime(fine_grid)).value_of(fine_grid.cell(*query))
+    coarse_grid = build_grid(chain, dta, exposure_graph, 32)
+    coarse = solve(assemble_gamma_prime(coarse_grid)).value_of(
+        coarse_grid.cell(*query)
+    )
     est = mc.estimate(chain, dta, exposure_graph, "a", "q0", (0.0, 0.0),
                       n=100_000, seed=20240)
     elapsed = time.perf_counter() - started
@@ -167,12 +170,12 @@ def test_criterion_5_boundary_exactness(unit_deadline, unit_graph,
                          (exposure_window, exposure_graph)):
         grid = build_grid(*model, graph, 16)
         solution = solve(assemble_gamma_prime(grid))
-        for point, cls in grid.points():
+        for cell, cls in enumerate(grid.cell_class.tolist()):
             total += 1
-            value = solution.value_at(*point)
-            if cls == DEAD and value != 0.0:
+            value = solution.value_of(cell)
+            if CLASS_NAMES[cls] == DEAD and value != 0.0:
                 failures += 1
-            if cls == FINAL and value != 1.0:
+            if CLASS_NAMES[cls] == FINAL and value != 1.0:
                 failures += 1
         # final-location and dead-vertex queries through the one-shot API
         final_q = next(iter(model[1].final))
@@ -265,20 +268,23 @@ def test_criterion_7_lipschitz_grid_consistency(unit_deadline, unit_graph,
         coarse_grid = build_grid(*model, graph, 16)
         coarse = solve(assemble_gamma_prime(coarse_grid))
         empirical = 0.0
-        for point in coarse_grid.b_m:
+        for cell in coarse_grid.cells.tolist():
+            state, location, coords = decode(coarse_grid, cell)
+            on_fine = fine_grid.cell(state, location, [2 * j for j in coords])
             empirical = max(
                 empirical,
-                abs(fine.value_at(*point) - coarse.value_at(*point)),
+                abs(fine.value_of(on_fine) - coarse.value_of(cell)),
             )
         allowance = m1 / 32 + 2 * empirical
-        index = fine_grid.index
-        for k, point in enumerate(fine_grid.b_m):
-            for clock in range(len(point.valuation)):
-                shifted = list(point.valuation)
-                shifted[clock] += F(1, 32)
-                neighbour = point._replace(valuation=tuple(shifted))
-                j = index.get(neighbour)
-                if j is None:
+        for k, cell in enumerate(fine_grid.cells.tolist()):
+            state, location, coords = decode(fine_grid, cell)
+            for clock in range(len(coords)):
+                shifted = list(coords)
+                shifted[clock] += 1  # one step of 1/32
+                if shifted[clock] > fine_grid.max_coords[clock]:
+                    continue
+                j = fine_grid.slot_of[fine_grid.cell(state, location, shifted)]
+                if j < 0:
                     continue
                 gap = abs(fine.values_raw[k] - fine.values_raw[j])
                 worst_excess = max(worst_excess, gap - allowance)

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from pathprob import modelio
+from pathprob import modelio, solver
 from pathprob.cli import cli_main, parse_valuation
 from pathprob.product import MAX_VERTICES
 
@@ -171,6 +171,7 @@ def test_bound_subcommand(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["m_min"] == 1153
+    assert doc["rho"] == pytest.approx(1 / 1153)
     assert doc["below_threshold"] is False
     assert doc["M1"] == pytest.approx(math.e, rel=1e-12)
     assert doc["M2"] == pytest.approx(2 * math.e, rel=1e-12)
@@ -284,6 +285,45 @@ def test_epsilon_with_empirical_fallback(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["probability"] - (1 - math.exp(-1))) < 0.05
+
+
+def test_force_empirical_solves_its_final_grid_once(capsys):
+    """The doubling solves each grid once and the answer reuses the last
+    one; the solved-grid cache holds no more than the m and 2m grids."""
+    solver._solved.cache_clear()
+    code, out, _ = run(
+        capsys, "solve", "--model", UNIT, "--state", "s", "--location", "q0",
+        "--epsilon", "1e-3", "--force-empirical",
+    )
+    assert code == 0
+    m = json.loads(out)["m"]
+    info = solver._solved.cache_info()
+    assert info.misses == m.bit_length() - 3  # m = 8, 16, ..., m
+    assert info.hits == 1
+    assert info.currsize <= 2
+
+
+def test_fast_chain_reports_infinite_bounds(tmp_path, capsys):
+    """At rate 800, exp(lambda*t_max) overflows and exp(-lambda*t_max)
+    underflows: the constants and the bound read infinite, and the
+    probability is still answered."""
+    doc = json.loads(pathlib.Path(UNIT).read_text())
+    for state in doc["ctmc"]["states"]:
+        state["rate"] = "800"
+    model = tmp_path / "fast.json"
+    model.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "solve", "--model", str(model), "--state", "s",
+                       "--location", "q0", "--grid", "8")
+    assert code == 0
+    solved = json.loads(out)
+    assert 0.0 <= solved["probability"] <= 1.0
+    assert solved["snap_slack"] == 0.0
+    code, out, _ = run(capsys, "bound", "--model", str(model), "--grid", "8")
+    assert code == 0
+    for doc in (solved, json.loads(out)):
+        for name in ("M1", "M2", "M3", "theoretical_bound"):
+            assert doc[name] == math.inf, name
+    assert '"theoretical_bound": Infinity' in out
 
 
 def test_oversized_grid_is_refused_promptly(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pathprob.modelio import validate_pair
 from pathprob.models import Ctmc, Dta, Guard, Rule
-from pathprob.product import ALIVE, DEAD, FINAL, build_graph
+from pathprob.product import ALIVE, CLASS_NAMES, DEAD, FINAL, build_graph
 from pathprob.scheme import assemble_gamma_double, assemble_gamma_prime, build_grid
 from pathprob.solver import approximate
 import oracles
@@ -32,11 +32,14 @@ def assert_same_grid(chain, dta, graph, m):
     got = build_grid(chain, dta, graph, m)
     want = oracles.Grid(chain, dta, graph, m)
     assert got.d_m_size == want.d_m_size
-    assert got.b_m == want.b_m
     points = list(want.points())
-    assert list(got.points()) == points
-    for point, cls in points:
-        assert got.class_at(point) == cls, point
+    assert len(points) == got.d_m_size
+    for cell, (point, cls) in enumerate(points):
+        state, location, coords = oracles.decode(got, cell)
+        assert oracles.GridPoint(state, location, want.valuation(coords)) == point
+        assert got.cell(state, location, coords) == cell, point
+        assert CLASS_NAMES[got.cell_class[cell]] == cls, point
+    assert [points[c][0] for c in got.cells.tolist()] == list(want.b_m)
     for assemble, reference in ASSEMBLERS:
         a, b = assemble(got), reference(want)
         assert a.kind == b.kind
@@ -101,7 +104,7 @@ def test_grid_matches_reference_without_clocks():
         assert_same_grid(chain, dta, graph, m)
     grid = build_grid(chain, dta, graph, 4)
     assert grid.d_m_size == 9 and grid.is_bmax.all()
-    assert [cls for _, cls in grid.points()] == [
+    assert [CLASS_NAMES[cls] for cls in grid.cell_class.tolist()] == [
         ALIVE, DEAD, FINAL, ALIVE, DEAD, FINAL, DEAD, DEAD, FINAL,
     ]
 

@@ -171,17 +171,20 @@ def test_oracle_agrees_with_grid_on_sampled_vertices(model_name, graph_name,
     graph = request.getfixturevalue(graph_name)
     coarse_grid = build_grid(chain, dta, graph, 16)
     coarse = solve(assemble_gamma_prime(coarse_grid))
-    fine = solve(assemble_gamma_prime(build_grid(chain, dta, graph, 32)))
+    fine_grid = build_grid(chain, dta, graph, 32)
+    fine = solve(assemble_gamma_prime(fine_grid))
     rng = np.random.default_rng(404)
-    picks = rng.choice(len(coarse_grid.b_m), size=3, replace=False)
+    picks = rng.choice(len(coarse_grid.cells), size=3, replace=False)
     for k in picks:
         # coarse unknowns sit on both grids, so the resolutions compare
-        point = coarse_grid.b_m[int(k)]
-        value = fine.value_at(*point)
-        grid_error = abs(value - coarse.value_at(*point))
+        cell = int(coarse_grid.cells[k])
+        state, location, coords = oracles.decode(coarse_grid, cell)
+        doubled = [2 * j for j in coords]
+        value = fine.value_of(fine_grid.cell(state, location, doubled))
+        grid_error = abs(value - coarse.value_of(cell))
         est = mc.estimate(
-            chain, dta, graph, point.state, point.location,
-            [float(v) for v in point.valuation], n=20_000, seed=505,
+            chain, dta, graph, state, location,
+            [j / 16 for j in coords], n=20_000, seed=505,
         )
         assert abs(value - est.p_hat) <= est.halfwidth + grid_error + 1e-12
 

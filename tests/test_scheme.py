@@ -1,28 +1,34 @@
 import hashlib
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pathprob.models import model_constants
-from pathprob.product import ALIVE, DEAD
+from pathprob.product import ALIVE, CLASS_NAMES, DEAD
 from pathprob.scheme import (
-    GridPoint,
     assemble_gamma_double,
     assemble_gamma_prime,
     build_grid,
     scaled_error_constants,
 )
 from pathprob.solver import solve
-from oracles import row, unfolded_dense_system
-
-F = Fraction
+from oracles import decode, row, unfolded_dense_system
 
 
 @pytest.fixture(scope="module")
 def unit_grid4(unit_deadline, unit_graph):
     return build_grid(*unit_deadline, unit_graph, 4)
+
+
+def _row(grid, state, location, coords):
+    """Row of the point with integer coordinates ``coords``, -1 when it is
+    not an unknown."""
+    return int(grid.slot_of[grid.cell(state, location, coords)])
+
+
+def _class(grid, cell):
+    return CLASS_NAMES[grid.cell_class[cell]]
 
 
 def test_grid_size_is_combinatorial(unit_grid4, exposure_window, exposure_graph):
@@ -32,16 +38,17 @@ def test_grid_size_is_combinatorial(unit_grid4, exposure_window, exposure_graph)
 
 
 def test_ceiling_point_is_dead_and_excluded(unit_grid4):
-    point = GridPoint("s", "q0", (F(1),))
-    assert unit_grid4.class_at(point) == DEAD
-    assert point not in unit_grid4.index
+    cell = unit_grid4.cell("s", "q0", (4,))  # x = 1
+    assert _class(unit_grid4, cell) == DEAD
+    assert unit_grid4.slot_of[cell] == -1
 
 
 def test_b_m_membership(unit_grid4):
-    assert len(unit_grid4.b_m) == 4
-    for point in unit_grid4.b_m:
-        assert point.state == "s" and point.location == "q0"
-        assert unit_grid4.class_at(point) == ALIVE
+    assert len(unit_grid4.cells) == 4
+    for cell in unit_grid4.cells.tolist():
+        state, location, _ = decode(unit_grid4, cell)
+        assert state == "s" and location == "q0"
+        assert _class(unit_grid4, cell) == ALIVE
     assert not unit_grid4.is_bmax.any()  # the all-ceilings point is dead here
 
 
@@ -49,17 +56,16 @@ def test_bmax_points_sit_on_all_ceilings(departure, departure_graph):
     grid = build_grid(*departure, departure_graph, 8)
     flags = grid.is_bmax
     assert flags.sum() == 1
-    boundary = [p for k, p in enumerate(grid.b_m) if flags[k]]
-    assert boundary[0].valuation == (F(1),)
-    assert grid.horizon(boundary[0]) == 0
+    boundary = np.flatnonzero(flags)
+    assert decode(grid, grid.cells[boundary[0]])[2] == (8,)  # x = 1
+    assert grid.horizons[boundary[0]] == 0
 
 
 def test_horizons_by_forward_scan(unit_grid4):
-    assert unit_grid4.horizon(GridPoint("s", "q0", (F(1, 2),))) == 2
-    assert unit_grid4.horizon(GridPoint("s", "q0", (F(0),))) == 4
-    assert unit_grid4.horizon(GridPoint("s", "q0", (F(3, 4),))) == 1
-    with pytest.raises(ValueError):
-        unit_grid4.horizon(GridPoint("s", "q0", (F(1),)))
+    assert unit_grid4.horizons[_row(unit_grid4, "s", "q0", (2,))] == 2
+    assert unit_grid4.horizons[_row(unit_grid4, "s", "q0", (0,))] == 4
+    assert unit_grid4.horizons[_row(unit_grid4, "s", "q0", (3,))] == 1
+    assert _row(unit_grid4, "s", "q0", (4,)) == -1  # not an unknown
 
 
 def test_horizon_bounded_by_box_diameter(exposure_window, exposure_graph):
@@ -72,24 +78,26 @@ def test_one_step_row_shape_interior(unit_grid4):
     """Interior row: dead delay neighbour contributes nothing, the final
     jump successor folds 1/1.25 ratios into the constant."""
     system = assemble_gamma_prime(unit_grid4)
-    k = unit_grid4.index[GridPoint("s", "q0", (F(3, 4),))]
+    k = _row(unit_grid4, "s", "q0", (3,))
     assert row(system, k) == {}
     assert system.offset[k] == pytest.approx(0.25 / 1.25, abs=1e-15)
     solution = solve(system)
-    assert solution.value_at("s", "q0", (F(3, 4),)) == pytest.approx(0.2, abs=1e-14)
+    assert solution.value_of(unit_grid4.cell("s", "q0", (3,))) == pytest.approx(
+        0.2, abs=1e-14
+    )
 
 
 def test_one_step_row_couples_to_delay_neighbour(unit_grid4):
     system = assemble_gamma_prime(unit_grid4)
-    k = unit_grid4.index[GridPoint("s", "q0", (F(1, 2),))]
-    j = unit_grid4.index[GridPoint("s", "q0", (F(3, 4),))]
+    k = _row(unit_grid4, "s", "q0", (2,))
+    j = _row(unit_grid4, "s", "q0", (3,))
     assert row(system, k) == {j: pytest.approx(1 / 1.25, abs=1e-15)}
 
 
 def test_closed_form_chain_value(unit_grid4):
     system = assemble_gamma_prime(unit_grid4)
     solution = solve(system)
-    assert solution.value_at("s", "q0", (F(0),)) == pytest.approx(
+    assert solution.value_of(unit_grid4.cell("s", "q0", (0,))) == pytest.approx(
         1 - (1 + 0.25) ** -4, abs=1e-14
     )
 
@@ -98,19 +106,19 @@ def test_boundary_row_is_convex_combination_without_self_term(departure,
                                                               departure_graph):
     grid = build_grid(*departure, departure_graph, 4)
     system = assemble_gamma_prime(grid)
-    k = grid.index[GridPoint("w", "q0", (F(1),))]
+    k = _row(grid, "w", "q0", (4,))
     # the only successor is the final location, so the row is empty and the
     # constant carries the full jump mass
     assert row(system, k) == {}
     assert system.offset[k] == 1.0
     # interior rows of this model carry a genuine self-loop column
-    j = grid.index[GridPoint("w", "q0", (F(1, 2),))]
+    j = _row(grid, "w", "q0", (2,))
     assert j in row(system, j)
 
 
 def test_unfolded_row_matches_hand_expansion(unit_grid4):
     system = assemble_gamma_double(unit_grid4)
-    k = unit_grid4.index[GridPoint("s", "q0", (F(1, 2),))]
+    k = _row(unit_grid4, "s", "q0", (2,))
     assert row(system, k) == {}
     assert system.offset[k] == pytest.approx(0.36, abs=1e-14)
 
@@ -119,8 +127,7 @@ def test_unfolded_offsets_telescope(unit_grid4):
     """All successors final and a dead tail: the offset is 1 - a^N."""
     system = assemble_gamma_double(unit_grid4)
     a = 1 / 1.25
-    for k, point in enumerate(unit_grid4.b_m):
-        n = unit_grid4.horizons[k]
+    for k, n in enumerate(unit_grid4.horizons):
         assert row(system, k) == {}
         assert system.offset[k] == pytest.approx(1 - a ** n, abs=1e-13)
 
@@ -142,9 +149,7 @@ def test_unfolded_assembly_against_independent_transcription(
     unknowns, mat, off = unfolded_dense_system(chain, dta, exposure_graph, 4)
     assert len(unknowns) == system.size
     for k, (s, q, coords) in enumerate(unknowns):
-        point = GridPoint(s, q, tuple(F(j, 4) for j in coords))
-        kk = grid.index[point]
-        assert kk == k  # identical canonical ordering
+        assert _row(grid, s, q, coords) == k  # identical canonical ordering
         packed = row(system, k)
         dense_row = {j: mat[k, j] for j in np.nonzero(mat[k])[0]}
         assert set(packed) == set(dense_row)
@@ -168,7 +173,7 @@ def test_unknown_columns_never_point_at_dead_or_final(exposure_window,
     grid = build_grid(*exposure_window, exposure_graph, 4)
     system = assemble_gamma_prime(grid)
     for j in system.indices:
-        assert grid.class_at(grid.b_m[int(j)]) == ALIVE
+        assert _class(grid, grid.cells[j]) == ALIVE
 
 
 def test_grid_closure_under_step_and_jump(exposure_window, exposure_graph):
@@ -176,18 +181,18 @@ def test_grid_closure_under_step_and_jump(exposure_window, exposure_graph):
     points themselves; the delay row names the stepped point whenever that
     point is an unknown."""
     grid = build_grid(*exposure_window, exposure_graph, 4)
-    n = len(grid.b_m)
-    for k, point in enumerate(grid.b_m):
-        coords = grid.coords(point.valuation)
+    n = len(grid.cells)
+    for k, cell in enumerate(grid.cells.tolist()):
+        state, location, coords = decode(grid, cell)
         stepped = tuple(min(j + 1, mx) for j, mx in zip(coords, grid.max_coords))
         assert all(0 <= j <= mx for j, mx in zip(stepped, grid.max_coords))
-        neighbour = point._replace(valuation=grid.valuation(stepped))
+        neighbour = grid.cell(state, location, stepped)
         nxt = int(grid.delay_row[k])
         assert -1 <= nxt < n
         if nxt >= 0:
-            assert grid.b_m[nxt] == neighbour
+            assert grid.cells[nxt] == neighbour
         elif not grid.is_bmax[k]:
-            assert grid.class_at(neighbour) != ALIVE
+            assert _class(grid, neighbour) != ALIVE
         for col in grid.jump_rows[k]:
             assert -1 <= col < n
 

@@ -27,7 +27,8 @@ def _system(model, graph, m):
 def test_chain_recurrence_solved_exactly(unit_deadline, unit_graph, m):
     solution = solve(_system(unit_deadline, unit_graph, m))
     expected = 1 - (1 + 1 / m) ** -m
-    assert solution.value_at("s", "q0", (F(0),)) == pytest.approx(expected, abs=1e-13)
+    value = solution.value_of(solution.system.grid.cell("s", "q0", (0,)))
+    assert value == pytest.approx(expected, abs=1e-13)
     assert solution.residual < 1e-12
     assert solution.sweeps == 1  # increasing-horizon order is a back substitution
 
@@ -53,7 +54,7 @@ def test_empty_system_is_a_noop():
     solution = solve(_system((chain, dta), graph, 4))
     assert solution.method == "empty"
     assert solution.values.size == 0
-    assert solution.value_at("s", "q0", (F(0),)) == 0.0
+    assert solution.value_of(solution.system.grid.cell("s", "q0", (0,))) == 0.0
 
 
 def test_reported_residual_matches_recomputation(exposure_window, exposure_graph):
@@ -108,9 +109,8 @@ def test_first_order_convergence_on_chain(unit_deadline, unit_graph):
     exact = 1 - math.exp(-1)
     errors = {}
     for m in (8, 16, 32, 64, 128):
-        value = solve(_system(unit_deadline, unit_graph, m)).value_at(
-            "s", "q0", (F(0),)
-        )
+        solution = solve(_system(unit_deadline, unit_graph, m))
+        value = solution.value_of(solution.system.grid.cell("s", "q0", (0,)))
         errors[m] = abs(value - exact)
     for m in (8, 16, 32, 64):
         assert 1.6 <= errors[m] / errors[2 * m] <= 2.4
@@ -121,7 +121,7 @@ def test_error_report_fields(unit_deadline, unit_graph):
     report = error_report(unit_graph, k, 1153)
     assert report.m_min == 1153
     assert report.below_threshold is False
-    assert report.rho == pytest.approx(1 / 1153)
+    assert report.m == 1153
     bound_by_hand = (
         24 * (math.exp(-1) / 1153) ** -24 * report.m3 / 1153
     )

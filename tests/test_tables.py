@@ -22,7 +22,7 @@ from pathprob.models import Constraint, Ctmc, Dta, Guard, Rule
 from pathprob.product import CLASS_NAMES, build_graph, classify
 from pathprob.regions import grid_region_numbers, plus_representative, region_of
 from pathprob.scheme import build_grid
-from oracles import reachability_classes, vertex_class
+from oracles import decode, reachability_classes, vertex_class
 
 F = Fraction
 GRIDS = (1, 2, 3, 4, 8)
@@ -49,10 +49,12 @@ def check_tables(chain, dta, graph, m):
         assert CLASS_NAMES[cls] == expected[i] == named[v], v
 
     grid = build_grid(chain, dta, graph, m)
-    for point, cls in grid.points():
-        assert cls == vertex_class(graph, point.state, point.location,
-                                   point.valuation), point
-        assert cls == grid.class_at(point)
+    for cell, cls in enumerate(grid.cell_class.tolist()):
+        state, location, coords = decode(grid, cell)
+        eta = tuple(F(j, m) for j in coords)
+        assert CLASS_NAMES[cls] == vertex_class(graph, state, location, eta), (
+            state, location, eta)
+        assert grid.cell(state, location, coords) == cell
 
 
 @pytest.mark.parametrize("m", GRIDS)
