@@ -37,6 +37,7 @@ class _Parser(argparse.ArgumentParser):
 def parse_valuation(text: str, clocks) -> tuple:
     """Parse "x=0,y=1/2"; clocks not mentioned start at zero."""
     values = {name: Fraction(0) for name in clocks}
+    given = set()
     stripped = text.strip()
     if stripped:
         for part in stripped.split(","):
@@ -45,6 +46,9 @@ def parse_valuation(text: str, clocks) -> tuple:
             name, raw = (p.strip() for p in part.split("=", 1))
             if name not in values:
                 raise UsageError(f"unknown clock {name!r}")
+            if name in given:
+                raise UsageError(f"clock {name!r} given twice")
+            given.add(name)
             try:
                 values[name] = Fraction(raw)
             except (ValueError, ZeroDivisionError) as exc:

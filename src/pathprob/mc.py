@@ -23,14 +23,16 @@ check reads the graph's class table, at the region :func:`regions.region_of`
 gives, once per distinct (state, location, region).  No region is
 enumerated, so the exact estimator runs on automata of any size.
 
-Each trial owns an rng substream derived from (seed, stream, trial), so
-estimates with different horizons or modes are paired path-by-path
-(common random numbers).  Batching leaves the streams as they were: a
-trial takes its uniforms in the order a loop over single trials takes
-them (per step the sojourn, skipping zeros, then the jump), from a buffer
-of its next ``2 * CHUNK`` uniforms, refilled from a fresh copy of its
-stream advanced past the uniforms already taken.  So every estimate
-equals that of the one-trial-at-a-time loop.
+Trials are cut into batches of :data:`BATCH` by trial number, and the
+batch that starts at trial ``first`` draws from the rng stream derived
+from (seed, stream, first).  At each step where any of its trials is
+live the batch draws one ``(BATCH, 2)`` block of uniforms, and trial
+``first + r`` takes row ``r``: the sojourn uniform ``u`` (the sojourn is
+``-ln(1 - u)/rate``, finite for every ``u`` in [0, 1)) and the jump
+uniform.  A short last batch draws full blocks too, so a trial's path
+depends on neither ``n`` nor the other trials, and estimates with
+different horizons or modes are paired path-by-path (common random
+numbers).
 """
 
 from __future__ import annotations
@@ -47,10 +49,8 @@ from .models import Ctmc, Dta, check_start
 from .product import DEAD_CLASS, ProductGraph
 from .regions import per_distinct_row, region_of, region_signatures
 
-# trials advanced together in lockstep
+# trials advanced together in lockstep, and the rows of a uniform block
 BATCH = 256
-# steps of uniforms (a sojourn and a jump each) drawn per buffer fill
-CHUNK = 16
 
 
 class RngStream(NamedTuple):
@@ -60,6 +60,8 @@ class RngStream(NamedTuple):
     index: int = 0
 
     def trial_rng(self, trial: int) -> np.random.Generator:
+        """The generator of the batch that starts at ``trial``; its blocks
+        hold the uniforms of that trial and the next ``BATCH - 1``."""
         return np.random.default_rng((self.seed, self.index, trial))
 
 
@@ -141,42 +143,6 @@ def _sojourns(uniforms: np.ndarray, rates: np.ndarray) -> np.ndarray:
     return np.array([-math.log(u) for u in uniforms.tolist()]) / rates
 
 
-class _Uniforms:
-    """The uniforms of the live trials of a batch, each in stream order.
-
-    A trial's buffer holds the next ``2 * CHUNK`` uniforms of its stream.
-    It is filled when the trial takes its first uniform, and refilled when
-    exhausted from a fresh copy of the stream advanced past the uniforms
-    taken (PCG64 jumps ahead exactly), so no Generator outlives a fill.
-    """
-
-    def __init__(self, rng_stream: RngStream, trials: np.ndarray):
-        self.rng_stream = rng_stream
-        self.trials = trials
-        self.taken = np.zeros(len(trials), dtype=np.int64)
-        self.buffer = np.empty((len(trials), 2 * CHUNK))
-
-    def take(self, rows: Optional[np.ndarray] = None) -> np.ndarray:
-        """The next uniform of each trial in ``rows`` (default: all)."""
-        if rows is None:
-            rows = np.arange(len(self.trials))
-        taken = self.taken[rows]
-        column = taken % (2 * CHUNK)
-        empty = column == 0
-        for row, at in zip(rows[empty].tolist(), taken[empty].tolist()):
-            rng = self.rng_stream.trial_rng(int(self.trials[row]))
-            rng.bit_generator.advance(at)
-            self.buffer[row] = rng.random(2 * CHUNK)
-        self.taken[rows] = taken + 1
-        return self.buffer[rows, column]
-
-    def keep(self, live: np.ndarray) -> None:
-        """Drop the trials where ``live`` is false."""
-        self.trials = self.trials[live]
-        self.taken = self.taken[live]
-        self.buffer = self.buffer[live]
-
-
 class _Memo:
     """The answer of an exact scalar function per distinct row of integer
     keys, computed at the row's first occurrence and kept for the run."""
@@ -234,11 +200,11 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
 
     accepted = rejected = censored = 0
     for first in range(0, n, BATCH):
-        trials = np.arange(first, min(first + BATCH, n))
-        uniforms = _Uniforms(rng_stream, trials)
-        size = len(trials)
-        si, q = np.full(size, start_state), np.full(size, start_location)
-        eta = np.tile(start_eta, (size, 1))
+        rng = rng_stream.trial_rng(first)
+        pos = np.arange(min(BATCH, n - first))  # block row of each live trial
+        si = np.full(len(pos), start_state)
+        q = np.full(len(pos), start_location)
+        eta = np.tile(start_eta, (len(pos), 1))
         for steps in range(k_max + 1):
             done = final[q]
             accepted += int(np.count_nonzero(done))
@@ -253,21 +219,15 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
                 done |= absorbed
             if done.any():
                 live = ~done
-                si, q, eta = si[live], q[live], eta[live]
-                uniforms.keep(live)
+                si, q, eta, pos = si[live], q[live], eta[live], pos[live]
                 if not len(q):
                     break
             if steps == k_max:
                 censored += len(q)
                 break
-            u = uniforms.take()
-            zero = np.flatnonzero(u == 0.0)
-            while len(zero):
-                u[zero] = uniforms.take(zero)
-                zero = zero[u[zero] == 0.0]
-            delayed = eta + _sojourns(u, rates[si])[:, None]
-            nxt = np.count_nonzero(cum_rows[si] <= uniforms.take()[:, None],
-                                   axis=1)
+            u = rng.random((BATCH, 2))[pos]
+            delayed = eta + _sojourns(1.0 - u[:, 0], rates[si])[:, None]
+            nxt = np.count_nonzero(cum_rows[si] <= u[:, 1:], axis=1)
             keys = np.column_stack(
                 (q, label[si], region_signatures(delayed, ceilings)))
             # select_rule raises on a region with no or several rules

@@ -66,28 +66,38 @@ def _rational_field(raw, where: str) -> Fraction:
         raise ModelFormatError(f"{where}: bad rational {raw!r} ({exc})") from exc
 
 
+def _of_type(raw, kind: type, where: str):
+    """``raw`` if it is a JSON object (``kind`` dict) or array (``list``),
+    else a format error naming the field ``where``."""
+    if not isinstance(raw, kind):
+        expected = "an object" if kind is dict else "a list"
+        raise ModelFormatError(
+            f"{where}: expected {expected}, not {type(raw).__name__}")
+    return raw
+
+
 def model_from_document(doc: dict) -> Tuple[Ctmc, Dta]:
     if not isinstance(doc, dict) or "ctmc" not in doc or "dta" not in doc:
         raise ModelFormatError("document needs 'ctmc' and 'dta' sections")
 
-    cdoc = doc["ctmc"]
-    try:
-        entries = list(cdoc["states"])
-    except (TypeError, KeyError):
-        raise ModelFormatError("ctmc section needs a 'states' list") from None
+    cdoc = _of_type(doc["ctmc"], dict, "ctmc")
+    if "states" not in cdoc:
+        raise ModelFormatError("ctmc section needs a 'states' list")
     names = []
     rates = []
     labels = []
     raw_rows = []
-    for i, st in enumerate(entries):
+    for i, st in enumerate(_of_type(cdoc["states"], list, "ctmc.states")):
         where = f"ctmc.states[{i}]"
+        _of_type(st, dict, where)
         for key in ("name", "rate", "label", "transitions"):
             if key not in st:
                 raise ModelFormatError(f"{where}: missing field {key!r}")
         names.append(str(st["name"]))
         rates.append(_rational_field(st["rate"], f"{where}.rate"))
         labels.append(str(st["label"]))
-        raw_rows.append(st["transitions"])
+        raw_rows.append(
+            _of_type(st["transitions"], dict, f"{where}.transitions"))
     rows = []
     for i, raw in enumerate(raw_rows):
         where = f"ctmc.states[{i}].transitions"
@@ -104,20 +114,22 @@ def model_from_document(doc: dict) -> Tuple[Ctmc, Dta]:
         labeling=tuple(labels),
     )
 
-    ddoc = doc["dta"]
+    ddoc = _of_type(doc["dta"], dict, "dta")
     for key in ("clocks", "locations", "final", "rules"):
         if key not in ddoc:
             raise ModelFormatError(f"dta section needs field {key!r}")
+        _of_type(ddoc[key], list, f"dta.{key}")
     clocks = tuple(str(c) for c in ddoc["clocks"])
     locations = tuple(str(q) for q in ddoc["locations"])
     rules: List[Rule] = []
     for i, rd in enumerate(ddoc["rules"]):
         where = f"dta.rules[{i}]"
+        _of_type(rd, dict, where)
         for key in ("from", "signature", "guard", "resets", "to"):
             if key not in rd:
                 raise ModelFormatError(f"{where}: missing field {key!r}")
         resets = []
-        for c in rd["resets"]:
+        for c in _of_type(rd["resets"], list, f"{where}.resets"):
             if str(c) not in clocks:
                 raise ModelFormatError(f"{where}: reset of unknown clock {c!r}")
             resets.append(clocks.index(str(c)))

@@ -237,6 +237,14 @@ def _solved(chain: Ctmc, dta: Dta, m: int) -> Tuple[Grid, Solution]:
     return grid, solve(assemble_gamma_prime(grid))
 
 
+def _value_at(chain: Ctmc, dta: Dta, state: str, location: str,
+              coords: Sequence[int], m: int) -> Tuple[float, Solution]:
+    """The solved m-grid's value at integer coordinates ``coords``, and
+    the solution it was read from."""
+    grid, solution = _solved(chain, dta, m)
+    return solution.value_of(grid.cell(state, location, coords)), solution
+
+
 def _snap_to_grid(eta: Sequence, ceilings: Sequence[int], m: int):
     """Clamp into the ceiling box, then snap each clock to the nearest
     multiple of 1/m with ties rounded toward zero.  Returns the integer
@@ -320,21 +328,19 @@ def approximate(
         )
 
     coords, distance = _snap_to_grid(eta, dta.ceilings, m)
-    grid, solution = _solved(chain, dta, m)
-    value = solution.value_of(grid.cell(state, location, coords))
+    value, solution = _value_at(chain, dta, state, location, coords, m)
 
     empirical = None
     if with_empirical:
-        finer_grid, finer = _solved(chain, dta, 2 * m)
-        doubled = [2 * j for j in coords]
-        empirical = abs(value - finer.value_of(
-            finer_grid.cell(state, location, doubled)
-        ))
+        finer, _ = _value_at(chain, dta, state, location,
+                             [2 * j for j in coords], 2 * m)
+        empirical = abs(value - finer)
     report = error_report(graph, constants, m, empirical_estimate=empirical)
     report.snap_distance = float(distance)
     if distance:  # an infinite M1 times a zero snap is no slack, not NaN
         report.snap_slack = report.m1 * float(distance)
-    return ApproxResult(value, report, solution.residual, grid.d_m_size)
+    return ApproxResult(value, report, solution.residual,
+                        grid_cells(chain, dta, m))
 
 
 def _shortcut(graph: ProductGraph, state: str, location: str, eta) -> Optional[float]:
@@ -355,8 +361,7 @@ def _empirical_m(chain, dta, state, location, eta, epsilon):
     previous = None
     while grid_cells(chain, dta, m) <= MAX_GRID_CELLS:
         coords, _ = _snap_to_grid(eta, dta.ceilings, m)
-        grid, solution = _solved(chain, dta, m)
-        value = solution.value_of(grid.cell(state, location, coords))
+        value, _ = _value_at(chain, dta, state, location, coords, m)
         if previous is not None and abs(value - previous) <= epsilon / 2:
             return m
         previous = value

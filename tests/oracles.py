@@ -27,7 +27,7 @@ import numpy as np
 
 from pathprob import regions
 from pathprob.dynamics import select_rule
-from pathprob.mc import Estimate, RngStream, default_k_max
+from pathprob.mc import BATCH, Estimate, RngStream, default_k_max
 from pathprob.models import Ctmc, Dta, Guard, ValidationReport
 from pathprob.product import (
     ALIVE, ALIVE_CLASS, CLASS_NAMES, DEAD, FINAL, ProductGraph, ProductVertex,
@@ -308,8 +308,18 @@ def region_sequence(eta, ceilings):
 
 # ---------------------------------------------------------------------------
 # Monte Carlo: the absorbing estimator and the exact k-step estimator as two
-# separate loops, one per mode, each drawing from the per-trial substreams
-# one trial and one uniform at a time.
+# separate loops, one per mode, each running one trial at a time on its row
+# of its batch's uniform blocks.
+
+
+def trial_uniforms(rng_stream: RngStream, trial: int) -> Iterator[np.ndarray]:
+    """The (sojourn, jump) uniforms of ``trial``, step by step: row
+    ``trial % BATCH`` of each ``(BATCH, 2)`` block drawn from the stream of
+    the batch that starts at ``trial - trial % BATCH``."""
+    row = trial % BATCH
+    rng = rng_stream.trial_rng(trial - row)
+    while True:
+        yield rng.random((BATCH, 2))[row]
 
 
 class _Simulator:
@@ -323,17 +333,12 @@ class _Simulator:
         for row in self.cum_rows:
             row[-1] = 1.0
 
-    def jump(self, state_index: int, rng) -> int:
-        return int(
-            np.searchsorted(self.cum_rows[state_index], rng.random(), "right")
-        )
+    def jump(self, state_index: int, u: float) -> int:
+        return int(np.searchsorted(self.cum_rows[state_index], u, "right"))
 
-    def sojourn(self, state_index: int, rng) -> float:
-        """Exponential sojourn by inverse transform, t = -ln(U)/rate."""
-        u = rng.random()
-        while u == 0.0:
-            u = rng.random()
-        return -math.log(u) / self.rates[state_index]
+    def sojourn(self, state_index: int, u: float) -> float:
+        """Exponential sojourn by inverse transform, t = -ln(1 - u)/rate."""
+        return -math.log(1.0 - u) / self.rates[state_index]
 
 
 def _binomial_halfwidth(successes: int, n: int, confidence: float) -> float:
@@ -383,7 +388,7 @@ def estimate(
 
     accepted = rejected = censored = 0
     for trial in range(n):
-        rng = rng_stream.trial_rng(trial)
+        uniforms = trial_uniforms(rng_stream, trial)
         si, q, eta = start_state, location, start_eta
         steps = 0
         while True:
@@ -400,8 +405,9 @@ def estimate(
             if steps == k_max:
                 censored += 1
                 break
-            t = sim.sojourn(si, rng)
-            nxt = sim.jump(si, rng)
+            u_sojourn, u_jump = next(uniforms).tolist()
+            t = sim.sojourn(si, u_sojourn)
+            nxt = sim.jump(si, u_jump)
             delayed = tuple(v + t for v in eta)
             rule = select_rule(dta, q, chain.labeling[si], delayed)
             q = rule.target
@@ -446,7 +452,7 @@ def estimate_k(
 
     accepted = 0
     for trial in range(n):
-        rng = rng_stream.trial_rng(trial)
+        uniforms = trial_uniforms(rng_stream, trial)
         si, q, eta = start_state, location, start_eta
         steps = 0
         while True:
@@ -455,8 +461,9 @@ def estimate_k(
                 break
             if steps == k:
                 break
-            t = sim.sojourn(si, rng)
-            nxt = sim.jump(si, rng)
+            u_sojourn, u_jump = next(uniforms).tolist()
+            t = sim.sojourn(si, u_sojourn)
+            nxt = sim.jump(si, u_jump)
             delayed = tuple(v + t for v in eta)
             rule = select_rule(dta, q, chain.labeling[si], delayed)
             q = rule.target

@@ -120,7 +120,7 @@ def test_estimates_monotone_in_k(exposure_window):
 
 def test_k_estimates_converge_to_absorbing_estimate(exposure_window,
                                                     exposure_graph):
-    """With shared per-trial streams the within-k estimate reaches the
+    """With shared trial streams the within-k estimate reaches the
     absorbing estimate once k dominates the absorption times."""
     chain, dta = exposure_window
     bounded = mc.estimate_k(chain, dta, "a", "q0", (0.0, 0.0), k=48, n=4000,
@@ -220,15 +220,19 @@ _GRAPHS = {"unit_deadline": "unit_graph", "exposure_window": "exposure_graph",
 def test_trial_loop_matches_separate_loops(request, model, seed, stream):
     chain, dta = request.getfixturevalue(model)
     graph = request.getfixturevalue(_GRAPHS[model])
-    runs = dict(n=200, seed=seed, stream=stream)
-    for start in _STARTS[model]:
-        for k_max in (None, 0, 1):
-            assert (mc.estimate(chain, dta, graph, *start, k_max=k_max, **runs)
-                    == oracles.estimate(chain, dta, graph, *start,
-                                        k_max=k_max, **runs))
-        for k in (0, 1, 16):
-            assert (mc.estimate_k(chain, dta, *start, k=k, **runs)
-                    == oracles.estimate_k(chain, dta, *start, k=k, **runs))
+    # one short batch, then a full batch followed by a short one
+    for n in (200, mc.BATCH + 44):
+        runs = dict(n=n, seed=seed, stream=stream)
+        for start in _STARTS[model]:
+            for k_max in (None, 0, 1):
+                assert (mc.estimate(chain, dta, graph, *start, k_max=k_max,
+                                    **runs)
+                        == oracles.estimate(chain, dta, graph, *start,
+                                            k_max=k_max, **runs))
+            for k in (0, 1, 16):
+                assert (mc.estimate_k(chain, dta, *start, k=k, **runs)
+                        == oracles.estimate_k(chain, dta, *start, k=k,
+                                              **runs))
 
 
 def test_differential_starts_cover_every_outcome(exposure_window,
@@ -271,78 +275,43 @@ def test_confidence_outside_unit_interval_is_refused(unit_deadline, unit_graph,
 
 
 def test_streams_are_pinned(exposure_window, exposure_graph):
-    """The counts of the one-trial-at-a-time loop on the benchmark query;
-    batching the trials must not move them."""
+    """The counts of the benchmark query on the batch streams."""
     chain, dta = exposure_window
     start = ("a", "q0", (0.0, 0.0))
     est = mc.estimate(chain, dta, exposure_graph, *start, n=5000, seed=7)
-    assert (est.accepted, est.dead_absorbed, est.censored) == (1311, 3689, 0)
+    assert (est.accepted, est.dead_absorbed, est.censored) == (1313, 3687, 0)
     est_k = mc.estimate_k(chain, dta, *start, k=16, n=5000, seed=7)
-    assert est_k.accepted == 1311
+    assert est_k.accepted == 1313
 
 
-def test_uniforms_follow_each_trial_stream():
-    """A batch's buffered uniforms are each trial's stream drawn one at a
-    time, over several refills, uneven takes and a dropped trial."""
-    stream = mc.RngStream(7, 1)
-    uniforms = mc._Uniforms(stream, np.arange(5, 9))
-    taken = {t: [] for t in range(5, 9)}
-    for step in range(5 * mc.CHUNK):
-        if step == 2 * mc.CHUNK:
-            uniforms.keep(uniforms.trials != 6)
-        rows = np.arange(len(uniforms.trials))
-        rows = rows if step % 3 else rows[::2]
-        for t, u in zip(uniforms.trials[rows].tolist(),
-                        uniforms.take(rows).tolist()):
-            taken[t].append(u)
-    for t, values in taken.items():
-        rng = stream.trial_rng(t)
-        assert values == [rng.random() for _ in values]
-
-
-class _ListStream:
-    """A fixed list of uniforms behind the Generator calls the loops make."""
-
-    def __init__(self, values):
-        self.values, self.at = values, 0
-        self.bit_generator = self
-
-    def advance(self, delta):
-        self.at += delta
+class _ZeroRng:
+    """A generator whose every uniform is 0.0."""
 
     def random(self, size=None):
-        count = 1 if size is None else size
-        out = self.values[self.at:self.at + count]
-        self.at += count
-        return out[0] if size is None else np.array(out)
+        return np.zeros(size)
 
 
-# positions of extra 0.0 uniforms in a trial's stream, by trial mod 3: one
-# before the first sojourn, and, after that shift, a run of two zeros whose
-# skip crosses from the first buffer fill into the second
-_ZEROS = {0: (0,), 1: (0, 2 * mc.CHUNK - 1, 2 * mc.CHUNK), 2: ()}
-
-
-def _zero_stream(self, trial):
-    values = np.random.default_rng((self.seed, self.index, trial)).random(400)
-    values = values.tolist()
-    for at in _ZEROS[trial % 3]:
-        values.insert(at, 0.0)
-    return _ListStream(values)
-
-
-def test_zero_sojourn_uniform_is_skipped_per_trial(monkeypatch,
-                                                   exposure_window,
-                                                   exposure_graph):
-    """A sojourn uniform of exactly 0.0 is redrawn for that trial only, as
-    the one-trial loop does, also across a buffer refill."""
-    monkeypatch.setattr(mc.RngStream, "trial_rng", _zero_stream)
+def test_zero_uniforms_give_finite_sojourns(monkeypatch, unit_deadline,
+                                             unit_graph, exposure_window,
+                                             exposure_graph):
+    """A sojourn uniform of 0.0 is a sojourn of 0, not an infinite one or
+    a log domain error; the loop and the oracle loops agree on it."""
+    monkeypatch.setattr(mc.RngStream, "trial_rng", lambda self, t: _ZeroRng())
+    runs = dict(n=mc.BATCH + 44, seed=3)
+    chain, dta = unit_deadline
+    # every first sojourn is 0, within the deadline of 1
+    est = mc.estimate(chain, dta, unit_graph, "s", "q0", (0.0,), **runs)
+    assert est.accepted == est.n
+    assert est == oracles.estimate(chain, dta, unit_graph, "s", "q0", (0.0,),
+                                   **runs)
     chain, dta = exposure_window
     start = ("a", "q0", (0.0, 0.0))
-    runs = dict(n=60, seed=3)
-    assert (mc.estimate(chain, dta, exposure_graph, *start, **runs)
-            == oracles.estimate(chain, dta, exposure_graph, *start, **runs))
-    for k in (1, 2 * mc.CHUNK):
+    # the clocks never move, so the trials run to the step horizon
+    est = mc.estimate(chain, dta, exposure_graph, *start, k_max=16, **runs)
+    assert est.censored == est.n
+    assert est == oracles.estimate(chain, dta, exposure_graph, *start,
+                                   k_max=16, **runs)
+    for k in (1, 16):
         assert (mc.estimate_k(chain, dta, *start, k=k, **runs)
                 == oracles.estimate_k(chain, dta, *start, k=k, **runs))
 
