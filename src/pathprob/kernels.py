@@ -1,22 +1,22 @@
 """Gauss-Seidel sweep kernel of the fixed-point solver, in numpy.
 
-A sweep updates every row of ``x = M x + offset`` once, in horizon order
-(increasing horizon, ties by row index).  Diagonal entries move to the
-left-hand side, so each row is satisfied exactly when it is updated, and
-each row adds its terms in CSR order.  Two read rules make every iterate
-bit-identical to the one-row-at-a-time sweep in that order:
+A sweep updates every row of ``x = M x + offset`` once.  Diagonal entries
+move to the left-hand side, so each row is satisfied exactly when it is
+updated, and each row adds its terms in CSR order.  :func:`sweep_plan`
+levels each row by its horizon and then by a sub-level, one more than the
+highest sub-level of the row's lower-indexed entries of equal horizon (the
+wavefront triangular solve of Anderson and Saad, 1989).  The sweep visits
+rows in that level order, ties by row index, and every entry reads the
+current ``x``: so every iterate is bit-identical to the one-row-at-a-time
+sweep in level order.
 
-* an entry behind the row in horizon order reads the current ``x``;
-* an entry ahead of it reads the copy of ``x`` taken when the sweep started.
-
-So rows need not be visited one at a time.  :func:`sweep_plan` levels each
-row by its horizon and then by a sub-level, one more than the highest
-sub-level of the row's lower-indexed entries of equal horizon; every entry
-behind a row then lies in an earlier level (the wavefront triangular
-solve of Anderson and Saad, 1989).  A level of at least ``WIDE`` rows is
-one vectorised step that walks the CSR by position within the row.  A run
-of narrower levels (a one-clock chain has one row per horizon) is swept by
-a scalar loop over list copies of at most ``CHUNK`` rows at a time.
+No row reads a lower-indexed row of its own level, for that row would lie
+in an earlier level, and a row reads a higher-indexed row of its level
+before the sequential sweep updates it.  So a level of at least ``WIDE``
+rows is one atomic vectorised step that walks the CSR by position within
+the row.  A run of narrower levels (a one-clock chain has one row per
+horizon) is swept by a scalar loop over list copies of at most ``CHUNK``
+rows at a time.
 """
 
 from typing import NamedTuple, Optional, Tuple
@@ -28,14 +28,13 @@ CHUNK = 1024
 
 
 class SweepPlan(NamedTuple):
-    """Rows in level order, each row's rank in horizon order, and the steps
-    of a sweep.  A step ``(lo, hi, counts)`` updates ``order[lo:hi]``:
+    """Rows in level order and the steps of a sweep.  A step
+    ``(lo, hi, counts)`` updates ``order[lo:hi]``:
     ``counts`` is None for a scalar chunk; for a wide level, whose longest
     rows come first, ``counts[p]`` is the number of rows with more than
     ``p`` entries."""
 
     order: np.ndarray
-    rank: np.ndarray
     steps: Tuple[Tuple[int, int, Optional[Tuple[int, ...]]], ...]
 
 
@@ -66,10 +65,9 @@ def _sublevels(indptr, indices, horizons):
 
 
 def sweep_plan(indptr, indices, horizons) -> SweepPlan:
-    """Levels and steps of a horizon-ordered sweep, in O(n) memory."""
+    """Levels and steps of a sweep in level order: horizon, then sub-level,
+    then row index.  O(n) memory."""
     n = len(horizons)
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(horizons, kind="stable")] = np.arange(n)
     level = _sublevels(indptr, indices, horizons)
     level += horizons * (int(level.max(initial=0)) + 1)
     order = np.argsort(level, kind="stable")
@@ -96,12 +94,11 @@ def sweep_plan(indptr, indices, horizons) -> SweepPlan:
             steps.extend(
                 (a, min(a + CHUNK, hi), None) for a in range(lo, hi, CHUNK)
             )
-    return SweepPlan(order, rank, tuple(steps))
+    return SweepPlan(order, tuple(steps))
 
 
-def _wide_step(indptr, indices, data, offset, x, start, rank, rows, counts):
+def _wide_step(indptr, indices, data, offset, x, rows, counts):
     first = indptr[rows]
-    own_rank = rank[rows]
     acc = offset[rows]
     diag = np.zeros(len(rows))
     for p, c in enumerate(counts):
@@ -109,9 +106,8 @@ def _wide_step(indptr, indices, data, offset, x, start, rank, rows, counts):
         j = indices[k]
         v = data[k]
         on_diag = j == rows[:c]
-        read = np.where(rank[j] < own_rank[:c], x[j], start[j])
         head = acc[:c]
-        np.add(head, v * read, out=head, where=~on_diag)
+        np.add(head, v * x[j], out=head, where=~on_diag)
         head = diag[:c]
         np.add(head, v, out=head, where=on_diag)
     denom = 1.0 - diag
@@ -122,7 +118,7 @@ def _wide_step(indptr, indices, data, offset, x, start, rank, rows, counts):
     return acc / denom
 
 
-def _scalar_step(indptr, indices, data, offset, x, start, rank, rows):
+def _scalar_step(indptr, indices, data, offset, x, rows):
     first = indptr[rows]
     lengths = indptr[rows + 1] - first
     ptr = np.r_[0, np.cumsum(lengths)]
@@ -130,16 +126,15 @@ def _scalar_step(indptr, indices, data, offset, x, start, rank, rows):
     k = np.repeat(first - ptr[:-1], lengths) + np.arange(size)
     cols = indices[k]
     owner = np.repeat(rows, lengths)
-    behind = rank[cols] < rank[owner]
-    # entry e reads buf[src[e]]: its value at the start of the chunk, or at
-    # size + t the new value of chunk row t when that row lies behind it
+    # entry e reads buf[src[e]]: x of a row outside the chunk, or at size + t
+    # chunk row t, which holds x until the row is updated and then its new value
     by_row = np.argsort(rows)
     slot = by_row[np.searchsorted(rows, cols, sorter=by_row).clip(max=len(rows) - 1)]
     src = np.arange(size)
-    in_chunk = behind & (rows[slot] == cols)
+    in_chunk = rows[slot] == cols
     src[in_chunk] = size + slot[in_chunk]
     src[cols == owner] = -1
-    buf = np.where(behind, x[cols], start[cols]).tolist() + [0.0] * len(rows)
+    buf = x[cols].tolist() + x[rows].tolist()
     src, vals, ptr = src.tolist(), data[k].tolist(), ptr.tolist()
     for t, acc in enumerate(offset[rows].tolist()):
         diag = 0.0
@@ -157,14 +152,12 @@ def _scalar_step(indptr, indices, data, offset, x, start, rank, rows):
 
 
 def gauss_seidel_sweep(indptr, indices, data, offset, x, plan: SweepPlan):
-    """One in-place Gauss-Seidel pass of ``x = M x + offset`` in horizon
-    order, following ``plan``."""
-    start = x.copy()
+    """One in-place Gauss-Seidel pass of ``x = M x + offset`` in the level
+    order of ``plan``."""
     for lo, hi, counts in plan.steps:
         rows = plan.order[lo:hi]
-        args = (indptr, indices, data, offset, x, start, plan.rank, rows)
-        new = _scalar_step(*args) if counts is None else _wide_step(*args, counts)
-        x[rows] = new
+        args = (indptr, indices, data, offset, x, rows)
+        x[rows] = _scalar_step(*args) if counts is None else _wide_step(*args, counts)
 
 
 def max_residual(indptr, indices, data, offset, x):

@@ -13,6 +13,7 @@ witness, and a rule listed twice is an overlap.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -24,10 +25,11 @@ Rational = Fraction
 
 
 def rational(value) -> Fraction:
-    """Parse an exact rational from a string ("1/3", "0.25"), int or Fraction."""
+    """Parse an exact rational from a string ("1/3", "0.25"), int or Fraction.
+    A bool is refused, although Python counts it as an int."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
@@ -94,7 +96,8 @@ class Ctmc:
 
 
 def validate_ctmc(chain: Ctmc) -> ValidationReport:
-    """Check stochasticity of every row and positivity of every rate."""
+    """Check stochasticity of every row and positivity of every rate, also
+    as the positive finite float that the solver and simulator use."""
     problems: List[str] = []
     for i, name in enumerate(chain.states):
         row = chain.transition[i]
@@ -106,8 +109,11 @@ def validate_ctmc(chain: Ctmc) -> ValidationReport:
         total = sum(row)
         if total != 1:
             problems.append(f"row {name} sums to {total}")
-        if chain.exit_rates[i] <= 0:
+        rate = chain.exit_rates[i]
+        if rate <= 0:
             problems.append(f"state {name}: rate must be positive")
+        elif rate > sys.float_info.max or float(rate) == 0.0:
+            problems.append(f"state {name}: rate is not a positive finite float")
     return ValidationReport(tuple(problems))
 
 

@@ -5,12 +5,11 @@ visit unknowns by increasing horizon, so information flows outward from
 the dead and boundary points; on single-clock models one pass is an exact
 back substitution.  :func:`solve` builds the sweep plan of
 :mod:`pathprob.kernels` once per system: rows levelled by horizon and then
-by a sub-level, so a sweep updates a whole level at once.  Within a sweep
-an entry behind a row in horizon order reads the current iterate and an
-entry ahead of it reads the iterate the sweep started from, so every
-iterate equals that of the one-row-at-a-time sweep bit for bit.  A dense
-direct elimination acts as fallback for small systems when the sweeps
-stall.
+by a sub-level, which also orders the rows of one horizon.  A sweep visits
+the levels in that order and updates a whole level at once, every entry
+reading the current iterate, so every iterate equals that of the
+one-row-at-a-time sweep in level order bit for bit.  A dense direct
+elimination acts as fallback for small systems when the sweeps stall.
 """
 
 from __future__ import annotations

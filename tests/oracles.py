@@ -174,6 +174,23 @@ def solve_dense(mat, off):
     return np.linalg.solve(np.eye(len(off)) - mat, off)
 
 
+def level_order(indptr, indices, horizons):
+    """Rows by horizon, then by the longest chain of lower-indexed
+    equal-horizon entries ending at the row, then by index.
+
+    One pass in index order finds each chain, since every link of it
+    comes from a lower-indexed row."""
+    n = len(horizons)
+    chain = [0] * n
+    for i in range(n):
+        for k in range(indptr[i], indptr[i + 1]):
+            j = int(indices[k])
+            if j < i and horizons[j] == horizons[i]:
+                chain[i] = max(chain[i], chain[j] + 1)
+    return np.array(sorted(range(n), key=lambda i: (horizons[i], chain[i], i)),
+                    dtype=np.int64)
+
+
 def gauss_seidel_sweep(indptr, indices, data, offset, x, order):
     """One in-place Gauss-Seidel pass of ``x = M x + offset`` over ``order``.
 

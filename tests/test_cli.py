@@ -294,6 +294,34 @@ def test_mistyped_model_field_exit_code(tmp_path, capsys, path, value, named):
     assert f"invalid model/query: {named}" in err
 
 
+@pytest.mark.parametrize("path,named", [
+    (("ctmc", "states", 1, "rate"), "ctmc.states[1].rate"),
+    (("ctmc", "states", 0, "transitions", "g"), "ctmc.states[0].transitions.g"),
+])
+def test_boolean_number_exit_code(tmp_path, capsys, path, named):
+    """JSON ``true`` is no number, although Python counts a bool as an int."""
+    test_mistyped_model_field_exit_code(
+        tmp_path, capsys, path, True, f"{named}: bad rational True")
+
+
+@pytest.mark.parametrize("command", [
+    ("graph",),
+    ("bound", "--grid", "4"),
+    ("solve", "--state", "s", "--location", "q0", "--valuation", "x=0", "--grid", "4"),
+    ("simulate", "--state", "s", "--location", "q0", "--valuation", "x=0",
+     "--samples", "10"),
+])
+@pytest.mark.parametrize("rate", ["1e400", "1e-400"])
+def test_rate_outside_float_range_exit_code(tmp_path, capsys, command, rate):
+    doc = json.loads(pathlib.Path(UNIT).read_text())
+    doc["ctmc"]["states"][1]["rate"] = rate
+    model = tmp_path / "rate.json"
+    model.write_text(json.dumps(doc))
+    code, _, err = run(capsys, command[0], "--model", str(model), *command[1:])
+    assert code == 1
+    assert "state g: rate is not a positive finite float" in err
+
+
 def test_unknown_state_exit_code(capsys):
     code, _, err = run(
         capsys, "solve", "--model", UNIT, "--state", "nosuch", "--location",

@@ -1,10 +1,11 @@
 """The numpy sweep kernel against the sequential Gauss-Seidel loops.
 
 Every iterate and every residual must be equal bit for bit to the
-one-row-at-a-time sweep in horizon order kept in ``oracles``.
-``exposure_window`` reaches the sub-level, upper-read, diagonal, wide
-and narrow paths of the kernel, ``departure`` has diagonal self-loops
-and ``unit_deadline`` is the one-clock chain.
+one-row-at-a-time sweep kept in ``oracles``, run in the level order of
+``oracles.level_order``.  ``exposure_window`` reaches the sub-level,
+read-ahead, diagonal, wide and narrow paths of the kernel, ``departure``
+has diagonal self-loops, ``unit_deadline`` is the one-clock chain, and
+random models add other clocks, ceilings and resets.
 """
 
 import json
@@ -16,11 +17,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from pathprob import kernels
+from pathprob.product import build_graph
 from pathprob.scheme import SchemeSystem, assemble_gamma_prime, build_grid
 from pathprob.solver import SolverError, solve
+from test_tables import GRIDS, _chain_of_splits, random_models
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 _GRAPHS = {"unit_deadline": "unit_graph", "exposure_window": "exposure_graph",
@@ -39,7 +44,7 @@ def _system(request, model, m):
 def test_sweeps_are_bit_identical_to_sequential_loops(request, model, m, start):
     system = _system(request, model, m)
     args = (system.indptr, system.indices, system.data, system.offset)
-    order = np.argsort(system.grid.horizons, kind="stable")
+    order = oracles.level_order(system.indptr, system.indices, system.grid.horizons)
     plan = kernels.sweep_plan(system.indptr, system.indices, system.grid.horizons)
     x0 = (np.zeros(system.size) if start == "zeros"
           else np.random.default_rng(3).random(system.size))
@@ -67,7 +72,32 @@ def test_exposure_window_plan_reaches_every_path(exposure_window, exposure_graph
     rows = np.repeat(np.arange(system.size), np.diff(system.indptr))
     cols = system.indices
     assert (cols == rows).any()
-    assert (plan.rank[cols] > plan.rank[rows]).any()  # reads ahead
+    rank = np.empty(system.size, dtype=np.int64)
+    rank[oracles.level_order(system.indptr, system.indices, h)] = np.arange(system.size)
+    assert (rank[cols] > rank[rows]).any()  # reads ahead
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(random_models(), st.sampled_from(GRIDS))
+@example(_chain_of_splits(), 8)
+def test_sweeps_match_sequential_loops_on_random_models(model, m):
+    chain, dta = model
+    system = assemble_gamma_prime(build_grid(chain, dta, build_graph(chain, dta), m))
+    args = (system.indptr, system.indices, system.data, system.offset)
+    order = oracles.level_order(system.indptr, system.indices, system.grid.horizons)
+    plan = kernels.sweep_plan(system.indptr, system.indices, system.grid.horizons)
+    got = np.random.default_rng(5).random(system.size)
+    expected = got.copy()
+    for _ in range(4):
+        try:
+            kernels.gauss_seidel_sweep(*args, got, plan)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                oracles.gauss_seidel_sweep(*args, expected, order)
+            return
+        oracles.gauss_seidel_sweep(*args, expected, order)
+        assert np.array_equal(got, expected)
+        assert kernels.max_residual(*args, got) == oracles.max_residual(*args, expected)
 
 
 def _unit_diagonal_system(width):

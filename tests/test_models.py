@@ -62,6 +62,13 @@ def test_validate_ctmc_flags_zero_rate():
     assert any("rate must be positive" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("rate", ["1e400", "1e-400"])
+def test_validate_ctmc_flags_rate_outside_float_range(rate):
+    chain = two_state(((F(0), F(1)), (F(0), F(1))), rates=(F(1), F(rate)))
+    report = validate_ctmc(chain)
+    assert report.violations == ("state g: rate is not a positive finite float",)
+
+
 def test_validate_ctmc_flags_out_of_range_probability():
     chain = two_state(((F(2), F(-1)), (F(0), F(1))))
     report = validate_ctmc(chain)
