@@ -200,6 +200,7 @@ def _cmd_bound(args) -> int:
             "rho": 1.0 / report.m,
             "|V|": report.vertex_count,
             "\U0001d520": report.contraction,
+            "log_contraction": report.log_contraction,
             "M1": report.m1,
             "M2": report.m2,
             "M3": report.m3,

@@ -1,22 +1,38 @@
 """Gauss-Seidel sweep kernel of the fixed-point solver, in numpy.
 
-A sweep updates every row of ``x = M x + offset`` once.  Diagonal entries
-move to the left-hand side, so each row is satisfied exactly when it is
-updated, and each row adds its terms in CSR order.  :func:`sweep_plan`
-levels each row by its horizon and then by a sub-level, one more than the
-highest sub-level of the row's lower-indexed entries of equal horizon (the
-wavefront triangular solve of Anderson and Saad, 1989).  The sweep visits
-rows in that level order, ties by row index, and every entry reads the
-current ``x``: so every iterate is bit-identical to the one-row-at-a-time
-sweep in level order.
+A sweep updates every row of ``x = M x + offset`` once, in the level
+order of a plan.  Diagonal entries move to the left-hand side, so each
+row is satisfied exactly when it is updated, and each row adds its terms
+in CSR order.  Every entry reads the current ``x``.
+
+:func:`exact_plan` orders the rows so that one sweep solves the system
+exactly, in block-triangular order (Duff and Reid, 1978).  No rule resets
+a clock of the slice key, so jumps keep the key and delay steps raise
+it: slices come by decreasing key.  The rows of one box point form a
+block, solved together.  Inside a slice, a point comes after every other
+point it reads, by the longest chain of such reads ending at it.  A
+level of multi-row blocks is one step: the entries of other points go to
+the right-hand side, those of its own point to a small dense matrix, and
+one batched ``np.linalg.solve`` solves all of the level's blocks.  When
+there is no such order (a rule resets every clock in a loop, a block is
+too large, or a slice holds delay chains) the plan is None.
+
+:func:`sweep_plan` is the fallback: it levels each row by its horizon
+and then by a sub-level, one more than the highest sub-level of the
+row's lower-indexed entries of equal horizon (the wavefront triangular
+solve of Anderson and Saad, 1989).  Rows later in that order can be read
+before they are updated, so the sweeps are repeated until the residual
+is small, and every iterate is bit-identical to the one-row-at-a-time
+sweep in level order, ties by row index.
 
 No row reads a lower-indexed row of its own level, for that row would lie
 in an earlier level, and a row reads a higher-indexed row of its level
-before the sequential sweep updates it.  So a level of at least ``WIDE``
-rows is one atomic vectorised step that walks the CSR by position within
-the row.  A run of narrower levels (a one-clock chain has one row per
-horizon) is swept by a scalar loop over list copies of at most ``CHUNK``
-rows at a time.
+before the sequential sweep updates it.  So in both plans a level of at
+least ``WIDE`` single rows is one atomic vectorised step that walks the
+CSR by position within the row.  A run of narrower levels (a one-clock
+chain has one row per level) is swept by a scalar loop over list copies
+of at most ``CHUNK`` rows at a time.  On a one-clock chain without
+resets both plans are the same.
 """
 
 from typing import NamedTuple, Optional, Tuple
@@ -25,6 +41,18 @@ import numpy as np
 
 WIDE = 32
 CHUNK = 1024
+BLOCK = 16  # most rows at one point that the exact pass solves together
+
+
+class Blocks(NamedTuple):
+    """A level of multi-row blocks: ``counts`` as for a wide level, and
+    ``slots[t]``, the place ``block * width + position`` of row
+    ``order[lo + t]`` among ``count`` stacked systems of ``width`` rows."""
+
+    counts: Tuple[int, ...]
+    slots: np.ndarray
+    width: int
+    count: int
 
 
 class SweepPlan(NamedTuple):
@@ -32,69 +60,159 @@ class SweepPlan(NamedTuple):
     ``(lo, hi, counts)`` updates ``order[lo:hi]``:
     ``counts`` is None for a scalar chunk; for a wide level, whose longest
     rows come first, ``counts[p]`` is the number of rows with more than
-    ``p`` entries."""
+    ``p`` entries; for a level of multi-row blocks it is :class:`Blocks`."""
 
     order: np.ndarray
-    steps: Tuple[Tuple[int, int, Optional[Tuple[int, ...]]], ...]
+    steps: Tuple[Tuple[int, int, object], ...]
 
 
-def _sublevels(indptr, indices, horizons):
-    """Longest chain of lower-indexed equal-horizon entries ending at each
-    row, found by relaxing only those few entries; the CSR is walked
-    ``CHUNK`` rows at a time by position within the row."""
-    n = len(horizons)
-    heads, tails = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+def _entries(indptr, indices):
+    """Every entry of the CSR as (row, column) arrays, walked ``CHUNK``
+    rows at a time by position within the row."""
+    n = len(indptr) - 1
     for lo in range(0, n, CHUNK):
         rows = np.arange(lo, min(lo + CHUNK, n))
         first = indptr[rows]
         lengths = indptr[rows + 1] - first
         for p in range(int(lengths.max())):
             has = lengths > p
-            r = rows[has]
-            j = indices[first[has] + p]
-            lower = (j < r) & (horizons[j] == horizons[r])
-            heads.append(r[lower])
-            tails.append(j[lower])
-    heads, tails = np.concatenate(heads), np.concatenate(tails)
-    sub = np.zeros(n, dtype=np.int64)
-    while True:
+            yield rows[has], indices[first[has] + p]
+
+
+def _longest_paths(heads, tails, size, rounds):
+    """Longest chain of edges ``tail -> head`` ending at each of ``size``
+    nodes, all edges relaxed together; None when it has not settled after
+    ``rounds`` rounds."""
+    sub = np.zeros(size, dtype=np.int64)
+    for _ in range(rounds):
         reach = sub[tails] + 1
         if not (reach > sub[heads]).any():
             return sub
         np.maximum.at(sub, heads, reach)
+    return None
+
+
+def _sublevels(indptr, indices, horizons):
+    """Longest chain of lower-indexed equal-horizon entries ending at each
+    row, found by relaxing only those few entries."""
+    heads, tails = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for r, j in _entries(indptr, indices):
+        lower = (j < r) & (horizons[j] == horizons[r])
+        heads.append(r[lower])
+        tails.append(j[lower])
+    n = len(horizons)
+    return _longest_paths(np.concatenate(heads), np.concatenate(tails), n, n + 1)
+
+
+def _steps(indptr, order, starts, point=None) -> SweepPlan:
+    """The plan over ``order``, whose levels begin at ``starts``: one step
+    per wide level and per level holding two rows of one point, and
+    scalar chunks over each run of other levels.  ``point`` is the point
+    of each row of ``order``, by which the rows of a level are grouped,
+    or None when no two rows share a point."""
+    n = len(order)
+    alone = np.diff(np.r_[starts, n]) >= WIDE
+    blocky = np.zeros(len(starts), dtype=bool)
+    if point is not None:
+        new = np.r_[True, point[1:] != point[:-1]]
+        new[starts] = True
+        blocky = np.add.reduceat(new, starts) < np.diff(np.r_[starts, n])
+        alone |= blocky
+        del new
+    # a step starts at every level of its own and at the first level of
+    # each run of the others
+    first = alone | np.r_[True, alone[:-1]]
+    begins = starts[first].tolist()
+    steps = []
+    for lo, hi, own, block in zip(begins, begins[1:] + [n], alone[first].tolist(),
+                                  blocky[first].tolist()):
+        if not own:
+            steps.extend(
+                (a, min(a + CHUNK, hi), None) for a in range(lo, hi, CHUNK)
+            )
+            continue
+        rows = order[lo:hi]
+        lengths = indptr[rows + 1] - indptr[rows]
+        longest_first = np.argsort(-lengths, kind="stable")
+        order[lo:hi] = rows[longest_first]
+        lengths = lengths[longest_first]
+        counts = tuple(
+            int(np.count_nonzero(lengths > p)) for p in range(lengths[0])
+        )
+        if block:
+            at = point[lo:hi]
+            new = np.r_[True, at[1:] != at[:-1]]
+            which = np.cumsum(new) - 1
+            position = np.arange(hi - lo) - np.flatnonzero(new)[which]
+            width = int(position.max()) + 1
+            counts = Blocks(counts, (which * width + position)[longest_first],
+                            width, int(which[-1]) + 1)
+        steps.append((lo, hi, counts))
+    return SweepPlan(order, tuple(steps))
+
+
+def _starts(level):
+    """Where each run of equal values of the sorted ``level`` begins."""
+    return np.flatnonzero(np.r_[True, level[1:] != level[:-1]])
 
 
 def sweep_plan(indptr, indices, horizons) -> SweepPlan:
-    """Levels and steps of a sweep in level order: horizon, then sub-level,
-    then row index.  O(n) memory."""
-    n = len(horizons)
+    """Levels and steps of the fallback sweeps in level order: horizon,
+    then sub-level, then row index.  O(n) memory."""
     level = _sublevels(indptr, indices, horizons)
     level += horizons * (int(level.max(initial=0)) + 1)
     order = np.argsort(level, kind="stable")
     level = level[order]
-    starts = np.flatnonzero(np.r_[True, level[1:] != level[:-1]])
+    starts = _starts(level)
     del level
-    wide = np.diff(np.r_[starts, n]) >= WIDE
-    # a step starts at every wide level and at the first level of each
-    # run of narrow ones
-    first = wide | np.r_[True, wide[:-1]]
-    begins = starts[first].tolist()
-    steps = []
-    for lo, hi, is_wide in zip(begins, begins[1:] + [n], wide[first].tolist()):
-        if is_wide:
-            rows = order[lo:hi]
-            lengths = indptr[rows + 1] - indptr[rows]
-            longest_first = np.argsort(-lengths, kind="stable")
-            order[lo:hi] = rows[longest_first]
-            lengths = lengths[longest_first]
-            steps.append((lo, hi, tuple(
-                int(np.count_nonzero(lengths > p)) for p in range(lengths[0])
-            )))
-        else:
-            steps.extend(
-                (a, min(a + CHUNK, hi), None) for a in range(lo, hi, CHUNK)
-            )
-    return SweepPlan(order, tuple(steps))
+    return _steps(indptr, order, starts)
+
+
+def exact_plan(indptr, indices, slice_key, point, clocks) -> Optional[SweepPlan]:
+    """A plan whose one sweep solves ``x = M x + offset`` exactly, or None.
+
+    The rows of one ``point`` form a block, solved together.  Slices of
+    equal ``slice_key`` come by decreasing key, and inside a slice the
+    points by the longest chain of entries between different points
+    ending at them, then by point and row index.  Every entry then reads
+    a row of an earlier level or of its own block.  There is no such
+    order when an entry reads a smaller key, when a block has more than
+    ``BLOCK`` rows, or when the chains have not settled after
+    ``clocks + 1`` rounds: a jump inside a slice only zeroes coordinates,
+    so only delay steps make a chain longer than ``clocks``, and such a
+    slice may hold a cycle.  O(n) memory.
+    """
+    points = int(point.max(initial=-1)) + 1
+    widest = int(np.bincount(point).max(initial=0))
+    if widest > BLOCK:
+        return None
+    heads, tails = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for r, j in _entries(indptr, indices):
+        key, read = slice_key[r], slice_key[j]
+        if (read < key).any():
+            return None
+        between = (read == key) & (point[j] != point[r])
+        heads.append(point[r[between]])
+        tails.append(point[j[between]])
+    sub = _longest_paths(np.concatenate(heads), np.concatenate(tails),
+                         points, clocks + 1)
+    if sub is None:
+        return None
+    level = int(slice_key.max(initial=0)) - slice_key
+    level *= int(sub.max()) + 1
+    level += sub[point]
+    del sub
+    grouped = widest > 1  # the rows of one point side by side in a level
+    if grouped:
+        level *= points
+        level += point
+    order = np.argsort(level, kind="stable")
+    level = level[order]
+    if grouped:
+        level //= points
+    starts = _starts(level)
+    del level
+    return _steps(indptr, order, starts, point[order] if grouped else None)
 
 
 def _wide_step(indptr, indices, data, offset, x, rows, counts):
@@ -151,13 +269,52 @@ def _scalar_step(indptr, indices, data, offset, x, rows):
     return np.array(buf[size:])
 
 
+def _block_step(indptr, indices, data, offset, x, rows, blocks, slot_of):
+    """Solve the stacked ``I - M`` systems of a level's blocks at once.
+    An entry reads a row of the level only inside its own block: it goes
+    to the matrix, every other entry to the right-hand side.  ``slot_of``
+    is -1 for every row on entry and on return."""
+    counts, slots, width, count = blocks
+    slot_of[rows] = slots
+    first = indptr[rows]
+    acc = offset[rows]
+    mat = np.tile(np.eye(width), (count, 1))  # row slot s of I - M
+    for p, c in enumerate(counts):
+        k = first[:c] + p
+        j = indices[k]
+        v = data[k]
+        at = slot_of[j]
+        inside = at >= 0
+        head = acc[:c]
+        np.add(head, v * x[j], out=head, where=~inside)
+        mat[slots[:c][inside], at[inside] % width] -= v[inside]
+    slot_of[rows] = -1
+    rhs = np.zeros(count * width)
+    rhs[slots] = acc
+    try:
+        solved = np.linalg.solve(mat.reshape(count, width, width),
+                                 rhs.reshape(count, width, 1))
+    except np.linalg.LinAlgError as exc:
+        raise ZeroDivisionError(
+            f"singular block among rows {rows.min()}..{rows.max()}") from exc
+    return solved.ravel()[slots]
+
+
 def gauss_seidel_sweep(indptr, indices, data, offset, x, plan: SweepPlan):
     """One in-place Gauss-Seidel pass of ``x = M x + offset`` in the level
     order of ``plan``."""
+    slot_of = None
     for lo, hi, counts in plan.steps:
         rows = plan.order[lo:hi]
         args = (indptr, indices, data, offset, x, rows)
-        x[rows] = _scalar_step(*args) if counts is None else _wide_step(*args, counts)
+        if counts is None:
+            x[rows] = _scalar_step(*args)
+        elif isinstance(counts, Blocks):
+            if slot_of is None:
+                slot_of = np.full(len(x), -1, dtype=np.int32)
+            x[rows] = _block_step(*args, counts, slot_of)
+        else:
+            x[rows] = _wide_step(*args, counts)
 
 
 def max_residual(indptr, indices, data, offset, x):

@@ -240,6 +240,7 @@ def result_document(result: ApproxResult, timing: float) -> dict:
         "grid_size": result.grid_points,
         "|V|": report.vertex_count,
         "\U0001d520": report.contraction,
+        "log_contraction": report.log_contraction,
         "M1": report.m1,
         "M2": report.m2,
         "M3": report.m3,

@@ -13,6 +13,7 @@ witness, and a rule listed twice is an overlap.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,6 +23,7 @@ from typing import FrozenSet, List, NamedTuple, Sequence, Tuple
 from . import regions
 
 Rational = Fraction
+LONGEST_LOG_UNIFORM = 53 * math.log(2)  # -ln of the least uniform, 2^-53
 
 
 def rational(value) -> Fraction:
@@ -97,7 +99,9 @@ class Ctmc:
 
 def validate_ctmc(chain: Ctmc) -> ValidationReport:
     """Check stochasticity of every row and positivity of every rate, also
-    as the positive finite float that the solver and simulator use."""
+    as the positive finite float that the solver and simulator use, and
+    that the longest sojourn the simulator can draw, ``53 ln 2 / rate``
+    (from a uniform of 2^-53), is a finite float."""
     problems: List[str] = []
     for i, name in enumerate(chain.states):
         row = chain.transition[i]
@@ -114,6 +118,9 @@ def validate_ctmc(chain: Ctmc) -> ValidationReport:
             problems.append(f"state {name}: rate must be positive")
         elif rate > sys.float_info.max or float(rate) == 0.0:
             problems.append(f"state {name}: rate is not a positive finite float")
+        elif not math.isfinite(LONGEST_LOG_UNIFORM / float(rate)):
+            problems.append(f"state {name}: rate {float(rate)!r} is so small that "
+                            f"a sojourn overflows the float range")
     return ValidationReport(tuple(problems))
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, FrozenSet, List, NamedTuple, Tuple
 
 import numpy as np
@@ -256,6 +257,21 @@ class Contraction(NamedTuple):
     m_min: int
 
 
+def _log(q: Fraction) -> float:
+    """Natural log of a positive rational, without rounding it to a float
+    first (which may underflow to zero)."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def _contraction_factors(graph: ProductGraph, constants: ModelConstants):
+    """``lambda_max * t_max``, ``p_min`` and ``lambda_min / (2|V|^2 +
+    lambda_min)``: 𝔠 is the product of the last two and exp(-first)."""
+    n = graph.vertex_count
+    lam_min = constants.lambda_min
+    return (constants.lambda_max * constants.t_max, constants.p_min,
+            lam_min / (2 * n * n + lam_min))
+
+
 def contraction_constant(
     graph: ProductGraph, constants: ModelConstants
 ) -> Contraction:
@@ -263,14 +279,19 @@ def contraction_constant(
     threshold above which the scheme matrix is provably a contraction.
 
     The float value is rounded down one ulp so the reported error bound
-    (which divides by powers of this constant) stays conservative.
+    (which divides by powers of this constant) stays conservative.  It
+    underflows on fast chains (to 0.0 once lambda * t_max passes about
+    745); :func:`log_contraction_constant` stays finite there.
     """
+    lam_t, p_min, share = _contraction_factors(graph, constants)
+    c = math.exp(-float(lam_t)) * float(p_min) * float(share)
     n = graph.vertex_count
-    lam_t = float(constants.lambda_max * constants.t_max)
-    lam_min = constants.lambda_min
-    c = (
-        math.exp(-lam_t)
-        * float(constants.p_min)
-        * float(lam_min / (2 * n * n + lam_min))
-    )
     return Contraction(math.nextafter(c, 0.0), 2 * n * n + 1)
+
+
+def log_contraction_constant(graph: ProductGraph,
+                             constants: ModelConstants) -> float:
+    """log 𝔠 = -lambda * t_max + log p_min + log(lambda_min / (2|V|^2 +
+    lambda_min)), rounded down one ulp like 𝔠 itself."""
+    lam_t, p_min, share = _contraction_factors(graph, constants)
+    return math.nextafter(-float(lam_t) + _log(p_min) + _log(share), -math.inf)

@@ -65,7 +65,11 @@ class Grid:
     point's region, and its reset applies to the grid valuation itself.
     The cell is the only form of a grid point: :meth:`cell` numbers the
     point with given integer coordinates (the numerators of its valuation
-    over m), and ``horizons[k]`` is the horizon of row k.  A query's exact
+    over m), and ``horizons[k]`` is the horizon of row k.  The exact pass
+    of the solver reads two more per-row arrays, computed on demand:
+    ``point[k]``, the box point b of row k, and ``slice_key[k]``, the sum
+    of its coordinates over the clocks that no rule of the product graph
+    resets, a sum that no jump or delay step lowers.  A query's exact
     start valuation becomes integer coordinates in one place,
     :func:`pathprob.solver._snap_to_grid`.
     """
@@ -120,6 +124,19 @@ class Grid:
         return place * self.box_size + sum(
             j * stride for j, stride in zip(coords, self.strides)
         )
+
+    @property
+    def point(self) -> np.ndarray:
+        return self.cells % self.box_size
+
+    @property
+    def slice_key(self) -> np.ndarray:
+        reset = self.graph.rule_resets.any(axis=(0, 1, 2))
+        key = np.zeros(len(self.cells), dtype=np.int64)
+        for stride, top, cleared in zip(self.strides, self.max_coords, reset):
+            if not cleared:
+                key += self.cells // stride % (top + 1)
+        return key
 
     # -- horizons ----------------------------------------------------------
 

@@ -1,15 +1,18 @@
 """Fixed-point solver, error reports and the end-to-end query workflow.
 
-The sparse system ``mu = C mu + d`` is solved by Gauss-Seidel sweeps that
-visit unknowns by increasing horizon, so information flows outward from
-the dead and boundary points; on single-clock models one pass is an exact
-back substitution.  :func:`solve` builds the sweep plan of
-:mod:`pathprob.kernels` once per system: rows levelled by horizon and then
-by a sub-level, which also orders the rows of one horizon.  A sweep visits
-the levels in that order and updates a whole level at once, every entry
-reading the current iterate, so every iterate equals that of the
-one-row-at-a-time sweep in level order bit for bit.  A dense direct
-elimination acts as fallback for small systems when the sweeps stall.
+The sparse system ``mu = C mu + d`` is solved in one exact pass where the
+grid graph allows it: :func:`solve` asks :func:`pathprob.kernels.exact_plan`
+for an order in which every row reads only rows solved before it or rows
+of its own grid point, whose block is solved densely.  The pass runs as
+the first sweep, and the residual after it is the correctness check.
+When there is no such order, or the pass leaves the residual above the
+tolerance, Gauss-Seidel sweeps in the level order of
+:func:`pathprob.kernels.sweep_plan` follow: rows by increasing horizon,
+so information flows outward from the dead and boundary points, and then
+by a sub-level that orders the rows of one horizon.  Every such iterate
+equals that of the one-row-at-a-time sweep in level order bit for bit.
+A dense direct elimination acts as fallback for small systems when the
+sweeps stall.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from . import kernels
 from .models import Ctmc, Dta, ModelConstants, check_start, model_constants
 from .product import (
     DEAD_CLASS, FINAL_CLASS, ProductGraph, build_graph, contraction_constant,
+    log_contraction_constant,
 )
 from .regions import region_of
 from .scheme import (
@@ -64,6 +68,7 @@ class Solution:
     ``values_raw`` is the untouched solver output; ``values`` is the report
     copy clamped to [0, 1].  Dead grid points read exactly 0 and final
     locations exactly 1 by construction, they are never solved for.
+    ``method`` is "exact" (one exact pass), "sweep", "direct" or "empty".
     """
 
     system: SchemeSystem
@@ -92,6 +97,10 @@ def solve(
 ) -> Solution:
     """Solve ``mu = C mu + d`` to the requested residual.
 
+    The first sweep is the exact pass when the system has an exact order;
+    otherwise, or when its residual is not below ``tol``, the fallback
+    sweeps follow, counted in the same ``max_sweeps``.
+
     Raises :class:`SolverError` when the sweeps do not converge and the
     system is too large for dense elimination (above
     :data:`DIRECT_LIMIT` unknowns), or when elimination finds the matrix
@@ -101,26 +110,33 @@ def solve(
     if n == 0:
         empty = np.zeros(0)
         return Solution(system, empty, empty.copy(), 0.0, 0, "empty")
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    if x.shape != (n,):
-        raise ValueError(f"start vector has shape {x.shape}, expected ({n},)")
-    plan = kernels.sweep_plan(system.indptr, system.indices, system.grid.horizons)
-
+    if x0 is not None and np.shape(x0) != (n,):
+        raise ValueError(f"start vector has shape {np.shape(x0)}, expected ({n},)")
+    grid = system.grid
     args = (system.indptr, system.indices, system.data, system.offset)
+    plan = kernels.exact_plan(*args[:2], grid.slice_key, grid.point,
+                              len(grid.ceilings))
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    method = "exact"
     residual = math.inf
     try:
         for sweep_count in range(1, max_sweeps + 1):
+            if plan is None:
+                plan = kernels.sweep_plan(*args[:2], grid.horizons)
+                method = "sweep"
             kernels.gauss_seidel_sweep(*args, x, plan)
             residual = kernels.max_residual(*args, x)
             if residual < tol:
                 return Solution(
                     system, x, np.clip(x, 0.0, 1.0), float(residual),
-                    sweep_count, "sweep",
+                    sweep_count, method,
                 )
+            if method == "exact":  # rounding left it above tol: sweep on
+                plan = None
     except ZeroDivisionError as exc:
         raise SolverError(
-            f"sweep hit a unit diagonal ({exc}); the scheme matrix is not a "
-            f"contraction here, which the theory only rules out for "
+            f"sweep hit a singular row or block ({exc}); the scheme matrix "
+            f"is not a contraction here, which the theory only rules out for "
             f"m > 2|V|^2 = {2 * system.grid.graph.vertex_count ** 2}",
         ) from exc
 
@@ -155,6 +171,10 @@ def solve(
 class ErrorReport:
     """All constants feeding the a-priori bound, reported verbatim.
 
+    ``log_contraction`` is log 𝔠, from which the bound is computed: it
+    stays finite on fast chains, where ``contraction`` underflows to a
+    subnormal or to 0.0.
+
     ``theoretical_bound`` is |V| * c^(-|V|) * M3 * rho with rho = 1/m,
     astronomically large for most models and infinite beyond the float
     range; it is still the honest guarantee.  The optional
@@ -170,6 +190,7 @@ class ErrorReport:
     m2: float
     m3: float
     contraction: float
+    log_contraction: float
     vertex_count: int
     theoretical_bound: float
     m_min: int
@@ -189,13 +210,12 @@ def error_report(
         raise ValueError("grid resolution m must be >= 1")
     m1, m2, m3 = scaled_error_constants(constants)
     c, m_min = contraction_constant(graph, constants)
+    log_c = log_contraction_constant(graph, constants)  # finite where c underflows
     n = graph.vertex_count
     if m3 == 0.0:
         bound = 0.0
-    elif c == 0.0:  # exp(-lambda*t_max) underflowed: no finite guarantee
-        bound = math.inf
     else:
-        log_bound = math.log(n) - n * math.log(c) + math.log(m3) - math.log(m)
+        log_bound = math.log(n) - n * log_c + math.log(m3) - math.log(m)
         bound = math.inf if log_bound > 709.0 else math.nextafter(
             math.exp(log_bound), math.inf
         )
@@ -205,6 +225,7 @@ def error_report(
         m2=m2,
         m3=m3,
         contraction=c,
+        log_contraction=log_c,
         vertex_count=n,
         theoretical_bound=bound,
         m_min=m_min,

@@ -53,6 +53,38 @@ def departure():
 
 
 @pytest.fixture(scope="session")
+def reset_loop():
+    """Single clock, reset by a loop rule, so the grid graph has cycles
+    through different points and the solver must fall back to sweeps.
+
+    Leaving s before the clock reaches one resets it and moves on to s or
+    d with probability 1/2 each; leaving s later accepts, and leaving d
+    traps the run.  The acceptance probability from x = 0 is
+    2e^-1 / (1 + e^-1).
+    """
+    half = Fraction(1, 2)
+    chain = Ctmc(
+        states=("s", "d"),
+        transition=((half, half), (Fraction(0), Fraction(1))),
+        exit_rates=(Fraction(1), Fraction(1)),
+        labeling=("a", "b"),
+    )
+    dta = Dta(
+        locations=("q0", "qf", "qsink"),
+        final=frozenset({"qf"}),
+        clocks=("x",),
+        rules=(
+            Rule("q0", "a", Guard((Constraint(0, "<", 1),)), frozenset({0}), "q0"),
+            Rule("q0", "a", Guard((Constraint(0, ">=", 1),)), frozenset(), "qf"),
+            Rule("q0", "b", Guard(), frozenset(), "qsink"),
+        ) + tuple(Rule(q, a, Guard(), frozenset(), q)
+                  for q in ("qf", "qsink") for a in "ab"),
+        alphabet=frozenset({"a", "b"}),
+    )
+    return chain, dta
+
+
+@pytest.fixture(scope="session")
 def unit_graph(unit_deadline):
     return build_graph(*unit_deadline)
 
@@ -65,3 +97,8 @@ def exposure_graph(exposure_window):
 @pytest.fixture(scope="session")
 def departure_graph(departure):
     return build_graph(*departure)
+
+
+@pytest.fixture(scope="session")
+def reset_loop_graph(reset_loop):
+    return build_graph(*reset_loop)

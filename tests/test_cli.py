@@ -1,7 +1,9 @@
 import json
 import math
 import pathlib
+import sys
 import time
+import warnings
 
 import pytest
 
@@ -320,6 +322,47 @@ def test_rate_outside_float_range_exit_code(tmp_path, capsys, command, rate):
     code, _, err = run(capsys, command[0], "--model", str(model), *command[1:])
     assert code == 1
     assert "state g: rate is not a positive finite float" in err
+
+
+@pytest.mark.parametrize("command", [
+    ("graph",),
+    ("bound", "--grid", "4"),
+    ("solve", "--state", "s", "--location", "q0", "--valuation", "x=0", "--grid", "4"),
+    ("simulate", "--state", "s", "--location", "q0", "--valuation", "x=0",
+     "--samples", "10"),
+])
+@pytest.mark.parametrize("rate, code", [("1e-310", 1), ("1e-300", 0)])
+def test_rate_with_an_infinite_sojourn_exit_code(tmp_path, capsys, command,
+                                                 rate, code):
+    """A sojourn of 53 ln 2 / rate overflowed to inf in ``simulate``, and
+    ``inf - inf`` made NaN region signatures."""
+    doc = json.loads(pathlib.Path(UNIT).read_text())
+    doc["ctmc"]["states"][1]["rate"] = rate
+    model = tmp_path / "rate.json"
+    model.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, _, err = run(capsys, command[0], "--model", str(model), *command[1:])
+    assert got == code
+    assert ("state g: rate 1e-310 is so small" in err) == (code == 1)
+
+
+@pytest.mark.parametrize("rate", [720, 800])
+def test_log_contraction_stays_finite_on_fast_chains(tmp_path, capsys, rate):
+    """At these rates 𝔠 = e^-rate * rate / (2 * 24^2 + rate) underflows, to
+    a subnormal at 720 and to 0.0 at 800; its log does not."""
+    doc = json.loads(pathlib.Path(UNIT).read_text())
+    for state in doc["ctmc"]["states"]:
+        state["rate"] = str(rate)
+    model = tmp_path / "fast.json"
+    model.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "bound", "--model", str(model), "--grid", "8")
+    assert code == 0
+    report = json.loads(out)
+    assert report["\U0001d520"] < sys.float_info.min
+    assert report["log_contraction"] == pytest.approx(
+        -rate + math.log(rate / (2 * 24 ** 2 + rate)), rel=1e-12)
+    assert report["theoretical_bound"] == math.inf
 
 
 def test_unknown_state_exit_code(capsys):

@@ -1,11 +1,13 @@
 """The numpy sweep kernel against the sequential Gauss-Seidel loops.
 
-Every iterate and every residual must be equal bit for bit to the
-one-row-at-a-time sweep kept in ``oracles``, run in the level order of
-``oracles.level_order``.  ``exposure_window`` reaches the sub-level,
-read-ahead, diagonal, wide and narrow paths of the kernel, ``departure``
-has diagonal self-loops, ``unit_deadline`` is the one-clock chain, and
-random models add other clocks, ceilings and resets.
+Every iterate and every residual of the fallback sweeps must be equal bit
+for bit to the one-row-at-a-time sweep kept in ``oracles``, run in the
+level order of ``oracles.level_order``.  ``exposure_window`` reaches the
+sub-level, read-ahead, diagonal, wide and narrow paths of the kernel,
+``departure`` has diagonal self-loops, ``unit_deadline`` is the one-clock
+chain, ``reset_loop`` has no exact order, and random models add other
+clocks, ceilings and resets.  The exact pass must agree with those sweeps
+run until the residual stops falling, and with the dense solve.
 """
 
 import json
@@ -13,6 +15,8 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction as F
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,8 +27,10 @@ from hypothesis import strategies as st
 import oracles
 from pathprob import kernels
 from pathprob.product import build_graph
+from pathprob.models import Constraint, Ctmc, Dta, Guard, Rule
 from pathprob.scheme import SchemeSystem, assemble_gamma_prime, build_grid
-from pathprob.solver import SolverError, solve
+from pathprob.solver import DIRECT_LIMIT, SolverError, solve
+from test_grid_reference import clockless
 from test_tables import GRIDS, _chain_of_splits, random_models
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -38,16 +44,25 @@ def _system(request, model, m):
     ))
 
 
-@pytest.mark.parametrize("start", ["zeros", "random"])
-@pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
-@pytest.mark.parametrize("model", list(_GRAPHS))
-def test_sweeps_are_bit_identical_to_sequential_loops(request, model, m, start):
-    system = _system(request, model, m)
+def _kinds(plan):
+    return {"scalar" if counts is None else
+            "block" if isinstance(counts, kernels.Blocks) else "wide"
+            for _, _, counts in plan.steps}
+
+
+def _exact_plan(system):
+    grid = system.grid
+    return kernels.exact_plan(system.indptr, system.indices, grid.slice_key,
+                              grid.point, len(grid.ceilings))
+
+
+def _sweeps_to_tolerance(system, x0):
+    """Sweep kernel and sequential loops side by side from ``x0`` until the
+    residual falls below the solver's tolerance, every iterate and every
+    residual equal bit for bit; returns the number of sweeps."""
     args = (system.indptr, system.indices, system.data, system.offset)
     order = oracles.level_order(system.indptr, system.indices, system.grid.horizons)
     plan = kernels.sweep_plan(system.indptr, system.indices, system.grid.horizons)
-    x0 = (np.zeros(system.size) if start == "zeros"
-          else np.random.default_rng(3).random(system.size))
     got, expected = x0.copy(), x0.copy()
     for sweeps in range(1, 100):
         kernels.gauss_seidel_sweep(*args, got, plan)
@@ -56,10 +71,36 @@ def test_sweeps_are_bit_identical_to_sequential_loops(request, model, m, start):
         residual = kernels.max_residual(*args, got)
         assert residual == oracles.max_residual(*args, expected)
         if residual < 1e-10:
-            break
-    else:
-        pytest.fail("the sequential sweeps did not converge")
-    assert solve(system, x0=x0).sweeps == sweeps
+            return sweeps
+    pytest.fail("the sequential sweeps did not converge")
+
+
+def _start(system, start):
+    return (np.zeros(system.size) if start == "zeros"
+            else np.random.default_rng(3).random(system.size))
+
+
+@pytest.mark.parametrize("start", ["zeros", "random"])
+@pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
+@pytest.mark.parametrize("model", list(_GRAPHS))
+def test_sweeps_are_bit_identical_to_sequential_loops(request, model, m, start):
+    system = _system(request, model, m)
+    x0 = _start(system, start)
+    _sweeps_to_tolerance(system, x0)
+    solution = solve(system, x0=x0)
+    assert solution.method == "exact" and solution.sweeps == 1
+
+
+@pytest.mark.parametrize("start", ["zeros", "random"])
+@pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
+def test_fallback_sweeps_are_bit_identical_to_sequential_loops(
+        reset_loop, reset_loop_graph, m, start):
+    system = assemble_gamma_prime(build_grid(*reset_loop, reset_loop_graph, m))
+    assert _exact_plan(system) is None
+    x0 = _start(system, start)
+    sweeps = _sweeps_to_tolerance(system, x0)
+    solution = solve(system, x0=x0)
+    assert solution.method == "sweep" and solution.sweeps == sweeps > 1
 
 
 def test_exposure_window_plan_reaches_every_path(exposure_window, exposure_graph):
@@ -100,15 +141,185 @@ def test_sweeps_match_sequential_loops_on_random_models(model, m):
         assert kernels.max_residual(*args, got) == oracles.max_residual(*args, expected)
 
 
+def _sweeps_to_stagnation(system, limit=10_000):
+    """The sequential sweeps of ``oracles`` in level order from zero, run
+    until the residual stops falling."""
+    args = [a.tolist() for a in
+            (system.indptr, system.indices, system.data, system.offset)]
+    order = oracles.level_order(args[0], args[1], system.grid.horizons.tolist())
+    x = [0.0] * system.size
+    best = np.inf
+    for _ in range(limit):
+        oracles.gauss_seidel_sweep(*args, x, order)
+        residual = oracles.max_residual(*args, x)
+        if not residual < best:
+            return np.array(x)
+        best = residual
+    pytest.fail(f"the residual still falls after {limit} sweeps")
+
+
+def _two_clock_departure():
+    """One state and two clocks that no rule resets, accepting once x has
+    reached 2 (the guard splits on y only to give y a ceiling): one row
+    per point, so the exact plan of a fine grid holds both wide levels
+    and scalar chunks."""
+    late = Constraint(0, ">=", 2)
+    rules = (
+        Rule("q0", "a", Guard((Constraint(0, "<", 2),)), frozenset(), "q0"),
+        Rule("q0", "a", Guard((late, Constraint(1, "<", 2))), frozenset(), "qf"),
+        Rule("q0", "a", Guard((late, Constraint(1, ">=", 2))), frozenset(), "qf"),
+        Rule("qf", "a", Guard(), frozenset(), "qf"),
+    )
+    chain = Ctmc(states=("w",), transition=((F(1),),), exit_rates=(F(1),),
+                 labeling=("a",))
+    dta = Dta(locations=("q0", "qf"), final=frozenset({"qf"}), clocks=("x", "y"),
+              rules=rules, alphabet=frozenset({"a"}))
+    return chain, dta
+
+
+@pytest.mark.parametrize("m", [64, 128])
+def test_exact_pass_matches_sweeps_to_stagnation(exposure_window, exposure_graph,
+                                                 monkeypatch, m):
+    system = assemble_gamma_prime(build_grid(*exposure_window, exposure_graph, m))
+    calls = []
+    residual = kernels.max_residual
+    monkeypatch.setattr(kernels, "max_residual",
+                        lambda *args: calls.append(1) or residual(*args))
+    solution = solve(system)
+    assert solution.method == "exact" and solution.sweeps == 1
+    assert len(calls) == 1
+    assert solution.residual < 1e-15
+    swept = _sweeps_to_stagnation(system)
+    assert np.abs(solution.values_raw - swept).max() <= 1e-13
+
+
+@pytest.mark.parametrize("m", [4, 64, 65536])
+def test_exact_plan_of_a_chain_is_the_sweep_plan(unit_deadline, unit_graph, m):
+    system = assemble_gamma_prime(build_grid(*unit_deadline, unit_graph, m))
+    exact = _exact_plan(system)
+    sweep = kernels.sweep_plan(system.indptr, system.indices, system.grid.horizons)
+    assert np.array_equal(exact.order, sweep.order)
+    assert exact.steps == sweep.steps
+    assert _kinds(exact) == {"scalar"}
+
+
+def test_exact_plan_solves_a_clockless_pair():
+    chain, dta = clockless()
+    system = assemble_gamma_prime(build_grid(chain, dta, build_graph(chain, dta), 4))
+    assert _kinds(_exact_plan(system)) == {"block"}
+    solution = solve(system)
+    assert solution.method == "exact" and solution.sweeps == 1
+    mat, off = system.dense()
+    assert np.abs(solution.values_raw - oracles.solve_dense(mat, off)).max() <= 1e-15
+
+
+def test_blocks_above_the_cap_fall_back(exposure_window, exposure_graph,
+                                        monkeypatch):
+    system = assemble_gamma_prime(build_grid(*exposure_window, exposure_graph, 8))
+    exact = solve(system)
+    monkeypatch.setattr(kernels, "BLOCK", 5)  # exposure_window has 6 rows at a point
+    assert _exact_plan(system) is None
+    swept = solve(system)
+    assert swept.method == "sweep" and swept.sweeps > 1
+    assert np.abs(swept.values_raw - exact.values_raw).max() < 1e-9
+
+
+@pytest.mark.parametrize("model, m", [("exposure_window", 128),
+                                      ("unit_deadline", 65536)])
+def test_solve_peaks_below_assembly(request, model, m):
+    """The exact plan's transient memory stays below what assembling the
+    same grid already took."""
+    chain, dta = request.getfixturevalue(model)
+    graph = request.getfixturevalue(_GRAPHS[model])
+    tracemalloc.start()
+    try:
+        system = assemble_gamma_prime(build_grid(chain, dta, graph, m))
+        _, assembly = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        solution = solve(system)
+        _, solving = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert solution.method == "exact"
+    assert solving < assembly
+
+
+def test_exact_pass_matches_oracles_on_random_models():
+    """The exact pass against the sequential sweeps run to stagnation and,
+    on small systems, the dense solve; models without an exact order must
+    fall back to the sweeps."""
+    reached = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(random_models(), st.sampled_from(GRIDS + (16,)))
+    @example(_chain_of_splits(), 8)
+    @example(_two_clock_departure(), 16)
+    def check(model, m):
+        chain, dta = model
+        system = assemble_gamma_prime(
+            build_grid(chain, dta, build_graph(chain, dta), m))
+        if system.size == 0:
+            return
+        plan = _exact_plan(system)
+        solution = solve(system)
+        if plan is None:
+            reached.add("fallback")
+            assert solution.method != "exact"
+            return
+        reached.update(_kinds(plan))
+        assert solution.method == "exact" and solution.sweeps == 1
+        swept = _sweeps_to_stagnation(system)
+        assert np.abs(solution.values_raw - swept).max() <= 1e-12
+        if system.size <= DIRECT_LIMIT:
+            dense = oracles.solve_dense(*system.dense())
+            assert np.abs(solution.values_raw - dense).max() <= 1e-12
+
+    check()
+    assert reached >= {"block", "wide", "scalar", "fallback"}
+
+
 def _unit_diagonal_system(width):
     """``width`` rows of horizon 0, each holding only a diagonal entry of
     mass 1/2, except the middle row, whose diagonal mass is 1."""
     data = np.full(width, 0.5)
     data[width // 2] = 1.0
     grid = SimpleNamespace(horizons=np.zeros(width, dtype=np.int64),
+                           slice_key=np.zeros(width, dtype=np.int64),
+                           point=np.arange(width), ceilings=(),
                            graph=SimpleNamespace(vertex_count=3))
     return SchemeSystem("gamma_prime", grid, np.arange(width + 1),
                         np.arange(width), data, np.full(width, 0.25))
+
+
+def _fake_system(slice_key, point, indptr, indices, data, offset):
+    grid = SimpleNamespace(horizons=np.zeros(len(point), dtype=np.int64),
+                           slice_key=np.array(slice_key), point=np.array(point),
+                           ceilings=(), graph=SimpleNamespace(vertex_count=3))
+    return SchemeSystem("gamma_prime", grid, np.array(indptr), np.array(indices),
+                        np.array(data, dtype=float), np.array(offset, dtype=float))
+
+
+def test_entry_into_a_smaller_key_falls_back():
+    """No jump or delay step of a grid lowers the slice key; a system whose
+    row reads a smaller key has no exact order."""
+    system = _fake_system([1, 0], [0, 1], [0, 1, 2], [1, 0], [0.5, 0.5],
+                          [0.25, 0.25])
+    assert _exact_plan(system) is None
+    solution = solve(system)
+    assert solution.method == "sweep"
+    assert np.allclose(solution.values_raw, 0.5, rtol=0, atol=1e-9)
+
+
+def test_singular_block_raises():
+    """Two rows at one point, each reading the other with weight 1."""
+    system = _fake_system([0, 0], [0, 0], [0, 1, 2], [1, 0], [1, 1], [0, 0])
+    plan = _exact_plan(system)
+    assert _kinds(plan) == {"block"}
+    with pytest.raises(ZeroDivisionError):
+        kernels.gauss_seidel_sweep(system.indptr, system.indices, system.data,
+                                   system.offset, np.zeros(2), plan)
+    with pytest.raises(SolverError, match=r"2\|V\|\^2 = 18"):
+        solve(system)
 
 
 @pytest.mark.parametrize("width, wide", [(kernels.WIDE + 8, True), (3, False)])

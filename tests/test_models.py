@@ -69,6 +69,17 @@ def test_validate_ctmc_flags_rate_outside_float_range(rate):
     assert report.violations == ("state g: rate is not a positive finite float",)
 
 
+@pytest.mark.parametrize("rate, ok", [("1e-310", False), ("1e-300", True)])
+def test_validate_ctmc_flags_rate_with_an_infinite_sojourn(rate, ok):
+    chain = two_state(((F(0), F(1)), (F(0), F(1))), rates=(F(1), F(rate)))
+    report = validate_ctmc(chain)
+    assert report.ok == ok
+    if not ok:
+        assert report.violations == (
+            "state g: rate 1e-310 is so small that a sojourn overflows the "
+            "float range",)
+
+
 def test_validate_ctmc_flags_out_of_range_probability():
     chain = two_state(((F(2), F(-1)), (F(0), F(1))))
     report = validate_ctmc(chain)

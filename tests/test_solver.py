@@ -30,7 +30,7 @@ def test_chain_recurrence_solved_exactly(unit_deadline, unit_graph, m):
     value = solution.value_of(solution.system.grid.cell("s", "q0", (0,)))
     assert value == pytest.approx(expected, abs=1e-13)
     assert solution.residual < 1e-12
-    assert solution.sweeps == 1  # increasing-horizon order is a back substitution
+    assert solution.sweeps == 1  # one exact pass, by decreasing clock value
 
 
 def test_empty_system_is_a_noop():
@@ -97,9 +97,9 @@ def test_direct_fallback_agrees_with_sweeps(unit_deadline, unit_graph):
     assert np.max(np.abs(forced.values_raw - iterated.values_raw)) < 1e-10
 
 
-def test_nonconvergence_error_carries_residual(exposure_window, exposure_graph):
-    # 6 272 unknowns, above DIRECT_LIMIT: no dense fallback after the sweep
-    system = _system(exposure_window, exposure_graph, 32)
+def test_nonconvergence_error_carries_residual(reset_loop, reset_loop_graph):
+    # 4 097 unknowns, above DIRECT_LIMIT: no dense fallback after the sweep
+    system = _system(reset_loop, reset_loop_graph, 4096)
     with pytest.raises(SolverError) as err:
         solve(system, tol=1e-14, max_sweeps=1)
     assert err.value.residual is not None and err.value.residual > 0
