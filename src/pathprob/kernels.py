@@ -30,9 +30,15 @@ in an earlier level, and a row reads a higher-indexed row of its level
 before the sequential sweep updates it.  So in both plans a level of at
 least ``WIDE`` single rows is one atomic vectorised step that walks the
 CSR by position within the row.  A run of narrower levels (a one-clock
-chain has one row per level) is swept by a scalar loop over list copies
-of at most ``CHUNK`` rows at a time.  On a one-clock chain without
-resets both plans are the same.
+chain has one row per level) is cut into chunks of at most ``CHUNK``
+rows.  The fallback sweeps every chunk with a scalar loop over list
+copies.  The exact plan turns a chunk in which each row reads at most
+one other row of it, an earlier one, into a chain step: the recurrence
+``x_t = b_t + a_t x_next(t)`` solved by recursive doubling (Kogge and
+Stone, 1973), exact up to rounding but not bit-identical to the loop.
+Other chunks keep the scalar loop.  On a one-clock chain without resets
+both plans have the same order and chunks, and every chunk of the exact
+plan is a chain step.
 """
 
 from typing import NamedTuple, Optional, Tuple
@@ -42,6 +48,7 @@ import numpy as np
 WIDE = 32
 CHUNK = 1024
 BLOCK = 16  # most rows at one point that the exact pass solves together
+CHAIN = "chain"  # the kind of an exact plan's step over a chunk of delay chains
 
 
 class Blocks(NamedTuple):
@@ -58,9 +65,10 @@ class Blocks(NamedTuple):
 class SweepPlan(NamedTuple):
     """Rows in level order and the steps of a sweep.  A step
     ``(lo, hi, counts)`` updates ``order[lo:hi]``:
-    ``counts`` is None for a scalar chunk; for a wide level, whose longest
-    rows come first, ``counts[p]`` is the number of rows with more than
-    ``p`` entries; for a level of multi-row blocks it is :class:`Blocks`."""
+    ``counts`` is None for a scalar chunk and :data:`CHAIN` for a chunk of
+    delay chains (exact plans only); for a wide level, whose longest rows
+    come first, ``counts[p]`` is the number of rows with more than ``p``
+    entries; for a level of multi-row blocks it is :class:`Blocks`."""
 
     order: np.ndarray
     steps: Tuple[Tuple[int, int, object], ...]
@@ -180,7 +188,8 @@ def exact_plan(indptr, indices, slice_key, point, clocks) -> Optional[SweepPlan]
     ``BLOCK`` rows, or when the chains have not settled after
     ``clocks + 1`` rounds: a jump inside a slice only zeroes coordinates,
     so only delay steps make a chain longer than ``clocks``, and such a
-    slice may hold a cycle.  O(n) memory.
+    slice may hold a cycle.  A scalar chunk whose rows read at most one
+    earlier row of it each becomes a :data:`CHAIN` step.  O(n) memory.
     """
     points = int(point.max(initial=-1)) + 1
     widest = int(np.bincount(point).max(initial=0))
@@ -212,7 +221,29 @@ def exact_plan(indptr, indices, slice_key, point, clocks) -> Optional[SweepPlan]
         level //= points
     starts = _starts(level)
     del level
-    return _steps(indptr, order, starts, point[order] if grouped else None)
+    plan = _steps(indptr, order, starts, point[order] if grouped else None)
+    return plan._replace(steps=_chains(indptr, indices, plan))
+
+
+def _chains(indptr, indices, plan):
+    """The steps of an exact ``plan``, each scalar chunk whose rows read at
+    most one other row of it a :data:`CHAIN` step; in an exact order that
+    row comes earlier.  One walk over the entries counts those reads."""
+    scalar = [s for s, (_, _, counts) in enumerate(plan.steps) if counts is None]
+    if not scalar:
+        return plan.steps
+    chunk = np.full(len(plan.order), -1, dtype=np.int64)  # step of each row's chunk
+    for s in scalar:
+        lo, hi, _ = plan.steps[s]
+        chunk[plan.order[lo:hi]] = s
+    reads = np.zeros(len(chunk), dtype=np.int64)
+    for r, j in _entries(indptr, indices):
+        own = chunk[r]
+        reads[r[(own >= 0) & (chunk[j] == own) & (j != r)]] += 1
+    twice = np.zeros(len(plan.steps), dtype=bool)
+    twice[chunk[reads > 1]] = True
+    return tuple((lo, hi, CHAIN) if counts is None and not twice[s] else (lo, hi, counts)
+                 for s, (lo, hi, counts) in enumerate(plan.steps))
 
 
 def _wide_step(indptr, indices, data, offset, x, rows, counts):
@@ -228,30 +259,46 @@ def _wide_step(indptr, indices, data, offset, x, rows, counts):
         np.add(head, v * x[j], out=head, where=~on_diag)
         head = diag[:c]
         np.add(head, v, out=head, where=on_diag)
+    return acc / _denominators(rows, diag)
+
+
+def _denominators(rows, diag):
+    """``1 - diag`` of each row; ZeroDivisionError at the first row whose
+    diagonal mass reaches 1."""
     denom = 1.0 - diag
     bad = np.flatnonzero(denom <= 0.0)
     if len(bad):
         k = bad[0]
         raise ZeroDivisionError(f"row {rows[k]}: unit diagonal mass {diag[k]}")
-    return acc / denom
+    return denom
 
 
-def _scalar_step(indptr, indices, data, offset, x, rows):
+def _chunk_entries(indptr, indices, rows):
+    """The entries of a chunk's ``rows`` in CSR order: their places ``k``
+    in the CSR, their columns, the chunk place ``owner`` of their row and
+    the chunk place ``slot`` of their column, -1 outside the chunk; and
+    ``ptr``, where the entries of each row begin."""
     first = indptr[rows]
     lengths = indptr[rows + 1] - first
     ptr = np.r_[0, np.cumsum(lengths)]
-    size = int(ptr[-1])
-    k = np.repeat(first - ptr[:-1], lengths) + np.arange(size)
+    k = np.repeat(first - ptr[:-1], lengths) + np.arange(ptr[-1])
     cols = indices[k]
-    owner = np.repeat(rows, lengths)
-    # entry e reads buf[src[e]]: x of a row outside the chunk, or at size + t
-    # chunk row t, which holds x until the row is updated and then its new value
+    owner = np.repeat(np.arange(len(rows)), lengths)
     by_row = np.argsort(rows)
     slot = by_row[np.searchsorted(rows, cols, sorter=by_row).clip(max=len(rows) - 1)]
+    slot[rows[slot] != cols] = -1
+    return k, cols, owner, slot, ptr
+
+
+def _scalar_step(indptr, indices, data, offset, x, rows):
+    k, cols, owner, slot, ptr = _chunk_entries(indptr, indices, rows)
+    size = len(k)
+    # entry e reads buf[src[e]]: x of a row outside the chunk, or at size + t
+    # chunk row t, which holds x until the row is updated and then its new value
     src = np.arange(size)
-    in_chunk = rows[slot] == cols
+    in_chunk = slot >= 0
     src[in_chunk] = size + slot[in_chunk]
-    src[cols == owner] = -1
+    src[slot == owner] = -1
     buf = x[cols].tolist() + x[rows].tolist()
     src, vals, ptr = src.tolist(), data[k].tolist(), ptr.tolist()
     for t, acc in enumerate(offset[rows].tolist()):
@@ -267,6 +314,38 @@ def _scalar_step(indptr, indices, data, offset, x, rows):
             raise ZeroDivisionError(f"row {rows[t]}: unit diagonal mass {diag}")
         buf[size + t] = acc / denom
     return np.array(buf[size:])
+
+
+def _chain_step(indptr, indices, data, offset, x, rows):
+    """Solve a chunk in which each row reads at most one earlier row of it.
+    Row t is ``x_t = b_t + a_t x_next(t)``: its diagonal mass goes to the
+    denominator, its entries outside the chunk to ``b_t`` with the current
+    ``x``, and its one in-chunk entry to ``a_t``; a row without one points
+    at itself with ``a_t = 0``.  Recursive doubling (Kogge and Stone,
+    1973) then folds each link into the next, ``b_t += a_t b_next(t)``,
+    ``a_t *= a_next(t)``, ``next(t) = next(next(t))``: after
+    ceil(log2 rows) rounds every row points at a row without a link, and
+    ``b`` is the solution."""
+    k, cols, owner, slot, _ = _chunk_entries(indptr, indices, rows)
+    vals = data[k]
+    on_diag = slot == owner
+    link = (slot >= 0) & ~on_diag
+    outside = slot < 0
+    diag = np.bincount(owner[on_diag], vals[on_diag], minlength=len(rows))
+    denom = _denominators(rows, diag)
+    b = offset[rows] + np.bincount(owner[outside], vals[outside] * x[cols[outside]],
+                                   minlength=len(rows))
+    b /= denom
+    a = np.zeros(len(rows))
+    nxt = np.arange(len(rows))
+    at = owner[link]
+    a[at] = vals[link] / denom[at]
+    nxt[at] = slot[link]
+    for _ in range((len(rows) - 1).bit_length()):
+        b += a * b[nxt]
+        a *= a[nxt]
+        nxt = nxt[nxt]
+    return b
 
 
 def _block_step(indptr, indices, data, offset, x, rows, blocks, slot_of):
@@ -309,6 +388,8 @@ def gauss_seidel_sweep(indptr, indices, data, offset, x, plan: SweepPlan):
         args = (indptr, indices, data, offset, x, rows)
         if counts is None:
             x[rows] = _scalar_step(*args)
+        elif counts is CHAIN:
+            x[rows] = _chain_step(*args)
         elif isinstance(counts, Blocks):
             if slot_of is None:
                 slot_of = np.full(len(x), -1, dtype=np.int32)

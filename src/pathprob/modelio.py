@@ -245,6 +245,8 @@ def result_document(result: ApproxResult, timing: float) -> dict:
         "M2": report.m2,
         "M3": report.m3,
         "residual": result.residual,
+        "solver_method": result.solver_method,
+        "sweeps": result.sweeps,
         "below_threshold": report.below_threshold,
         "m_min": report.m_min,
         "snap_distance": report.snap_distance,

@@ -3,8 +3,9 @@
 The sparse system ``mu = C mu + d`` is solved in one exact pass where the
 grid graph allows it: :func:`solve` asks :func:`pathprob.kernels.exact_plan`
 for an order in which every row reads only rows solved before it or rows
-of its own grid point, whose block is solved densely.  The pass runs as
-the first sweep, and the residual after it is the correctness check.
+of its own grid point, whose block is solved densely; runs of delay
+chains are solved by recursive doubling.  The pass runs as the first
+sweep, and the residual after it is the correctness check.
 When there is no such order, or the pass leaves the residual above the
 tolerance, Gauss-Seidel sweeps in the level order of
 :func:`pathprob.kernels.sweep_plan` follow: rows by increasing horizon,
@@ -239,10 +240,16 @@ def error_report(
 
 
 class ApproxResult(NamedTuple):
+    """The answer of a query.  ``solver_method`` and ``sweeps`` are those
+    of the m-grid solve (:attr:`Solution.method`), or "shortcut" and 0
+    when a final or dead start was answered without solving."""
+
     probability: float
     report: ErrorReport
     residual: float
     grid_points: int
+    solver_method: str
+    sweeps: int
 
 
 @lru_cache(maxsize=8)
@@ -304,7 +311,9 @@ def approximate(
     must be given.  The start valuation is clamped into the ceiling box and
     snapped to the nearest grid point; the Lipschitz slack of the snap is
     part of the report.  Final locations answer exactly 1 and dead start
-    vertices exactly 0, without solving.  A grid above :data:`MAX_GRID_CELLS`
+    vertices exactly 0, without solving and, for an ``epsilon`` query,
+    without sizing a grid: the report is the probe's at m = 1, with bound
+    0.  A grid above :data:`MAX_GRID_CELLS`
     cells (counting the ``2m`` grid of ``with_empirical``) is refused with
     :class:`ValueError` before it is built.
     """
@@ -315,10 +324,18 @@ def approximate(
     constants, graph = _analysis(chain, dta)
     eta = tuple(Fraction(v) for v in valuation)
     check_start(chain, dta, state, location, eta)
+    if epsilon is not None and not 0 < epsilon < 1:
+        raise ValueError("epsilon must lie in (0,1)")
+
+    shortcut = _shortcut(graph, state, location, eta)
+    if shortcut is not None:
+        m = 1 if m is None else m
+        report = error_report(graph, constants, m)
+        report.theoretical_bound = 0.0
+        return ApproxResult(shortcut, report, 0.0, grid_cells(chain, dta, m),
+                            "shortcut", 0)
 
     if epsilon is not None:
-        if not 0 < epsilon < 1:
-            raise ValueError("epsilon must lie in (0,1)")
         probe = error_report(graph, constants, 1)
         m_req = _required_m(probe, epsilon)
         if m_req > 0 and grid_cells(chain, dta, m_req) <= MAX_GRID_CELLS:
@@ -332,12 +349,6 @@ def approximate(
             )
         else:
             m = _empirical_m(chain, dta, state, location, eta, epsilon)
-
-    shortcut = _shortcut(graph, state, location, eta)
-    if shortcut is not None:
-        report = error_report(graph, constants, m)
-        report.theoretical_bound = 0.0
-        return ApproxResult(shortcut, report, 0.0, grid_cells(chain, dta, m))
 
     largest = 2 * m if with_empirical else m
     cells = grid_cells(chain, dta, largest)
@@ -360,7 +371,8 @@ def approximate(
     if distance:  # an infinite M1 times a zero snap is no slack, not NaN
         report.snap_slack = report.m1 * float(distance)
     return ApproxResult(value, report, solution.residual,
-                        grid_cells(chain, dta, m))
+                        grid_cells(chain, dta, m), solution.method,
+                        solution.sweeps)
 
 
 def _shortcut(graph: ProductGraph, state: str, location: str, eta) -> Optional[float]:
@@ -405,7 +417,8 @@ def prob_from_distribution(
 
     ``theta`` maps state names to exact weights in [0, 1] summing to one;
     zero-weight states are skipped.  The reported bound is the worst
-    per-state bound.
+    per-state bound.  The solver method and sweeps are those of the last
+    state that needed a solve ("shortcut" and 0 when none did).
     """
     weights = {s: Fraction(w) for s, w in theta.items()}
     for s, w in weights.items():
@@ -420,6 +433,7 @@ def prob_from_distribution(
     worst: Optional[ApproxResult] = None
     residual = 0.0
     cells = 0
+    method, sweeps = "shortcut", 0
     for s, w in weights.items():
         if w == 0:
             continue
@@ -427,11 +441,13 @@ def prob_from_distribution(
         total += float(w) * result.probability
         residual = max(residual, result.residual)
         cells = max(cells, result.grid_points)
+        if result.solver_method != "shortcut":
+            method, sweeps = result.solver_method, result.sweeps
         if worst is None or _total_bound(result.report) > _total_bound(worst.report):
             worst = result
     if worst is None:
         raise ValueError("initial distribution has no positive weight")
-    return ApproxResult(total, worst.report, residual, cells)
+    return ApproxResult(total, worst.report, residual, cells, method, sweeps)
 
 
 def _total_bound(report: ErrorReport) -> float:

@@ -119,6 +119,27 @@ def test_solve_subcommand(capsys):
     assert "timing" in doc
 
 
+def test_solve_reports_the_solver_method(tmp_path, capsys, reset_loop):
+    """One exact pass where the grid has an order, sweeps where a reset
+    loop leaves none."""
+    code, out, _ = run(
+        capsys, "solve", "--model", EXPOSURE, "--state", "a", "--location", "q0",
+        "--valuation", "x=0,y=0", "--grid", "8",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["solver_method"], doc["sweeps"]) == ("exact", 1)
+    model = tmp_path / "loop.json"
+    model.write_text(modelio.serialize_model(*reset_loop))
+    code, out, _ = run(
+        capsys, "solve", "--model", str(model), "--state", "s", "--location", "q0",
+        "--valuation", "x=0", "--grid", "8",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["solver_method"] == "sweep" and doc["sweeps"] > 1
+
+
 def test_solve_writes_result_file(tmp_path, capsys):
     out_file = tmp_path / "result.json"
     code, _, _ = run(
@@ -390,6 +411,25 @@ def test_epsilon_with_empirical_fallback(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["probability"] - (1 - math.exp(-1))) < 0.05
+
+
+@pytest.mark.parametrize("force", [[], ["--force-empirical"]])
+@pytest.mark.parametrize("location, expected", [("qf", 1.0), ("qsink", 0.0)])
+def test_epsilon_query_from_a_final_or_dead_start_solves_nothing(
+        capsys, monkeypatch, location, expected, force):
+    """The answer is exact, so no grid is sized or solved, also where the
+    theoretical bound would need m = inf."""
+    monkeypatch.setattr(solver, "_solved",
+                        lambda *args: pytest.fail(f"solved a grid {args[2:]}"))
+    code, out, _ = run(
+        capsys, "solve", "--model", EXPOSURE, "--state", "a", "--location",
+        location, "--valuation", "x=0,y=0", "--epsilon", "1e-3", *force,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["probability"] == expected
+    assert (doc["m"], doc["theoretical_bound"]) == (1, 0.0)
+    assert (doc["solver_method"], doc["sweeps"]) == ("shortcut", 0)
 
 
 def test_force_empirical_solves_its_final_grid_once(capsys):

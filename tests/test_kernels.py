@@ -7,7 +7,9 @@ sub-level, read-ahead, diagonal, wide and narrow paths of the kernel,
 ``departure`` has diagonal self-loops, ``unit_deadline`` is the one-clock
 chain, ``reset_loop`` has no exact order, and random models add other
 clocks, ceilings and resets.  The exact pass must agree with those sweeps
-run until the residual stops falling, and with the dense solve.
+run until the residual stops falling, and with the dense solve; its chain
+steps, which are not bit-identical to the sequential loop, must also
+agree with that loop run in the same order, in float and in long double.
 """
 
 import json
@@ -46,6 +48,7 @@ def _system(request, model, m):
 
 def _kinds(plan):
     return {"scalar" if counts is None else
+            "chain" if counts is kernels.CHAIN else
             "block" if isinstance(counts, kernels.Blocks) else "wide"
             for _, _, counts in plan.steps}
 
@@ -177,6 +180,27 @@ def _two_clock_departure():
     return chain, dta
 
 
+def _reset_departure():
+    """``_two_clock_departure`` with y reset by the loop while x < 1 and
+    y < 1, and x >= 2 dead: a row then reads its point at y = 0 and its
+    delay successor, often both in one chunk, so the exact plan of a
+    fine grid holds scalar chunks."""
+    early = Constraint(0, "<", 1)
+    rules = (
+        Rule("q0", "a", Guard((early, Constraint(1, "<", 1))), frozenset({1}), "q0"),
+        Rule("q0", "a", Guard((early, Constraint(1, ">=", 1))), frozenset(), "qf"),
+        Rule("q0", "a", Guard((Constraint(0, ">=", 1), Constraint(0, "<", 2))),
+             frozenset(), "qf"),
+        Rule("q0", "a", Guard((Constraint(0, ">=", 2),)), frozenset(), "qs"),
+        Rule("qf", "a", Guard(), frozenset(), "qf"),
+        Rule("qs", "a", Guard(), frozenset(), "qs"),
+    )
+    chain, dta = _two_clock_departure()
+    dta = Dta(locations=("q0", "qf", "qs"), final=dta.final, clocks=dta.clocks,
+              rules=rules, alphabet=dta.alphabet)
+    return chain, dta
+
+
 @pytest.mark.parametrize("m", [64, 128])
 def test_exact_pass_matches_sweeps_to_stagnation(exposure_window, exposure_graph,
                                                  monkeypatch, m):
@@ -194,13 +218,41 @@ def test_exact_pass_matches_sweeps_to_stagnation(exposure_window, exposure_graph
 
 
 @pytest.mark.parametrize("m", [4, 64, 65536])
-def test_exact_plan_of_a_chain_is_the_sweep_plan(unit_deadline, unit_graph, m):
+def test_exact_plan_of_a_chain_chains_the_sweep_plan(unit_deadline, unit_graph, m):
+    """On the one-clock chain the exact plan is the sweep plan, in the same
+    order, with each scalar chunk a chain step."""
     system = assemble_gamma_prime(build_grid(*unit_deadline, unit_graph, m))
     exact = _exact_plan(system)
     sweep = kernels.sweep_plan(system.indptr, system.indices, system.grid.horizons)
     assert np.array_equal(exact.order, sweep.order)
-    assert exact.steps == sweep.steps
-    assert _kinds(exact) == {"scalar"}
+    assert exact.steps == tuple((lo, hi, kernels.CHAIN if counts is None else counts)
+                                for lo, hi, counts in sweep.steps)
+    assert _kinds(exact) == {"chain"}
+    assert _kinds(sweep) == {"scalar"}
+
+
+@pytest.mark.parametrize("m", [2 ** e for e in range(3, 17)])
+def test_chain_pass_matches_the_sequential_loop(unit_deadline, unit_graph, m):
+    """The grids of the accuracy query, m = 8 ... 65 536: the chain steps'
+    pass against the sequential loop in the plan's order, and at m <= 4096
+    against that loop run in long double."""
+    system = assemble_gamma_prime(build_grid(*unit_deadline, unit_graph, m))
+    plan = _exact_plan(system)
+    assert _kinds(plan) == {"chain"}
+    args = (system.indptr, system.indices, system.data, system.offset)
+    got = np.zeros(system.size)
+    kernels.gauss_seidel_sweep(*args, got, plan)
+    expected = [0.0] * system.size
+    oracles.gauss_seidel_sweep(*[a.tolist() for a in args], expected,
+                               plan.order.tolist())
+    assert np.abs(got - expected).max() <= 1e-12
+    assert kernels.max_residual(*args, got) < 1e-15
+    if m <= 4096:
+        reference = np.zeros(system.size, dtype=np.longdouble)
+        oracles.gauss_seidel_sweep(*args[:2], system.data.astype(np.longdouble),
+                                   system.offset.astype(np.longdouble), reference,
+                                   plan.order)
+        assert np.abs(got - reference).max() <= 1e-13
 
 
 def test_exact_plan_solves_a_clockless_pair():
@@ -254,6 +306,8 @@ def test_exact_pass_matches_oracles_on_random_models():
     @given(random_models(), st.sampled_from(GRIDS + (16,)))
     @example(_chain_of_splits(), 8)
     @example(_two_clock_departure(), 16)
+    @example(_reset_departure(), 16)
+    @example(clockless(), 4)
     def check(model, m):
         chain, dta = model
         system = assemble_gamma_prime(
@@ -275,7 +329,7 @@ def test_exact_pass_matches_oracles_on_random_models():
             assert np.abs(solution.values_raw - dense).max() <= 1e-12
 
     check()
-    assert reached >= {"block", "wide", "scalar", "fallback"}
+    assert reached >= {"block", "wide", "scalar", "chain", "fallback"}
 
 
 def _unit_diagonal_system(width):
@@ -324,12 +378,17 @@ def test_singular_block_raises():
 
 @pytest.mark.parametrize("width, wide", [(kernels.WIDE + 8, True), (3, False)])
 def test_unit_diagonal_raises(width, wide):
+    """In a wide level or a scalar chunk of the sweep plan, and in a wide
+    level or a chain step of the exact plan."""
     system = _unit_diagonal_system(width)
     args = (system.indptr, system.indices, system.data, system.offset)
     plan = kernels.sweep_plan(system.indptr, system.indices, system.grid.horizons)
     assert [counts is not None for _, _, counts in plan.steps] == [wide]
-    with pytest.raises(ZeroDivisionError):
-        kernels.gauss_seidel_sweep(*args, np.zeros(width), plan)
+    exact = _exact_plan(system)
+    assert _kinds(exact) == {"wide" if wide else "chain"}
+    for steps in (plan, exact):
+        with pytest.raises(ZeroDivisionError, match="unit diagonal mass 1.0"):
+            kernels.gauss_seidel_sweep(*args, np.zeros(width), steps)
     with pytest.raises(ZeroDivisionError):
         oracles.gauss_seidel_sweep(*args, np.zeros(width), np.arange(width))
     with pytest.raises(SolverError, match=r"2\|V\|\^2 = 18"):

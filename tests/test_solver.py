@@ -237,6 +237,17 @@ def test_distribution_mixes_linearly(unit_deadline):
     assert mixed.probability == pytest.approx(single.probability / 2, abs=1e-15)
 
 
+def test_distribution_reports_the_solver_method(unit_deadline):
+    """The dead start g is answered without solving; mixed with s it
+    reports the solve that s needed."""
+    mixed = prob_from_distribution(
+        *unit_deadline, {"g": F(1, 2), "s": F(1, 2)}, "q0", (F(0),), m=4
+    )
+    assert (mixed.solver_method, mixed.sweeps) == ("exact", 1)
+    dead = prob_from_distribution(*unit_deadline, {"g": 1}, "q0", (F(0),), m=4)
+    assert (dead.probability, dead.solver_method, dead.sweeps) == (0.0, "shortcut", 0)
+
+
 def test_distribution_skips_zero_weight_and_rejects_unnormalized(unit_deadline):
     with_zero = prob_from_distribution(
         *unit_deadline, {"s": 1, "g": 0}, "q0", (F(0),), m=4
