@@ -12,6 +12,7 @@ steps, which are not bit-identical to the sequential loop, must also
 agree with that loop run in the same order, in float and in long double.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -330,6 +331,65 @@ def test_exact_pass_matches_oracles_on_random_models():
 
     check()
     assert reached >= {"block", "wide", "scalar", "chain", "fallback"}
+
+
+_BUILT = {"_chain_of_splits": _chain_of_splits,
+          "_two_clock_departure": _two_clock_departure,
+          "_reset_departure": _reset_departure}
+_FIXTURE_GRAPHS = dict(_GRAPHS, reset_loop="reset_loop_graph")
+
+# model, m, the kinds of step its solve runs ("fallback" when it has no
+# exact plan, then the sweep plan's kinds), and the method, sweeps and
+# sha256 of values_raw of that solve
+_FIXED = [
+    ("exposure_window", 64, {"block"}, "exact", 1,
+     "0d98ea197caca61f55b2fb4ea33e6e1e3e2c331f7809dd1740a84826fce3c26f"),
+    ("exposure_window", 128, {"block"}, "exact", 1,
+     "877905b469d7d8878eb431a07bf60ab1a3a6165b9f45dc1aeaa60021f640e466"),
+    ("unit_deadline", 65536, {"chain"}, "exact", 1,
+     "c33a4358b7fedb183e9819e7374083f562403fa83c5e3c749bbd8d7fb6525bb1"),
+    ("reset_loop", 64, {"fallback", "scalar"}, "sweep", 16,
+     "72a40fb3eb746c1d3c61760bedf1b62b4e5100b9adfbaa6d44ae59f310210c26"),
+    ("_chain_of_splits", 8, {"fallback", "wide", "scalar"}, "sweep", 17,
+     "5be0ea2b7194f56acbea5599fcb81c727486f627f4cabfc0b17d3e8874a12d23"),
+    ("_two_clock_departure", 16, {"wide", "chain"}, "exact", 1,
+     "c9bb056c0ef88bc55473ad3243bd6431ab4f1af796f64bbe02490fa96847da07"),
+    ("_reset_departure", 16, {"scalar"}, "exact", 1,
+     "2a09d6ea18b0d9c1ac15e5735da4055690be20e62d060e684d2f02fd415307ca"),
+]
+
+
+def _fixed_system(request, model, m):
+    if model in _BUILT:
+        chain, dta = _BUILT[model]()
+        graph = build_graph(chain, dta)
+    else:
+        chain, dta = request.getfixturevalue(model)
+        graph = request.getfixturevalue(_FIXTURE_GRAPHS[model])
+    return assemble_gamma_prime(build_grid(chain, dta, graph, m))
+
+
+@pytest.mark.parametrize("model, m, kinds, method, sweeps, digest", _FIXED)
+def test_fixed_models_solve_bit_for_bit(request, model, m, kinds, method,
+                                        sweeps, digest):
+    """Every step kind and both plans on fixed models: the kinds each solve
+    runs, and its values, method and sweeps, bit for bit as pinned."""
+    system = _fixed_system(request, model, m)
+    plan = _exact_plan(system)
+    if plan is None:
+        plan = kernels.sweep_plan(system.indptr, system.indices,
+                                  system.grid.horizons)
+        assert _kinds(plan) | {"fallback"} == kinds
+    else:
+        assert _kinds(plan) == kinds
+    solution = solve(system)
+    assert (solution.method, solution.sweeps) == (method, sweeps)
+    assert hashlib.sha256(solution.values_raw.tobytes()).hexdigest() == digest
+
+
+def test_fixed_models_reach_every_step_kind():
+    assert set().union(*(kinds for _, _, kinds, *_ in _FIXED)) == {
+        "block", "wide", "chain", "scalar", "fallback"}
 
 
 def _unit_diagonal_system(width):
