@@ -25,6 +25,7 @@ unfolded equations lives in the test suite as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,13 +66,14 @@ class Grid:
     point's region, and its reset applies to the grid valuation itself.
     The cell is the only form of a grid point: :meth:`cell` numbers the
     point with given integer coordinates (the numerators of its valuation
-    over m), and ``horizons[k]`` is the horizon of row k.  The exact pass
-    of the solver reads two more per-row arrays, computed on demand:
-    ``point[k]``, the box point b of row k, and ``slice_key[k]``, the sum
-    of its coordinates over the clocks that no rule of the product graph
-    resets, a sum that no jump or delay step lowers.  A query's exact
-    start valuation becomes integer coordinates in one place,
-    :func:`pathprob.solver._snap_to_grid`.
+    over m), and ``horizons[k]``, computed on first read, is the horizon
+    of row k (only the fallback sweeps and the unfolded form read it).
+    The exact pass of the solver reads two more per-row arrays, computed
+    on demand: ``point[k]``, the box point b of row k, and
+    ``slice_key[k]``, the sum of its coordinates over the clocks that no
+    rule of the product graph resets, a sum that no jump or delay step
+    lowers.  A query's exact start valuation becomes integer coordinates
+    in one place, :func:`pathprob.solver._snap_to_grid`.
     """
 
     def __init__(self, chain: Ctmc, dta: Dta, graph: ProductGraph, m: int):
@@ -115,7 +117,6 @@ class Grid:
         self.jump_rows = np.where(
             self.jump_prob[self.row_state] > 0, self.slot_of[jumps], -1
         )
-        self.horizons = self._horizons()
 
     def cell(self, state: str, location: str, coords: Sequence[int]) -> int:
         """Cell number of the point with integer coordinates ``coords``."""
@@ -138,9 +139,8 @@ class Grid:
                 key += self.cells // stride % (top + 1)
         return key
 
-    # -- horizons ----------------------------------------------------------
-
-    def _horizons(self) -> np.ndarray:
+    @functools.cached_property
+    def horizons(self) -> np.ndarray:
         """Steps of saturated rho-delay until the boundary set or a dead
         region.  A chain of delay steps reaches the all-ceilings point
         within ``max(max_coords)`` steps, so pointer jumping along
@@ -177,9 +177,8 @@ class SchemeSystem:
     def dense(self) -> Tuple[np.ndarray, np.ndarray]:
         n = self.size
         mat = np.zeros((n, n))
-        for k in range(n):
-            lo, hi = self.indptr[k], self.indptr[k + 1]
-            np.add.at(mat[k], self.indices[lo:hi], self.data[lo:hi])
+        rows = np.repeat(np.arange(n), np.diff(self.indptr))
+        np.add.at(mat, (rows, self.indices), self.data)
         return mat, self.offset.copy()
 
 

@@ -5,7 +5,10 @@ grid graph allows it: :func:`solve` asks :func:`pathprob.kernels.exact_plan`
 for an order in which every row reads only rows solved before it or rows
 of its own grid point, whose block is solved densely; runs of delay
 chains are solved by recursive doubling.  The pass runs as the first
-sweep, and the residual after it is the correctness check.
+sweep, and the residual after it is the correctness check.  A plan's
+sweeps run on a copy of the system renumbered into the plan's order
+(:func:`pathprob.kernels.renumber`), and the solution returns to row
+order once the plan is done.
 When there is no such order, or the pass leaves the residual above the
 tolerance, Gauss-Seidel sweeps in the level order of
 :func:`pathprob.kernels.sweep_plan` follow: rows by increasing horizon,
@@ -120,20 +123,30 @@ def solve(
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     method = "exact"
     residual = math.inf
+    sweep_count = 0
     try:
-        for sweep_count in range(1, max_sweeps + 1):
+        while sweep_count < max_sweeps:
             if plan is None:
                 plan = kernels.sweep_plan(*args[:2], grid.horizons)
                 method = "sweep"
-            kernels.gauss_seidel_sweep(*args, x, plan)
-            residual = kernels.max_residual(*args, x)
+            ordered = kernels.renumber(*args, plan.order)
+            y = x[plan.order]  # x in the plan's order while its sweeps run
+            del x
+            while sweep_count < max_sweeps:
+                sweep_count += 1
+                kernels.gauss_seidel_sweep(*ordered, y, plan)
+                residual = kernels.max_residual(*ordered, y)
+                if residual < tol or method == "exact":
+                    break
+            del ordered
+            x = np.empty(n)
+            x[plan.order] = y
             if residual < tol:
                 return Solution(
                     system, x, np.clip(x, 0.0, 1.0), float(residual),
                     sweep_count, method,
                 )
-            if method == "exact":  # rounding left it above tol: sweep on
-                plan = None
+            plan = None  # rounding left the exact pass above tol: sweep on
     except ZeroDivisionError as exc:
         raise SolverError(
             f"sweep hit a singular row or block ({exc}); the scheme matrix "
