@@ -262,7 +262,8 @@ def _denominators(lo, diag):
     bad = np.flatnonzero(denom <= 0.0)
     if len(bad):
         k = bad[0]
-        raise ZeroDivisionError(f"row {lo + k} of the plan: unit diagonal mass {diag[k]}")
+        raise ZeroDivisionError(
+            f"row {lo + k} of the plan: unit diagonal mass {diag[k]}")
     return denom
 
 
@@ -279,9 +280,9 @@ def _wide_step(indptr, indices, data, offset, x, lo, hi):
 def _scalar_step(indptr, indices, data, offset, x, lo, hi):
     cols, vals, owner = _step_entries(indptr, indices, data, lo, hi)
     size = len(cols)
-    # entry e reads buf[src[e]]: x of a row outside the chunk, or at
-    # size + t row lo + t, which holds x until the row is updated and then
-    # its new value; -1 marks a diagonal entry
+    # entry e reads buf[src[e]]: at e the x of a column outside the chunk,
+    # at size + t row lo + t, which holds x until the row is updated and
+    # then its new value; src is -1 for a diagonal entry
     inside = (cols >= lo) & (cols < hi)
     src = np.where(inside, cols - lo + size, np.arange(size))
     src[cols == owner + lo] = -1
@@ -298,7 +299,8 @@ def _scalar_step(indptr, indices, data, offset, x, lo, hi):
                 acc += vals[e] * buf[s]
         denom = 1.0 - diag
         if denom <= 0.0:
-            raise ZeroDivisionError(f"row {lo + t} of the plan: unit diagonal mass {diag}")
+            raise ZeroDivisionError(
+                f"row {lo + t} of the plan: unit diagonal mass {diag}")
         buf[size + t] = acc / denom
     return np.array(buf[size:])
 
