@@ -36,19 +36,21 @@ before they are updated, so the sweeps are repeated until the residual
 is small, and every iterate is bit-identical to the one-row-at-a-time
 sweep in level order, ties by row index.
 
-No row reads a lower-indexed row of its own level, for that row would lie
-in an earlier level, and a row reads a higher-indexed row of its level
-before the sequential sweep updates it.  So in both plans a level of at
-least ``WIDE`` single rows is one atomic vectorised step.  A run of
-narrower levels (a one-clock chain has one row per level) is cut into
-chunks of at most ``CHUNK`` rows.  The fallback sweeps every chunk with
-a scalar loop over list copies.  The exact plan turns a chunk in which
-each row reads at most one other row of it, an earlier one, into a chain
-step: the recurrence ``x_t = b_t + a_t x_next(t)`` solved by recursive
-doubling (Kogge and Stone, 1973), exact up to rounding but not
-bit-identical to the loop.  Other chunks keep the scalar loop.  On a
-one-clock chain without resets both plans have the same order and
-chunks, and every chunk of the exact plan is a chain step.
+Both plans make a step of each level of at least ``WIDE`` rows and cut
+each run of narrower levels (a one-clock chain has one row per level)
+into chunks of at most ``CHUNK`` rows; the exact plan makes a step of
+each level of multi-row blocks too.  Every other step is a row step,
+and its own entries choose how its rows are solved.  When no row reads
+an earlier row of the step, as in every single-row level (that row
+would lie in an earlier level), one vectorised update solves the step,
+bit-identical to the sequential sweep: a row reads a later row of the
+step before the sweep updates it.  When the plan is exact and each row
+reads at most one earlier row of the step, the recurrence
+``x_t = b_t + a_t x_next(t)`` is solved by recursive doubling (Kogge and
+Stone, 1973), exact up to rounding but not bit-identical to the loop.
+Any other step is solved row by row in a scalar loop over list copies.
+On a one-clock chain without resets both plans have the same order and
+steps, and the exact plan solves every chunk by recursive doubling.
 """
 
 from typing import NamedTuple, Optional, Tuple
@@ -58,7 +60,6 @@ import numpy as np
 WIDE = 32
 CHUNK = 1024
 BLOCK = 16  # most rows at one point that the exact pass solves together
-CHAIN = "chain"  # the kind of an exact plan's step over a chunk of delay chains
 
 
 class Blocks(NamedTuple):
@@ -73,13 +74,15 @@ class Blocks(NamedTuple):
 
 class SweepPlan(NamedTuple):
     """Rows in level order and the steps of a sweep.  A step
-    ``(lo, hi, kind)`` updates ``order[lo:hi]``: ``kind`` is None for a
-    scalar chunk, :data:`CHAIN` for a chunk of delay chains (exact plans
-    only), ``"wide"`` for a wide level and :class:`Blocks` for a level of
-    multi-row blocks."""
+    ``(lo, hi, blocks)`` updates ``order[lo:hi]``: ``blocks`` is a
+    :class:`Blocks` for a level of multi-row blocks and None for a row
+    step, solved as its entries allow.  ``exact`` is True for a plan of
+    :func:`exact_plan`, whose one sweep solves the system and whose row
+    steps may use recursive doubling."""
 
     order: np.ndarray
-    steps: Tuple[Tuple[int, int, object], ...]
+    steps: Tuple[Tuple[int, int, Optional[Blocks]], ...]
+    exact: bool
 
 
 def _entry_rows(indptr):
@@ -112,9 +115,9 @@ def _sublevels(indptr, indices, horizons):
 def _steps(order, starts, point=None) -> SweepPlan:
     """The plan over ``order``, whose levels begin at ``starts``: one step
     per wide level and per level holding two rows of one point, and
-    scalar chunks over each run of other levels.  ``point`` is the point
-    of each row of ``order``, which groups the rows of a level, or None
-    for the fallback plan, which has no blocks."""
+    chunks over each run of other levels.  ``point`` is the point of each
+    row of ``order``, which groups the rows of a level, or None for the
+    fallback plan, which has no blocks and is not exact."""
     n = len(order)
     alone = np.diff(np.r_[starts, n]) >= WIDE
     blocky = np.zeros(len(starts), dtype=bool)
@@ -131,11 +134,7 @@ def _steps(order, starts, point=None) -> SweepPlan:
     steps = []
     for lo, hi, own, block in zip(begins, begins[1:] + [n], alone[first].tolist(),
                                   blocky[first].tolist()):
-        if not own:
-            steps.extend(
-                (a, min(a + CHUNK, hi), None) for a in range(lo, hi, CHUNK)
-            )
-        elif block:
+        if block:
             at = point[lo:hi]
             new = np.r_[True, at[1:] != at[:-1]]
             which = np.cumsum(new) - 1
@@ -143,9 +142,13 @@ def _steps(order, starts, point=None) -> SweepPlan:
             width = int(position.max()) + 1
             steps.append((lo, hi, Blocks(which * width + position, width,
                                          int(which[-1]) + 1)))
+        elif own:
+            steps.append((lo, hi, None))
         else:
-            steps.append((lo, hi, "wide"))
-    return SweepPlan(order, tuple(steps))
+            steps.extend(
+                (a, min(a + CHUNK, hi), None) for a in range(lo, hi, CHUNK)
+            )
+    return SweepPlan(order, tuple(steps), point is not None)
 
 
 def _starts(level):
@@ -177,8 +180,7 @@ def exact_plan(indptr, indices, slice_key, point, clocks) -> Optional[SweepPlan]
     ``BLOCK`` rows, or when the chains have not settled after
     ``clocks + 1`` rounds: a jump inside a slice only zeroes coordinates,
     so only delay steps make a chain longer than ``clocks``, and such a
-    slice may hold a cycle.  A scalar chunk whose rows read at most one
-    earlier row of it each becomes a :data:`CHAIN` step.
+    slice may hold a cycle.
     """
     points = int(point.max(initial=-1)) + 1
     if int(np.bincount(point).max(initial=0)) > BLOCK:
@@ -206,32 +208,7 @@ def exact_plan(indptr, indices, slice_key, point, clocks) -> Optional[SweepPlan]
     level //= points
     starts = _starts(level)
     del level
-    plan = _steps(order, starts, point[order])
-    return plan._replace(steps=_chains(indptr, indices, plan))
-
-
-def _chains(indptr, indices, plan):
-    """The steps of an exact ``plan``, each scalar chunk whose rows read at
-    most one other row of it a :data:`CHAIN` step; in an exact order that
-    row comes earlier."""
-    scalar = [s for s, (_, _, kind) in enumerate(plan.steps) if kind is None]
-    if not scalar:
-        return plan.steps
-    chunk = np.full(len(plan.order), -1, dtype=np.int64)  # step of each row's chunk
-    for s in scalar:
-        lo, hi, _ = plan.steps[s]
-        chunk[plan.order[lo:hi]] = s
-    rows = _entry_rows(indptr)
-    own = chunk[rows]
-    inside = chunk[indices] == own
-    inside &= own >= 0
-    del own
-    inside &= indices != rows
-    reads = np.bincount(rows[inside], minlength=len(chunk))
-    twice = np.zeros(len(plan.steps), dtype=bool)
-    twice[chunk[reads > 1]] = True
-    return tuple((lo, hi, CHAIN) if kind is None and not twice[s] else (lo, hi, kind)
-                 for s, (lo, hi, kind) in enumerate(plan.steps))
+    return _steps(order, starts, point[order])
 
 
 def renumber(indptr, indices, data, offset, order):
@@ -267,75 +244,60 @@ def _denominators(lo, diag):
     return denom
 
 
-def _wide_step(indptr, indices, data, offset, x, lo, hi):
-    cols, vals, owner = _step_entries(indptr, indices, data, lo, hi)
-    on_diag = cols == owner + lo
-    off = ~on_diag
-    acc = offset[lo:hi].copy()
-    np.add.at(acc, owner[off], vals[off] * x[cols[off]])
-    diag = np.bincount(owner[on_diag], vals[on_diag], minlength=hi - lo)
-    return acc / _denominators(lo, diag)
-
-
-def _scalar_step(indptr, indices, data, offset, x, lo, hi):
-    cols, vals, owner = _step_entries(indptr, indices, data, lo, hi)
-    size = len(cols)
-    # entry e reads buf[src[e]]: at e the x of a column outside the chunk,
-    # at size + t row lo + t, which holds x until the row is updated and
-    # then its new value; src is -1 for a diagonal entry
-    inside = (cols >= lo) & (cols < hi)
-    src = np.where(inside, cols - lo + size, np.arange(size))
-    src[cols == owner + lo] = -1
-    buf = x[cols].tolist() + x[lo:hi].tolist()
-    src, vals = src.tolist(), vals.tolist()
-    ptr = (indptr[lo:hi + 1] - indptr[lo]).tolist()
-    for t, acc in enumerate(offset[lo:hi].tolist()):
-        diag = 0.0
-        for e in range(ptr[t], ptr[t + 1]):
-            s = src[e]
-            if s < 0:
-                diag += vals[e]
-            else:
-                acc += vals[e] * buf[s]
-        denom = 1.0 - diag
-        if denom <= 0.0:
-            raise ZeroDivisionError(
-                f"row {lo + t} of the plan: unit diagonal mass {diag}")
-        buf[size + t] = acc / denom
-    return np.array(buf[size:])
-
-
-def _chain_step(indptr, indices, data, offset, x, lo, hi):
-    """Solve a chunk in which each row reads at most one earlier row of it.
-    Row t is ``x_t = b_t + a_t x_next(t)``: its diagonal mass goes to the
-    denominator, its entries outside the chunk to ``b_t`` with the current
-    ``x``, and its one in-chunk entry to ``a_t``; a row without one points
-    at itself with ``a_t = 0``.  Recursive doubling (Kogge and Stone,
-    1973) then folds each link into the next, ``b_t += a_t b_next(t)``,
-    ``a_t *= a_next(t)``, ``next(t) = next(next(t))``: after
-    ceil(log2 rows) rounds every row points at a row without a link, and
-    ``b`` is the solution."""
+def _row_step(indptr, indices, data, offset, x, lo, hi, exact):
+    """Solve rows ``lo:hi`` as their entries allow (see the module
+    docstring).  Each row's diagonal mass goes to its denominator, and the
+    vectorised update and the loop add its other terms to its offset in
+    CSR order.  Recursive doubling writes row t as
+    ``x_t = b_t + a_t x_next(t)``: ``b_t`` holds the terms of rows outside
+    the step with the current ``x``, and ``a_t`` the one term of an
+    earlier row of the step; a row without one points at itself with
+    ``a_t = 0``.  Each round folds each link into the next,
+    ``b_t += a_t b_next(t)``, ``a_t *= a_next(t)``,
+    ``next(t) = next(next(t))``: after ceil(log2 rows) rounds every row
+    points at a row without a link, and ``b`` is the solution."""
     cols, vals, owner = _step_entries(indptr, indices, data, lo, hi)
     size = hi - lo
     slot = cols - lo
-    outside = (slot < 0) | (slot >= size)
     on_diag = slot == owner
-    link = ~outside & ~on_diag
-    diag = np.bincount(owner[on_diag], vals[on_diag], minlength=size)
-    denom = _denominators(lo, diag)
-    b = offset[lo:hi] + np.bincount(owner[outside], vals[outside] * x[cols[outside]],
-                                    minlength=size)
-    b /= denom
-    a = np.zeros(size)
-    nxt = np.arange(size)
-    at = owner[link]
-    a[at] = vals[link] / denom[at]
-    nxt[at] = slot[link]
-    for _ in range((size - 1).bit_length()):
-        b += a * b[nxt]
-        a *= a[nxt]
-        nxt = nxt[nxt]
-    return b
+    denom = _denominators(lo, np.bincount(owner[on_diag], vals[on_diag],
+                                          minlength=size))
+    earlier = (slot >= 0) & (slot < owner)
+    if not earlier.any():
+        off = ~on_diag
+        acc = offset[lo:hi].copy()
+        np.add.at(acc, owner[off], vals[off] * x[cols[off]])
+        return acc / denom
+    at = owner[earlier]
+    if exact and np.bincount(at).max() == 1:  # an exact plan reads no later row
+        outside = (slot < 0) | (slot >= size)
+        b = offset[lo:hi] + np.bincount(
+            owner[outside], vals[outside] * x[cols[outside]], minlength=size)
+        b /= denom
+        a = np.zeros(size)
+        nxt = np.arange(size)
+        a[at] = vals[earlier] / denom[at]
+        nxt[at] = slot[earlier]
+        for _ in range((size - 1).bit_length()):
+            b += a * b[nxt]
+            a *= a[nxt]
+            nxt = nxt[nxt]
+        return b
+    off = ~on_diag
+    cols, vals, owner, slot = cols[off], vals[off], owner[off], slot[off]
+    # entry e reads buf[src[e]]: at e the x of a column outside the step,
+    # at len(cols) + t row lo + t, which holds x until the row is updated
+    # and then its new value
+    inside = (slot >= 0) & (slot < size)
+    src = np.where(inside, slot + len(cols), np.arange(len(cols))).tolist()
+    buf = x[cols].tolist() + x[lo:hi].tolist()
+    vals = vals.tolist()
+    ptr = np.r_[0, np.cumsum(np.bincount(owner, minlength=size))].tolist()
+    for t, (acc, d) in enumerate(zip(offset[lo:hi].tolist(), denom.tolist())):
+        for e in range(ptr[t], ptr[t + 1]):
+            acc += vals[e] * buf[src[e]]
+        buf[len(cols) + t] = acc / d
+    return np.array(buf[len(cols):])
 
 
 def _block_step(indptr, indices, data, offset, x, lo, hi, blocks):
@@ -365,16 +327,10 @@ def gauss_seidel_sweep(indptr, indices, data, offset, x, plan: SweepPlan):
     """One in-place Gauss-Seidel pass of ``x = M x + offset`` in the level
     order of ``plan``, on the system and ``x`` renumbered into that order
     (:func:`renumber`)."""
-    for lo, hi, kind in plan.steps:
+    for lo, hi, blocks in plan.steps:
         args = (indptr, indices, data, offset, x, lo, hi)
-        if kind is None:
-            x[lo:hi] = _scalar_step(*args)
-        elif kind is CHAIN:
-            x[lo:hi] = _chain_step(*args)
-        elif isinstance(kind, Blocks):
-            x[lo:hi] = _block_step(*args, kind)
-        else:
-            x[lo:hi] = _wide_step(*args)
+        x[lo:hi] = (_row_step(*args, plan.exact) if blocks is None
+                    else _block_step(*args, blocks))
 
 
 def max_residual(indptr, indices, data, offset, x):

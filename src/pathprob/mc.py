@@ -194,7 +194,10 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
     else:
         caps = np.array(ceilings, dtype=float)
     rng_stream = RngStream(seed, stream)
-    start_eta = np.minimum(caps, [float(v) for v in valuation])
+    # a clock above its ceiling keeps its regions until it is reset, so a
+    # start beyond ceiling + 1 runs as one at ceiling + 1, a finite float
+    start_eta = np.minimum(caps, [float(min(v, c + 1))
+                                  for v, c in zip(valuation, ceilings)])
     start_state = chain.state_index(state)
     start_location = names.index(location)
 

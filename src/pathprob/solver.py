@@ -3,18 +3,22 @@
 The sparse system ``mu = C mu + d`` is solved in one exact pass where the
 grid graph allows it: :func:`solve` asks :func:`pathprob.kernels.exact_plan`
 for an order in which every row reads only rows solved before it or rows
-of its own grid point, whose block is solved densely; runs of delay
-chains are solved by recursive doubling.  The pass runs as the first
-sweep, and the residual after it is the correctness check.  A plan's
-sweeps run on a copy of the system renumbered into the plan's order
+of its own grid point, whose block is solved densely.  Every other step
+is solved as its entries allow: one vectorised update when no row reads
+an earlier row of the step, recursive doubling when each reads at most
+one, a row-by-row loop otherwise.  The pass runs as the first sweep, and
+the residual after it is the correctness check; the plan's ``exact``
+flag tells the pass from the sweeps.  A plan's sweeps run on a copy of
+the system renumbered into the plan's order
 (:func:`pathprob.kernels.renumber`), and the solution returns to row
 order once the plan is done.
 When there is no such order, or the pass leaves the residual above the
 tolerance, Gauss-Seidel sweeps in the level order of
 :func:`pathprob.kernels.sweep_plan` follow: rows by increasing horizon,
 so information flows outward from the dead and boundary points, and then
-by a sub-level that orders the rows of one horizon.  Every such iterate
-equals that of the one-row-at-a-time sweep in level order bit for bit.
+by a sub-level that orders the rows of one horizon.  Their steps never
+use recursive doubling, so every such iterate equals that of the
+one-row-at-a-time sweep in level order bit for bit.
 A dense direct elimination acts as fallback for small systems when the
 sweeps stall.
 """
@@ -121,14 +125,12 @@ def solve(
     plan = kernels.exact_plan(*args[:2], grid.slice_key, grid.point,
                               len(grid.ceilings))
     x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    method = "exact"
     residual = math.inf
     sweep_count = 0
     try:
         while sweep_count < max_sweeps:
             if plan is None:
                 plan = kernels.sweep_plan(*args[:2], grid.horizons)
-                method = "sweep"
             ordered = kernels.renumber(*args, plan.order)
             y = x[plan.order]  # x in the plan's order while its sweeps run
             del x
@@ -136,7 +138,7 @@ def solve(
                 sweep_count += 1
                 kernels.gauss_seidel_sweep(*ordered, y, plan)
                 residual = kernels.max_residual(*ordered, y)
-                if residual < tol or method == "exact":
+                if residual < tol or plan.exact:
                     break
             del ordered
             x = np.empty(n)
@@ -144,7 +146,7 @@ def solve(
             if residual < tol:
                 return Solution(
                     system, x, np.clip(x, 0.0, 1.0), float(residual),
-                    sweep_count, method,
+                    sweep_count, "exact" if plan.exact else "sweep",
                 )
             plan = None  # rounding left the exact pass above tol: sweep on
     except ZeroDivisionError as exc:

@@ -186,6 +186,20 @@ def test_simulate_counts_are_pinned(capsys):
     assert (doc["accepted"], doc["dead_absorbed"]) == (12612, 7388)
 
 
+def test_simulate_from_a_start_beyond_the_float_range(capsys):
+    """``y=1e400`` is no float; it runs as y = 2, one above y's ceiling."""
+    counts = []
+    for y in ("1e400", "2"):
+        code, out, _ = run(
+            capsys, "simulate", "--model", EXPOSURE, "--state", "a", "--location",
+            "q0", "--valuation", f"x=0,y={y}", "--samples", "2000", "--seed", "7",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        counts.append((doc["accepted"], doc["dead_absorbed"], doc["censored"]))
+    assert counts == [(535, 1465, 0)] * 2
+
+
 def test_graph_subcommand(tmp_path, capsys):
     dot_file = tmp_path / "graph.dot"
     code, out, _ = run(capsys, "graph", "--model", UNIT, "--dot", str(dot_file))

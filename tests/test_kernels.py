@@ -3,13 +3,15 @@
 Every iterate and every residual of the fallback sweeps must be equal bit
 for bit to the one-row-at-a-time sweep kept in ``oracles``, run in the
 level order of ``oracles.level_order``.  ``exposure_window`` reaches the
-sub-level, read-ahead, diagonal, wide and narrow paths of the kernel,
-``departure`` has diagonal self-loops, ``unit_deadline`` is the one-clock
-chain, ``reset_loop`` has no exact order, and random models add other
-clocks, ceilings and resets.  The exact pass must agree with those sweeps
-run until the residual stops falling, and with the dense solve; its chain
-steps, which are not bit-identical to the sequential loop, must also
-agree with that loop run in the same order, in float and in long double.
+sub-level, read-ahead and diagonal paths and the vectorised update of
+wide and narrow steps, ``departure`` has diagonal self-loops,
+``unit_deadline`` is the one-clock chain, whose fallback steps run the
+scalar loop, ``reset_loop`` has no exact order, and random models add
+other clocks, ceilings and resets.  The exact pass must agree with those
+sweeps run until the residual stops falling, and with the dense solve;
+its recursive doubling, which is not bit-identical to the sequential
+loop, must also agree with that loop run in the same order, in float and
+in long double.
 The kernel sweeps a copy of the system renumbered into the plan's order;
 ``_sweep`` maps ``x`` into that order and back.  Fixed models pin the
 solver's answers bit for bit and reach every kind of step.
@@ -50,11 +52,27 @@ def _system(request, model, m):
     ))
 
 
-def _kinds(plan):
-    return {"scalar" if kind is None else
-            "chain" if kind is kernels.CHAIN else
-            "block" if isinstance(kind, kernels.Blocks) else kind
-            for _, _, kind in plan.steps}
+def _step_kinds(system, plan):
+    """How the kernel solves each step of ``plan``, read off the step's
+    entries in the renumbered copy: ``block``, ``level`` (no row reads an
+    earlier row of the step), ``chain`` (the plan is exact and each row
+    reads at most one earlier row of the step) or ``scalar``."""
+    indptr, indices, _, _ = kernels.renumber(
+        system.indptr, system.indices, system.data, system.offset, plan.order)
+    kinds = []
+    for lo, hi, blocks in plan.steps:
+        rows = np.repeat(np.arange(lo, hi), np.diff(indptr[lo:hi + 1]))
+        cols = indices[indptr[lo]:indptr[hi]]
+        earlier = rows[(cols >= lo) & (cols < rows)]
+        kinds.append("block" if blocks is not None else
+                     "level" if not len(earlier) else
+                     "chain" if plan.exact and np.bincount(earlier).max() == 1 else
+                     "scalar")
+    return kinds
+
+
+def _kinds(system, plan):
+    return set(_step_kinds(system, plan))
 
 
 def _exact_plan(system):
@@ -132,12 +150,15 @@ def test_nan_residual_is_no_convergence(reset_loop, reset_loop_graph):
 
 
 def test_exposure_window_plan_reaches_every_path(exposure_window, exposure_graph):
+    """Every step of the sweep plan is one vectorised update, steps narrower
+    than ``WIDE`` among them; the bit-identity tests at m = 16 sweep it."""
     system = assemble_gamma_prime(build_grid(*exposure_window, exposure_graph, 16))
     h = system.grid.horizons
     plan = kernels.sweep_plan(system.indptr, system.indices, h)
-    wide = [h[plan.order[lo]] for lo, _, kind in plan.steps if kind is not None]
-    assert any(kind is None for _, _, kind in plan.steps)
-    assert len(set(wide)) < len(wide)  # two wide levels share a horizon
+    assert _kinds(system, plan) == {"level"}
+    assert any(hi - lo < kernels.WIDE for lo, hi, _ in plan.steps)
+    wide = [h[plan.order[lo]] for lo, hi, _ in plan.steps if hi - lo >= kernels.WIDE]
+    assert len(set(wide)) < len(wide)  # two wide steps share a horizon
     rows = np.repeat(np.arange(system.size), np.diff(system.indptr))
     cols = system.indices
     assert (cols == rows).any()
@@ -244,16 +265,17 @@ def test_exact_pass_matches_sweeps_to_stagnation(exposure_window, exposure_graph
 
 @pytest.mark.parametrize("m", [4, 64, 65536])
 def test_exact_plan_of_a_chain_chains_the_sweep_plan(unit_deadline, unit_graph, m):
-    """On the one-clock chain the exact plan is the sweep plan, in the same
-    order, with each scalar chunk a chain step."""
+    """On the one-clock chain the exact plan has the sweep plan's order and
+    steps, and solves each chunk by recursive doubling where the sweep
+    plan runs the scalar loop."""
     system = assemble_gamma_prime(build_grid(*unit_deadline, unit_graph, m))
     exact = _exact_plan(system)
     sweep = kernels.sweep_plan(system.indptr, system.indices, system.grid.horizons)
     assert np.array_equal(exact.order, sweep.order)
-    assert exact.steps == tuple((lo, hi, kernels.CHAIN if kind is None else kind)
-                                for lo, hi, kind in sweep.steps)
-    assert _kinds(exact) == {"chain"}
-    assert _kinds(sweep) == {"scalar"}
+    assert exact.steps == sweep.steps
+    assert exact.exact and not sweep.exact
+    assert _kinds(system, exact) == {"chain"}
+    assert _kinds(system, sweep) == {"scalar"}
 
 
 @pytest.mark.parametrize("m", [2 ** e for e in range(3, 17)])
@@ -263,7 +285,7 @@ def test_chain_pass_matches_the_sequential_loop(unit_deadline, unit_graph, m):
     against that loop run in long double."""
     system = assemble_gamma_prime(build_grid(*unit_deadline, unit_graph, m))
     plan = _exact_plan(system)
-    assert _kinds(plan) == {"chain"}
+    assert _kinds(system, plan) == {"chain"}
     args = (system.indptr, system.indices, system.data, system.offset)
     got = np.zeros(system.size)
     _sweep(args, got, plan)
@@ -283,7 +305,7 @@ def test_chain_pass_matches_the_sequential_loop(unit_deadline, unit_graph, m):
 def test_exact_plan_solves_a_clockless_pair():
     chain, dta = clockless()
     system = assemble_gamma_prime(build_grid(chain, dta, build_graph(chain, dta), 4))
-    assert _kinds(_exact_plan(system)) == {"block"}
+    assert _kinds(system, _exact_plan(system)) == {"block"}
     solution = solve(system)
     assert solution.method == "exact" and solution.sweeps == 1
     mat, off = system.dense()
@@ -365,9 +387,9 @@ _FIXED = [
      "c33a4358b7fedb183e9819e7374083f562403fa83c5e3c749bbd8d7fb6525bb1"),
     ("reset_loop", 64, {"fallback", "scalar"}, "sweep", 16,
      "72a40fb3eb746c1d3c61760bedf1b62b4e5100b9adfbaa6d44ae59f310210c26"),
-    ("_chain_of_splits", 8, {"fallback", "wide", "scalar"}, "sweep", 17,
+    ("_chain_of_splits", 8, {"fallback", "level", "scalar"}, "sweep", 17,
      "5be0ea2b7194f56acbea5599fcb81c727486f627f4cabfc0b17d3e8874a12d23"),
-    ("_two_clock_departure", 16, {"wide", "chain"}, "exact", 1,
+    ("_two_clock_departure", 16, {"level", "chain"}, "exact", 1,
      "c9bb056c0ef88bc55473ad3243bd6431ab4f1af796f64bbe02490fa96847da07"),
     ("_reset_departure", 16, {"scalar"}, "exact", 1,
      "2a09d6ea18b0d9c1ac15e5735da4055690be20e62d060e684d2f02fd415307ca"),
@@ -394,9 +416,9 @@ def test_fixed_models_solve_bit_for_bit(request, model, m, kinds, method,
     if plan is None:
         plan = kernels.sweep_plan(system.indptr, system.indices,
                                   system.grid.horizons)
-        assert _kinds(plan) | {"fallback"} == kinds
+        assert _kinds(system, plan) | {"fallback"} == kinds
     else:
-        assert _kinds(plan) == kinds
+        assert _kinds(system, plan) == kinds
     solution = solve(system)
     assert (solution.method, solution.sweeps) == (method, sweeps)
     assert hashlib.sha256(solution.values_raw.tobytes()).hexdigest() == digest
@@ -404,20 +426,29 @@ def test_fixed_models_solve_bit_for_bit(request, model, m, kinds, method,
 
 def test_fixed_models_reach_every_step_kind():
     assert set().union(*(kinds for _, _, kinds, *_ in _FIXED)) == {
-        "block", "wide", "chain", "scalar", "fallback"}
+        "block", "level", "chain", "scalar", "fallback"}
 
 
-def _unit_diagonal_system(width):
-    """``width`` rows of horizon 0, each holding only a diagonal entry of
-    mass 1/2, except the middle row, whose diagonal mass is 1."""
-    data = np.full(width, 0.5)
-    data[width // 2] = 1.0
+def _unit_diagonal_system(width, linked):
+    """``width`` rows of horizon 0, each holding a diagonal entry of mass
+    1/2, except the middle row, whose diagonal mass is 1.  When ``linked``
+    each row but the first reads the row before it with weight 1/4 first,
+    and the slice key falls along the rows, so that the exact plan has
+    the rows in index order, one level each."""
+    diag = np.full(width, 0.5)
+    diag[width // 2] = 1.0
+    reads = np.arange(width) > 0 if linked else np.zeros(width, dtype=bool)
+    indices = np.concatenate([[t - 1, t] if read else [t]
+                              for t, read in enumerate(reads)])
+    data = np.concatenate([[0.25, d] if read else [d]
+                           for d, read in zip(diag, reads)])
+    slice_key = width - 1 - np.arange(width) if linked else np.zeros(width)
     grid = SimpleNamespace(horizons=np.zeros(width, dtype=np.int64),
-                           slice_key=np.zeros(width, dtype=np.int64),
+                           slice_key=slice_key.astype(np.int64),
                            point=np.arange(width), ceilings=(),
                            graph=SimpleNamespace(vertex_count=3))
-    return SchemeSystem("gamma_prime", grid, np.arange(width + 1),
-                        np.arange(width), data, np.full(width, 0.25))
+    return SchemeSystem("gamma_prime", grid, np.r_[0, np.cumsum(reads + 1)],
+                        indices, data, np.full(width, 0.25))
 
 
 def _fake_system(slice_key, point, indptr, indices, data, offset):
@@ -443,7 +474,7 @@ def test_singular_block_raises():
     """Two rows at one point, each reading the other with weight 1."""
     system = _fake_system([0, 0], [0, 0], [0, 1, 2], [1, 0], [1, 1], [0, 0])
     plan = _exact_plan(system)
-    assert _kinds(plan) == {"block"}
+    assert _kinds(system, plan) == {"block"}
     with pytest.raises(ZeroDivisionError):
         _sweep((system.indptr, system.indices, system.data, system.offset),
                np.zeros(2), plan)
@@ -451,16 +482,18 @@ def test_singular_block_raises():
         solve(system)
 
 
-@pytest.mark.parametrize("width, wide", [(kernels.WIDE + 8, True), (3, False)])
-def test_unit_diagonal_raises(width, wide):
-    """In a wide level or a scalar chunk of the sweep plan, and in a wide
-    level or a chain step of the exact plan."""
-    system = _unit_diagonal_system(width)
+@pytest.mark.parametrize("width, linked", [(kernels.WIDE + 8, True), (3, False)])
+def test_unit_diagonal_raises(width, linked):
+    """In every way a row step is solved: a level in both plans, and for
+    linked rows the scalar loop of the sweep plan and recursive doubling
+    in the exact plan."""
+    system = _unit_diagonal_system(width, linked)
     args = (system.indptr, system.indices, system.data, system.offset)
     plan = kernels.sweep_plan(system.indptr, system.indices, system.grid.horizons)
-    assert [kind is not None for _, _, kind in plan.steps] == [wide]
     exact = _exact_plan(system)
-    assert _kinds(exact) == {"wide" if wide else "chain"}
+    assert [(lo, hi) for lo, hi, _ in plan.steps + exact.steps] == [(0, width)] * 2
+    assert (_kinds(system, plan), _kinds(system, exact)) == (
+        ({"scalar"}, {"chain"}) if linked else ({"level"}, {"level"}))
     for steps in (plan, exact):
         with pytest.raises(ZeroDivisionError, match="unit diagonal mass 1.0"):
             _sweep(args, np.zeros(width), steps)

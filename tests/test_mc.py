@@ -284,6 +284,21 @@ def test_streams_are_pinned(exposure_window, exposure_graph):
     assert est_k.accepted == 1313
 
 
+def test_start_beyond_the_float_range_runs_as_ceiling_plus_one(exposure_window,
+                                                               exposure_graph):
+    """y's ceiling is 1: a start of y = 10^400 (no float holds it) or of
+    y = inf estimates what y = 2 does, with and without absorption."""
+    chain, dta = exposure_window
+    runs = dict(n=2000, seed=7)
+    at_two = mc.estimate(chain, dta, exposure_graph, "a", "q0", (0, 2), **runs)
+    assert mc.estimate(chain, dta, exposure_graph, "a", "q0", (0, F(10) ** 400),
+                       **runs) == at_two
+    assert (at_two.accepted, at_two.dead_absorbed, at_two.censored) == (535, 1465, 0)
+    at_two = mc.estimate_k(chain, dta, "a", "q0", (0.0, 2.0), k=16, **runs)
+    assert mc.estimate_k(chain, dta, "a", "q0", (0.0, math.inf), k=16,
+                         **runs) == at_two
+
+
 class _ZeroRng:
     """A generator whose every uniform is 0.0."""
 
