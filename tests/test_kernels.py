@@ -432,19 +432,18 @@ def test_fixed_models_reach_every_step_kind():
 def _unit_diagonal_system(width, linked):
     """``width`` rows of horizon 0, each holding a diagonal entry of mass
     1/2, except the middle row, whose diagonal mass is 1.  When ``linked``
-    each row but the first reads the row before it with weight 1/4 first,
+    each row but the first also reads the row before it, with weight 1/4,
     and the slice key falls along the rows, so that the exact plan has
     the rows in index order, one level each."""
     diag = np.full(width, 0.5)
     diag[width // 2] = 1.0
-    reads = np.arange(width) > 0 if linked else np.zeros(width, dtype=bool)
+    reads = (np.arange(width) > 0) & linked
     indices = np.concatenate([[t - 1, t] if read else [t]
                               for t, read in enumerate(reads)])
     data = np.concatenate([[0.25, d] if read else [d]
                            for d, read in zip(diag, reads)])
-    slice_key = width - 1 - np.arange(width) if linked else np.zeros(width)
     grid = SimpleNamespace(horizons=np.zeros(width, dtype=np.int64),
-                           slice_key=slice_key.astype(np.int64),
+                           slice_key=(width - 1 - np.arange(width)) * linked,
                            point=np.arange(width), ceilings=(),
                            graph=SimpleNamespace(vertex_count=3))
     return SchemeSystem("gamma_prime", grid, np.r_[0, np.cumsum(reads + 1)],
