@@ -11,28 +11,30 @@ trials still running at the step horizon are reported as censored,
 bracketing the true value.  Without it clocks run exactly and a trial not
 accepted within the horizon is rejected.
 
-The loop advances batches of :data:`BATCH` trials in lockstep with numpy.
-Each step gives every delayed valuation its region signature at once
-(:func:`regions.region_signatures`) and takes the rule enabled there from
-:func:`dynamics.select_rule`, called once per distinct (location, label,
-region) met in the run, at the delayed valuation of its first trial; the
-answer holds for the whole region because guard constants are naturals.
-That is the region of the delayed valuation itself; the graph's rule
-table is taken at plus regions and differs on marginal ones.  The dead
-check reads the graph's class table, at the region :func:`regions.region_of`
-gives, once per distinct (state, location, region).  No region is
-enumerated, so the exact estimator runs on automata of any size.
-
 Trials are cut into batches of :data:`BATCH` by trial number, and the
-batch that starts at trial ``first`` draws from the rng stream derived
-from (seed, stream, first).  At each step where any of its trials is
-live the batch draws one ``(BATCH, 2)`` block of uniforms, and trial
-``first + r`` takes row ``r``: the sojourn uniform ``u`` (the sojourn is
-``-ln(1 - u)/rate``, finite for every ``u`` in [0, 1)) and the jump
-uniform.  A short last batch draws full blocks too, so a trial's path
-depends on neither ``n`` nor the other trials, and estimates with
-different horizons or modes are paired path-by-path (common random
-numbers).
+loop advances groups of :data:`GROUP` batches in lockstep with numpy, one
+group after another, so a run holds O(GROUP * BATCH) trials whatever its
+``n``.  Each step gives every delayed valuation of the group its region
+signature at once (:func:`regions.region_signatures`) and takes the rule
+enabled there from :func:`dynamics.select_rule`, called once per distinct
+(location, label, region) met in the run, at the delayed valuation of the
+first trial to meet it; the answer holds for the whole region because guard
+constants are naturals.  That is the region of the delayed valuation
+itself; the graph's rule table is taken at plus regions and differs on
+marginal ones.  The dead check reads the graph's class table, at the
+region :func:`regions.region_of` gives, once per distinct (state,
+location, region).  No region is enumerated, so the exact estimator runs
+on automata of any size.
+
+The batch that starts at trial ``first`` draws from the rng stream
+derived from (seed, stream, first), whatever group it falls in.  At each
+step where any of its trials is live the batch draws one ``(BATCH, 2)``
+block of uniforms, and trial ``first + r`` takes row ``r``: the sojourn
+uniform ``u`` (the sojourn is ``-ln(1 - u)/rate``, finite for every ``u``
+in [0, 1)) and the jump uniform.  A short last batch draws full blocks
+too, so a trial's path depends on neither ``n``, the group size nor the
+other trials, and estimates with different horizons or modes are paired
+path-by-path (common random numbers).
 """
 
 from __future__ import annotations
@@ -49,8 +51,11 @@ from .models import Ctmc, Dta, check_start
 from .product import DEAD_CLASS, ProductGraph
 from .regions import per_distinct_row, region_of, region_signatures
 
-# trials advanced together in lockstep, and the rows of a uniform block
+# trials per rng stream, and the rows of a uniform block
 BATCH = 256
+# batches advanced together in lockstep: one pass of numpy work per step
+# serves GROUP * BATCH trials, and the memory of a run is O(GROUP * BATCH)
+GROUP = 16
 
 
 class RngStream(NamedTuple):
@@ -140,7 +145,8 @@ def estimate_k(
 def _sojourns(uniforms: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """Exponential sojourns by inverse transform, t = -ln(U)/rate, with
     ``math.log`` per element (``np.log`` may differ in the last ulp)."""
-    return np.array([-math.log(u) for u in uniforms.tolist()]) / rates
+    return -np.fromiter(map(math.log, memoryview(uniforms)), float,
+                        len(uniforms)) / rates
 
 
 class _Memo:
@@ -167,6 +173,10 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
         raise ValueError(f"trial count must be at least 1, got {n}")
     if k_max < 0:
         raise ValueError(f"step bound must be non-negative, got {k_max}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    if stream < 0:
+        raise ValueError(f"stream must be non-negative, got {stream}")
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     check_start(chain, dta, state, location, valuation)
@@ -202,12 +212,15 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
     start_location = names.index(location)
 
     accepted = rejected = censored = 0
-    for first in range(0, n, BATCH):
-        rng = rng_stream.trial_rng(first)
-        pos = np.arange(min(BATCH, n - first))  # block row of each live trial
-        si = np.full(len(pos), start_state)
-        q = np.full(len(pos), start_location)
-        eta = np.tile(start_eta, (len(pos), 1))
+    for head in range(0, n, GROUP * BATCH):
+        size = min(GROUP * BATCH, n - head)
+        rngs = [rng_stream.trial_rng(first)
+                for first in range(head, head + size, BATCH)]
+        blocks = np.empty((len(rngs), BATCH, 2))
+        row = np.arange(size)  # block row of each live trial in the group
+        si = np.full(size, start_state)
+        q = np.full(size, start_location)
+        eta = np.tile(start_eta, (size, 1))
         for steps in range(k_max + 1):
             done = final[q]
             accepted += int(np.count_nonzero(done))
@@ -222,15 +235,18 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
                 done |= absorbed
             if done.any():
                 live = ~done
-                si, q, eta, pos = si[live], q[live], eta[live], pos[live]
+                si, q, eta, row = si[live], q[live], eta[live], row[live]
                 if not len(q):
                     break
             if steps == k_max:
                 censored += len(q)
                 break
-            u = rng.random((BATCH, 2))[pos]
-            delayed = eta + _sojourns(1.0 - u[:, 0], rates[si])[:, None]
-            nxt = np.count_nonzero(cum_rows[si] <= u[:, 1:], axis=1)
+            # every batch with a live trial draws its next block
+            for b in np.flatnonzero(np.bincount(row // BATCH)).tolist():
+                blocks[b] = rngs[b].random((BATCH, 2))
+            u = blocks.reshape(-1, 2)
+            delayed = eta + _sojourns(1.0 - u[row, 0], rates[si])[:, None]
+            nxt = np.count_nonzero(cum_rows[si] <= u[row, 1:], axis=1)
             keys = np.column_stack(
                 (q, label[si], region_signatures(delayed, ceilings)))
             # select_rule raises on a region with no or several rules

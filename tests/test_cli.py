@@ -513,6 +513,15 @@ def test_bad_trial_counts_exit_code(capsys, counts):
     assert "invalid model/query" in err
 
 
+def test_negative_seed_exit_code(capsys):
+    code, _, err = run(
+        capsys, "simulate", "--model", UNIT, "--state", "s", "--location",
+        "q0", "--samples", "100", "--seed", "-1",
+    )
+    assert code == 1
+    assert "seed must be non-negative, got -1" in err
+
+
 @pytest.mark.parametrize("command", [
     ("solve", "--grid", "4"),
     ("simulate", "--samples", "10"),

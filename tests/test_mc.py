@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -235,6 +236,51 @@ def test_trial_loop_matches_separate_loops(request, model, seed, stream):
                                               **runs))
 
 
+@pytest.mark.parametrize("n", [3 * mc.BATCH + 44, 4 * mc.BATCH])
+def test_groups_match_separate_loops(monkeypatch, exposure_window,
+                                     exposure_graph, n):
+    """Two batches to a group, so runs cross group boundaries: n = 3 *
+    BATCH + 44 ends in a short batch of a short group, n = 4 * BATCH in
+    full groups only.  The starts reach acceptance, absorption and
+    censoring, so all three counters are compared."""
+    monkeypatch.setattr(mc, "GROUP", 2)
+    chain, dta = exposure_window
+    runs = dict(n=n, seed=1)
+    ests = []
+    for start in _STARTS["exposure_window"]:
+        for k_max in (None, 0, 1, 3):
+            est = mc.estimate(chain, dta, exposure_graph, *start, k_max=k_max,
+                              **runs)
+            assert est == oracles.estimate(chain, dta, exposure_graph, *start,
+                                           k_max=k_max, **runs)
+            ests.append(est)
+        for k in (0, 1, 16):
+            assert (mc.estimate_k(chain, dta, *start, k=k, **runs)
+                    == oracles.estimate_k(chain, dta, *start, k=k, **runs))
+    assert any(e.accepted for e in ests)
+    assert any(e.dead_absorbed for e in ests)
+    assert any(e.censored for e in ests)
+
+
+def test_memory_does_not_grow_with_the_trial_count(exposure_window):
+    """Groups run one after another, so four groups of trials peak no
+    higher than one does, give or take the memo."""
+    chain, dta = exposure_window
+    start = ("a", "q0", (0.0, 0.0))
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            mc.estimate_k(chain, dta, *start, k=3, n=n, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    mc.estimate_k(chain, dta, *start, k=3, n=10, seed=1)  # warm caches
+    span = mc.GROUP * mc.BATCH
+    assert peak(4 * span) <= 1.5 * peak(span)
+
+
 def test_differential_starts_cover_every_outcome(exposure_window,
                                                  exposure_graph):
     """The exposure_window starts reach acceptance, absorption and
@@ -260,6 +306,17 @@ def test_bad_start_is_refused(exposure_window, exposure_graph, start, named):
         mc.estimate(chain, dta, exposure_graph, *start, n=10)
     with pytest.raises(ValueError, match=named):
         mc.estimate_k(chain, dta, *start, k=4, n=10)
+
+
+@pytest.mark.parametrize("bad", ["seed", "stream"])
+def test_negative_seed_or_stream_is_refused(unit_deadline, unit_graph, bad):
+    chain, dta = unit_deadline
+    runs = {"n": 10, bad: -1}
+    match = f"{bad} must be non-negative, got -1"
+    with pytest.raises(ValueError, match=match):
+        mc.estimate(chain, dta, unit_graph, "s", "q0", (0.0,), **runs)
+    with pytest.raises(ValueError, match=match):
+        mc.estimate_k(chain, dta, "s", "q0", (0.0,), k=4, **runs)
 
 
 @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5])
