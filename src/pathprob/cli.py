@@ -60,16 +60,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pathprob", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_query_args(p, with_valuation=True):
+    def add_query_args(p):
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--state", required=True, help="initial CTMC state")
         p.add_argument("--location", required=True, help="initial DTA location")
-        if with_valuation:
-            p.add_argument(
-                "--valuation",
-                default="",
-                help='initial clock values, e.g. "x=0,y=1/2" (default: zeros)',
-            )
+        p.add_argument(
+            "--valuation",
+            default="",
+            help='initial clock values, e.g. "x=0,y=1/2" (default: zeros)',
+        )
 
     p_solve = sub.add_parser("solve", help="grid approximation with error report")
     add_query_args(p_solve)
@@ -148,6 +147,8 @@ def _cmd_solve(args) -> int:
 def _cmd_simulate(args) -> int:
     chain, dta = modelio.parse_model(args.model)
     eta = parse_valuation(args.valuation, dta.clocks)
+    mc.check_arguments(chain, dta, args.state, args.location, eta, args.samples,
+                       args.kmax, args.seed, stream=0, confidence=args.confidence)
     graph = build_graph(chain, dta)
     est = mc.estimate(
         chain,
@@ -194,22 +195,7 @@ def _cmd_bound(args) -> int:
     chain, dta = modelio.parse_model(args.model)
     graph = build_graph(chain, dta)
     report = solver.error_report(graph, model_constants(chain, dta), args.grid)
-    _emit(
-        {
-            "m": report.m,
-            "rho": 1.0 / report.m,
-            "|V|": report.vertex_count,
-            "\U0001d520": report.contraction,
-            "log_contraction": report.log_contraction,
-            "M1": report.m1,
-            "M2": report.m2,
-            "M3": report.m3,
-            "theoretical_bound": report.theoretical_bound,
-            "m_min": report.m_min,
-            "below_threshold": report.below_threshold,
-        },
-        None,
-    )
+    _emit(modelio.report_document(report), None)
     return EXIT_OK
 
 

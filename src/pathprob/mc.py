@@ -166,12 +166,13 @@ class _Memo:
         return per_distinct_row(keys, value_of)
 
 
-def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
-              seed, stream, confidence) -> Estimate:
-    """The trial loop of both estimators; see the module docstring."""
+def check_arguments(chain, dta, state, location, valuation, n, k_max, seed,
+                    stream, confidence) -> None:
+    """Raise ValueError naming the first bad argument of an estimate, with
+    no graph needed; a step bound of None is left to :func:`estimate`."""
     if n < 1:
         raise ValueError(f"trial count must be at least 1, got {n}")
-    if k_max < 0:
+    if k_max is not None and k_max < 0:
         raise ValueError(f"step bound must be non-negative, got {k_max}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
@@ -180,6 +181,13 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
     if not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     check_start(chain, dta, state, location, valuation)
+
+
+def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
+              seed, stream, confidence) -> Estimate:
+    """The trial loop of both estimators; see the module docstring."""
+    check_arguments(chain, dta, state, location, valuation, n, k_max, seed,
+                    stream, confidence)
     # an undeclared rule target is a location that enables no rule
     names = dta.locations + tuple(
         sorted({r.target for r in dta.rules} - set(dta.locations)))

@@ -26,7 +26,7 @@ from .models import (
 )
 from .product import ProductGraph, size_report
 from .regions import RegionCode
-from .solver import ApproxResult
+from .solver import ApproxResult, ErrorReport
 
 
 class ModelFormatError(ValueError):
@@ -228,27 +228,34 @@ def serialize_model(chain: Ctmc, dta: Dta) -> str:
 # Result documents
 
 
-def result_document(result: ApproxResult, timing: float) -> dict:
-    """Flat JSON result; field values round-trip at full precision."""
-    report = result.report
+def report_document(report: ErrorReport) -> dict:
+    """The error report's constants: ``pathprob bound`` and every result."""
     return {
-        "probability": result.probability,
-        "theoretical_bound": report.theoretical_bound,
-        "empirical_error_estimate": report.empirical_estimate,
         "m": report.m,
         "rho": 1.0 / report.m,
-        "grid_size": result.grid_points,
         "|V|": report.vertex_count,
         "\U0001d520": report.contraction,
         "log_contraction": report.log_contraction,
         "M1": report.m1,
         "M2": report.m2,
         "M3": report.m3,
+        "theoretical_bound": report.theoretical_bound,
+        "m_min": report.m_min,
+        "below_threshold": report.below_threshold,
+    }
+
+
+def result_document(result: ApproxResult, timing: float) -> dict:
+    """Flat JSON result; field values round-trip at full precision."""
+    report = result.report
+    return {
+        "probability": result.probability,
+        **report_document(report),
+        "empirical_error_estimate": report.empirical_estimate,
+        "grid_size": result.grid_points,
         "residual": result.residual,
         "solver_method": result.solver_method,
         "sweeps": result.sweeps,
-        "below_threshold": report.below_threshold,
-        "m_min": report.m_min,
         "snap_distance": report.snap_distance,
         "snap_slack": report.snap_slack,
         "timing": timing,

@@ -71,15 +71,15 @@ class BoundInfeasibleError(RuntimeError):
 
 @dataclass
 class Solution:
-    """Solved values over the unknowns plus exact boundary lookups.
+    """Solved values over the unknowns of ``grid``, read through the grid.
 
     ``values_raw`` is the untouched solver output; ``values`` is the report
     copy clamped to [0, 1].  Dead grid points read exactly 0 and final
-    locations exactly 1 by construction, they are never solved for.
+    locations exactly 1 by construction; the solved system is not kept.
     ``method`` is "exact" (one exact pass), "sweep", "direct" or "empty".
     """
 
-    system: SchemeSystem
+    grid: Grid
     values_raw: np.ndarray
     values: np.ndarray
     residual: float
@@ -88,13 +88,12 @@ class Solution:
 
     def value_of(self, cell: int) -> float:
         """Value at a cell of the grid (see :meth:`Grid.cell`)."""
-        grid = self.system.grid
-        cls = grid.cell_class[cell]
+        cls = self.grid.cell_class[cell]
         if cls == FINAL_CLASS:
             return 1.0
         if cls == DEAD_CLASS:
             return 0.0
-        return float(self.values[grid.slot_of[cell]])
+        return float(self.values[self.grid.slot_of[cell]])
 
 
 def solve(
@@ -115,12 +114,12 @@ def solve(
     singular (possible below the guaranteed grid threshold).
     """
     n = system.size
+    grid = system.grid
     if n == 0:
         empty = np.zeros(0)
-        return Solution(system, empty, empty.copy(), 0.0, 0, "empty")
+        return Solution(grid, empty, empty.copy(), 0.0, 0, "empty")
     if x0 is not None and np.shape(x0) != (n,):
         raise ValueError(f"start vector has shape {np.shape(x0)}, expected ({n},)")
-    grid = system.grid
     args = (system.indptr, system.indices, system.data, system.offset)
     plan = kernels.exact_plan(*args[:2], grid.slice_key, grid.point,
                               len(grid.ceilings))
@@ -145,7 +144,7 @@ def solve(
             x[plan.order] = y
             if residual < tol:
                 return Solution(
-                    system, x, np.clip(x, 0.0, 1.0), float(residual),
+                    grid, x, np.clip(x, 0.0, 1.0), float(residual),
                     sweep_count, "exact" if plan.exact else "sweep",
                 )
             plan = None  # rounding left the exact pass above tol: sweep on
@@ -153,7 +152,7 @@ def solve(
         raise SolverError(
             f"sweep hit a singular row or block ({exc}); the scheme matrix "
             f"is not a contraction here, which the theory only rules out for "
-            f"m > 2|V|^2 = {2 * system.grid.graph.vertex_count ** 2}",
+            f"m > 2|V|^2 = {2 * grid.graph.vertex_count ** 2}",
         ) from exc
 
     if n <= DIRECT_LIMIT:
@@ -164,12 +163,12 @@ def solve(
             raise SolverError(
                 f"direct elimination found the system singular; uniqueness "
                 f"is only guaranteed for m > 2|V|^2 = "
-                f"{2 * system.grid.graph.vertex_count ** 2}",
+                f"{2 * grid.graph.vertex_count ** 2}",
             ) from exc
         residual = kernels.max_residual(*args, x)
         if residual < tol:
             return Solution(
-                system, x, np.clip(x, 0.0, 1.0), float(residual),
+                grid, x, np.clip(x, 0.0, 1.0), float(residual),
                 max_sweeps, "direct",
             )
     raise SolverError(
@@ -273,18 +272,17 @@ def _analysis(chain: Ctmc, dta: Dta) -> Tuple[ModelConstants, ProductGraph]:
 
 
 @lru_cache(maxsize=2)  # a query reuses the m and 2m grids, no more
-def _solved(chain: Ctmc, dta: Dta, m: int) -> Tuple[Grid, Solution]:
+def _solved(chain: Ctmc, dta: Dta, m: int) -> Solution:
     _, graph = _analysis(chain, dta)
-    grid = build_grid(chain, dta, graph, m)
-    return grid, solve(assemble_gamma_prime(grid))
+    return solve(assemble_gamma_prime(build_grid(chain, dta, graph, m)))
 
 
 def _value_at(chain: Ctmc, dta: Dta, state: str, location: str,
               coords: Sequence[int], m: int) -> Tuple[float, Solution]:
     """The solved m-grid's value at integer coordinates ``coords``, and
     the solution it was read from."""
-    grid, solution = _solved(chain, dta, m)
-    return solution.value_of(grid.cell(state, location, coords)), solution
+    solution = _solved(chain, dta, m)
+    return solution.value_of(solution.grid.cell(state, location, coords)), solution
 
 
 def _snap_to_grid(eta: Sequence, ceilings: Sequence[int], m: int):

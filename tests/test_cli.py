@@ -7,7 +7,7 @@ import warnings
 
 import pytest
 
-from pathprob import modelio, solver
+from pathprob import cli, modelio, solver
 from pathprob.cli import UsageError, cli_main, parse_valuation
 from pathprob.product import MAX_VERTICES
 
@@ -223,6 +223,21 @@ def test_bound_subcommand(capsys):
     assert doc["M1"] == pytest.approx(math.e, rel=1e-12)
     assert doc["M2"] == pytest.approx(2 * math.e, rel=1e-12)
     assert doc["theoretical_bound"] > 1  # honest but vacuous
+
+
+def test_solve_document_carries_the_bound_document(capsys):
+    """Every key of ``bound`` has the same value in ``solve`` at that grid."""
+    code, out, _ = run(capsys, "bound", "--model", EXPOSURE, "--grid", "8")
+    assert code == 0
+    bound = json.loads(out)
+    code, out, _ = run(
+        capsys, "solve", "--model", EXPOSURE, "--state", "a", "--location",
+        "q0", "--valuation", "x=0,y=0", "--grid", "8",
+    )
+    assert code == 0
+    solved = json.loads(out)
+    assert len(bound) == 11
+    assert {key: solved[key] for key in bound} == bound
 
 
 CLOCKLESS = {
@@ -446,6 +461,51 @@ def test_epsilon_query_from_a_final_or_dead_start_solves_nothing(
     assert (doc["solver_method"], doc["sweeps"]) == ("shortcut", 0)
 
 
+def test_epsilon_query_sized_by_the_bound(tmp_path, capsys):
+    """Without clocks the bound is 0, so the grid is sized by the bound
+    alone, at m = m_min, and the answer is exact."""
+    model = tmp_path / "clockless.json"
+    model.write_text(json.dumps(CLOCKLESS))
+    code, out, _ = run(capsys, "solve", "--model", str(model), "--state", "s",
+                       "--location", "q0", "--epsilon", "1e-3")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["probability"] == 1.0
+    assert doc["m"] == doc["m_min"] == 33
+    assert doc["theoretical_bound"] == 0.0
+    assert doc["solver_method"] == "exact"
+
+
+def test_epsilon_query_with_an_infinite_bound_exit_code(capsys):
+    code, _, err = run(
+        capsys, "solve", "--model", EXPOSURE, "--state", "a", "--location",
+        "q0", "--valuation", "x=0,y=0", "--epsilon", "1e-3",
+    )
+    assert code == 2
+    assert "needs m = inf" in err
+
+
+@pytest.mark.parametrize("epsilon", ["0", "1.5"])
+def test_epsilon_outside_the_unit_interval_exit_code(capsys, epsilon):
+    code, _, err = run(
+        capsys, "solve", "--model", UNIT, "--state", "s", "--location", "q0",
+        "--epsilon", epsilon,
+    )
+    assert code == 1
+    assert "epsilon must lie in (0,1)" in err
+
+
+def test_force_empirical_reaching_the_cell_cap_exit_code(capsys, monkeypatch):
+    """The doubling stops at the cell cap before the values settle."""
+    monkeypatch.setattr(solver, "MAX_GRID_CELLS", 100)
+    code, _, err = run(
+        capsys, "solve", "--model", UNIT, "--state", "s", "--location", "q0",
+        "--epsilon", "1e-6", "--force-empirical",
+    )
+    assert code == 2
+    assert "empirical sizing exceeded 100 grid cells" in err
+
+
 def test_force_empirical_solves_its_final_grid_once(capsys):
     """The doubling solves each grid once and the answer reuses the last
     one; the solved-grid cache holds no more than the m and 2m grids."""
@@ -522,6 +582,29 @@ def test_negative_seed_exit_code(capsys):
     assert "seed must be non-negative, got -1" in err
 
 
+@pytest.mark.parametrize("bad,named", [
+    (("--samples", "0"), "trial count must be at least 1, got 0"),
+    (("--kmax", "-1"), "step bound must be non-negative, got -1"),
+    (("--seed", "-1"), "seed must be non-negative, got -1"),
+    (("--confidence", "0"), "confidence must lie in (0, 1), got 0"),
+    (("--confidence", "1.5"), "confidence must lie in (0, 1), got 1.5"),
+    (("--state", "nosuch"), "unknown state 'nosuch'"),
+    (("--location", "nope"), "unknown location 'nope'"),
+    (("--valuation", "x=-1/2"), "clock 'x' is -1/2"),
+])
+def test_simulate_arguments_are_checked_before_the_graph(capsys, monkeypatch,
+                                                         bad, named):
+    """A bad argument is refused before the product graph is built."""
+    monkeypatch.setattr(cli, "build_graph",
+                        lambda *args: pytest.fail("built the product graph"))
+    code, _, err = run(
+        capsys, "simulate", "--model", UNIT, "--state", "s", "--location",
+        "q0", "--samples", "100", *bad,
+    )
+    assert code == 1
+    assert f"invalid model/query: {named}" in err
+
+
 @pytest.mark.parametrize("command", [
     ("solve", "--grid", "4"),
     ("simulate", "--samples", "10"),
@@ -577,6 +660,62 @@ def test_duplicated_rule_is_refused_at_validation(tmp_path, capsys, command,
     code, _, err = run(capsys, command[0], "--model", str(model), *command[1:])
     assert code == 1
     assert "overlap" in err
+
+
+@pytest.mark.parametrize("bad,named", [
+    (("--valuation", "x"), "bad valuation entry 'x', want clock=value"),
+    (("--valuation", "z=0"), "unknown clock 'z'"),
+    (("--valuation", "x=one"), "bad clock value 'one'"),
+    (("--grids", "a"), "bad --grids"),
+    (("--grids", ","), "--grids needs at least one resolution"),
+])
+def test_bad_query_text_is_usage_error(tmp_path, capsys, bad, named):
+    code, _, err = run(
+        capsys, "convergence", "--model", UNIT, "--state", "s", "--location",
+        "q0", "--grids", "4", "--out", str(tmp_path / "conv.csv"), *bad,
+    )
+    assert code == 64
+    assert f"usage error: {named}" in err
+
+
+def test_missing_model_file_exit_code(tmp_path, capsys):
+    code, _, err = run(capsys, "graph", "--model", str(tmp_path / "none.json"))
+    assert code == 1
+    assert "io error" in err
+
+
+@pytest.mark.parametrize("path,value,named", [
+    (("ctmc",), None, "document needs 'ctmc' and 'dta' sections"),
+    (("ctmc", "states", 0, "rate"), None, "ctmc.states[0]: missing field 'rate'"),
+    (("ctmc", "states", 0, "transitions"), {"nowhere": "1"},
+     "ctmc.states[0].transitions: unknown target state 'nowhere'"),
+    (("dta", "rules", 0, "resets"), ["z"],
+     "dta.rules[0]: reset of unknown clock 'z'"),
+    (("dta", "rules", 0, "guard"), "x<<1",
+     "dta.rules[0]: cannot parse guard term 'x<<1'"),
+    (("ctmc", "states", 0),
+     {"name": "g", "rate": "1", "label": "b", "transitions": {"g": "1"}},
+     "duplicate state names"),
+    (("dta", "locations"), ["q0", "q1", "qsink", "q1"], "duplicate location names"),
+    (("dta", "clocks"), ["x", "x"], "duplicate clock names"),
+    (("dta", "final"), ["q1", "qz"], "final locations ['qz'] not declared"),
+    (("dta", "rules", 0, "to"), "qz", "rule to unknown location 'qz'"),
+])
+def test_faulty_model_document_exit_code(tmp_path, capsys, path, value, named):
+    """A value of None drops the field."""
+    doc = json.loads(pathlib.Path(UNIT).read_text())
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value is None:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    model = tmp_path / "faulty.json"
+    model.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "graph", "--model", str(model))
+    assert code == 1
+    assert f"invalid model/query: {named}" in err
 
 
 def test_oversized_region_count_is_refused_promptly(tmp_path, capsys):

@@ -27,7 +27,7 @@ def _system(model, graph, m):
 def test_chain_recurrence_solved_exactly(unit_deadline, unit_graph, m):
     solution = solve(_system(unit_deadline, unit_graph, m))
     expected = 1 - (1 + 1 / m) ** -m
-    value = solution.value_of(solution.system.grid.cell("s", "q0", (0,)))
+    value = solution.value_of(solution.grid.cell("s", "q0", (0,)))
     assert value == pytest.approx(expected, abs=1e-13)
     assert solution.residual < 1e-12
     assert solution.sweeps == 1  # one exact pass, by decreasing clock value
@@ -54,7 +54,7 @@ def test_empty_system_is_a_noop():
     solution = solve(_system((chain, dta), graph, 4))
     assert solution.method == "empty"
     assert solution.values.size == 0
-    assert solution.value_of(solution.system.grid.cell("s", "q0", (0,))) == 0.0
+    assert solution.value_of(solution.grid.cell("s", "q0", (0,))) == 0.0
 
 
 def test_reported_residual_matches_recomputation(exposure_window, exposure_graph):
@@ -110,7 +110,7 @@ def test_first_order_convergence_on_chain(unit_deadline, unit_graph):
     errors = {}
     for m in (8, 16, 32, 64, 128):
         solution = solve(_system(unit_deadline, unit_graph, m))
-        value = solution.value_of(solution.system.grid.cell("s", "q0", (0,)))
+        value = solution.value_of(solution.grid.cell("s", "q0", (0,)))
         errors[m] = abs(value - exact)
     for m in (8, 16, 32, 64):
         assert 1.6 <= errors[m] / errors[2 * m] <= 2.4
