@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -129,6 +130,34 @@ def test_sample_in_region_round_trip():
     for code in enumerate_region_codes(ceilings):
         for _ in range(5):
             assert region_of(sample_in_region(code, ceilings, rng), ceilings) == code
+
+
+# sha256 of the repr of every placed valuation, over every code of each
+# ceiling vector in turn; the sampler shares one default_rng(0) across calls,
+# so its digest pins the order of the draws too
+PLACEMENT_CEILINGS = ((1,), (2,), (1, 2), (2, 1, 1))
+PLACEMENT_DIGESTS = {
+    "representative":
+        "98b02c1940bbb8783c45b660633971522e1a0277328e45579a203f740343be28",
+    "sample": "70622f24114167c17c19af4acd50721f26ff0901384e09eab0956df440151842",
+}
+
+
+def _placement_digest(place):
+    h = hashlib.sha256()
+    for ceilings in PLACEMENT_CEILINGS:
+        for code in enumerate_region_codes(ceilings):
+            h.update(repr(place(code, ceilings)).encode())
+    return h.hexdigest()
+
+
+def test_placement_digests():
+    rng = np.random.default_rng(0)
+    assert {
+        "representative": _placement_digest(region_representative),
+        "sample": _placement_digest(
+            lambda code, ceilings: sample_in_region(code, ceilings, rng)),
+    } == PLACEMENT_DIGESTS
 
 
 # ---------------------------------------------------------------------------
