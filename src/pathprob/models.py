@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -36,6 +37,13 @@ def rational(value) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _refuse_duplicates(kind: str, names: Sequence[str]) -> None:
+    """Raise ``ValueError`` naming every ``kind`` name listed twice or more."""
+    repeated = sorted(n for n, count in Counter(names).items() if count > 1)
+    if repeated:
+        raise ValueError(f"duplicate {kind} names: {repeated}")
 
 
 class ModelIntegrityError(RuntimeError):
@@ -79,8 +87,7 @@ class Ctmc:
 
     def __post_init__(self):
         n = len(self.states)
-        if len(set(self.states)) != n:
-            raise ValueError("duplicate state names")
+        _refuse_duplicates("state", self.states)
         if len(self.transition) != n or any(len(r) != n for r in self.transition):
             raise ValueError("transition matrix shape does not match states")
         if len(self.exit_rates) != n or len(self.labeling) != n:
@@ -207,10 +214,8 @@ class Dta:
     ceilings: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if len(set(self.locations)) != len(self.locations):
-            raise ValueError("duplicate location names")
-        if len(set(self.clocks)) != len(self.clocks):
-            raise ValueError("duplicate clock names")
+        _refuse_duplicates("location", self.locations)
+        _refuse_duplicates("clock", self.clocks)
         unknown = self.final - set(self.locations)
         if unknown:
             raise ValueError(f"final locations {sorted(unknown)} not declared")

@@ -14,9 +14,13 @@ connectivity.
 Regions and the rules enabled in each come from
 :func:`models.region_rules`, the table validation reads too, built
 once per automaton.  Edges come from one exact delay walk per
-region: the non-marginal regions its representative reaches, the first of
-which is its plus region.  Everything after that, the rule each step fires
-and the region after its reset, is looked up by region number.
+region: the regions its representative reaches, one per delay interval,
+the first of which is its plus region.  Each delay is the midpoint of an
+open interval between the landmarks where a clock's fraction reaches 0,
+so every step is non-marginal.  One pass over (location, label, region)
+and the steps of the walk reads the rule each step fires, fills the rule
+table at the first step and looks the region after the reset up by
+region number.
 
 The graph answers "which class, which rule" by number from two tables:
 ``class_table[state, location, region]`` (an index into
@@ -77,7 +81,6 @@ class ProductGraph:
     labels: Tuple[str, ...]
     vertices: Tuple[ProductVertex, ...]
     successors: Tuple[Tuple[int, ...], ...]
-    final_vertices: FrozenSet[int]
     witnesses: Dict[Tuple[int, int], Tuple[tuple, object]]
     class_table: np.ndarray
     rule_target: np.ndarray
@@ -112,17 +115,21 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
     The regions, one representative each, and the rules enabled there
     come from :func:`models.region_rules`.  Each region's representative
     is delayed once through the finite set of delay intervals with
-    constant region; the non-marginal regions it reaches, each with its
-    representative delay, form the region's delay walk, whose first step
-    is the region's plus region.  The rule table takes each region's rule
-    at that plus region, and raises :class:`ModelIntegrityError` where none
-    or several rules are enabled there.  A non-marginal region is its own plus region, so a step of the
-    walk into region r' fires the rule of r'; the region after its reset
-    depends only on r' and the reset clocks and is computed once per pair.
-    The moves of each (location, label, region) are then integer lookups,
-    and edges fan out over the CTMC states with positive jump probability.
-    A concrete (valuation, delay) witness is kept per edge.  Raises
-    ``ValueError`` above :data:`MAX_VERTICES` vertices, before enumerating.
+    constant region; the region reached in each, with its midpoint delay,
+    forms the region's delay walk, whose first step is the region's plus
+    region.  No step is marginal: the delays avoid the landmarks where a
+    clock's fraction reaches 0.  A non-marginal region is its own plus
+    region, so a step into region r' fires the rule of r'.
+
+    One pass over (location, label, region) and the steps of that
+    region's walk reads each step's one enabled rule, raising
+    :class:`ModelIntegrityError` where none or several are enabled; the
+    rule at the first step fills the rule table.  The region after the
+    reset depends only on r' and the reset clocks and is computed once
+    per pair.  Edges fan out over the CTMC states with positive jump
+    probability, and a concrete (valuation, delay) witness is kept per
+    edge.  Raises ``ValueError`` above :data:`MAX_VERTICES` vertices,
+    before enumerating.
     """
     oversized = size_report(chain, dta)
     if not oversized.ok:
@@ -137,51 +144,43 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
         for s in chain.states for q in dta.locations for code in codes
     )
 
-    # region -> [(non-marginal region reached, delay)], plus region first
-    walks: List[List[Tuple[int, object]]] = []
-    for rep in reps:
-        walk = []
-        for t in regions.delay_representatives(rep, ceilings, dta.t_max):
-            r = number[regions.region_of(regions.delay(rep, t), ceilings)]
-            if not codes[r].is_marginal():
-                walk.append((r, t))
-        walks.append(walk)
+    # region -> [(region reached, delay)], plus region first
+    walks = [
+        [(number[regions.region_of(regions.delay(rep, t), ceilings)], t)
+         for t in regions.delay_representatives(rep, ceilings, dta.t_max)]
+        for rep in reps
+    ]
 
     rule_target = np.zeros((n_loc, len(labels), n_reg), dtype=np.int32)
     rule_resets = np.zeros((n_loc, len(labels), n_reg, len(ceilings)), dtype=bool)
-    for qi, q in enumerate(dta.locations):
-        for ai, a in enumerate(labels):
-            for r, walk in enumerate(walks):
-                plus = walk[0][0]
-                rules = enabled[qi][ai][plus]
-                if len(rules) != 1:
-                    raise ModelIntegrityError(
-                        f"{len(rules)} rules enabled at ({q},{a}) for "
-                        f"valuation {reps[plus]}; the automaton is not "
-                        f"deterministic+total"
-                    )
-                rule_target[qi, ai, r] = dta.locations.index(rules[0].target)
-                rule_resets[qi, ai, r, sorted(rules[0].resets)] = True
-
-    # (non-marginal region, reset clocks) -> region after the reset
+    # (region reached, reset clocks) -> region after the reset
     after: Dict[Tuple[int, FrozenSet[int]], int] = {}
     location_number = {q: qi for qi, q in enumerate(dta.locations)}
     # (location, label, region) -> [(target location, target region, eta, t)]
     moves: Dict[Tuple[int, int, int], list] = {}
-    for qi in range(n_loc):
-        for ai in range(len(labels)):
+    for qi, q in enumerate(dta.locations):
+        for ai, a in enumerate(labels):
             for r, walk in enumerate(walks):
                 seen = {}
                 for reached, t in walk:
-                    (rule,) = enabled[qi][ai][reached]
+                    rules = enabled[qi][ai][reached]
+                    if len(rules) != 1:
+                        raise ModelIntegrityError(
+                            f"{len(rules)} rules enabled at ({q},{a}) for "
+                            f"valuation {reps[reached]}; the automaton is not "
+                            f"deterministic+total"
+                        )
+                    rule = rules[0]
+                    target = location_number[rule.target]
+                    if not seen:  # the plus region: the rule table's entry
+                        rule_target[qi, ai, r] = target
+                        rule_resets[qi, ai, r, sorted(rule.resets)] = True
                     key = (reached, rule.resets)
                     if key not in after:
                         after[key] = number[regions.region_of(
                             regions.reset(reps[reached], rule.resets), ceilings
                         )]
-                    seen.setdefault(
-                        (location_number[rule.target], after[key]), (reps[r], t)
-                    )
+                    seen.setdefault((target, after[key]), (reps[r], t))
                 moves[(qi, ai, r)] = [
                     (loc, reg, eta, t) for (loc, reg), (eta, t) in seen.items()
                 ]
@@ -203,9 +202,8 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
                         witnesses.setdefault((v, w), (eta, t))
                 successors.append(tuple(sorted(targets)))
 
-    final_vertices = frozenset(
-        i for i, v in enumerate(vertices) if v.location in dta.final
-    )
+    final = np.zeros((len(chain.states), n_loc, n_reg), dtype=bool)
+    final[:, [q in dta.final for q in dta.locations]] = True
     return ProductGraph(
         ctmc=chain,
         dta=dta,
@@ -214,28 +212,23 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
         labels=labels,
         vertices=vertices,
         successors=tuple(successors),
-        final_vertices=final_vertices,
         witnesses=witnesses,
-        class_table=_class_table(
-            successors, final_vertices,
-            (len(chain.states), n_loc, n_reg),
-        ),
+        class_table=_class_table(successors, final),
         rule_target=rule_target,
         rule_resets=rule_resets,
     )
 
 
-def _class_table(successors, final_vertices, shape) -> np.ndarray:
-    """Backward reachability of the final vertices, as a class table."""
+def _class_table(successors, final: np.ndarray) -> np.ndarray:
+    """Backward reachability of the vertices of the boolean (state,
+    location, region) mask ``final``, as a class table of its shape."""
     n = len(successors)
     predecessors: List[List[int]] = [[] for _ in range(n)]
     for i, targets in enumerate(successors):
         for j in targets:
             predecessors[j].append(i)
-    reaches = [False] * n
-    stack = list(final_vertices)
-    for i in stack:
-        reaches[i] = True
+    reaches = final.ravel().tolist()
+    stack = np.flatnonzero(final).tolist()
     while stack:
         j = stack.pop()
         for i in predecessors[j]:
@@ -243,8 +236,9 @@ def _class_table(successors, final_vertices, shape) -> np.ndarray:
                 reaches[i] = True
                 stack.append(i)
     table = np.where(reaches, ALIVE_CLASS, DEAD_CLASS).astype(np.int8)
-    table[list(final_vertices)] = FINAL_CLASS
-    return table.reshape(shape)
+    table = table.reshape(final.shape)
+    table[final] = FINAL_CLASS
+    return table
 
 
 def classify(graph: ProductGraph) -> Dict[ProductVertex, str]:

@@ -332,6 +332,22 @@ def region_count(ceilings: Sequence[int]) -> int:
     return sum(coef * f for coef, f in zip(poly, fubini))
 
 
+def _place(code: RegionCode, ceilings: Sequence[int], fractions: Callable,
+           offset: Callable) -> ClockValuation:
+    """The valuation of region ``code`` whose blocks of positive fractional
+    part take the increasing values ``fractions(count)``, in order, and
+    whose clocks above their ceilings sit ``offset()`` past them, called
+    per such clock in clock order after ``fractions``."""
+    blocks = code.frac_order
+    zero = bool(blocks) and code.clocks[blocks[0][0]][1]  # a first block at 0
+    frac = dict.fromkeys(blocks[0], Fraction(0)) if zero else {}
+    for block, f in zip(blocks[zero:], fractions(len(blocks) - zero)):
+        frac.update(dict.fromkeys(block, f))
+    return tuple(Fraction(ceilings[i]) + offset() if opt is None
+                 else Fraction(opt[0]) + frac[i]
+                 for i, opt in enumerate(code.clocks))
+
+
 def region_representative(
     code: RegionCode, ceilings: Sequence[int]
 ) -> ClockValuation:
@@ -340,26 +356,9 @@ def region_representative(
     Above-ceiling clocks sit half a unit past the ceiling; fractional
     blocks receive equally spaced fractions below one.
     """
-    blocks = code.frac_order
-    block_fracs = {}
-    nonzero_blocks = [b for b in blocks if any(not code.clocks[i][1] for i in b)]
-    denominator = len(nonzero_blocks) + 1
-    rank = 1
-    for block in blocks:
-        if all(code.clocks[i][1] for i in block):
-            for i in block:
-                block_fracs[i] = Fraction(0)
-        else:
-            for i in block:
-                block_fracs[i] = Fraction(rank, denominator)
-            rank += 1
-    values = []
-    for i, opt in enumerate(code.clocks):
-        if opt is None:
-            values.append(Fraction(ceilings[i]) + HALF)
-        else:
-            values.append(Fraction(opt[0]) + block_fracs[i])
-    return tuple(values)
+    return _place(code, ceilings,
+                  lambda k: [Fraction(rank, k + 1) for rank in range(1, k + 1)],
+                  lambda: HALF)
 
 
 def sample_in_region(
@@ -370,32 +369,14 @@ def sample_in_region(
     Fraction blocks get strictly increasing random rationals in (0, 1);
     above-ceiling clocks get a random positive offset past the ceiling.
     """
-    blocks = code.frac_order
-    nonzero_blocks = [b for b in blocks if any(not code.clocks[i][1] for i in b)]
-    k = len(nonzero_blocks)
-    draws = sorted(
-        {Fraction(int(rng.integers(1, 997)), 997) for _ in range(k)}
-    )
-    while len(draws) < k:
-        draws = sorted(set(draws) | {Fraction(int(rng.integers(1, 997)), 997)})
-    block_fracs = {}
-    rank = 0
-    for block in blocks:
-        zero = all(code.clocks[i][1] for i in block)
-        for i in block:
-            block_fracs[i] = Fraction(0) if zero else draws[rank]
-        if not zero:
-            rank += 1
-    values = []
-    for i, opt in enumerate(code.clocks):
-        if opt is None:
-            values.append(
-                Fraction(ceilings[i])
-                + Fraction(int(rng.integers(1, 5000)), 1000)
-            )
-        else:
-            values.append(Fraction(opt[0]) + block_fracs[i])
-    return tuple(values)
+    def fractions(k):
+        draws = set()
+        while len(draws) < k:
+            draws.add(Fraction(int(rng.integers(1, 997)), 997))
+        return sorted(draws)
+
+    return _place(code, ceilings, fractions,
+                  lambda: Fraction(int(rng.integers(1, 5000)), 1000))
 
 
 # ---------------------------------------------------------------------------

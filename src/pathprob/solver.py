@@ -73,15 +73,15 @@ class BoundInfeasibleError(RuntimeError):
 class Solution:
     """Solved values over the unknowns of ``grid``, read through the grid.
 
-    ``values_raw`` is the untouched solver output; ``values`` is the report
-    copy clamped to [0, 1].  Dead grid points read exactly 0 and final
-    locations exactly 1 by construction; the solved system is not kept.
+    ``values_raw`` is the untouched solver output; :meth:`value_of` clamps
+    the one value it reads to [0, 1] (NaN stays NaN).  Dead grid points
+    read exactly 0 and final locations exactly 1 by construction; the
+    solved system is not kept.
     ``method`` is "exact" (one exact pass), "sweep", "direct" or "empty".
     """
 
     grid: Grid
     values_raw: np.ndarray
-    values: np.ndarray
     residual: float
     sweeps: int
     method: str
@@ -93,7 +93,7 @@ class Solution:
             return 1.0
         if cls == DEAD_CLASS:
             return 0.0
-        return float(self.values[self.grid.slot_of[cell]])
+        return min(max(float(self.values_raw[self.grid.slot_of[cell]]), 0.0), 1.0)
 
 
 def solve(
@@ -116,8 +116,7 @@ def solve(
     n = system.size
     grid = system.grid
     if n == 0:
-        empty = np.zeros(0)
-        return Solution(grid, empty, empty.copy(), 0.0, 0, "empty")
+        return Solution(grid, np.zeros(0), 0.0, 0, "empty")
     if x0 is not None and np.shape(x0) != (n,):
         raise ValueError(f"start vector has shape {np.shape(x0)}, expected ({n},)")
     args = (system.indptr, system.indices, system.data, system.offset)
@@ -143,10 +142,8 @@ def solve(
             x = np.empty(n)
             x[plan.order] = y
             if residual < tol:
-                return Solution(
-                    grid, x, np.clip(x, 0.0, 1.0), float(residual),
-                    sweep_count, "exact" if plan.exact else "sweep",
-                )
+                return Solution(grid, x, float(residual), sweep_count,
+                                "exact" if plan.exact else "sweep")
             plan = None  # rounding left the exact pass above tol: sweep on
     except ZeroDivisionError as exc:
         raise SolverError(
@@ -167,10 +164,7 @@ def solve(
             ) from exc
         residual = kernels.max_residual(*args, x)
         if residual < tol:
-            return Solution(
-                grid, x, np.clip(x, 0.0, 1.0), float(residual),
-                max_sweeps, "direct",
-            )
+            return Solution(grid, x, float(residual), max_sweeps, "direct")
     raise SolverError(
         f"no convergence to residual {tol} after {max_sweeps} sweeps "
         f"(last residual {residual:.3e})",

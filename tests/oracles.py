@@ -726,9 +726,8 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
                         witnesses.setdefault((v, w), (eta, t))
                 successors.append(tuple(sorted(targets)))
 
-    final_vertices = frozenset(
-        i for i, v in enumerate(vertices) if v.location in dta.final
-    )
+    final = np.zeros((len(chain.states), n_loc, n_reg), dtype=bool)
+    final[:, [q in dta.final for q in dta.locations]] = True
     return ProductGraph(
         ctmc=chain,
         dta=dta,
@@ -737,12 +736,8 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
         labels=labels,
         vertices=vertices,
         successors=tuple(successors),
-        final_vertices=final_vertices,
         witnesses=witnesses,
-        class_table=_class_table(
-            successors, final_vertices,
-            (len(chain.states), n_loc, n_reg),
-        ),
+        class_table=_class_table(successors, final),
         rule_target=rule_target,
         rule_resets=rule_resets,
     )

@@ -695,9 +695,10 @@ def test_missing_model_file_exit_code(tmp_path, capsys):
      "dta.rules[0]: cannot parse guard term 'x<<1'"),
     (("ctmc", "states", 0),
      {"name": "g", "rate": "1", "label": "b", "transitions": {"g": "1"}},
-     "duplicate state names"),
-    (("dta", "locations"), ["q0", "q1", "qsink", "q1"], "duplicate location names"),
-    (("dta", "clocks"), ["x", "x"], "duplicate clock names"),
+     "duplicate state names: ['g']"),
+    (("dta", "locations"), ["q0", "q1", "qsink", "q1"],
+     "duplicate location names: ['q1']"),
+    (("dta", "clocks"), ["x", "x"], "duplicate clock names: ['x']"),
     (("dta", "final"), ["q1", "qz"], "final locations ['qz'] not declared"),
     (("dta", "rules", 0, "to"), "qz", "rule to unknown location 'qz'"),
 ])

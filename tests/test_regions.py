@@ -279,6 +279,23 @@ def test_delay_intervals_split_at_fraction_offsets():
     assert flat == sorted(flat)
 
 
+def test_delay_walk_never_lands_on_a_marginal_region():
+    """Each delay is the midpoint of an open interval between the landmarks
+    where a clock's fraction reaches 0 (or past the last one), so no step
+    of the delay walk from any region's representative is marginal: the
+    product graph takes every step as a plus region."""
+    steps = 0
+    for k in range(1, 4):
+        for ceilings in itertools.product(range(3), repeat=k):
+            for code in enumerate_region_codes(ceilings):
+                rep = region_representative(code, ceilings)
+                for t in delay_representatives(rep, ceilings, max(ceilings)):
+                    reached = region_of(delay(rep, t), ceilings)
+                    assert not is_marginal(reached), (ceilings, code, t)
+                    steps += 1
+    assert steps == 13_389
+
+
 # ---------------------------------------------------------------------------
 # property suites (seeded, exact arithmetic)
 

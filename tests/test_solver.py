@@ -53,7 +53,7 @@ def test_empty_system_is_a_noop():
     graph = build_graph(chain, dta)
     solution = solve(_system((chain, dta), graph, 4))
     assert solution.method == "empty"
-    assert solution.values.size == 0
+    assert solution.values_raw.size == 0
     assert solution.value_of(solution.grid.cell("s", "q0", (0,))) == 0.0
 
 
@@ -76,7 +76,8 @@ def test_raw_values_stay_in_range(exposure_window, exposure_graph):
     solution = solve(_system(exposure_window, exposure_graph, 16), tol=1e-10)
     assert (solution.values_raw >= -1e-9).all()
     assert (solution.values_raw <= 1 + 1e-9).all()
-    assert (solution.values >= 0).all() and (solution.values <= 1).all()
+    assert all(0 <= solution.value_of(cell) <= 1
+               for cell in range(solution.grid.cell_class.size))
 
 
 def test_random_starts_agree(exposure_window, exposure_graph):

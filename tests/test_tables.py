@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathprob.dynamics import select_rule
-from pathprob.modelio import validate_pair
+from pathprob.modelio import parse_model_text, serialize_model, validate_pair
 from pathprob.models import Constraint, Ctmc, Dta, Guard, Rule
 from pathprob.product import CLASS_NAMES, build_graph, classify
 from pathprob.regions import grid_region_numbers, plus_representative, region_of
@@ -146,3 +146,10 @@ def test_tables_match_on_random_models(model, m):
     chain, dta = model
     validate_pair(chain, dta)
     check_tables(chain, dta, build_graph(chain, dta), m)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(random_models())
+@example(_chain_of_splits())
+def test_model_text_round_trips_on_random_models(model):
+    assert parse_model_text(serialize_model(*model)) == model
