@@ -98,7 +98,8 @@ def _build_parser() -> _Parser:
     p_bound.add_argument("--grid", type=int, required=True)
 
     p_conv = sub.add_parser(
-        "convergence", help="value and error against the grid step"
+        "convergence",
+        help="value, error and observed order against the grid step",
     )
     add_query_args(p_conv)
     p_conv.add_argument(
@@ -209,22 +210,27 @@ def _cmd_convergence(args) -> int:
     if not grids:
         raise UsageError("--grids needs at least one resolution")
     rows = []
-    previous = None
-    for m in grids:
-        result = solver.approximate(
+    values = []
+    for k, m in enumerate(grids):
+        value = solver.approximate(
             chain, dta, args.state, args.location, eta, m=m
-        )
+        ).probability
         if args.exact is not None:
-            err = abs(result.probability - args.exact)
-        elif previous is not None:
-            err = abs(result.probability - previous)
+            err = abs(value - args.exact)
+        elif values:
+            err = abs(value - values[-1])
         else:
             err = ""
-        rows.append([m, 1.0 / m, result.probability, err])
-        previous = result.probability
+        order = None  # only where the three grids share one refinement ratio
+        if k >= 2 and m * grids[k - 2] == grids[k - 1] ** 2:
+            order = solver.observed_order(values[-1] - values[-2],
+                                          value - values[-1], m / grids[k - 1])
+        rows.append([m, 1.0 / m, value, err, "" if order is None else order])
+        values.append(value)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["m", "rho", "value", "abs_error_vs_exact_or_prev"])
+        writer.writerow(["m", "rho", "value", "abs_error_vs_exact_or_prev",
+                         "observed_order"])
         writer.writerows(rows)
     return EXIT_OK
 

@@ -250,6 +250,8 @@ def result_document(result: ApproxResult, timing: float) -> dict:
     report = result.report
     return {
         "probability": result.probability,
+        "grid_probability": result.grid_probability,
+        "observed_order": result.observed_order,
         **report_document(report),
         "empirical_error_estimate": report.empirical_estimate,
         "grid_size": result.grid_points,

@@ -53,13 +53,6 @@ def delay(eta: Sequence, t) -> tuple:
     return tuple(v + t for v in eta)
 
 
-def backtrack(eta: Sequence, t) -> tuple:
-    """Rewind every clock by ``t``; defined only when all entries are >= t."""
-    if any(v < t for v in eta):
-        raise ValueError(f"cannot backtrack {t}: some clock is smaller")
-    return tuple(v - t for v in eta)
-
-
 def reset(eta: Sequence, clocks: Iterable[int]) -> tuple:
     """Set the given clock indices to zero, keep the rest."""
     zeroed = set(clocks)
@@ -207,29 +200,6 @@ def plus_representative(eta: Sequence, ceilings: Sequence[int]) -> tuple:
     fracs = [frac_part(v) for v, c in zip(eta, ceilings) if v <= c]
     t1 = 1 - max(fracs) if fracs else 1
     return delay(eta, Fraction(t1) * HALF)
-
-
-def minus_representative(eta: Sequence, ceilings: Sequence[int]) -> tuple:
-    """A representative of the region left immediately before ``eta``.
-
-    Requires every clock to be positive.  The admissible window ``(0, t2)``
-    follows the case analysis on the smallest fractional part: the distance
-    to the previous landmark, also capped by how far each above-ceiling
-    clock can fall before meeting its ceiling.
-    """
-    if any(v <= 0 for v in eta):
-        raise ValueError("minus representative requires every clock > 0")
-    over = [v - c for v, c in zip(eta, ceilings) if v > c]
-    fracs = sorted({frac_part(v) for v, c in zip(eta, ceilings) if v <= c})
-    if not fracs:
-        t2 = min(over)
-    elif fracs[0] > 0:
-        t2 = min([fracs[0]] + over)
-    elif len(fracs) == 1:
-        t2 = min([Fraction(1)] + over)
-    else:
-        t2 = min([fracs[1]] + over)
-    return backtrack(eta, Fraction(t2) * HALF)
 
 
 # ---------------------------------------------------------------------------

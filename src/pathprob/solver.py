@@ -53,6 +53,7 @@ DIRECT_LIMIT = 3000
 MAX_SWEEPS = 5000
 TOLERANCE = 1e-10  # residual at which the sweeps stop
 MAX_GRID_CELLS = 5_000_000  # largest grid a query builds
+ORDER_MIN, ORDER_MAX = 0.5, 3.0  # observed orders that admit the extrapolant
 
 
 class SolverError(RuntimeError):
@@ -187,11 +188,15 @@ class ErrorReport:
     ``theoretical_bound`` is |V| * c^(-|V|) * M3 * rho with rho = 1/m,
     astronomically large for most models and infinite beyond the float
     range; it is still the honest guarantee.  The optional
-    ``empirical_estimate`` is ``|v_m - v_2m|``, a heuristic and clearly not
-    a bound.  On a first-order scheme it tracks the error of the 2m value
-    and under-reports that of the reported ``v_m``, which is about twice
-    as large: on ``unit_deadline`` at m = 64 it reads 1.42e-3 while the
-    reported value is 2.86e-3 from 1 - e^-1.
+    ``empirical_estimate`` is a heuristic and clearly not a bound.  For a
+    grid query with the 2m solve it is ``|v_m - v_2m|``.  On a
+    first-order scheme that tracks the error of the 2m value and
+    under-reports that of the reported ``v_m``, which is about twice as
+    large: on ``unit_deadline`` at m = 64 it reads 1.42e-3 while the
+    reported value is 2.86e-3 from 1 - e^-1.  For an epsilon query sized
+    empirically it is the difference the stop compared with epsilon/2:
+    ``|v_m - v_{m/2}|``, or ``|R_m - R_{m/2}|`` when the answer is the
+    extrapolant ``R_m`` (see :func:`approximate`).
     """
 
     m: int
@@ -250,7 +255,10 @@ def error_report(
 class ApproxResult(NamedTuple):
     """The answer of a query.  ``solver_method`` and ``sweeps`` are those
     of the m-grid solve (:attr:`Solution.method`), or "shortcut" and 0
-    when a final or dead start was answered without solving."""
+    when a final or dead start was answered without solving.
+    ``grid_probability`` is the grid value at the reported m; it equals
+    ``probability`` unless the answer is the extrapolant, and only then
+    is ``observed_order`` set."""
 
     probability: float
     report: ErrorReport
@@ -258,6 +266,8 @@ class ApproxResult(NamedTuple):
     grid_points: int
     solver_method: str
     sweeps: int
+    grid_probability: float
+    observed_order: Optional[float]
 
 
 @lru_cache(maxsize=8)
@@ -323,6 +333,13 @@ def approximate(
     0.  A grid above :data:`MAX_GRID_CELLS`
     cells (counting the ``2m`` grid of ``with_empirical``) is refused with
     :class:`ValueError` before it is built.
+
+    With ``force_empirical``, an ``epsilon`` query whose bound is out of
+    reach is sized by :func:`_empirical_m`.  Its answer is either the
+    grid value v_m, or the order-1 Richardson extrapolant
+    R_m = v_m + (v_m - v_{m/2}) of the grid values, clamped to [0, 1].
+    In the second case ``observed_order`` is set, and
+    ``grid_probability`` keeps v_m.
     """
     if (m is None) == (epsilon is None):
         raise ValueError("specify exactly one of m and epsilon")
@@ -340,8 +357,9 @@ def approximate(
         report = error_report(graph, constants, m)
         report.theoretical_bound = 0.0
         return ApproxResult(shortcut, report, 0.0, grid_cells(chain, dta, m),
-                            "shortcut", 0)
+                            "shortcut", 0, shortcut, None)
 
+    extrapolant = order = empirical = None
     if epsilon is not None:
         probe = error_report(graph, constants, 1)
         m_req = _required_m(probe, epsilon)
@@ -355,7 +373,8 @@ def approximate(
                 m_required=m_req,
             )
         else:
-            m = _empirical_m(chain, dta, state, location, eta, epsilon)
+            m, extrapolant, order, empirical = _empirical_m(
+                chain, dta, state, location, eta, epsilon)
 
     largest = 2 * m if with_empirical else m
     cells = grid_cells(chain, dta, largest)
@@ -368,7 +387,6 @@ def approximate(
     coords, distance = _snap_to_grid(eta, dta.ceilings, m)
     value, solution = _value_at(chain, dta, state, location, coords, m)
 
-    empirical = None
     if with_empirical:
         finer, _ = _value_at(chain, dta, state, location,
                              [2 * j for j in coords], 2 * m)
@@ -377,9 +395,10 @@ def approximate(
     report.snap_distance = float(distance)
     if distance:  # an infinite M1 times a zero snap is no slack, not NaN
         report.snap_slack = report.m1 * float(distance)
-    return ApproxResult(value, report, solution.residual,
+    answer = value if extrapolant is None else extrapolant
+    return ApproxResult(answer, report, solution.residual,
                         grid_cells(chain, dta, m), solution.method,
-                        solution.sweeps)
+                        solution.sweeps, value, order)
 
 
 def _shortcut(graph: ProductGraph, state: str, location: str, eta) -> Optional[float]:
@@ -392,22 +411,56 @@ def _shortcut(graph: ProductGraph, state: str, location: str, eta) -> Optional[f
     return None
 
 
+def observed_order(coarse_gap: float, fine_gap: float,
+                   ratio: float = 2.0) -> Optional[float]:
+    """Observed order of convergence p = log_ratio |coarse_gap / fine_gap|
+    from the gaps between the values of three grids, each ``ratio``
+    times finer than the last; None when a gap is zero."""
+    if coarse_gap == 0 or fine_gap == 0:
+        return None
+    return math.log2(abs(coarse_gap / fine_gap)) / math.log2(ratio)
+
+
 def _empirical_m(chain, dta, state, location, eta, epsilon):
-    """Richardson-style sizing: double m until successive values differ by
-    at most epsilon/2 (first-order scheme, so the difference tracks the
-    error of the finer grid)."""
+    """Size the grid by doubling m = 8, 16, ... and stop at the first grid
+    where either of two tests passes.
+
+    1. The grid test, checked first: the gap g_m = v_m - v_{m/2} is at
+       most epsilon/2.  The scheme is first order, so the gap tracks the
+       error of the finer grid; the answer is v_m.
+    2. The extrapolant test: R_m = v_m + g_m cancels the first-order
+       term of the error (Richardson's deferred approach to the limit).
+       It holds when the observed order of g_{m/2} and g_m lies in
+       [ORDER_MIN, ORDER_MAX], so the gaps shrink at least sqrt(2)-fold,
+       and |R_m - R_{m/2}| is at most epsilon/2.  The answer is R_m.
+       The order only checks that the values converge regularly; the
+       extrapolation always assumes order 1.
+
+    Returns m, R_m clamped to [0, 1] or None when the grid test stopped,
+    the observed order or None, and the difference that was compared
+    with epsilon/2.
+    """
     m = 8
-    previous = None
+    value = gap = extrapolant = None
     while grid_cells(chain, dta, m) <= MAX_GRID_CELLS:
         coords, _ = _snap_to_grid(eta, dta.ceilings, m)
+        previous, previous_gap, previous_extrapolant = value, gap, extrapolant
         value, _ = _value_at(chain, dta, state, location, coords, m)
-        if previous is not None and abs(value - previous) <= epsilon / 2:
-            return m
-        previous = value
+        if previous is not None:
+            gap = value - previous
+            if abs(gap) <= epsilon / 2:
+                return m, None, None, abs(gap)
+            extrapolant = value + gap
+            if previous_gap is not None:
+                order = observed_order(previous_gap, gap)
+                change = abs(extrapolant - previous_extrapolant)
+                if (order is not None and ORDER_MIN <= order <= ORDER_MAX
+                        and change <= epsilon / 2):
+                    return m, min(max(extrapolant, 0.0), 1.0), order, change
         m *= 2
     raise BoundInfeasibleError(
         f"empirical sizing exceeded {MAX_GRID_CELLS} grid cells before "
-        f"successive values settled within {epsilon / 2}",
+        f"successive values or extrapolants settled within {epsilon / 2}",
         m_required=m,
     )
 
@@ -423,9 +476,11 @@ def prob_from_distribution(
     """Mix per-state answers by an initial distribution over states.
 
     ``theta`` maps state names to exact weights in [0, 1] summing to one;
-    zero-weight states are skipped.  The reported bound is the worst
-    per-state bound.  The solver method and sweeps are those of the last
-    state that needed a solve ("shortcut" and 0 when none did).
+    zero-weight states are skipped.  The grid probability mixes by the
+    same weights.  The reported bound is the worst per-state bound, and
+    the observed order is that state's.  The solver method and sweeps are
+    those of the last state that needed a solve ("shortcut" and 0 when
+    none did).
     """
     weights = {s: Fraction(w) for s, w in theta.items()}
     for s, w in weights.items():
@@ -436,7 +491,7 @@ def prob_from_distribution(
     unknown = set(weights) - set(chain.states)
     if unknown:
         raise ValueError(f"distribution names unknown states {sorted(unknown)}")
-    total = 0.0
+    total = grid_total = 0.0
     worst: Optional[ApproxResult] = None
     residual = 0.0
     cells = 0
@@ -446,6 +501,7 @@ def prob_from_distribution(
             continue
         result = approximate(chain, dta, s, location, valuation, **options)
         total += float(w) * result.probability
+        grid_total += float(w) * result.grid_probability
         residual = max(residual, result.residual)
         cells = max(cells, result.grid_points)
         if result.solver_method != "shortcut":
@@ -454,7 +510,8 @@ def prob_from_distribution(
             worst = result
     if worst is None:
         raise ValueError("initial distribution has no positive weight")
-    return ApproxResult(total, worst.report, residual, cells, method, sweeps)
+    return ApproxResult(total, worst.report, residual, cells, method, sweeps,
+                        grid_total, worst.observed_order)
 
 
 def _total_bound(report: ErrorReport) -> float:

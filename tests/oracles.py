@@ -10,7 +10,10 @@ the one-pass DTA validator against the interval-box overlap check and
 region cover sweep it replaced, the product graph against the
 per-(location, label, region) delay walk it replaced, and the grid and
 both assemblies against the dict-keyed, point-by-point versions they
-replaced.  :func:`decode` reads a cell of the package's grid back as its
+replaced.  The one exception is the sizing of an epsilon query: the
+doubling loop that sized on the grid values alone reads those values
+through the package's solved grids, so that only the stopping rule
+differs.  :func:`decode` reads a cell of the package's grid back as its
 state, location and integer coordinates.
 """
 
@@ -36,6 +39,9 @@ from pathprob.product import (
 from pathprob.regions import frac_part, int_part, plus_representative, region_of
 from pathprob.scheme import (
     GAMMA_DOUBLE, GAMMA_PRIME, SchemeSystem, grid_cells,
+)
+from pathprob.solver import (
+    MAX_GRID_CELLS, BoundInfeasibleError, _snap_to_grid, _value_at,
 )
 
 
@@ -238,7 +244,9 @@ def _coords_iter(maxima):
 
 
 # ---------------------------------------------------------------------------
-# Region equivalences by their definitions, and the saturated delay.
+# Region equivalences by their definitions, the saturated delay, and the
+# backward delay with the representative of the region left just before a
+# valuation.
 
 
 def is_marginal(code: regions.RegionCode) -> bool:
@@ -258,6 +266,34 @@ def clamp_delay(eta: Sequence, t, ceilings: Sequence[int]) -> tuple:
     return tuple(min(c, v + t) for v, c in zip(eta, ceilings))
 
 
+def backtrack(eta: Sequence, t) -> tuple:
+    """Rewind every clock by ``t``; defined only when all entries are >= t."""
+    if any(v < t for v in eta):
+        raise ValueError(f"cannot backtrack {t}: some clock is smaller")
+    return tuple(v - t for v in eta)
+
+
+def minus_representative(eta: Sequence, ceilings: Sequence[int]) -> tuple:
+    """A representative of the region left immediately before ``eta``.
+
+    Requires every clock to be positive.  The admissible window ``(0, t2)``
+    follows the case analysis on the smallest fractional part: the distance
+    to the previous landmark, also capped by how far each above-ceiling
+    clock can fall before meeting its ceiling.
+    """
+    if any(v <= 0 for v in eta):
+        raise ValueError("minus representative requires every clock > 0")
+    over = [v - c for v, c in zip(eta, ceilings) if v > c]
+    fracs = sorted({frac_part(v) for v, c in zip(eta, ceilings) if v <= c})
+    if not fracs:
+        t2 = min(over)
+    elif fracs[0] > 0:
+        t2 = min([fracs[0]] + over)
+    elif len(fracs) == 1:
+        t2 = min([Fraction(1)] + over)
+    else:
+        t2 = min([fracs[1]] + over)
+    return backtrack(eta, Fraction(t2) * regions.HALF)
 
 
 def equiv_g(a: Sequence, b: Sequence, ceilings: Sequence[int]) -> bool:
@@ -1031,3 +1067,36 @@ def assemble_gamma_double(grid: Grid) -> SchemeSystem:
         rows.append(row)
         consts.append(const)
     return _pack(rows, consts, grid, GAMMA_DOUBLE)
+
+
+# ---------------------------------------------------------------------------
+# Grid sizing for an epsilon query by the grid values alone: the doubling
+# loop that the extrapolant test was added to, as it stood.
+
+
+def _empirical_m(chain, dta, state, location, eta, epsilon):
+    """Richardson-style sizing: double m until successive values differ by
+    at most epsilon/2 (first-order scheme, so the difference tracks the
+    error of the finer grid)."""
+    m = 8
+    previous = None
+    while grid_cells(chain, dta, m) <= MAX_GRID_CELLS:
+        coords, _ = _snap_to_grid(eta, dta.ceilings, m)
+        value, _ = _value_at(chain, dta, state, location, coords, m)
+        if previous is not None and abs(value - previous) <= epsilon / 2:
+            return m
+        previous = value
+        m *= 2
+    raise BoundInfeasibleError(
+        f"empirical sizing exceeded {MAX_GRID_CELLS} grid cells before "
+        f"successive values settled within {epsilon / 2}",
+        m_required=m,
+    )
+
+
+def grid_sized_answer(chain, dta, state, location, eta, epsilon):
+    """The grid m and the answer v_m of a ``force_empirical`` epsilon query
+    sized by the grid values alone."""
+    m = _empirical_m(chain, dta, state, location, eta, epsilon)
+    coords, _ = _snap_to_grid(eta, dta.ceilings, m)
+    return m, _value_at(chain, dta, state, location, coords, m)[0]

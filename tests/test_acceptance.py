@@ -21,7 +21,6 @@ from pathprob.regions import (
     delay,
     enumerate_region_codes,
     guard_sat,
-    minus_representative,
     plus_representative,
     region_of,
     reset,
@@ -38,6 +37,7 @@ from oracles import (
     bound_equivalent_partner,
     decode,
     is_marginal,
+    minus_representative,
     random_valuation,
     solve_dense,
     unfolded_dense_system,

@@ -271,13 +271,32 @@ def test_convergence_subcommand(tmp_path, capsys):
     )
     assert code == 0
     lines = out_csv.read_text().strip().splitlines()
-    assert lines[0] == "m,rho,value,abs_error_vs_exact_or_prev"
+    assert lines[0] == "m,rho,value,abs_error_vs_exact_or_prev,observed_order"
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows] == ["4", "8", "16"]
     assert rows[0][3] == ""
-    assert float(rows[1][3]) == pytest.approx(
-        abs((1 - (1 + 1 / 8) ** -8) - (1 - (1 + 1 / 4) ** -4)), abs=1e-12
+    v4, v8, v16 = (1 - (1 + 1 / m) ** -m for m in (4, 8, 16))
+    assert float(rows[1][3]) == pytest.approx(abs(v8 - v4), abs=1e-12)
+    assert rows[0][4] == rows[1][4] == ""
+    assert float(rows[2][4]) == pytest.approx(
+        math.log2((v8 - v4) / (v16 - v8)), abs=1e-9
     )
+
+
+def test_convergence_reports_an_order_only_at_one_refinement_ratio(tmp_path,
+                                                                   capsys):
+    out_csv = tmp_path / "conv.csv"
+    code, _, _ = run(
+        capsys, "convergence", "--model", UNIT, "--state", "s", "--location",
+        "q0", "--grids", "4,12,36,48", "--out", str(out_csv),
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out_csv.read_text().strip().splitlines()[1:]]
+    v4, v12, v36 = (1 - (1 + 1 / m) ** -m for m in (4, 12, 36))
+    assert float(rows[2][4]) == pytest.approx(
+        math.log((v12 - v4) / (v36 - v12), 3), abs=1e-9
+    )
+    assert rows[3][4] == ""  # 36 -> 48 is not another tripling
 
 
 def test_convergence_against_exact_reference(tmp_path, capsys):
@@ -520,6 +539,33 @@ def test_force_empirical_solves_its_final_grid_once(capsys):
     assert info.misses == m.bit_length() - 3  # m = 8, 16, ..., m
     assert info.hits == 1
     assert info.currsize <= 2
+
+
+def test_force_empirical_answers_with_the_extrapolant(capsys):
+    """The accuracy query stops at m = 512 on the extrapolant; the grid
+    value, the order and the difference the stop compared stay beside it."""
+    code, out, _ = run(
+        capsys, "solve", "--model", UNIT, "--state", "s", "--location", "q0",
+        "--epsilon", "1e-5", "--force-empirical",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["m"] == 512
+    assert abs(doc["probability"] - (1 - math.exp(-1))) <= 1e-5
+    assert doc["grid_probability"] < doc["probability"]
+    assert 0.5 <= doc["observed_order"] <= 3
+    assert 0 < doc["empirical_error_estimate"] <= 1e-5 / 2
+
+
+def test_grid_query_reports_its_grid_value_without_an_order(capsys):
+    code, out, _ = run(
+        capsys, "solve", "--model", UNIT, "--state", "s", "--location", "q0",
+        "--grid", "8",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["grid_probability"] == doc["probability"]
+    assert doc["observed_order"] is None
 
 
 def test_fast_chain_reports_infinite_bounds(tmp_path, capsys):

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 
 from pathprob.models import Constraint, Guard
 from pathprob.regions import (
-    backtrack,
     delay,
     delay_intervals,
     delay_representatives,
     enumerate_region_codes,
     frac_set,
     guard_sat,
-    minus_representative,
     plus_representative,
     per_distinct_row,
     region_count,
@@ -28,11 +26,13 @@ from pathprob.regions import (
     UnknownClockError,
 )
 from oracles import (
+    backtrack,
     clamp_delay,
     equiv_b,
     equiv_g,
     equivalent,
     is_marginal,
+    minus_representative,
     random_valuation,
     region_sequence,
 )

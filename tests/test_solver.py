@@ -8,13 +8,17 @@ from pathprob.models import Ctmc, Dta, Guard, Rule, model_constants
 from pathprob.product import build_graph
 from pathprob.scheme import assemble_gamma_prime, build_grid
 from pathprob.solver import (
+    ORDER_MAX,
+    ORDER_MIN,
     BoundInfeasibleError,
     SolverError,
     approximate,
     error_report,
+    observed_order,
     prob_from_distribution,
     solve,
 )
+from oracles import grid_sized_answer
 
 F = Fraction
 
@@ -215,6 +219,57 @@ def test_epsilon_mode_with_empirical_fallback(unit_deadline):
                          force_empirical=True)
     assert abs(result.probability - (1 - math.exp(-1))) < 0.05
     assert result.report.m >= 8
+
+
+def _sized_as_the_doubling_rule_or_extrapolated(model, state, location, eta,
+                                                 epsilon):
+    """An empirically sized epsilon query either answers as the doubling
+    rule on grid values (same m and value, bit for bit), or stops on a
+    coarser grid with the extrapolant and an order inside the window.
+    Either way the grid value is that of the reported m."""
+    result = approximate(*model, state, location, eta, epsilon=epsilon,
+                         force_empirical=True)
+    m, value = grid_sized_answer(*model, state, location, eta, epsilon)
+    grid = approximate(*model, state, location, eta, m=result.report.m)
+    assert result.grid_probability == grid.probability
+    if result.observed_order is None:
+        assert (result.report.m, result.probability) == (m, value)
+        assert result.grid_probability == result.probability
+        assert result.report.empirical_estimate <= epsilon / 2
+    else:
+        assert result.report.m < m
+        assert ORDER_MIN <= result.observed_order <= ORDER_MAX
+        assert result.report.empirical_estimate <= epsilon / 2
+    return result
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("x", [F(0), F(1, 3), F(1, 10)])
+def test_empirical_sizing_against_the_doubling_rule_on_unit_deadline(
+        unit_deadline, x, epsilon):
+    result = _sized_as_the_doubling_rule_or_extrapolated(
+        unit_deadline, "s", "q0", (x,), epsilon)
+    if result.observed_order is not None:
+        exact = 1 - math.exp(-(1 - float(x)))
+        assert abs(result.probability - exact) <= epsilon
+    if x == 0 and epsilon == 1e-5:
+        assert result.observed_order is not None
+        assert result.report.m == 512
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-4])
+def test_empirical_sizing_against_the_doubling_rule_on_exposure_window(
+        exposure_window, epsilon):
+    _sized_as_the_doubling_rule_or_extrapolated(
+        exposure_window, "a", "q0", (F(0), F(0)), epsilon)
+
+
+def test_observed_order_of_gaps():
+    assert observed_order(0.4, 0.1) == 2.0
+    assert observed_order(-0.2, 0.1) == 1.0
+    assert observed_order(0.9, 0.1, ratio=3.0) == pytest.approx(2.0)
+    assert observed_order(0.0, 0.1) is None
+    assert observed_order(0.1, 0.0) is None
 
 
 def test_requires_exactly_one_sizing_option(unit_deadline):
