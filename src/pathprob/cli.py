@@ -221,10 +221,10 @@ def _cmd_convergence(args) -> int:
             err = abs(value - values[-1])
         else:
             err = ""
-        order = None  # only where the three grids share one refinement ratio
-        if k >= 2 and m * grids[k - 2] == grids[k - 1] ** 2:
+        order = None
+        if k >= 2 and m == 2 * grids[k - 1] == 4 * grids[k - 2]:
             order = solver.observed_order(values[-1] - values[-2],
-                                          value - values[-1], m / grids[k - 1])
+                                          value - values[-1])
         rows.append([m, 1.0 / m, value, err, "" if order is None else order])
         values.append(value)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

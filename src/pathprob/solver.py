@@ -411,14 +411,13 @@ def _shortcut(graph: ProductGraph, state: str, location: str, eta) -> Optional[f
     return None
 
 
-def observed_order(coarse_gap: float, fine_gap: float,
-                   ratio: float = 2.0) -> Optional[float]:
-    """Observed order of convergence p = log_ratio |coarse_gap / fine_gap|
-    from the gaps between the values of three grids, each ``ratio``
-    times finer than the last; None when a gap is zero."""
+def observed_order(coarse_gap: float, fine_gap: float) -> Optional[float]:
+    """Observed order of convergence p = log2 |coarse_gap / fine_gap| from
+    the gaps v_{m/2} - v_{m/4} and v_m - v_{m/2} between the values of
+    three grids, each twice as fine as the last; None when a gap is zero."""
     if coarse_gap == 0 or fine_gap == 0:
         return None
-    return math.log2(abs(coarse_gap / fine_gap)) / math.log2(ratio)
+    return math.log2(abs(coarse_gap / fine_gap))
 
 
 def _empirical_m(chain, dta, state, location, eta, epsilon):
@@ -451,11 +450,10 @@ def _empirical_m(chain, dta, state, location, eta, epsilon):
             if abs(gap) <= epsilon / 2:
                 return m, None, None, abs(gap)
             extrapolant = value + gap
-            if previous_gap is not None:
+            if previous_gap is not None:  # neither gap is zero here
                 order = observed_order(previous_gap, gap)
                 change = abs(extrapolant - previous_extrapolant)
-                if (order is not None and ORDER_MIN <= order <= ORDER_MAX
-                        and change <= epsilon / 2):
+                if ORDER_MIN <= order <= ORDER_MAX and change <= epsilon / 2:
                     return m, min(max(extrapolant, 0.0), 1.0), order, change
         m *= 2
     raise BoundInfeasibleError(

@@ -283,20 +283,20 @@ def test_convergence_subcommand(tmp_path, capsys):
     )
 
 
-def test_convergence_reports_an_order_only_at_one_refinement_ratio(tmp_path,
-                                                                   capsys):
+def test_convergence_reports_an_order_only_on_doubling_grids(tmp_path,
+                                                             capsys):
     out_csv = tmp_path / "conv.csv"
     code, _, _ = run(
         capsys, "convergence", "--model", UNIT, "--state", "s", "--location",
-        "q0", "--grids", "4,12,36,48", "--out", str(out_csv),
+        "q0", "--grids", "4,12,24,48", "--out", str(out_csv),
     )
     assert code == 0
     rows = [line.split(",") for line in out_csv.read_text().strip().splitlines()[1:]]
-    v4, v12, v36 = (1 - (1 + 1 / m) ** -m for m in (4, 12, 36))
-    assert float(rows[2][4]) == pytest.approx(
-        math.log((v12 - v4) / (v36 - v12), 3), abs=1e-9
+    assert rows[2][4] == ""  # 4 -> 12 is not a doubling
+    v12, v24, v48 = (1 - (1 + 1 / m) ** -m for m in (12, 24, 48))
+    assert float(rows[3][4]) == pytest.approx(
+        math.log2((v24 - v12) / (v48 - v24)), abs=1e-9
     )
-    assert rows[3][4] == ""  # 36 -> 48 is not another tripling
 
 
 def test_convergence_against_exact_reference(tmp_path, capsys):

@@ -225,21 +225,24 @@ def _sized_as_the_doubling_rule_or_extrapolated(model, state, location, eta,
                                                  epsilon):
     """An empirically sized epsilon query either answers as the doubling
     rule on grid values (same m and value, bit for bit), or stops on a
-    coarser grid with the extrapolant and an order inside the window.
-    Either way the grid value is that of the reported m."""
+    coarser grid with the extrapolant 2 v_m - v_{m/2} and an order inside
+    the window.  Either way the grid value is that of the reported m."""
     result = approximate(*model, state, location, eta, epsilon=epsilon,
                          force_empirical=True)
     m, value = grid_sized_answer(*model, state, location, eta, epsilon)
     grid = approximate(*model, state, location, eta, m=result.report.m)
     assert result.grid_probability == grid.probability
+    assert result.report.empirical_estimate <= epsilon / 2
     if result.observed_order is None:
         assert (result.report.m, result.probability) == (m, value)
         assert result.grid_probability == result.probability
-        assert result.report.empirical_estimate <= epsilon / 2
     else:
         assert result.report.m < m
         assert ORDER_MIN <= result.observed_order <= ORDER_MAX
-        assert result.report.empirical_estimate <= epsilon / 2
+        half = approximate(*model, state, location, eta,
+                           m=result.report.m // 2).probability
+        v_m = result.grid_probability
+        assert result.probability == min(max(v_m + (v_m - half), 0.0), 1.0)
     return result
 
 
@@ -267,7 +270,6 @@ def test_empirical_sizing_against_the_doubling_rule_on_exposure_window(
 def test_observed_order_of_gaps():
     assert observed_order(0.4, 0.1) == 2.0
     assert observed_order(-0.2, 0.1) == 1.0
-    assert observed_order(0.9, 0.1, ratio=3.0) == pytest.approx(2.0)
     assert observed_order(0.0, 0.1) is None
     assert observed_order(0.1, 0.0) is None
 
