@@ -53,7 +53,7 @@ DIRECT_LIMIT = 3000
 MAX_SWEEPS = 5000
 TOLERANCE = 1e-10  # residual at which the sweeps stop
 MAX_GRID_CELLS = 5_000_000  # largest grid a query builds
-ORDER_MIN, ORDER_MAX = 0.5, 3.0  # observed orders that admit the extrapolant
+ORDER_MIN = 0.5  # least observed order that admits the extrapolant
 
 
 class SolverError(RuntimeError):
@@ -429,11 +429,17 @@ def _empirical_m(chain, dta, state, location, eta, epsilon):
        error of the finer grid; the answer is v_m.
     2. The extrapolant test: R_m = v_m + g_m cancels the first-order
        term of the error (Richardson's deferred approach to the limit).
-       It holds when the observed order of g_{m/2} and g_m lies in
-       [ORDER_MIN, ORDER_MAX], so the gaps shrink at least sqrt(2)-fold,
-       and |R_m - R_{m/2}| is at most epsilon/2.  The answer is R_m.
-       The order only checks that the values converge regularly; the
-       extrapolation always assumes order 1.
+       It holds when the start lies on the m/4 grid (and so on the m/2
+       and m grids), the observed order of g_{m/2} and g_m is at least
+       ORDER_MIN, and |R_m - R_{m/2}| = |2 g_m - g_{m/2}| is at most
+       epsilon/2.  The answer is R_m.
+       Since the grid test failed, |g_m| > epsilon/2, so the last bound
+       confines g_{m/2} / g_m to (1, 3): the gaps share a sign and
+       shrink, and the order lies below log2 3.  The order check adds
+       the lower bound, a shrink of at least sqrt(2)-fold; the
+       extrapolation always assumes order 1.  A start off the m/4 grid
+       is snapped to points up to 1/(2m) apart, an error the gaps need
+       not show, so it sizes on the grid test alone.
 
     Returns m, R_m clamped to [0, 1] or None when the grid test stopped,
     the observed order or None, and the difference that was compared
@@ -450,10 +456,11 @@ def _empirical_m(chain, dta, state, location, eta, epsilon):
             if abs(gap) <= epsilon / 2:
                 return m, None, None, abs(gap)
             extrapolant = value + gap
-            if previous_gap is not None:  # neither gap is zero here
+            if (previous_gap is not None  # neither gap is zero here
+                    and _snap_to_grid(eta, dta.ceilings, m // 4)[1] == 0):
                 order = observed_order(previous_gap, gap)
                 change = abs(extrapolant - previous_extrapolant)
-                if ORDER_MIN <= order <= ORDER_MAX and change <= epsilon / 2:
+                if order >= ORDER_MIN and change <= epsilon / 2:
                     return m, min(max(extrapolant, 0.0), 1.0), order, change
         m *= 2
     raise BoundInfeasibleError(
@@ -475,8 +482,9 @@ def prob_from_distribution(
 
     ``theta`` maps state names to exact weights in [0, 1] summing to one;
     zero-weight states are skipped.  The grid probability mixes by the
-    same weights.  The reported bound is the worst per-state bound, and
-    the observed order is that state's.  The solver method and sweeps are
+    same weights.  The reported bound is the worst per-state bound.  The
+    observed order is the smallest among the states answered by their
+    extrapolant, and None when none was.  The solver method and sweeps are
     those of the last state that needed a solve ("shortcut" and 0 when
     none did).
     """
@@ -491,6 +499,7 @@ def prob_from_distribution(
         raise ValueError(f"distribution names unknown states {sorted(unknown)}")
     total = grid_total = 0.0
     worst: Optional[ApproxResult] = None
+    orders = []
     residual = 0.0
     cells = 0
     method, sweeps = "shortcut", 0
@@ -504,12 +513,14 @@ def prob_from_distribution(
         cells = max(cells, result.grid_points)
         if result.solver_method != "shortcut":
             method, sweeps = result.solver_method, result.sweeps
+        if result.observed_order is not None:
+            orders.append(result.observed_order)
         if worst is None or _total_bound(result.report) > _total_bound(worst.report):
             worst = result
     if worst is None:
         raise ValueError("initial distribution has no positive weight")
     return ApproxResult(total, worst.report, residual, cells, method, sweeps,
-                        grid_total, worst.observed_order)
+                        grid_total, min(orders, default=None))
 
 
 def _total_bound(report: ErrorReport) -> float:

@@ -8,7 +8,6 @@ from pathprob.models import Ctmc, Dta, Guard, Rule, model_constants
 from pathprob.product import build_graph
 from pathprob.scheme import assemble_gamma_prime, build_grid
 from pathprob.solver import (
-    ORDER_MAX,
     ORDER_MIN,
     BoundInfeasibleError,
     SolverError,
@@ -225,8 +224,10 @@ def _sized_as_the_doubling_rule_or_extrapolated(model, state, location, eta,
                                                  epsilon):
     """An empirically sized epsilon query either answers as the doubling
     rule on grid values (same m and value, bit for bit), or stops on a
-    coarser grid with the extrapolant 2 v_m - v_{m/2} and an order inside
-    the window.  Either way the grid value is that of the reported m."""
+    coarser grid with the extrapolant 2 v_m - v_{m/2}, from a start on the
+    m/4 grid, and an order of at least ORDER_MIN (below log2 3, which the
+    settled extrapolant implies).  Either way the grid value is that of
+    the reported m."""
     result = approximate(*model, state, location, eta, epsilon=epsilon,
                          force_empirical=True)
     m, value = grid_sized_answer(*model, state, location, eta, epsilon)
@@ -238,7 +239,10 @@ def _sized_as_the_doubling_rule_or_extrapolated(model, state, location, eta,
         assert result.grid_probability == result.probability
     else:
         assert result.report.m < m
-        assert ORDER_MIN <= result.observed_order <= ORDER_MAX
+        assert ORDER_MIN <= result.observed_order < math.log2(3)
+        quarter = approximate(*model, state, location, eta,
+                              m=result.report.m // 4)
+        assert quarter.report.snap_distance == 0
         half = approximate(*model, state, location, eta,
                            m=result.report.m // 2).probability
         v_m = result.grid_probability
@@ -246,15 +250,23 @@ def _sized_as_the_doubling_rule_or_extrapolated(model, state, location, eta,
     return result
 
 
-@pytest.mark.parametrize("epsilon", [1e-2, 1e-3, 1e-4, 1e-5])
-@pytest.mark.parametrize("x", [F(0), F(1, 3), F(1, 10)])
+# x = 1/100 and 1/300 snap to 0 on the coarse grids, where the gaps of
+# the values at x = 0 would let the extrapolant settle on an answer that
+# is off by the snap, 3.6e-3 and 1.2e-3
+@pytest.mark.parametrize("x,epsilon", [
+    *((x, e) for x in (F(0), F(1, 3), F(1, 10))
+      for e in (1e-2, 1e-3, 1e-4, 1e-5)),
+    (F(1, 100), 1e-3),
+    (F(1, 300), 1e-4),
+])
 def test_empirical_sizing_against_the_doubling_rule_on_unit_deadline(
         unit_deadline, x, epsilon):
     result = _sized_as_the_doubling_rule_or_extrapolated(
         unit_deadline, "s", "q0", (x,), epsilon)
-    if result.observed_order is not None:
-        exact = 1 - math.exp(-(1 - float(x)))
-        assert abs(result.probability - exact) <= epsilon
+    exact = 1 - math.exp(-(1 - float(x)))
+    assert abs(result.probability - exact) <= epsilon
+    if x in (F(1, 100), F(1, 300)):
+        assert result.observed_order is None
     if x == 0 and epsilon == 1e-5:
         assert result.observed_order is not None
         assert result.report.m == 512
@@ -304,6 +316,27 @@ def test_distribution_reports_the_solver_method(unit_deadline):
     assert (mixed.solver_method, mixed.sweeps) == ("exact", 1)
     dead = prob_from_distribution(*unit_deadline, {"g": 1}, "q0", (F(0),), m=4)
     assert (dead.probability, dead.solver_method, dead.sweeps) == (0.0, "shortcut", 0)
+
+
+def test_distribution_reports_an_order_when_a_state_was_extrapolated(
+        exposure_window):
+    """From (0, 1/2) at epsilon = 1e-3, a stops on its grid test and b on
+    its extrapolant.  Both bounds are infinite, so a carries the report;
+    the order is b's, since the mixed answer is not the grid value."""
+    start = ("q0", (F(0), F(1, 2)))
+    options = dict(epsilon=1e-3, force_empirical=True)
+    a = approximate(*exposure_window, "a", *start, **options)
+    b = approximate(*exposure_window, "b", *start, **options)
+    assert a.observed_order is None and b.observed_order is not None
+    mixed = prob_from_distribution(
+        *exposure_window, {"a": F(1, 2), "b": F(1, 2)}, *start, **options)
+    assert mixed.report.m == a.report.m
+    assert mixed.probability != mixed.grid_probability
+    assert mixed.observed_order == b.observed_order
+    grid = prob_from_distribution(
+        *exposure_window, {"a": 1}, *start, **options)
+    assert grid.observed_order is None
+    assert grid.probability == grid.grid_probability
 
 
 def test_distribution_skips_zero_weight_and_rejects_unnormalized(unit_deadline):
