@@ -189,19 +189,6 @@ def frac_set(eta: Sequence, ceilings: Sequence[int]) -> tuple:
     return tuple(sorted(values))
 
 
-def plus_representative(eta: Sequence, ceilings: Sequence[int]) -> tuple:
-    """A representative of the region entered immediately after ``eta``.
-
-    Any delay inside ``(0, t1)`` with ``t1 = 1 - max fractional part`` lands
-    in the same region; the midpoint ``t1/2`` is used so the function is
-    deterministic.  When every clock is above its ceiling any positive delay
-    works and ``1/2`` is used.
-    """
-    fracs = [frac_part(v) for v, c in zip(eta, ceilings) if v <= c]
-    t1 = 1 - max(fracs) if fracs else 1
-    return delay(eta, Fraction(t1) * HALF)
-
-
 # ---------------------------------------------------------------------------
 # Delay intervals and region enumeration
 

@@ -53,7 +53,8 @@ DIRECT_LIMIT = 3000
 MAX_SWEEPS = 5000
 TOLERANCE = 1e-10  # residual at which the sweeps stop
 MAX_GRID_CELLS = 5_000_000  # largest grid a query builds
-ORDER_MIN = 0.5  # least observed order that admits the extrapolant
+ORDER_MIN = 0.5  # least observed order that admits an extrapolation
+SAFETY_FACTOR = 1.25  # Roache's factor of safety for a three-grid estimate
 
 
 class SolverError(RuntimeError):
@@ -188,12 +189,28 @@ class ErrorReport:
     ``theoretical_bound`` is |V| * c^(-|V|) * M3 * rho with rho = 1/m,
     astronomically large for most models and infinite beyond the float
     range; it is still the honest guarantee.  The optional
-    ``empirical_estimate`` is a heuristic and clearly not a bound.  For a
-    grid query with the 2m solve it is ``|v_m - v_2m|``.  On a
-    first-order scheme that tracks the error of the 2m value and
-    under-reports that of the reported ``v_m``, which is about twice as
-    large: on ``unit_deadline`` at m = 64 it reads 1.42e-3 while the
-    reported value is 2.86e-3 from 1 - e^-1.  For an epsilon query sized
+    ``empirical_estimate`` is a heuristic and clearly not a bound.
+
+    For a grid query whose start lies on the m/4 grid (4 divides m, and
+    every clamped clock is a multiple of 4/m) it is Roache's grid
+    convergence index on the m/4, m/2 and m grids,
+    ``1.25 * |v_m - v_{m/2}| / (2^p - 1)`` (:func:`richardson_error`).
+    The observed order p = log2 |(v_{m/2} - v_{m/4}) / (v_m - v_{m/2})|
+    makes |v_m - v_{m/2}| / (2^p - 1) the distance from v_m to the
+    Richardson extrapolant at that order, which is the error of v_m if the
+    values converge at order p; the factor of safety 1.25 covers what
+    that assumption misses.  On ``exposure_window`` from
+    (a, q0, 0, 0) at m = 64 it reads 9.46e-6 at p = 1.95 against a true
+    error of 7.37e-6.  It is None when a gap is zero or p is below
+    ORDER_MIN, where the values do not converge regularly enough for the
+    formula to mean anything.
+    Any other grid query falls back to the 2m solve and reports
+    ``|v_m - v_2m|``.  On a first-order scheme that tracks the error of
+    the 2m value and under-reports that of the reported ``v_m``, which is
+    about twice as large: on ``unit_deadline`` from x = 1/64 at m = 64 it
+    reads 1.42e-3 while the reported value is 2.85e-3 from 1 - e^(-63/64).
+
+    For an epsilon query sized
     empirically it is the difference the stop compared with epsilon/2:
     ``|v_m - v_{m/2}|``, or ``|R_m - R_{m/2}|`` when the answer is the
     extrapolant ``R_m`` (see :func:`approximate`).
@@ -275,7 +292,7 @@ def _analysis(chain: Ctmc, dta: Dta) -> Tuple[ModelConstants, ProductGraph]:
     return model_constants(chain, dta), build_graph(chain, dta)
 
 
-@lru_cache(maxsize=2)  # a query reuses the m and 2m grids, no more
+@lru_cache(maxsize=2)  # an epsilon query's answer rereads its last grid
 def _solved(chain: Ctmc, dta: Dta, m: int) -> Solution:
     _, graph = _analysis(chain, dta)
     return solve(assemble_gamma_prime(build_grid(chain, dta, graph, m)))
@@ -331,8 +348,14 @@ def approximate(
     vertices exactly 0, without solving and, for an ``epsilon`` query,
     without sizing a grid: the report is the probe's at m = 1, with bound
     0.  A grid above :data:`MAX_GRID_CELLS`
-    cells (counting the ``2m`` grid of ``with_empirical``) is refused with
-    :class:`ValueError` before it is built.
+    cells is refused with :class:`ValueError` before it is built; the
+    check counts the largest grid the query builds, which is the ``2m``
+    grid only where ``with_empirical`` falls back to it.
+
+    With ``with_empirical`` the report carries an empirical error
+    estimate of v_m (see :class:`ErrorReport`): from the m/4 and m/2 grids
+    when 4 divides m and the start lies on the m/4 grid, from the 2m grid
+    otherwise.
 
     With ``force_empirical``, an ``epsilon`` query whose bound is out of
     reach is sized by :func:`_empirical_m`.  Its answer is either the
@@ -376,7 +399,9 @@ def approximate(
             m, extrapolant, order, empirical = _empirical_m(
                 chain, dta, state, location, eta, epsilon)
 
-    largest = 2 * m if with_empirical else m
+    three_grids = (with_empirical and m % 4 == 0
+                   and _snap_to_grid(eta, dta.ceilings, m // 4)[1] == 0)
+    largest = 2 * m if with_empirical and not three_grids else m
     cells = grid_cells(chain, dta, largest)
     if cells > MAX_GRID_CELLS:
         raise ValueError(
@@ -387,7 +412,13 @@ def approximate(
     coords, distance = _snap_to_grid(eta, dta.ceilings, m)
     value, solution = _value_at(chain, dta, state, location, coords, m)
 
-    if with_empirical:
+    if three_grids:
+        quarter, _ = _value_at(chain, dta, state, location,
+                               [j // 4 for j in coords], m // 4)
+        half, _ = _value_at(chain, dta, state, location,
+                            [j // 2 for j in coords], m // 2)
+        empirical = richardson_error(quarter, half, value)
+    elif with_empirical:
         finer, _ = _value_at(chain, dta, state, location,
                              [2 * j for j in coords], 2 * m)
         empirical = abs(value - finer)
@@ -418,6 +449,20 @@ def observed_order(coarse_gap: float, fine_gap: float) -> Optional[float]:
     if coarse_gap == 0 or fine_gap == 0:
         return None
     return math.log2(abs(coarse_gap / fine_gap))
+
+
+def richardson_error(v_quarter: float, v_half: float, v: float) -> Optional[float]:
+    """Error estimate of v = v_m from the values of the m/4, m/2 and m
+    grids: Roache's grid convergence index with three grids,
+    SAFETY_FACTOR * |v_m - v_{m/2}| / (2^p - 1), where p is the
+    :func:`observed_order` of the two gaps.  On values v_m = v* + c/m^p it
+    is SAFETY_FACTOR times the true error |c|/m^p.  None when a gap is
+    zero or p is below ORDER_MIN, where the gaps do not shrink regularly
+    enough to extrapolate."""
+    order = observed_order(v_half - v_quarter, v - v_half)
+    if order is None or order < ORDER_MIN:
+        return None
+    return SAFETY_FACTOR * abs(v - v_half) / (2.0 ** order - 1.0)
 
 
 def _empirical_m(chain, dta, state, location, eta, epsilon):

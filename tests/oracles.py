@@ -36,7 +36,7 @@ from pathprob.product import (
     ALIVE, ALIVE_CLASS, CLASS_NAMES, DEAD, FINAL, ProductGraph, ProductVertex,
     _class_table, size_report,
 )
-from pathprob.regions import frac_part, int_part, plus_representative, region_of
+from pathprob.regions import frac_part, int_part, region_of
 from pathprob.scheme import (
     GAMMA_DOUBLE, GAMMA_PRIME, SchemeSystem, grid_cells,
 )
@@ -271,6 +271,19 @@ def backtrack(eta: Sequence, t) -> tuple:
     if any(v < t for v in eta):
         raise ValueError(f"cannot backtrack {t}: some clock is smaller")
     return tuple(v - t for v in eta)
+
+
+def plus_representative(eta: Sequence, ceilings: Sequence[int]) -> tuple:
+    """A representative of the region entered immediately after ``eta``.
+
+    Any delay inside ``(0, t1)`` with ``t1 = 1 - max fractional part`` lands
+    in the same region; the midpoint ``t1/2`` is used so the function is
+    deterministic.  When every clock is above its ceiling any positive delay
+    works and ``1/2`` is used.
+    """
+    fracs = [frac_part(v) for v, c in zip(eta, ceilings) if v <= c]
+    t1 = 1 - max(fracs) if fracs else 1
+    return regions.delay(eta, Fraction(t1) * regions.HALF)
 
 
 def minus_representative(eta: Sequence, ceilings: Sequence[int]) -> tuple:
@@ -719,7 +732,7 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
         for ai, a in enumerate(labels):
             for r, rep in enumerate(reps):
                 rule = select_rule(
-                    dta, q, a, regions.plus_representative(rep, ceilings)
+                    dta, q, a, plus_representative(rep, ceilings)
                 )
                 target, resets = dta.locations.index(rule.target), sorted(rule.resets)
                 rules[(qi, ai, r)] = (target, resets)

@@ -21,7 +21,6 @@ from pathprob.regions import (
     delay,
     enumerate_region_codes,
     guard_sat,
-    plus_representative,
     region_of,
     reset,
     sample_in_region,
@@ -38,6 +37,7 @@ from oracles import (
     decode,
     is_marginal,
     minus_representative,
+    plus_representative,
     random_valuation,
     solve_dense,
     unfolded_dense_system,

@@ -605,6 +605,23 @@ def test_oversized_grid_is_refused_promptly(tmp_path, capsys):
     assert time.perf_counter() - started < 5.0
 
 
+def test_grid_cap_counts_the_grids_the_query_builds(capsys, monkeypatch,
+                                                   unit_deadline):
+    """With the cap at the m = 8 grid, a start on the m/4 grid answers,
+    since its estimate reads the coarser grids; a start off it needs the
+    m = 16 grid for its estimate and is refused."""
+    monkeypatch.setattr(solver, "MAX_GRID_CELLS",
+                        solver.grid_cells(*unit_deadline, 8))
+    query = ("solve", "--model", UNIT, "--state", "s", "--location", "q0",
+             "--grid", "8")
+    code, out, _ = run(capsys, *query, "--valuation", "x=0")
+    assert code == 0
+    assert json.loads(out)["empirical_error_estimate"] > 0
+    code, _, err = run(capsys, *query, "--valuation", "x=1/8")
+    assert code == 1
+    assert "the m = 16 grid" in err and "max_grid_cells" in err
+
+
 @pytest.mark.parametrize("counts", [
     ("--samples", "0"),
     ("--samples", "-5"),

@@ -15,7 +15,6 @@ from pathprob.regions import (
     enumerate_region_codes,
     frac_set,
     guard_sat,
-    plus_representative,
     per_distinct_row,
     region_count,
     region_of,
@@ -33,6 +32,7 @@ from oracles import (
     equivalent,
     is_marginal,
     minus_representative,
+    plus_representative,
     random_valuation,
     region_sequence,
 )

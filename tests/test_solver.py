@@ -9,12 +9,15 @@ from pathprob.product import build_graph
 from pathprob.scheme import assemble_gamma_prime, build_grid
 from pathprob.solver import (
     ORDER_MIN,
+    SAFETY_FACTOR,
     BoundInfeasibleError,
     SolverError,
+    _snap_to_grid,
     approximate,
     error_report,
     observed_order,
     prob_from_distribution,
+    richardson_error,
     solve,
 )
 from oracles import grid_sized_answer
@@ -198,13 +201,82 @@ def test_approximate_clamps_outside_box(unit_deadline):
     assert outside.probability == 0.0  # clamps to the dead ceiling
 
 
-def test_approximate_empirical_estimate(unit_deadline):
-    result = approximate(*unit_deadline, "s", "q0", (F(0),), m=8,
+def _unit_value(m, x=F(0)):
+    """v_m on ``unit_deadline`` from a start x on the m grid, in closed
+    form: the m(1 - x) steps of the chain recurrence to the ceiling."""
+    return 1 - (1 + 1 / m) ** -int(m * (1 - x))
+
+
+def _three_grid_estimate(m):
+    """1.25 |v_m - v_{m/2}| / (2^p - 1) in closed form from x = 0, at the
+    observed order p of the m/4, m/2 and m values."""
+    v_quarter, v_half, v = (_unit_value(k) for k in (m // 4, m // 2, m))
+    p = observed_order(v_half - v_quarter, v - v_half)
+    return 1.25 * abs(v - v_half) / (2 ** p - 1)
+
+
+@pytest.mark.parametrize("m,x,expected", [
+    (8, F(0), _three_grid_estimate(8)),  # 3.2878502e-2
+    (6, F(0), abs(_unit_value(6) - _unit_value(12))),
+    (8, F(1, 8), abs(_unit_value(8, F(1, 8)) - _unit_value(16, F(1, 8)))),
+], ids=["three_grids", "2m_grid_where_4_does_not_divide_m",
+        "2m_grid_off_the_quarter_grid"])
+def test_approximate_empirical_estimate(unit_deadline, m, x, expected):
+    """A start on the m/4 grid is estimated from the m/4, m/2 and m grids;
+    any other falls back to |v_m - v_2m|."""
+    result = approximate(*unit_deadline, "s", "q0", (x,), m=m,
                          with_empirical=True)
-    v8 = 1 - (1 + 1 / 8) ** -8
-    v16 = 1 - (1 + 1 / 16) ** -16
-    assert result.report.empirical_estimate == pytest.approx(abs(v8 - v16),
+    assert result.report.empirical_estimate == pytest.approx(expected,
                                                              abs=1e-12)
+
+
+def test_richardson_error_of_synthetic_values():
+    """Exact, up to the factor of safety, on values v* + c/m^p; None
+    when a gap is zero or the gaps shrink too slowly."""
+    for p in (0.75, 1.0, 2.0, 3.5):
+        for c in (0.7, -0.2):
+            v = {m: 0.3 + c / m ** p for m in (16, 32, 64)}
+            estimate = richardson_error(v[16], v[32], v[64])
+            assert estimate == pytest.approx(SAFETY_FACTOR * abs(c) / 64 ** p,
+                                             rel=1e-9)
+    assert richardson_error(0.5, 0.5, 0.6) is None
+    assert richardson_error(0.5, 0.6, 0.6) is None
+    assert richardson_error(0.5, 0.6, 0.69) is None  # p = 0.15
+
+
+@pytest.mark.parametrize("m", [2 ** k for k in range(2, 13)])
+def test_three_grid_estimate_covers_the_error_on_unit_deadline(
+        unit_deadline, m):
+    result = approximate(*unit_deadline, "s", "q0", (F(0),), m=m,
+                         with_empirical=True)
+    error = abs(result.probability - (1 - math.exp(-1)))
+    assert result.report.empirical_estimate >= error
+
+
+# Each reference is the Richardson extrapolant at the observed order of
+# the start's grid values v_128, v_256 and v_512 (``approximate`` with
+# m = 128, 256, 512): v_512 + (v_512 - v_256) / (2^p - 1), where
+# p = observed_order(v_256 - v_128, v_512 - v_256) read 1.99, 0.99 and
+# 1.00 in the order listed.
+EXPOSURE_REFERENCES = {
+    ("a", (F(0), F(0))): 0.2642411180614609,
+    ("a", (F(1, 2), F(1, 4))): 0.09020241017335404,
+    ("b", (F(0), F(1, 2))): 0.23105703725312385,
+}
+
+
+@pytest.mark.parametrize("m", [16, 32, 64, 128])
+def test_three_grid_estimate_covers_the_error_on_exposure_window(
+        exposure_window, m):
+    """Every start lies on the m/4 grid of these m.  At m = 8 the start
+    (1/2, 1/4) does not, and the 2m fallback there reads 3.7e-3 against
+    an error of 8.0e-3; the gate leaves that case out."""
+    for (state, eta), reference in EXPOSURE_REFERENCES.items():
+        assert _snap_to_grid(eta, exposure_window[1].ceilings, m // 4)[1] == 0
+        result = approximate(*exposure_window, state, "q0", eta, m=m,
+                             with_empirical=True)
+        error = abs(result.probability - reference)
+        assert result.report.empirical_estimate >= error, (state, eta)
 
 
 def test_epsilon_mode_refuses_infeasible_bound(unit_deadline):

@@ -20,9 +20,11 @@ from pathprob.dynamics import select_rule
 from pathprob.modelio import parse_model_text, serialize_model, validate_pair
 from pathprob.models import Constraint, Ctmc, Dta, Guard, Rule
 from pathprob.product import CLASS_NAMES, build_graph, classify
-from pathprob.regions import grid_region_numbers, plus_representative, region_of
+from pathprob.regions import grid_region_numbers, region_of
 from pathprob.scheme import build_grid
-from oracles import decode, reachability_classes, vertex_class
+from oracles import (
+    decode, plus_representative, reachability_classes, vertex_class,
+)
 
 F = Fraction
 GRIDS = (1, 2, 3, 4, 8)
