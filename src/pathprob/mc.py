@@ -4,12 +4,29 @@ This is the independent statistical oracle for the grid solver.  Trials
 simulate the chain (exponential sojourns, jump matrix) and feed the label
 of each departed state with its sojourn into the automaton.  One trial loop
 serves both estimators; its mode follows from whether it is given the
-product graph.  With the graph a trial also stops when its product vertex
-cannot reach a final vertex any more (reject; sound because that vertex
-has acceptance probability zero), clocks saturate at the ceilings, and
-trials still running at the step horizon are reported as censored,
-bracketing the true value.  Without it clocks run exactly and a trial not
-accepted within the horizon is rejected.
+product graph.
+
+Both modes stop a trial as a rejection once a rule lands it in a hopeless
+location: one from which no chain of rules, whatever their guards and
+labels, leads to a final location.  The set is found once per run by
+backward reachability over rule source -> target, undeclared rule targets
+included.  This is sound for both estimators: every path from a hopeless
+location stays among hopeless locations, so the trial can never be
+accepted, within the horizon or beyond it.  Only the start location is
+not tested before the first step.  The exact estimator therefore meets
+no gap or overlap in the rules of a hopeless location (other than the
+start's on the first step); :func:`models.validate_dta`, which every
+model the CLI loads must pass, still reports them.
+
+With the graph a trial also stops when its product vertex cannot reach a
+final vertex any more (reject; sound because that vertex has acceptance
+probability zero), clocks saturate at the ceilings, and trials still
+running at the step horizon are reported as censored, bracketing the true
+value.  Every vertex at a hopeless location is such a vertex, so the
+hopeless test rejects the trials the class check would reject at the
+same step, only without looking up their class; both count as absorbed.
+Without the graph clocks run exactly, a trial not accepted within the
+horizon is rejected, and no trial is reported absorbed or censored.
 
 Trials are cut into batches of :data:`BATCH` by trial number, and the
 loop advances groups of :data:`GROUP` batches in lockstep with numpy, one
@@ -134,12 +151,15 @@ def estimate_k(
     stream: int = 0,
     confidence: float = 0.99,
 ) -> Estimate:
-    """Acceptance strictly within k steps, exact semantics: no absorption
-    shortcut and no valuation saturation; a trial not accepted within k
-    steps is a rejection, not a censored trial."""
+    """Acceptance strictly within k steps, exact semantics: no valuation
+    saturation and no product graph, so it runs where ``build_graph``
+    refuses.  The only shortcut is the hopeless-location rejection of the
+    module docstring, which changes no outcome; a trial not accepted within
+    k steps is a rejection, not a censored trial, and ``dead_absorbed``
+    and ``censored`` are 0."""
     est = _simulate(chain, dta, None, state, location, valuation, n, k,
                     seed, stream, confidence)
-    return replace(est, censored=0)
+    return replace(est, dead_absorbed=0, censored=0)
 
 
 def _sojourns(uniforms: np.ndarray, rates: np.ndarray) -> np.ndarray:
@@ -192,6 +212,15 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
     names = dta.locations + tuple(
         sorted({r.target for r in dta.rules} - set(dta.locations)))
     final = np.array([q in dta.final for q in names])
+    # backward reachability over rule source -> target, guards ignored:
+    # from a hopeless location no chain of rules leads to a final one
+    reaches = set(dta.final)
+    while True:
+        more = {r.source for r in dta.rules if r.target in reaches} - reaches
+        if not more:
+            break
+        reaches |= more
+    hopeless = np.array([q not in reaches for q in names])
     # rules by number: the memo keeps numbers, the tables their effects
     rule_number = {rule: i for i, rule in enumerate(dta.rules)}
     target = np.array([names.index(r.target) for r in dta.rules])
@@ -264,6 +293,14 @@ def _simulate(chain, dta, graph, state, location, valuation, n, k_max,
             # min(inf, v) == v, so uncapped clocks need no branch
             eta = np.minimum(caps, np.where(resets[rule], 0.0, delayed))
             si, q = nxt, target[rule]
+            # a trial the rule lands in a hopeless location is rejected
+            doomed = hopeless[q]
+            if doomed.any():
+                rejected += int(np.count_nonzero(doomed))
+                live = ~doomed
+                si, q, eta, row = si[live], q[live], eta[live], row[live]
+                if not len(q):
+                    break
     z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     p = accepted / n
     return Estimate(

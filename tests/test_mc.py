@@ -1,17 +1,22 @@
 import math
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
-from pathprob import mc
+from conftest import MODELS
+from pathprob import mc, modelio
 from pathprob.models import (
     Constraint, Ctmc, Dta, Guard, ModelIntegrityError, Rule,
 )
 from pathprob.product import build_graph, size_report
+from test_tables import _chain_of_splits, random_models
 
 F = Fraction
 
@@ -236,6 +241,30 @@ def test_trial_loop_matches_separate_loops(request, model, seed, stream):
                                               **runs))
 
 
+_EXPOSURE = modelio.parse_model(str(MODELS / "exposure_window.json"))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(random_models(), st.sampled_from((0, 1, 8)), st.integers(0, 3),
+       st.sampled_from((0, F(1, 2), F(5, 2))))
+@example(_chain_of_splits(), 8, 0, 0)  # no hopeless location
+@example(_EXPOSURE, 8, 0, 0)  # qsink is hopeless
+@example(_EXPOSURE, 1, 3, F(1, 2))  # a hopeless start
+def test_trial_loop_matches_separate_loops_on_random_models(model, k, where,
+                                                            clock):
+    """Starts at any location, with clocks below, between or above the
+    ceilings."""
+    chain, dta = model
+    location = dta.locations[where % len(dta.locations)]
+    start = (chain.states[0], location, (clock,) * len(dta.clocks))
+    runs = dict(n=mc.BATCH + 44, seed=5)
+    graph = build_graph(chain, dta)
+    assert (mc.estimate(chain, dta, graph, *start, **runs)
+            == oracles.estimate(chain, dta, graph, *start, **runs))
+    assert (mc.estimate_k(chain, dta, *start, k=k, **runs)
+            == oracles.estimate_k(chain, dta, *start, k=k, **runs))
+
+
 @pytest.mark.parametrize("n", [3 * mc.BATCH + 44, 4 * mc.BATCH])
 def test_groups_match_separate_loops(monkeypatch, exposure_window,
                                      exposure_graph, n):
@@ -341,6 +370,86 @@ def test_streams_are_pinned(exposure_window, exposure_graph):
     assert est_k.accepted == 1313
 
 
+def _count_steps(monkeypatch):
+    """Wrap mc._sojourns; the returned list holds the trial-steps taken,
+    one sojourn row each."""
+    steps = [0]
+    sojourns = mc._sojourns
+
+    def counted(uniforms, rates):
+        steps[0] += len(uniforms)
+        return sojourns(uniforms, rates)
+
+    monkeypatch.setattr(mc, "_sojourns", counted)
+    return steps
+
+
+def _hopeless(monkeypatch, chain, dta):
+    """The locations where the trial loop rejects a trial on entry, rule
+    targets included.  Each is probed from a fresh start location whose
+    unguarded rules all lead to it: with k = 2 a trial takes a second step
+    unless it entered the probed location accepted or rejected."""
+    steps = _count_steps(monkeypatch)
+    found = set()
+    for target in set(dta.locations) | {r.target for r in dta.rules}:
+        probe = replace(dta, locations=dta.locations + ("probe",), rules=(
+            dta.rules + tuple(Rule("probe", a, Guard(), frozenset(), target)
+                              for a in sorted(dta.alphabet))))
+        steps[0] = 0
+        mc.estimate_k(chain, probe, chain.states[0], "probe",
+                      (0.0,) * len(dta.clocks), k=2, n=10, seed=1)
+        if steps[0] == 10 and target not in dta.final:
+            found.add(target)
+    return found
+
+
+@pytest.mark.parametrize("model,hopeless", [
+    ("exposure_window", {"qsink"}), ("unit_deadline", {"qsink"}),
+    ("reset_loop", {"qsink"}), ("departure", set()),
+])
+def test_hopeless_locations(monkeypatch, request, model, hopeless):
+    assert _hopeless(monkeypatch, *request.getfixturevalue(model)) == hopeless
+
+
+def test_undeclared_rule_target_is_hopeless(monkeypatch, departure):
+    """q0 leaves x >= 1 for the undeclared, non-final qgone."""
+    chain, dta = departure
+    rules = tuple(r._replace(target="qgone") if r.target == "qf" and
+                  r.source == "q0" else r for r in dta.rules)
+    assert _hopeless(monkeypatch, chain, replace(dta, rules=rules)) == {
+        "q0", "qgone"}
+    rules += (Rule("q0", "b", Guard(), frozenset(), "qf"),)
+    dta = replace(dta, rules=rules, alphabet=frozenset("ab"))
+    assert _hopeless(monkeypatch, chain, dta) == {"qgone"}
+
+
+def test_exact_estimator_stops_trials_in_hopeless_locations(
+        monkeypatch, exposure_window, exposure_graph):
+    """80% of the exact estimator's trial-steps were trials sitting in
+    qsink; it now takes as many steps as the absorbing estimator, and
+    gives what the exact loop without the shortcut gives."""
+    chain, dta = exposure_window
+    start = ("a", "q0", (0.0, 0.0))
+    steps = _count_steps(monkeypatch)
+    est = mc.estimate_k(chain, dta, *start, k=16, n=5000, seed=7)
+    assert steps[0] == 12_117
+    assert est == oracles.estimate_k(chain, dta, *start, k=16, n=5000, seed=7)
+    steps[0] = 0
+    mc.estimate(chain, dta, exposure_graph, *start, n=5000, seed=7)
+    assert steps[0] == 12_117
+
+
+def test_hopeless_start_takes_one_step(monkeypatch, exposure_window):
+    """The start location is not tested before the first step."""
+    chain, dta = exposure_window
+    steps = _count_steps(monkeypatch)
+    runs = dict(k=16, n=mc.BATCH + 44, seed=3)
+    est = mc.estimate_k(chain, dta, "a", "qsink", (0.0, 0.0), **runs)
+    assert steps[0] == est.n and est.p_hat == 0.0
+    assert est == oracles.estimate_k(chain, dta, "a", "qsink", (0.0, 0.0),
+                                     **runs)
+
+
 def test_start_beyond_the_float_range_runs_as_ceiling_plus_one(exposure_window,
                                                                exposure_graph):
     """y's ceiling is 1: a start of y = 10^400 (no float holds it) or of
@@ -389,10 +498,12 @@ def test_zero_uniforms_give_finite_sojourns(monkeypatch, unit_deadline,
 
 
 def _one_clock_dta(*guards):
-    """Location q0 with one self-loop on signature a per guard on x."""
+    """Location q0 with one rule on signature a per guard on x: a self-loop,
+    or a rule to qf where the guard ends in "qf"."""
     rules = tuple(
-        Rule("q0", "a", Guard(tuple(Constraint(0, op, b) for op, b in guard)),
-             frozenset(), "q0")
+        Rule("q0", "a", Guard(tuple(Constraint(0, *term) for term in guard
+                                    if term != "qf")),
+             frozenset(), "qf" if "qf" in guard else "q0")
         for guard in guards
     )
     return Dta(locations=("q0", "qf"), final=frozenset({"qf"}), clocks=("x",),
@@ -402,10 +513,14 @@ def _one_clock_dta(*guards):
 @pytest.mark.parametrize("guards,count", [
     (((("<", 1),),), "0 rules"),  # gap from x = 1 on
     (((("<", 1),), (("<=", 1),)), "2 rules"),  # overlap below x = 1
+    # a gap in [1, 2) at a q0 that can still reach qf
+    (((("<", 1),), ((">=", 2), "qf")), "0 rules"),
 ])
 def test_unvalidated_dta_step_is_refused(guards, count):
     """Where the delayed valuation's region enables no rule or several,
-    the loop raises select_rule's error, naming location and signature."""
+    the loop raises select_rule's error, naming location and signature.
+    Without a rule to qf, q0 is hopeless, so the error comes from a first
+    step only."""
     chain = Ctmc(states=("w",), transition=((F(1),),), exit_rates=(F(1),),
                  labeling=("a",))
     dta = _one_clock_dta(*guards)
