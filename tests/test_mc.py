@@ -412,7 +412,9 @@ def test_hopeless_locations(monkeypatch, request, model, hopeless):
 
 
 def test_undeclared_rule_target_is_hopeless(monkeypatch, departure):
-    """q0 leaves x >= 1 for the undeclared, non-final qgone."""
+    """q0 leaves x >= 1 for the undeclared, non-final qgone; a rule to qf
+    on a signature the chain never shows makes q0 hopeful again, since
+    labels are ignored."""
     chain, dta = departure
     rules = tuple(r._replace(target="qgone") if r.target == "qf" and
                   r.source == "q0" else r for r in dta.rules)
@@ -425,9 +427,10 @@ def test_undeclared_rule_target_is_hopeless(monkeypatch, departure):
 
 def test_exact_estimator_stops_trials_in_hopeless_locations(
         monkeypatch, exposure_window, exposure_graph):
-    """80% of the exact estimator's trial-steps were trials sitting in
-    qsink; it now takes as many steps as the absorbing estimator, and
-    gives what the exact loop without the shortcut gives."""
+    """Walked to the horizon, trials in qsink would take 49 962 of the
+    exact estimator's 62 079 trial-steps; stopped on entry, it takes as
+    many as the absorbing estimator and gives what the exact loop without
+    the shortcut gives."""
     chain, dta = exposure_window
     start = ("a", "q0", (0.0, 0.0))
     steps = _count_steps(monkeypatch)
