@@ -210,23 +210,14 @@ def _cmd_convergence(args) -> int:
     if not grids:
         raise UsageError("--grids needs at least one resolution")
     rows = []
-    values = []
-    for k, m in enumerate(grids):
-        value = solver.approximate(
-            chain, dta, args.state, args.location, eta, m=m
-        ).probability
+    for row in solver._grid_table(chain, dta, args.state, args.location, eta,
+                                  grids):
         if args.exact is not None:
-            err = abs(value - args.exact)
-        elif values:
-            err = abs(value - values[-1])
+            err = abs(row.value - args.exact)
         else:
-            err = ""
-        order = None
-        if k >= 2 and m == 2 * grids[k - 1] == 4 * grids[k - 2]:
-            order = solver.observed_order(values[-1] - values[-2],
-                                          value - values[-1])
-        rows.append([m, 1.0 / m, value, err, "" if order is None else order])
-        values.append(value)
+            err = abs(row.value - rows[-1][2]) if rows else ""
+        # the csv module writes a missing order, None, as an empty field
+        rows.append([row.m, 1.0 / row.m, row.value, err, row.order])
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "rho", "value", "abs_error_vs_exact_or_prev",

@@ -189,31 +189,10 @@ class ErrorReport:
     ``theoretical_bound`` is |V| * c^(-|V|) * M3 * rho with rho = 1/m,
     astronomically large for most models and infinite beyond the float
     range; it is still the honest guarantee.  The optional
-    ``empirical_estimate`` is a heuristic and clearly not a bound.
-
-    For a grid query whose start lies on the m/4 grid (4 divides m, and
-    every clamped clock is a multiple of 4/m) it is Roache's grid
-    convergence index on the m/4, m/2 and m grids,
-    ``1.25 * |v_m - v_{m/2}| / (2^p - 1)`` (:func:`richardson_error`).
-    The observed order p = log2 |(v_{m/2} - v_{m/4}) / (v_m - v_{m/2})|
-    makes |v_m - v_{m/2}| / (2^p - 1) the distance from v_m to the
-    Richardson extrapolant at that order, which is the error of v_m if the
-    values converge at order p; the factor of safety 1.25 covers what
-    that assumption misses.  On ``exposure_window`` from
-    (a, q0, 0, 0) at m = 64 it reads 9.46e-6 at p = 1.95 against a true
-    error of 7.37e-6.  It is None when a gap is zero or p is below
-    ORDER_MIN, where the values do not converge regularly enough for the
-    formula to mean anything.
-    Any other grid query falls back to the 2m solve and reports
-    ``|v_m - v_2m|``.  On a first-order scheme that tracks the error of
-    the 2m value and under-reports that of the reported ``v_m``, which is
-    about twice as large: on ``unit_deadline`` from x = 1/64 at m = 64 it
-    reads 1.42e-3 while the reported value is 2.85e-3 from 1 - e^(-63/64).
-
-    For an epsilon query sized
-    empirically it is the difference the stop compared with epsilon/2:
-    ``|v_m - v_{m/2}|``, or ``|R_m - R_{m/2}|`` when the answer is the
-    extrapolant ``R_m`` (see :func:`approximate`).
+    ``empirical_estimate`` is a heuristic and clearly not a bound: for a
+    grid query the estimate described at :func:`richardson_error`, for an
+    epsilon query sized empirically the difference the stop compared with
+    epsilon/2 (:func:`_empirical_m`).
     """
 
     m: int
@@ -292,18 +271,10 @@ def _analysis(chain: Ctmc, dta: Dta) -> Tuple[ModelConstants, ProductGraph]:
     return model_constants(chain, dta), build_graph(chain, dta)
 
 
-@lru_cache(maxsize=2)  # an epsilon query's answer rereads its last grid
+@lru_cache(maxsize=2)  # a 2m estimate rereads its m grid
 def _solved(chain: Ctmc, dta: Dta, m: int) -> Solution:
     _, graph = _analysis(chain, dta)
     return solve(assemble_gamma_prime(build_grid(chain, dta, graph, m)))
-
-
-def _value_at(chain: Ctmc, dta: Dta, state: str, location: str,
-              coords: Sequence[int], m: int) -> Tuple[float, Solution]:
-    """The solved m-grid's value at integer coordinates ``coords``, and
-    the solution it was read from."""
-    solution = _solved(chain, dta, m)
-    return solution.value_of(solution.grid.cell(state, location, coords)), solution
 
 
 def _snap_to_grid(eta: Sequence, ceilings: Sequence[int], m: int):
@@ -347,22 +318,16 @@ def approximate(
     part of the report.  Final locations answer exactly 1 and dead start
     vertices exactly 0, without solving and, for an ``epsilon`` query,
     without sizing a grid: the report is the probe's at m = 1, with bound
-    0.  A grid above :data:`MAX_GRID_CELLS`
-    cells is refused with :class:`ValueError` before it is built; the
-    check counts the largest grid the query builds, which is the ``2m``
-    grid only where ``with_empirical`` falls back to it.
+    0.  A grid above :data:`MAX_GRID_CELLS` cells is refused with
+    :class:`ValueError` before any grid is built (:func:`_grid_table`).
 
-    With ``with_empirical`` the report carries an empirical error
-    estimate of v_m (see :class:`ErrorReport`): from the m/4 and m/2 grids
-    when 4 divides m and the start lies on the m/4 grid, from the 2m grid
-    otherwise.
+    With ``with_empirical`` the report carries the empirical error
+    estimate of v_m described at :func:`richardson_error`.
 
     With ``force_empirical``, an ``epsilon`` query whose bound is out of
-    reach is sized by :func:`_empirical_m`.  Its answer is either the
-    grid value v_m, or the order-1 Richardson extrapolant
-    R_m = v_m + (v_m - v_{m/2}) of the grid values, clamped to [0, 1].
-    In the second case ``observed_order`` is set, and
-    ``grid_probability`` keeps v_m.
+    reach is sized by :func:`_empirical_m`.  When its answer is the
+    extrapolant R_m, ``observed_order`` is set and ``grid_probability``
+    keeps v_m.
     """
     if (m is None) == (epsilon is None):
         raise ValueError("specify exactly one of m and epsilon")
@@ -370,11 +335,9 @@ def approximate(
         raise ValueError("grid resolution m must be >= 1")
     constants, graph = _analysis(chain, dta)
     eta = tuple(Fraction(v) for v in valuation)
-    check_start(chain, dta, state, location, eta)
+    shortcut = _shortcut(graph, state, location, eta)
     if epsilon is not None and not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0,1)")
-
-    shortcut = _shortcut(graph, state, location, eta)
     if shortcut is not None:
         m = 1 if m is None else m
         report = error_report(graph, constants, m)
@@ -382,7 +345,7 @@ def approximate(
         return ApproxResult(shortcut, report, 0.0, grid_cells(chain, dta, m),
                             "shortcut", 0, shortcut, None)
 
-    extrapolant = order = empirical = None
+    row = extrapolant = order = empirical = None
     if epsilon is not None:
         probe = error_report(graph, constants, 1)
         m_req = _required_m(probe, epsilon)
@@ -396,43 +359,36 @@ def approximate(
                 m_required=m_req,
             )
         else:
-            m, extrapolant, order, empirical = _empirical_m(
+            row, extrapolant, empirical = _empirical_m(
                 chain, dta, state, location, eta, epsilon)
-
-    three_grids = (with_empirical and m % 4 == 0
-                   and _snap_to_grid(eta, dta.ceilings, m // 4)[1] == 0)
-    largest = 2 * m if with_empirical and not three_grids else m
-    cells = grid_cells(chain, dta, largest)
-    if cells > MAX_GRID_CELLS:
-        raise ValueError(
-            f"the m = {largest} grid has {cells} cells, above the limit "
-            f"max_grid_cells = {MAX_GRID_CELLS}"
-        )
+            m, order = row.m, None if extrapolant is None else row.order
 
     coords, distance = _snap_to_grid(eta, dta.ceilings, m)
-    value, solution = _value_at(chain, dta, state, location, coords, m)
-
-    if three_grids:
-        quarter, _ = _value_at(chain, dta, state, location,
-                               [j // 4 for j in coords], m // 4)
-        half, _ = _value_at(chain, dta, state, location,
-                            [j // 2 for j in coords], m // 2)
-        empirical = richardson_error(quarter, half, value)
+    if (with_empirical and m % 4 == 0
+            and _snap_to_grid(eta, dta.ceilings, m // 4)[1] == 0):
+        *_, row = _grid_table(chain, dta, state, location, eta, (m // 4, m // 2, m))
+        empirical = richardson_error(row)
     elif with_empirical:
-        finer, _ = _value_at(chain, dta, state, location,
-                             [2 * j for j in coords], 2 * m)
-        empirical = abs(value - finer)
+        # the 2m grid is read at the m grid's point, not at a snap of its own
+        point = tuple(Fraction(j, m) for j in coords)
+        *_, finer = _grid_table(chain, dta, state, location, point, (m, 2 * m))
+        empirical = abs(finer.gap)
+    if row is None:
+        *_, row = _grid_table(chain, dta, state, location, eta, (m,))
     report = error_report(graph, constants, m, empirical_estimate=empirical)
     report.snap_distance = float(distance)
     if distance:  # an infinite M1 times a zero snap is no slack, not NaN
         report.snap_slack = report.m1 * float(distance)
-    answer = value if extrapolant is None else extrapolant
-    return ApproxResult(answer, report, solution.residual,
-                        grid_cells(chain, dta, m), solution.method,
-                        solution.sweeps, value, order)
+    answer = row.value if extrapolant is None else extrapolant
+    return ApproxResult(answer, report, row.solution.residual,
+                        grid_cells(chain, dta, m), row.solution.method,
+                        row.solution.sweeps, row.value, order)
 
 
 def _shortcut(graph: ProductGraph, state: str, location: str, eta) -> Optional[float]:
+    """Check the start (:func:`check_start`); its exact value when it is
+    final or dead, else None."""
+    check_start(graph.ctmc, graph.dta, state, location, eta)
     if location in graph.dta.final:
         return 1.0
     region = graph.region_number[region_of(eta, graph.dta.ceilings)]
@@ -445,29 +401,92 @@ def _shortcut(graph: ProductGraph, state: str, location: str, eta) -> Optional[f
 def observed_order(coarse_gap: float, fine_gap: float) -> Optional[float]:
     """Observed order of convergence p = log2 |coarse_gap / fine_gap| from
     the gaps v_{m/2} - v_{m/4} and v_m - v_{m/2} between the values of
-    three grids, each twice as fine as the last; None when a gap is zero."""
-    if coarse_gap == 0 or fine_gap == 0:
+    three grids, each twice as fine as the last; None when a gap is zero or
+    None."""
+    if not coarse_gap or not fine_gap:
         return None
     return math.log2(abs(coarse_gap / fine_gap))
 
 
-def richardson_error(v_quarter: float, v_half: float, v: float) -> Optional[float]:
-    """Error estimate of v = v_m from the values of the m/4, m/2 and m
-    grids: Roache's grid convergence index with three grids,
-    SAFETY_FACTOR * |v_m - v_{m/2}| / (2^p - 1), where p is the
-    :func:`observed_order` of the two gaps.  On values v_m = v* + c/m^p it
-    is SAFETY_FACTOR times the true error |c|/m^p.  None when a gap is
-    zero or p is below ORDER_MIN, where the gaps do not shrink regularly
-    enough to extrapolate."""
-    order = observed_order(v_half - v_quarter, v - v_half)
-    if order is None or order < ORDER_MIN:
+class GridRow(NamedTuple):
+    """One grid of a start's Richardson table (see :func:`_grid_table`)."""
+
+    m: int
+    value: float
+    solution: Optional[Solution]
+    gap: Optional[float]
+    order: Optional[float]
+
+
+def _grid_table(chain, dta, state, location, eta, grids):
+    """Yield the start's Richardson table over the grid family ``grids``,
+    one :class:`GridRow` per grid, in the order given.
+
+    Each row holds the value v_m at the start, snapped to the m grid
+    (:func:`_snap_to_grid`), and the :class:`Solution` it was read from.
+    The gap g_m = v_m - v_{m/2} is set when the previous grid was m/2, and
+    the :func:`observed_order` of g_{m/2} and g_m when the one before that
+    was m/4.  A final or dead start reads its exact value on every grid
+    without solving any, with solution None, so its gaps are 0 and its
+    orders None.  Before any grid is built, every m must be at least 1
+    and, unless the start is final or dead, the largest grid must have at
+    most :data:`MAX_GRID_CELLS` cells; otherwise :class:`ValueError`.
+    """
+    if any(m < 1 for m in grids):
+        raise ValueError("grid resolution m must be >= 1")
+    shortcut = _shortcut(_analysis(chain, dta)[1], state, location, eta)
+    if shortcut is None and grids:
+        cells = grid_cells(chain, dta, max(grids))
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(
+                f"the m = {max(grids)} grid has {cells} cells, above the limit "
+                f"max_grid_cells = {MAX_GRID_CELLS}"
+            )
+    row = GridRow(0, 0.0, None, None, None)  # before the first: no m is 2 * 0
+    for m in grids:
+        value, solution = shortcut, None
+        if shortcut is None:
+            solution = _solved(chain, dta, m)
+            coords, _ = _snap_to_grid(eta, dta.ceilings, m)
+            value = solution.value_of(solution.grid.cell(state, location, coords))
+        gap = value - row.value if 2 * row.m == m else None
+        row = GridRow(m, value, solution, gap, observed_order(row.gap, gap))
+        yield row
+
+
+def richardson_error(row: GridRow) -> Optional[float]:
+    """Error estimate of v_m from the row of the m grid in a table over
+    the m/4, m/2 and m grids: Roache's grid convergence index with three
+    grids, SAFETY_FACTOR * |v_m - v_{m/2}| / (2^p - 1), where p is the
+    row's observed order.
+
+    That makes |v_m - v_{m/2}| / (2^p - 1) the distance from v_m to the
+    Richardson extrapolant at order p, which is the error of v_m if the
+    values converge at that order (on v_m = v* + c/m^p exactly |c|/m^p);
+    the factor of safety 1.25 covers what the assumption misses.  On
+    ``exposure_window`` from (a, q0, 0, 0) at m = 64 it reads 9.46e-6 at
+    p = 1.95 against a true error of 7.37e-6.  It is None when a gap is
+    zero or p is below ORDER_MIN, where the values do not converge
+    regularly enough for the formula to mean anything.
+
+    A grid query (:func:`approximate` with ``with_empirical``) reports it
+    when 4 divides m and the start lies on the m/4 grid (every clamped
+    clock a multiple of 4/m).  Any other grid query reads the m grid's
+    point on the 2m grid and reports |v_m - v_2m|.  On a first-order
+    scheme that tracks the error of the 2m value and under-reports that
+    of the reported v_m, which is about twice as large: on
+    ``unit_deadline`` from x = 1/64 at m = 64 it reads 1.42e-3 while the
+    reported value is 2.85e-3 from 1 - e^(-63/64).
+    """
+    if row.order is None or row.order < ORDER_MIN:
         return None
-    return SAFETY_FACTOR * abs(v - v_half) / (2.0 ** order - 1.0)
+    return SAFETY_FACTOR * abs(row.gap) / (2.0 ** row.order - 1.0)
 
 
 def _empirical_m(chain, dta, state, location, eta, epsilon):
-    """Size the grid by doubling m = 8, 16, ... and stop at the first grid
-    where either of two tests passes.
+    """Size the grid on the table over m = 8, 16, ... up to the largest
+    grid under :data:`MAX_GRID_CELLS`, and stop at the first grid where
+    either of two tests passes.
 
     1. The grid test, checked first: the gap g_m = v_m - v_{m/2} is at
        most epsilon/2.  The scheme is first order, so the gap tracks the
@@ -477,7 +496,7 @@ def _empirical_m(chain, dta, state, location, eta, epsilon):
        It holds when the start lies on the m/4 grid (and so on the m/2
        and m grids), the observed order of g_{m/2} and g_m is at least
        ORDER_MIN, and |R_m - R_{m/2}| = |2 g_m - g_{m/2}| is at most
-       epsilon/2.  The answer is R_m.
+       epsilon/2.  The answer is R_m, clamped to [0, 1].
        Since the grid test failed, |g_m| > epsilon/2, so the last bound
        confines g_{m/2} / g_m to (1, 3): the gaps share a sign and
        shrink, and the order lies below log2 3.  The order check adds
@@ -486,32 +505,31 @@ def _empirical_m(chain, dta, state, location, eta, epsilon):
        is snapped to points up to 1/(2m) apart, an error the gaps need
        not show, so it sizes on the grid test alone.
 
-    Returns m, R_m clamped to [0, 1] or None when the grid test stopped,
-    the observed order or None, and the difference that was compared
-    with epsilon/2.
+    Returns the row of the last grid, R_m or None when the grid test
+    stopped, and the difference that was compared with epsilon/2.
+    Raises :class:`BoundInfeasibleError` when no grid passes, with the
+    first grid above the cap as ``m_required``.
     """
-    m = 8
-    value = gap = extrapolant = None
-    while grid_cells(chain, dta, m) <= MAX_GRID_CELLS:
-        coords, _ = _snap_to_grid(eta, dta.ceilings, m)
-        previous, previous_gap, previous_extrapolant = value, gap, extrapolant
-        value, _ = _value_at(chain, dta, state, location, coords, m)
-        if previous is not None:
-            gap = value - previous
-            if abs(gap) <= epsilon / 2:
-                return m, None, None, abs(gap)
-            extrapolant = value + gap
-            if (previous_gap is not None  # neither gap is zero here
-                    and _snap_to_grid(eta, dta.ceilings, m // 4)[1] == 0):
-                order = observed_order(previous_gap, gap)
-                change = abs(extrapolant - previous_extrapolant)
-                if order >= ORDER_MIN and change <= epsilon / 2:
-                    return m, min(max(extrapolant, 0.0), 1.0), order, change
-        m *= 2
+    grids = [8]  # up to the first grid above the cap
+    while grid_cells(chain, dta, grids[-1]) <= MAX_GRID_CELLS:
+        grids.append(2 * grids[-1])
+    *grids, m_required = grids
+    previous = None
+    for row in _grid_table(chain, dta, state, location, eta, grids):
+        if row.gap is not None and abs(row.gap) <= epsilon / 2:
+            return row, None, abs(row.gap)
+        # an order is set only when both gaps are, and neither is zero here
+        if (row.order is not None
+                and _snap_to_grid(eta, dta.ceilings, row.m // 4)[1] == 0):
+            extrapolant = row.value + row.gap
+            change = abs(extrapolant - (previous.value + previous.gap))
+            if row.order >= ORDER_MIN and change <= epsilon / 2:
+                return row, min(max(extrapolant, 0.0), 1.0), change
+        previous = row
     raise BoundInfeasibleError(
         f"empirical sizing exceeded {MAX_GRID_CELLS} grid cells before "
         f"successive values or extrapolants settled within {epsilon / 2}",
-        m_required=m,
+        m_required=m_required,
     )
 
 

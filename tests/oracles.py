@@ -10,10 +10,11 @@ the one-pass DTA validator against the interval-box overlap check and
 region cover sweep it replaced, the product graph against the
 per-(location, label, region) delay walk it replaced, and the grid and
 both assemblies against the dict-keyed, point-by-point versions they
-replaced.  The one exception is the sizing of an epsilon query: the
-doubling loop that sized on the grid values alone reads those values
-through the package's solved grids, so that only the stopping rule
-differs.  :func:`decode` reads a cell of the package's grid back as its
+replaced.  The one exception is the reading of a start's values on a
+family of grids: the epsilon sizings, the grid query's error estimate and
+the ``convergence`` rows, as they stood before they shared one table, read
+those values straight from the package's solved grids, so that only the
+walk over the grids differs.  :func:`decode` reads a cell of the package's grid back as its
 state, location and integer coordinates.
 """
 
@@ -41,7 +42,8 @@ from pathprob.scheme import (
     GAMMA_DOUBLE, GAMMA_PRIME, SchemeSystem, grid_cells,
 )
 from pathprob.solver import (
-    MAX_GRID_CELLS, BoundInfeasibleError, _snap_to_grid, _value_at,
+    MAX_GRID_CELLS, ORDER_MIN, SAFETY_FACTOR, BoundInfeasibleError,
+    _snap_to_grid, _solved, approximate, observed_order,
 )
 
 
@@ -1083,8 +1085,18 @@ def assemble_gamma_double(grid: Grid) -> SchemeSystem:
 
 
 # ---------------------------------------------------------------------------
-# Grid sizing for an epsilon query by the grid values alone: the doubling
-# loop that the extrapolant test was added to, as it stood.
+# The readers of one start's values on a family of grids, as they stood
+# before they shared one table: the sizing of an epsilon query on the grid
+# values alone, the same sizing with the extrapolant test, the estimate of
+# a grid query and the rows of ``pathprob convergence``.  Each reads its
+# values straight from the package's solved grids.
+
+
+def _value_at(chain, dta, state, location, coords, m):
+    """The solved m-grid's value at integer coordinates ``coords``, and
+    the solution it was read from."""
+    solution = _solved(chain, dta, m)
+    return solution.value_of(solution.grid.cell(state, location, coords)), solution
 
 
 def _empirical_m(chain, dta, state, location, eta, epsilon):
@@ -1113,3 +1125,92 @@ def grid_sized_answer(chain, dta, state, location, eta, epsilon):
     m = _empirical_m(chain, dta, state, location, eta, epsilon)
     coords, _ = _snap_to_grid(eta, dta.ceilings, m)
     return m, _value_at(chain, dta, state, location, coords, m)[0]
+
+
+def _extrapolated_m(chain, dta, state, location, eta, epsilon):
+    """The doubling m = 8, 16, ... with the grid test, then the extrapolant
+    test; returns m, R_m clamped or None, the order or None, and the
+    difference compared with epsilon/2."""
+    m = 8
+    value = gap = extrapolant = None
+    while grid_cells(chain, dta, m) <= MAX_GRID_CELLS:
+        coords, _ = _snap_to_grid(eta, dta.ceilings, m)
+        previous, previous_gap, previous_extrapolant = value, gap, extrapolant
+        value, _ = _value_at(chain, dta, state, location, coords, m)
+        if previous is not None:
+            gap = value - previous
+            if abs(gap) <= epsilon / 2:
+                return m, None, None, abs(gap)
+            extrapolant = value + gap
+            if (previous_gap is not None  # neither gap is zero here
+                    and _snap_to_grid(eta, dta.ceilings, m // 4)[1] == 0):
+                order = observed_order(previous_gap, gap)
+                change = abs(extrapolant - previous_extrapolant)
+                if order >= ORDER_MIN and change <= epsilon / 2:
+                    return m, min(max(extrapolant, 0.0), 1.0), order, change
+        m *= 2
+    raise BoundInfeasibleError(
+        f"empirical sizing exceeded {MAX_GRID_CELLS} grid cells before "
+        f"successive values or extrapolants settled within {epsilon / 2}",
+        m_required=m,
+    )
+
+
+def extrapolated_answer(chain, dta, state, location, eta, epsilon):
+    """m, answer, grid value, order and difference of a ``force_empirical``
+    epsilon query sized with the extrapolant test."""
+    m, extrapolant, order, empirical = _extrapolated_m(
+        chain, dta, state, location, eta, epsilon)
+    coords, _ = _snap_to_grid(eta, dta.ceilings, m)
+    value, _ = _value_at(chain, dta, state, location, coords, m)
+    answer = value if extrapolant is None else extrapolant
+    return m, answer, value, order, empirical
+
+
+def _richardson_error(v_quarter, v_half, v):
+    order = observed_order(v_half - v_quarter, v - v_half)
+    if order is None or order < ORDER_MIN:
+        return None
+    return SAFETY_FACTOR * abs(v - v_half) / (2.0 ** order - 1.0)
+
+
+def grid_estimate(chain, dta, state, location, eta, m):
+    """v_m of a grid query from a start that is neither final nor dead, the
+    solution it was read from and its empirical estimate: three grids when
+    the start lies on the m/4 grid, else the m grid's point on the 2m
+    grid."""
+    three_grids = (m % 4 == 0
+                   and _snap_to_grid(eta, dta.ceilings, m // 4)[1] == 0)
+    coords, _ = _snap_to_grid(eta, dta.ceilings, m)
+    value, solution = _value_at(chain, dta, state, location, coords, m)
+    if three_grids:
+        quarter, _ = _value_at(chain, dta, state, location,
+                               [j // 4 for j in coords], m // 4)
+        half, _ = _value_at(chain, dta, state, location,
+                            [j // 2 for j in coords], m // 2)
+        return value, solution, _richardson_error(quarter, half, value)
+    finer, _ = _value_at(chain, dta, state, location,
+                         [2 * j for j in coords], 2 * m)
+    return value, solution, abs(value - finer)
+
+
+def convergence_rows(chain, dta, state, location, eta, grids, exact=None):
+    """The rows of ``pathprob convergence``: m, rho, value, the error
+    against ``exact`` or the previous grid, and the observed order where
+    the grids are m/4, m/2 and m."""
+    rows = []
+    values = []
+    for k, m in enumerate(grids):
+        value = approximate(chain, dta, state, location, eta, m=m).probability
+        if exact is not None:
+            err = abs(value - exact)
+        elif values:
+            err = abs(value - values[-1])
+        else:
+            err = ""
+        order = None
+        if k >= 2 and m == 2 * grids[k - 1] == 4 * grids[k - 2]:
+            order = observed_order(values[-1] - values[-2], value - values[-1])
+        rows.append([m, 1.0 / m, value, err, "" if order is None else order])
+        values.append(value)
+    return rows

@@ -1,15 +1,20 @@
+import csv
 import json
 import math
 import pathlib
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
 
 from pathprob import cli, modelio, solver
 from pathprob.cli import UsageError, cli_main, parse_valuation
 from pathprob.product import MAX_VERTICES
+from pathprob.solver import BoundInfeasibleError
+
+from oracles import convergence_rows
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 UNIT = str(ROOT / "models" / "unit_deadline.json")
@@ -75,7 +80,6 @@ def test_parse_rejects_unvalidated_models():
 
 def test_parse_valuation_forms(exposure_window):
     _, dta = exposure_window
-    from fractions import Fraction
 
     assert parse_valuation("x=1/2, y=0.25", dta.clocks) == (
         Fraction(1, 2),
@@ -313,6 +317,65 @@ def test_convergence_against_exact_reference(tmp_path, capsys):
     )
 
 
+def _convergence_csv(capsys, path, model, state, location, valuation, grids,
+                     *extra):
+    code, _, err = run(capsys, "convergence", "--model", model, "--state",
+                       state, "--location", location, "--valuation", valuation,
+                       "--grids", grids, "--out", str(path), *extra)
+    assert code == 0, err
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+@pytest.mark.parametrize("grids", ["4,8,16,32,64", "4,12,24,48", "64,32,16",
+                                   "8,8,16,32", "6,12,24"])
+@pytest.mark.parametrize("x", ["0", "1/3", "1/10", "1/100"])
+def test_convergence_rows_as_the_walk_they_replaced_on_unit_deadline(
+        tmp_path, capsys, unit_deadline, x, grids):
+    """The rows read the Richardson table and match, bit for bit, the loop
+    that called ``approximate`` once per grid (tests/oracles.py)."""
+    rows = _convergence_csv(capsys, tmp_path / "conv.csv", UNIT, "s", "q0",
+                            f"x={x}", grids)
+    expected = convergence_rows(*unit_deadline, "s", "q0", (Fraction(x),),
+                                [int(m) for m in grids.split(",")])
+    assert rows == [[str(c) for c in row] for row in expected]
+
+
+@pytest.mark.parametrize("exact", [None, 0.25])
+def test_convergence_rows_as_the_walk_they_replaced_on_exposure_window(
+        tmp_path, capsys, exposure_window, exact):
+    extra = () if exact is None else ("--exact", str(exact))
+    for state, valuation in (("a", "x=0,y=0"), ("a", "x=1/2,y=1/4"),
+                             ("b", "x=0,y=1/2")):
+        eta = parse_valuation(valuation, exposure_window[1].clocks)
+        rows = _convergence_csv(capsys, tmp_path / "conv.csv", EXPOSURE, state,
+                                "q0", valuation, "4,8,16,32", *extra)
+        expected = convergence_rows(*exposure_window, state, "q0", eta,
+                                    [4, 8, 16, 32], exact)
+        assert rows == [[str(c) for c in row] for row in expected], valuation
+
+
+@pytest.mark.parametrize("model, state, location, valuation, expected, big", [
+    (EXPOSURE, "a", "qf", "x=0,y=0", "1.0", 1000),
+    (EXPOSURE, "a", "qsink", "x=0,y=0", "0.0", 1000),
+    (UNIT, "g", "q0", "x=0", "0.0", 1_000_000),
+], ids=["final_location", "dead_location", "dead_state"])
+def test_convergence_from_a_final_or_dead_start_solves_nothing(
+        tmp_path, capsys, model, state, location, valuation, expected, big):
+    """Every row is the exact value, with no grid solved, also on a grid
+    ``big`` above the cell cap."""
+    assert solver.grid_cells(*modelio.parse_model(model), big) > \
+        solver.MAX_GRID_CELLS
+    solver._solved.cache_clear()
+    rows = _convergence_csv(capsys, tmp_path / "conv.csv", model, state,
+                            location, valuation, f"4,8,16,{big}")
+    assert solver._solved.cache_info().misses == 0
+    assert rows == [["4", "0.25", expected, "", ""],
+                    ["8", "0.125", expected, "0.0", ""],
+                    ["16", "0.0625", expected, "0.0", ""],
+                    [str(big), str(1.0 / big), expected, "0.0", ""]]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -525,9 +588,28 @@ def test_force_empirical_reaching_the_cell_cap_exit_code(capsys, monkeypatch):
     assert "empirical sizing exceeded 100 grid cells" in err
 
 
+def test_force_empirical_with_the_cap_below_the_first_grid_exit_code(
+        capsys, monkeypatch, unit_deadline):
+    """No grid of the doubling fits, so the sizing is refused as numerical
+    with the first grid as m_required, not as an invalid query."""
+    monkeypatch.setattr(solver, "MAX_GRID_CELLS",
+                        solver.grid_cells(*unit_deadline, 8) - 1)
+    code, _, err = run(
+        capsys, "solve", "--model", UNIT, "--state", "s", "--location", "q0",
+        "--epsilon", "1e-3", "--force-empirical",
+    )
+    assert code == 2
+    assert "empirical sizing exceeded" in err
+    with pytest.raises(BoundInfeasibleError) as refused:
+        solver.approximate(*unit_deadline, "s", "q0", (Fraction(0),),
+                           epsilon=1e-3, force_empirical=True)
+    assert refused.value.m_required == 8
+
+
 def test_force_empirical_solves_its_final_grid_once(capsys):
-    """The doubling solves each grid once and the answer reuses the last
-    one; the solved-grid cache holds no more than the m and 2m grids."""
+    """The doubling solves each grid once and the answer is the last row
+    of its table, so no grid is read twice; the solved-grid cache holds no
+    more than the m and 2m grids."""
     solver._solved.cache_clear()
     code, out, _ = run(
         capsys, "solve", "--model", UNIT, "--state", "s", "--location", "q0",
@@ -537,7 +619,7 @@ def test_force_empirical_solves_its_final_grid_once(capsys):
     m = json.loads(out)["m"]
     info = solver._solved.cache_info()
     assert info.misses == m.bit_length() - 3  # m = 8, 16, ..., m
-    assert info.hits == 1
+    assert info.hits == 0
     assert info.currsize <= 2
 
 

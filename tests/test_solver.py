@@ -11,6 +11,7 @@ from pathprob.solver import (
     ORDER_MIN,
     SAFETY_FACTOR,
     BoundInfeasibleError,
+    GridRow,
     SolverError,
     _snap_to_grid,
     approximate,
@@ -20,7 +21,7 @@ from pathprob.solver import (
     richardson_error,
     solve,
 )
-from oracles import grid_sized_answer
+from oracles import extrapolated_answer, grid_estimate, grid_sized_answer
 
 F = Fraction
 
@@ -230,18 +231,25 @@ def test_approximate_empirical_estimate(unit_deadline, m, x, expected):
                                                              abs=1e-12)
 
 
+def _synthetic_row(v_quarter, v_half, v):
+    """The table row of the m = 64 grid over values of the 16, 32 and 64
+    grids."""
+    gap = v - v_half
+    return GridRow(64, v, None, gap, observed_order(v_half - v_quarter, gap))
+
+
 def test_richardson_error_of_synthetic_values():
     """Exact, up to the factor of safety, on values v* + c/m^p; None
     when a gap is zero or the gaps shrink too slowly."""
     for p in (0.75, 1.0, 2.0, 3.5):
         for c in (0.7, -0.2):
             v = {m: 0.3 + c / m ** p for m in (16, 32, 64)}
-            estimate = richardson_error(v[16], v[32], v[64])
+            estimate = richardson_error(_synthetic_row(v[16], v[32], v[64]))
             assert estimate == pytest.approx(SAFETY_FACTOR * abs(c) / 64 ** p,
                                              rel=1e-9)
-    assert richardson_error(0.5, 0.5, 0.6) is None
-    assert richardson_error(0.5, 0.6, 0.6) is None
-    assert richardson_error(0.5, 0.6, 0.69) is None  # p = 0.15
+    assert richardson_error(_synthetic_row(0.5, 0.5, 0.6)) is None
+    assert richardson_error(_synthetic_row(0.5, 0.6, 0.6)) is None
+    assert richardson_error(_synthetic_row(0.5, 0.6, 0.69)) is None  # p = 0.15
 
 
 @pytest.mark.parametrize("m", [2 ** k for k in range(2, 13)])
@@ -351,11 +359,68 @@ def test_empirical_sizing_against_the_doubling_rule_on_exposure_window(
         exposure_window, "a", "q0", (F(0), F(0)), epsilon)
 
 
+# The ε sizing and the grid query's estimate read one Richardson table;
+# each answers bit for bit as the walk it replaced (tests/oracles.py).
+
+
+def _sized(result):
+    return (result.report.m, result.probability, result.grid_probability,
+            result.observed_order, result.report.empirical_estimate)
+
+
+def _estimated(result):
+    return (result.probability, result.report.empirical_estimate,
+            result.residual, result.solver_method, result.sweeps)
+
+
+def _as_before(value, solution, estimate):
+    return value, estimate, solution.residual, solution.method, solution.sweeps
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("x", [F(0), F(1, 3), F(1, 10), F(1, 100)])
+def test_epsilon_sizing_answers_as_the_walk_it_replaced_on_unit_deadline(
+        unit_deadline, x, epsilon):
+    result = approximate(*unit_deadline, "s", "q0", (x,), epsilon=epsilon,
+                         force_empirical=True)
+    assert _sized(result) == extrapolated_answer(*unit_deadline, "s", "q0",
+                                                 (x,), epsilon)
+
+
+# x = 99/100 snaps to the dead point x = 1 on the m = 6 grid, which the
+# 2m estimate reads without solving the 2m grid
+@pytest.mark.parametrize("m", [4, 6, 8, 64])
+@pytest.mark.parametrize("x", [F(0), F(1, 3), F(1, 10), F(1, 100), F(99, 100)])
+def test_grid_estimate_answers_as_the_walk_it_replaced_on_unit_deadline(
+        unit_deadline, x, m):
+    result = approximate(*unit_deadline, "s", "q0", (x,), m=m,
+                         with_empirical=True)
+    assert _estimated(result) == _as_before(
+        *grid_estimate(*unit_deadline, "s", "q0", (x,), m))
+
+
+@pytest.mark.parametrize("start", list(EXPOSURE_REFERENCES))
+def test_table_readers_answer_as_the_walks_they_replaced_on_exposure_window(
+        exposure_window, start):
+    state, eta = start
+    for m in (4, 6, 8, 64):
+        result = approximate(*exposure_window, state, "q0", eta, m=m,
+                             with_empirical=True)
+        assert _estimated(result) == _as_before(
+            *grid_estimate(*exposure_window, state, "q0", eta, m)), m
+    for epsilon in (1e-2, 1e-3):
+        result = approximate(*exposure_window, state, "q0", eta,
+                             epsilon=epsilon, force_empirical=True)
+        assert _sized(result) == extrapolated_answer(
+            *exposure_window, state, "q0", eta, epsilon), epsilon
+
+
 def test_observed_order_of_gaps():
     assert observed_order(0.4, 0.1) == 2.0
     assert observed_order(-0.2, 0.1) == 1.0
     assert observed_order(0.0, 0.1) is None
     assert observed_order(0.1, 0.0) is None
+    assert observed_order(None, 0.1) is None  # no gap before the first
 
 
 def test_requires_exactly_one_sizing_option(unit_deadline):
