@@ -252,6 +252,7 @@ def result_document(result: ApproxResult, timing: float) -> dict:
         "probability": result.probability,
         "grid_probability": result.grid_probability,
         "observed_order": result.observed_order,
+        "richardson_level": result.richardson_level,
         **report_document(report),
         "empirical_error_estimate": report.empirical_estimate,
         "grid_size": result.grid_points,

@@ -54,6 +54,7 @@ MAX_SWEEPS = 5000
 TOLERANCE = 1e-10  # residual at which the sweeps stop
 MAX_GRID_CELLS = 5_000_000  # largest grid a query builds
 ORDER_MIN = 0.5  # least observed order that admits an extrapolation
+ROMBERG_ORDER_MIN = 1.5  # least order of the extrapolant gaps that admits S_m
 SAFETY_FACTOR = 1.25  # Roache's factor of safety for a three-grid estimate
 
 
@@ -252,9 +253,13 @@ class ApproxResult(NamedTuple):
     """The answer of a query.  ``solver_method`` and ``sweeps`` are those
     of the m-grid solve (:attr:`Solution.method`), or "shortcut" and 0
     when a final or dead start was answered without solving.
-    ``grid_probability`` is the grid value at the reported m; it equals
-    ``probability`` unless the answer is the extrapolant, and only then
-    is ``observed_order`` set."""
+    ``grid_probability`` is the grid value v_m at the reported m.
+    ``richardson_level`` says which entry of the start's Richardson table
+    the answer is (:func:`_empirical_m`): 0 for v_m itself, 1 for the
+    extrapolant R_m and 2 for the second-level S_m.  At level 0
+    ``probability`` equals ``grid_probability`` and ``observed_order`` is
+    None; at level 1 the order is that of the grid-value gaps, at level 2
+    that of the R gaps."""
 
     probability: float
     report: ErrorReport
@@ -264,6 +269,7 @@ class ApproxResult(NamedTuple):
     sweeps: int
     grid_probability: float
     observed_order: Optional[float]
+    richardson_level: int
 
 
 @lru_cache(maxsize=8)
@@ -326,8 +332,8 @@ def approximate(
 
     With ``force_empirical``, an ``epsilon`` query whose bound is out of
     reach is sized by :func:`_empirical_m`.  When its answer is the
-    extrapolant R_m, ``observed_order`` is set and ``grid_probability``
-    keeps v_m.
+    extrapolant R_m or S_m, ``richardson_level`` is 1 or 2,
+    ``observed_order`` is set and ``grid_probability`` keeps v_m.
     """
     if (m is None) == (epsilon is None):
         raise ValueError("specify exactly one of m and epsilon")
@@ -343,9 +349,10 @@ def approximate(
         report = error_report(graph, constants, m)
         report.theoretical_bound = 0.0
         return ApproxResult(shortcut, report, 0.0, grid_cells(chain, dta, m),
-                            "shortcut", 0, shortcut, None)
+                            "shortcut", 0, shortcut, None, 0)
 
-    row = extrapolant = order = empirical = None
+    row = answer = order = empirical = None
+    level = 0
     if epsilon is not None:
         probe = error_report(graph, constants, 1)
         m_req = _required_m(probe, epsilon)
@@ -359,9 +366,9 @@ def approximate(
                 m_required=m_req,
             )
         else:
-            row, extrapolant, empirical = _empirical_m(
+            row, answer, level, order, empirical = _empirical_m(
                 chain, dta, state, location, eta, epsilon)
-            m, order = row.m, None if extrapolant is None else row.order
+            m = row.m
 
     coords, distance = _snap_to_grid(eta, dta.ceilings, m)
     if (with_empirical and m % 4 == 0
@@ -379,10 +386,10 @@ def approximate(
     report.snap_distance = float(distance)
     if distance:  # an infinite M1 times a zero snap is no slack, not NaN
         report.snap_slack = report.m1 * float(distance)
-    answer = row.value if extrapolant is None else extrapolant
-    return ApproxResult(answer, report, row.solution.residual,
-                        grid_cells(chain, dta, m), row.solution.method,
-                        row.solution.sweeps, row.value, order)
+    return ApproxResult(row.value if answer is None else answer, report,
+                        row.solution.residual, grid_cells(chain, dta, m),
+                        row.solution.method, row.solution.sweeps, row.value,
+                        order, level)
 
 
 def _shortcut(graph: ProductGraph, state: str, location: str, eta) -> Optional[float]:
@@ -486,17 +493,17 @@ def richardson_error(row: GridRow) -> Optional[float]:
 def _empirical_m(chain, dta, state, location, eta, epsilon):
     """Size the grid on the table over m = 8, 16, ... up to the largest
     grid under :data:`MAX_GRID_CELLS`, and stop at the first grid where
-    either of two tests passes.
+    one of three tests passes, checked in this order.
 
-    1. The grid test, checked first: the gap g_m = v_m - v_{m/2} is at
-       most epsilon/2.  The scheme is first order, so the gap tracks the
-       error of the finer grid; the answer is v_m.
+    1. The grid test: the gap g_m = v_m - v_{m/2} is at most epsilon/2.
+       The scheme is first order, so the gap tracks the error of the
+       finer grid; the answer is v_m (level 0).
     2. The extrapolant test: R_m = v_m + g_m cancels the first-order
        term of the error (Richardson's deferred approach to the limit).
        It holds when the start lies on the m/4 grid (and so on the m/2
        and m grids), the observed order of g_{m/2} and g_m is at least
        ORDER_MIN, and |R_m - R_{m/2}| = |2 g_m - g_{m/2}| is at most
-       epsilon/2.  The answer is R_m, clamped to [0, 1].
+       epsilon/2.  The answer is R_m, clamped to [0, 1] (level 1).
        Since the grid test failed, |g_m| > epsilon/2, so the last bound
        confines g_{m/2} / g_m to (1, 3): the gaps share a sign and
        shrink, and the order lies below log2 3.  The order check adds
@@ -504,28 +511,48 @@ def _empirical_m(chain, dta, state, location, eta, epsilon):
        extrapolation always assumes order 1.  A start off the m/4 grid
        is snapped to points up to 1/(2m) apart, an error the gaps need
        not show, so it sizes on the grid test alone.
+    3. The second-level test: R_m still carries an m^-2 term, which
+       S_m = R_m + (R_m - R_{m/2}) / 3 cancels (Romberg's table over the
+       extrapolants).  It holds when the start lies on the m/8 grid, so
+       that R_{m/4} is read at the start too, the observed order of the
+       R gaps R_{m/2} - R_{m/4} and R_m - R_{m/2} is at least
+       ROMBERG_ORDER_MIN, and |S_m - S_{m/2}| is at most epsilon/2.  The
+       answer is S_m, clamped to [0, 1] (level 2).  On ``unit_deadline``
+       from x = 0 at epsilon = 1e-5 it stops at m = 128, 1.4e-7 from
+       1 - e^-1, where the extrapolant test alone needs m = 512.
+    Each test runs only where the ones before it failed, so a query
+    stops no later than on the first two tests alone, and where it stops
+    on them it answers as they do.
 
-    Returns the row of the last grid, R_m or None when the grid test
-    stopped, and the difference that was compared with epsilon/2.
-    Raises :class:`BoundInfeasibleError` when no grid passes, with the
-    first grid above the cap as ``m_required``.
+    Returns the row of the last grid, the answer, its level, the observed
+    order of level 1 or 2 (None at level 0) and the difference that was
+    compared with epsilon/2.  Raises :class:`BoundInfeasibleError` when
+    no grid passes, with the first grid above the cap as ``m_required``.
     """
     grids = [8]  # up to the first grid above the cap
     while grid_cells(chain, dta, grids[-1]) <= MAX_GRID_CELLS:
         grids.append(2 * grids[-1])
     *grids, m_required = grids
-    previous = None
+    r_half = r_quarter = None  # R_{m/2} and R_{m/4} once they are set
     for row in _grid_table(chain, dta, state, location, eta, grids):
         if row.gap is not None and abs(row.gap) <= epsilon / 2:
-            return row, None, abs(row.gap)
+            return row, row.value, 0, None, abs(row.gap)
+        r = None if row.gap is None else row.value + row.gap
         # an order is set only when both gaps are, and neither is zero here
         if (row.order is not None
                 and _snap_to_grid(eta, dta.ceilings, row.m // 4)[1] == 0):
-            extrapolant = row.value + row.gap
-            change = abs(extrapolant - (previous.value + previous.gap))
+            change = abs(r - r_half)
             if row.order >= ORDER_MIN and change <= epsilon / 2:
-                return row, min(max(extrapolant, 0.0), 1.0), change
-        previous = row
+                return row, min(max(r, 0.0), 1.0), 1, row.order, change
+        if (r_quarter is not None
+                and _snap_to_grid(eta, dta.ceilings, row.m // 8)[1] == 0):
+            order = observed_order(r_half - r_quarter, r - r_half)
+            s = r + (r - r_half) / 3.0
+            change = abs(s - (r_half + (r_half - r_quarter) / 3.0))
+            if (order is not None and order >= ROMBERG_ORDER_MIN
+                    and change <= epsilon / 2):
+                return row, min(max(s, 0.0), 1.0), 2, order, change
+        r_half, r_quarter = r, r_half
     raise BoundInfeasibleError(
         f"empirical sizing exceeded {MAX_GRID_CELLS} grid cells before "
         f"successive values or extrapolants settled within {epsilon / 2}",
@@ -546,8 +573,9 @@ def prob_from_distribution(
     ``theta`` maps state names to exact weights in [0, 1] summing to one;
     zero-weight states are skipped.  The grid probability mixes by the
     same weights.  The reported bound is the worst per-state bound.  The
-    observed order is the smallest among the states answered by their
-    extrapolant, and None when none was.  The solver method and sweeps are
+    Richardson level is the highest among the states, and the observed
+    order the smallest among the states answered at that level (None at
+    level 0).  The solver method and sweeps are
     those of the last state that needed a solve ("shortcut" and 0 when
     none did).
     """
@@ -562,7 +590,7 @@ def prob_from_distribution(
         raise ValueError(f"distribution names unknown states {sorted(unknown)}")
     total = grid_total = 0.0
     worst: Optional[ApproxResult] = None
-    orders = []
+    level, orders = 0, []
     residual = 0.0
     cells = 0
     method, sweeps = "shortcut", 0
@@ -576,14 +604,16 @@ def prob_from_distribution(
         cells = max(cells, result.grid_points)
         if result.solver_method != "shortcut":
             method, sweeps = result.solver_method, result.sweeps
-        if result.observed_order is not None:
+        if result.richardson_level > level:
+            level, orders = result.richardson_level, []
+        if result.richardson_level == level and level > 0:
             orders.append(result.observed_order)
         if worst is None or _total_bound(result.report) > _total_bound(worst.report):
             worst = result
     if worst is None:
         raise ValueError("initial distribution has no positive weight")
     return ApproxResult(total, worst.report, residual, cells, method, sweeps,
-                        grid_total, min(orders, default=None))
+                        grid_total, min(orders, default=None), level)
 
 
 def _total_bound(report: ErrorReport) -> float:

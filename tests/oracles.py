@@ -15,7 +15,9 @@ family of grids: the epsilon sizings, the grid query's error estimate and
 the ``convergence`` rows, as they stood before they shared one table, read
 those values straight from the package's solved grids, so that only the
 walk over the grids differs.  :func:`decode` reads a cell of the package's grid back as its
-state, location and integer coordinates.
+state, location and integer coordinates.  :func:`exact_one_clock` computes
+a one-clock model's acceptance probability without any grid, by transient
+analysis per unit interval of the clock.
 """
 
 import itertools
@@ -42,7 +44,8 @@ from pathprob.scheme import (
     GAMMA_DOUBLE, GAMMA_PRIME, SchemeSystem, grid_cells,
 )
 from pathprob.solver import (
-    MAX_GRID_CELLS, ORDER_MIN, SAFETY_FACTOR, BoundInfeasibleError,
+    MAX_GRID_CELLS, ORDER_MIN, ROMBERG_ORDER_MIN, SAFETY_FACTOR,
+    BoundInfeasibleError,
     _snap_to_grid, _solved, approximate, observed_order,
 )
 
@@ -1127,27 +1130,40 @@ def grid_sized_answer(chain, dta, state, location, eta, epsilon):
     return m, _value_at(chain, dta, state, location, coords, m)[0]
 
 
-def _extrapolated_m(chain, dta, state, location, eta, epsilon):
+def _extrapolated_m(chain, dta, state, location, eta, epsilon, levels):
     """The doubling m = 8, 16, ... with the grid test, then the extrapolant
-    test; returns m, R_m clamped or None, the order or None, and the
-    difference compared with epsilon/2."""
+    test and, with ``levels`` = 2, then the second-level test on
+    S_m = R_m + (R_m - R_{m/2}) / 3; returns m, the answer clamped or None,
+    its level, the order or None, and the difference compared with
+    epsilon/2."""
     m = 8
-    value = gap = extrapolant = None
+    value = gap = extrapolant = previous_extrapolant = None
     while grid_cells(chain, dta, m) <= MAX_GRID_CELLS:
         coords, _ = _snap_to_grid(eta, dta.ceilings, m)
-        previous, previous_gap, previous_extrapolant = value, gap, extrapolant
+        previous, previous_gap = value, gap
+        older_extrapolant, previous_extrapolant = previous_extrapolant, extrapolant
         value, _ = _value_at(chain, dta, state, location, coords, m)
         if previous is not None:
             gap = value - previous
             if abs(gap) <= epsilon / 2:
-                return m, None, None, abs(gap)
+                return m, None, 0, None, abs(gap)
             extrapolant = value + gap
             if (previous_gap is not None  # neither gap is zero here
                     and _snap_to_grid(eta, dta.ceilings, m // 4)[1] == 0):
                 order = observed_order(previous_gap, gap)
                 change = abs(extrapolant - previous_extrapolant)
                 if order >= ORDER_MIN and change <= epsilon / 2:
-                    return m, min(max(extrapolant, 0.0), 1.0), order, change
+                    return m, min(max(extrapolant, 0.0), 1.0), 1, order, change
+            if (levels == 2 and older_extrapolant is not None
+                    and _snap_to_grid(eta, dta.ceilings, m // 8)[1] == 0):
+                order = observed_order(previous_extrapolant - older_extrapolant,
+                                       extrapolant - previous_extrapolant)
+                second = extrapolant + (extrapolant - previous_extrapolant) / 3.0
+                change = abs(second - (previous_extrapolant + (
+                    previous_extrapolant - older_extrapolant) / 3.0))
+                if (order is not None and order >= ROMBERG_ORDER_MIN
+                        and change <= epsilon / 2):
+                    return m, min(max(second, 0.0), 1.0), 2, order, change
         m *= 2
     raise BoundInfeasibleError(
         f"empirical sizing exceeded {MAX_GRID_CELLS} grid cells before "
@@ -1156,15 +1172,16 @@ def _extrapolated_m(chain, dta, state, location, eta, epsilon):
     )
 
 
-def extrapolated_answer(chain, dta, state, location, eta, epsilon):
-    """m, answer, grid value, order and difference of a ``force_empirical``
-    epsilon query sized with the extrapolant test."""
-    m, extrapolant, order, empirical = _extrapolated_m(
-        chain, dta, state, location, eta, epsilon)
+def extrapolated_answer(chain, dta, state, location, eta, epsilon, levels=1):
+    """m, answer, grid value, order, difference and Richardson level of a
+    ``force_empirical`` epsilon query sized with the extrapolant test and,
+    with ``levels`` = 2, the second-level test."""
+    m, extrapolant, level, order, empirical = _extrapolated_m(
+        chain, dta, state, location, eta, epsilon, levels)
     coords, _ = _snap_to_grid(eta, dta.ceilings, m)
     value, _ = _value_at(chain, dta, state, location, coords, m)
     answer = value if extrapolant is None else extrapolant
-    return m, answer, value, order, empirical
+    return m, answer, value, order, empirical, level
 
 
 def _richardson_error(v_quarter, v_half, v):
@@ -1214,3 +1231,125 @@ def convergence_rows(chain, dta, state, location, eta, grids, exact=None):
         rows.append([m, 1.0 / m, value, err, "" if order is None else order])
         values.append(value)
     return rows
+
+
+# ---------------------------------------------------------------------------
+# The exact acceptance probability of a one-clock model, without a grid:
+# transient analysis on each unit interval of the clock below its ceiling
+# c and on (c, oo), where the enabled rules are fixed (Chen, Han, Katoen
+# and Mereacre, LICS 2009).  With V(x) the values of the non-final (state,
+# location) pairs at clock value x and W = V(0) the values right after a
+# reset, a sojourn of rate E ending at clock value y and reading rule r
+# gives V(x) = int_x^oo E e^(-E (y - x)) (A V(y) + B W + b) dy on an
+# interval: A holds the jumps r keeps the clock on, B those it resets and
+# b those into a final location.  So dV/dx = E (V - A V - B W - b), and
+# (V, W, 1) crosses an interval by one matrix exponential.
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^a by scaling and squaring a Taylor series."""
+    norm = float(np.abs(a).sum(axis=1).max())
+    squarings = max(0, math.ceil(math.log2(norm / 0.5))) if norm > 0 else 0
+    a = a / 2.0 ** squarings
+    term = result = np.eye(len(a))
+    for k in range(1, 20):  # ||a|| <= 1/2: the tail is below 1e-25
+        term = term @ a / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def exact_one_clock(chain: Ctmc, dta: Dta, state: str, location: str,
+                    x) -> float:
+    """Acceptance probability from (state, location, x) on a one-clock
+    model, by transient analysis per unit interval (see above).
+
+    The flow on (c, oo) has a bounded solution only in its fixed point
+    V = A V + B W + b, solved over the pairs that can still reach a final
+    location there; below c each interval multiplies the map from (W, 1)
+    to (V, W, 1) by e^(-G), G the generator of (V, W, 1).  Last, W = V(0)
+    is solved over the pairs that can reach a final location from clock
+    0.  Pairs that cannot are set to 0 first: their W equations are
+    singular where a reset returns to them surely.  Reachability is that
+    of pairs on intervals: a sojourn from interval k ends on any interval
+    k' >= k, and a reset returns to interval 0."""
+    if location in dta.final:
+        return 1.0
+    (c,) = dta.ceilings
+    pairs = [(s, q) for s in chain.states for q in dta.locations
+             if q not in dta.final]
+    index = {p: i for i, p in enumerate(pairs)}
+    n = len(pairs)
+    rates = np.array([float(chain.exit_rates[chain.state_index(s)])
+                      for s, _ in pairs])
+    # the jumps of each pair on interval k (k = c is (c, oo)), each as
+    # (probability, column of (V, W, 1) it reads, target pair or None)
+    jumps = []
+    for k in range(c + 1):
+        per_pair = []
+        for s, q in pairs:
+            i = chain.state_index(s)
+            rule = select_rule(dta, q, chain.labeling[i],
+                               (k + Fraction(1, 2),))
+            out = []
+            for j, p in enumerate(chain.transition[i]):
+                if p == 0:
+                    continue
+                if rule.target in dta.final:
+                    out.append((float(p), 2 * n, None))
+                else:
+                    target = index[(chain.states[j], rule.target)]
+                    out.append((float(p), target + n * bool(rule.resets),
+                                (target, 0 if rule.resets else k)))
+            per_pair.append(out)
+        jumps.append(per_pair)
+
+    live = set()  # (pair, interval) from which a final location is reachable
+    grew = True
+    while grew:
+        grew = False
+        for i in range(n):
+            for k in range(c + 1):
+                if (i, k) not in live and any(
+                        target is None or target in live
+                        for later in range(k, c + 1)
+                        for _, _, target in jumps[later][i]):
+                    live.add((i, k))
+                    grew = True
+
+    def reads(k):
+        """(A | B | b) on interval k: the rows g = A V + B W + b."""
+        out = np.zeros((n, 2 * n + 1))
+        for i, row in enumerate(jumps[k]):
+            for p, column, _ in row:
+                out[i, column] += p
+        return out
+
+    maps = [None] * (c + 1)  # maps[k]: (W, 1) -> (V, W, 1) at clock k
+    tail = np.zeros((2 * n + 1, n + 1))
+    tail[n:, :] = np.eye(n + 1)
+    alive = [i for i in range(n) if (i, c) in live]
+    g = reads(c)
+    tail[alive] = np.linalg.solve(np.eye(len(alive)) - g[np.ix_(alive, alive)],
+                                  g[alive, n:])
+    maps[c] = tail
+    steps = []
+    for k in range(c):
+        generator = np.zeros((2 * n + 1, 2 * n + 1))
+        generator[:n] = rates[:, None] * (np.eye(n, 2 * n + 1) - reads(k))
+        steps.append(generator)
+    for k in reversed(range(c)):
+        maps[k] = _expm(-steps[k]) @ maps[k + 1]
+
+    start = index[(state, location)]
+    x = min(Fraction(x), c)
+    k = math.floor(x)
+    here = maps[k] if x == k else _expm(-steps[k] * float(k + 1 - x)) @ maps[k + 1]
+    w = np.zeros(n + 1)
+    w[n] = 1.0
+    alive = [i for i in range(n) if (i, 0) in live]
+    t = maps[0][:n]
+    w[alive] = np.linalg.solve(np.eye(len(alive)) - t[np.ix_(alive, alive)],
+                               t[alive, n])
+    return float(here[start] @ w)

@@ -624,18 +624,20 @@ def test_force_empirical_solves_its_final_grid_once(capsys):
 
 
 def test_force_empirical_answers_with_the_extrapolant(capsys):
-    """The accuracy query stops at m = 512 on the extrapolant; the grid
-    value, the order and the difference the stop compared stay beside it."""
+    """The accuracy query stops at m = 128 on the second-level extrapolant
+    S_m; the grid value, the level, the order of the R gaps and the
+    difference the stop compared stay beside it."""
     code, out, _ = run(
         capsys, "solve", "--model", UNIT, "--state", "s", "--location", "q0",
         "--epsilon", "1e-5", "--force-empirical",
     )
     assert code == 0
     doc = json.loads(out)
-    assert doc["m"] == 512
+    assert doc["m"] == 128
     assert abs(doc["probability"] - (1 - math.exp(-1))) <= 1e-5
     assert doc["grid_probability"] < doc["probability"]
-    assert 0.5 <= doc["observed_order"] < math.log2(3)
+    assert doc["richardson_level"] == 2
+    assert solver.ROMBERG_ORDER_MIN <= doc["observed_order"] < math.log2(7)
     assert 0 < doc["empirical_error_estimate"] <= 1e-5 / 2
 
 
@@ -648,6 +650,7 @@ def test_grid_query_reports_its_grid_value_without_an_order(capsys):
     doc = json.loads(out)
     assert doc["grid_probability"] == doc["probability"]
     assert doc["observed_order"] is None
+    assert doc["richardson_level"] == 0
 
 
 def test_fast_chain_reports_infinite_bounds(tmp_path, capsys):

@@ -3,12 +3,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from pathprob import solver
+from pathprob.modelio import validate_pair
 from pathprob.models import Ctmc, Dta, Guard, Rule, model_constants
 from pathprob.product import build_graph
 from pathprob.scheme import assemble_gamma_prime, build_grid
 from pathprob.solver import (
     ORDER_MIN,
+    ROMBERG_ORDER_MIN,
     SAFETY_FACTOR,
     BoundInfeasibleError,
     GridRow,
@@ -21,7 +25,10 @@ from pathprob.solver import (
     richardson_error,
     solve,
 )
-from oracles import extrapolated_answer, grid_estimate, grid_sized_answer
+from oracles import (
+    exact_one_clock, extrapolated_answer, grid_estimate, grid_sized_answer,
+)
+from test_tables import random_models
 
 F = Fraction
 
@@ -304,29 +311,43 @@ def _sized_as_the_doubling_rule_or_extrapolated(model, state, location, eta,
                                                  epsilon):
     """An empirically sized epsilon query either answers as the doubling
     rule on grid values (same m and value, bit for bit), or stops on a
-    coarser grid with the extrapolant 2 v_m - v_{m/2}, from a start on the
-    m/4 grid, and an order of at least ORDER_MIN (below log2 3, which the
-    settled extrapolant implies).  Either way the grid value is that of
-    the reported m."""
+    coarser grid with the extrapolant R_m = 2 v_m - v_{m/2}, from a start
+    on the m/4 grid, and an order of at least ORDER_MIN (below log2 3,
+    which the settled extrapolant implies), or with the second level
+    S_m = R_m + (R_m - R_{m/2}) / 3, from a start on the m/8 grid, and an
+    order of the R gaps of at least ROMBERG_ORDER_MIN (below log2 7,
+    which the settled S_m implies once R_m has not settled).  Either way
+    the grid value is that of the reported m."""
     result = approximate(*model, state, location, eta, epsilon=epsilon,
                          force_empirical=True)
     m, value = grid_sized_answer(*model, state, location, eta, epsilon)
     grid = approximate(*model, state, location, eta, m=result.report.m)
     assert result.grid_probability == grid.probability
     assert result.report.empirical_estimate <= epsilon / 2
-    if result.observed_order is None:
+    level = result.richardson_level
+    if level == 0:
+        assert result.observed_order is None
         assert (result.report.m, result.probability) == (m, value)
         assert result.grid_probability == result.probability
+        return result
+    assert result.report.m < m
+    bounds = {1: (ORDER_MIN, math.log2(3)), 2: (ROMBERG_ORDER_MIN, math.log2(7))}
+    low, high = bounds[level]
+    assert low <= result.observed_order < high
+    coarsest = approximate(*model, state, location, eta,
+                           m=result.report.m // 2 ** (level + 1))
+    assert coarsest.report.snap_distance == 0
+    # v_{m/8} (level 2 only), v_{m/4}, v_{m/2} and v_m, coarsest first
+    values = [approximate(*model, state, location, eta,
+                          m=result.report.m // 2 ** k).probability
+              for k in range(level + 1, 0, -1)] + [result.grid_probability]
+    extrapolants = [v + (v - coarser) for coarser, v in zip(values, values[1:])]
+    if level == 1:
+        answer = extrapolants[-1]
     else:
-        assert result.report.m < m
-        assert ORDER_MIN <= result.observed_order < math.log2(3)
-        quarter = approximate(*model, state, location, eta,
-                              m=result.report.m // 4)
-        assert quarter.report.snap_distance == 0
-        half = approximate(*model, state, location, eta,
-                           m=result.report.m // 2).probability
-        v_m = result.grid_probability
-        assert result.probability == min(max(v_m + (v_m - half), 0.0), 1.0)
+        r_quarter, r_half, r = extrapolants
+        answer = r + (r - r_half) / 3.0
+    assert result.probability == min(max(answer, 0.0), 1.0)
     return result
 
 
@@ -346,10 +367,10 @@ def test_empirical_sizing_against_the_doubling_rule_on_unit_deadline(
     exact = 1 - math.exp(-(1 - float(x)))
     assert abs(result.probability - exact) <= epsilon
     if x in (F(1, 100), F(1, 300)):
-        assert result.observed_order is None
+        assert result.richardson_level == 0
     if x == 0 and epsilon == 1e-5:
-        assert result.observed_order is not None
-        assert result.report.m == 512
+        assert result.richardson_level == 2
+        assert result.report.m == 128
 
 
 @pytest.mark.parametrize("epsilon", [1e-3, 1e-4])
@@ -360,12 +381,14 @@ def test_empirical_sizing_against_the_doubling_rule_on_exposure_window(
 
 
 # The ε sizing and the grid query's estimate read one Richardson table;
-# each answers bit for bit as the walk it replaced (tests/oracles.py).
+# each answers bit for bit as the walk it replaced (tests/oracles.py), the
+# ε sizing as that walk with the second-level test added (levels=2).
 
 
 def _sized(result):
     return (result.report.m, result.probability, result.grid_probability,
-            result.observed_order, result.report.empirical_estimate)
+            result.observed_order, result.report.empirical_estimate,
+            result.richardson_level)
 
 
 def _estimated(result):
@@ -384,7 +407,7 @@ def test_epsilon_sizing_answers_as_the_walk_it_replaced_on_unit_deadline(
     result = approximate(*unit_deadline, "s", "q0", (x,), epsilon=epsilon,
                          force_empirical=True)
     assert _sized(result) == extrapolated_answer(*unit_deadline, "s", "q0",
-                                                 (x,), epsilon)
+                                                 (x,), epsilon, levels=2)
 
 
 # x = 99/100 snaps to the dead point x = 1 on the m = 6 grid, which the
@@ -412,7 +435,147 @@ def test_table_readers_answer_as_the_walks_they_replaced_on_exposure_window(
         result = approximate(*exposure_window, state, "q0", eta,
                              epsilon=epsilon, force_empirical=True)
         assert _sized(result) == extrapolated_answer(
-            *exposure_window, state, "q0", eta, epsilon), epsilon
+            *exposure_window, state, "q0", eta, epsilon, levels=2), epsilon
+
+
+# The second Richardson level: S_m = R_m + (R_m - R_{m/2}) / 3.
+
+
+def _sizing_on_values(monkeypatch, model, x, epsilon, value):
+    """``_empirical_m`` from the start x of a one-clock model, on the
+    table of the values v_m = value(m) in place of solved grids."""
+    def table(chain, dta, state, location, eta, grids):
+        row = GridRow(0, 0.0, None, None, None)
+        for m in grids:
+            gap = value(m) - row.value if 2 * row.m == m else None
+            row = GridRow(m, value(m), None, gap, observed_order(row.gap, gap))
+            yield row
+    monkeypatch.setattr(solver, "_grid_table", table)
+    row, answer, level, order, change = solver._empirical_m(
+        *model, "s", "q0", (x,), epsilon)
+    return row.m, answer, level, order
+
+
+def _cubic(m):
+    """v* + a/m + b/m^2 + c/m^3 with v* = 0.4, a = 0.3, b = -0.5 and
+    c = 0.1: then R_m = v* - 2b/m^2 - 6c/m^3 and S_m = v* + 8c/m^3."""
+    return 0.4 + 0.3 / m - 0.5 / m ** 2 + 0.1 / m ** 3
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+def test_second_level_cancels_the_second_order_term(
+        monkeypatch, unit_deadline, epsilon):
+    m, answer, level, order = _sizing_on_values(
+        monkeypatch, unit_deadline, F(0), epsilon, _cubic)
+    assert level == 2
+    assert answer - 0.4 == pytest.approx(8 * 0.1 / m ** 3, rel=1e-6)
+    assert ROMBERG_ORDER_MIN <= order < 2
+
+
+def test_second_level_declines_a_slow_order_of_the_r_gaps(
+        monkeypatch, unit_deadline):
+    """On v* + a/m + b m^-1.25 the R gaps shrink at order 1.25: S settles
+    at m = 128 within 1e-3/2, but the query waits for R, at m = 256."""
+    def slow(m):
+        return 0.4 + 0.3 / m + 0.5 * m ** -1.25
+    assert _sizing_on_values(monkeypatch, unit_deadline, F(0), 1e-3,
+                             slow)[::2] == (256, 1)
+    monkeypatch.setattr(solver, "ROMBERG_ORDER_MIN", 1.2)
+    m, _, level, order = _sizing_on_values(
+        monkeypatch, unit_deadline, F(0), 1e-3, slow)
+    assert (m, level) == (128, 2)
+    assert order == pytest.approx(1.25)
+
+
+def test_second_level_needs_the_start_on_the_eighth_grid(
+        monkeypatch, unit_deadline):
+    """S_64 reads R_16, so v_8: x = 1/16 is not on the m = 8 grid and
+    waits for m = 128, whose S reads the m = 16 grid."""
+    assert _sizing_on_values(monkeypatch, unit_deadline, F(0), 1e-4,
+                             _cubic)[::2] == (64, 2)
+    assert _sizing_on_values(monkeypatch, unit_deadline, F(1, 16), 1e-4,
+                             _cubic)[::2] == (128, 2)
+
+
+def _against_the_extrapolant_walk(model, state, location, eta, epsilon, truth):
+    """The query stops no later than the walk with the grid and R tests
+    alone (oracles.extrapolated_answer); where it stops with it, it
+    answers bit for bit as it does, and where earlier, on S_m within
+    epsilon of the truth."""
+    result = approximate(*model, state, location, eta, epsilon=epsilon,
+                         force_empirical=True)
+    before = extrapolated_answer(*model, state, location, eta, epsilon)
+    assert result.report.m <= before[0]
+    if result.report.m == before[0]:
+        assert _sized(result) == before
+    else:
+        assert result.richardson_level == 2
+        assert abs(result.probability - truth) <= epsilon
+    return result
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("x", [F(0), F(1, 2), F(1, 4), F(1, 16), F(1, 3)])
+def test_second_level_against_the_extrapolant_walk_on_unit_deadline(
+        unit_deadline, x, epsilon):
+    _against_the_extrapolant_walk(unit_deadline, "s", "q0", (x,), epsilon,
+                                  1 - math.exp(-(1 - float(x))))
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-4])
+@pytest.mark.parametrize("start", list(EXPOSURE_REFERENCES))
+def test_second_level_against_the_extrapolant_walk_on_exposure_window(
+        exposure_window, start, epsilon):
+    state, eta = start
+    _against_the_extrapolant_walk(exposure_window, state, "q0", eta, epsilon,
+                                  EXPOSURE_REFERENCES[start])
+
+
+@pytest.mark.parametrize("epsilon", [1e-5, 1e-6, 1e-7, 1e-8])
+@pytest.mark.parametrize("x", [F(0), F(1, 2), F(1, 4), F(1, 16)])
+def test_second_level_within_epsilon_on_unit_deadline(unit_deadline, x,
+                                                      epsilon):
+    """Down to 1e-8, where the R test alone needs m = 16 384 from x = 0."""
+    result = approximate(*unit_deadline, "s", "q0", (x,), epsilon=epsilon,
+                         force_empirical=True)
+    assert abs(result.probability - (1 - math.exp(-(1 - float(x))))) <= epsilon
+    assert result.richardson_level == 2
+    if x == 0 and epsilon == 1e-8:
+        assert result.report.m == 1024
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(random_models(max_clocks=1))
+def test_epsilon_queries_within_epsilon_of_the_exact_oracle_on_random_models(
+        model):
+    chain, dta = model
+    validate_pair(chain, dta)
+    for state in chain.states:
+        for x in (F(0), F(1, 2)):
+            truth = exact_one_clock(chain, dta, state, "q0", x)
+            for epsilon in (1e-4, 1e-5):
+                result = approximate(chain, dta, state, "q0", (x,),
+                                     epsilon=epsilon, force_empirical=True)
+                assert abs(result.probability - truth) <= epsilon, (
+                    state, x, epsilon, result)
+
+
+# The exact one-clock oracle against closed forms.
+
+
+@pytest.mark.parametrize("x", [F(0), F(1, 3), F(1, 10)])
+def test_exact_one_clock_oracle_on_unit_deadline(unit_deadline, x):
+    assert abs(exact_one_clock(*unit_deadline, "s", "q0", x)
+               - (1 - math.exp(-(1 - float(x))))) <= 1e-12
+
+
+def test_exact_one_clock_oracle_on_reset_loop_and_departure(reset_loop,
+                                                            departure):
+    e = math.exp(-1)
+    assert abs(exact_one_clock(*reset_loop, "s", "q0", 0)
+               - 2 * e / (1 + e)) <= 1e-12
+    for x in (F(0), F(1, 2), F(3)):
+        assert abs(exact_one_clock(*departure, "w", "q0", x) - 1) <= 1e-12
 
 
 def test_observed_order_of_gaps():
@@ -470,10 +633,27 @@ def test_distribution_reports_an_order_when_a_state_was_extrapolated(
     assert mixed.report.m == a.report.m
     assert mixed.probability != mixed.grid_probability
     assert mixed.observed_order == b.observed_order
+    assert mixed.richardson_level == b.richardson_level > 0
     grid = prob_from_distribution(
         *exposure_window, {"a": 1}, *start, **options)
     assert grid.observed_order is None
+    assert grid.richardson_level == 0
     assert grid.probability == grid.grid_probability
+
+
+def test_distribution_reports_the_highest_level_and_its_least_order(
+        monkeypatch, unit_deadline):
+    """s answers on S_m at order 1.9 and g on R_m at order 0.8: the mix
+    reports level 2 and order 1.9, the smallest among the level-2
+    states, not 0.8."""
+    single = approximate(*unit_deadline, "s", "q0", (F(0),), m=4)
+    answers = {"s": single._replace(observed_order=1.9, richardson_level=2),
+               "g": single._replace(observed_order=0.8, richardson_level=1)}
+    monkeypatch.setattr(solver, "approximate",
+                        lambda chain, dta, state, *_, **__: answers[state])
+    mixed = prob_from_distribution(
+        *unit_deadline, {"s": F(1, 2), "g": F(1, 2)}, "q0", (F(0),), m=4)
+    assert (mixed.richardson_level, mixed.observed_order) == (2, 1.9)
 
 
 def test_distribution_skips_zero_weight_and_rejects_unnormalized(unit_deadline):

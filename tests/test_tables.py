@@ -79,11 +79,11 @@ _SPLITS = (("<", ">="), ("<=", ">"))
 
 
 @st.composite
-def random_models(draw):
-    """Valid pairs: 1-3 clocks with ceilings <= 2, 1-2 signatures, at
-    least as many states (1-2), each labelled, and the locations q0, qf or
-    q0, q1, qf, of which qf is final."""
-    clocks = _CLOCKS[: draw(st.integers(1, 3))]
+def random_models(draw, max_clocks=3):
+    """Valid pairs: 1 to ``max_clocks`` (at most 3) clocks with ceilings
+    <= 2, 1-2 signatures, at least as many states (1-2), each labelled,
+    and the locations q0, qf or q0, q1, qf, of which qf is final."""
+    clocks = _CLOCKS[: draw(st.integers(1, max_clocks))]
     locations = draw(st.sampled_from((("q0", "qf"), ("q0", "q1", "qf"))))
     labels = ("a", "b")[: draw(st.integers(1, 2))]
     clock = st.integers(0, len(clocks) - 1)
