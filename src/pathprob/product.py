@@ -5,7 +5,7 @@ enumeration, not just the forward-reachable part: the grid scheme needs a
 class for every grid point.  Regions are numbered once, in the order of
 :func:`regions.enumerate_region_codes`, and vertex ``(s, q, r)`` of state
 number s, location number q and region number r is number
-``(s * locations + q) * regions + r``.  An edge witnesses a
+``(s * locations + q) * regions + r``.  An edge stands for a
 positive-probability jump through a non-marginal delay; reachability of a
 final vertex characterizes positivity of the acceptance probability, so
 classification always comes from this graph and never from grid
@@ -13,14 +13,11 @@ connectivity.
 
 Regions and the rules enabled in each come from
 :func:`models.region_rules`, the table validation reads too, built
-once per automaton.  Edges come from one exact delay walk per
-region: the regions its representative reaches, one per delay interval,
-the first of which is its plus region.  Each delay is the midpoint of an
-open interval between the landmarks where a clock's fraction reaches 0,
-so every step is non-marginal.  One pass over (location, label, region)
-and the steps of the walk reads the rule each step fires, fills the rule
-table at the first step and looks the region after the reset up by
-region number.
+once per automaton.  Edges follow from the region codes alone, without
+valuations: each region's delay walk (:func:`regions.delay_walk`) steps
+through the non-marginal regions a delay reaches by the time successor
+of Alur and Dill, and a rule's resets map a step to
+:func:`regions.reset_region` of it (see :func:`build_graph`).
 
 The graph answers "which class, which rule" by number from two tables:
 ``class_table[state, location, region]`` (an index into
@@ -56,11 +53,12 @@ FINAL_CLASS, ALIVE_CLASS, DEAD_CLASS = range(3)
 # Largest product graph accepted: |V| = states x locations x regions.  The
 # region count grows as (ceiling + 2)^clocks times ordered set partitions
 # of the clocks (417 338 regions for 5 clocks at ceiling 3), and building
-# the graph takes 0.06-0.12 ms per vertex (0.26 s for 4 080 vertices over
-# 3 clocks, 3.3 s for 28 704 over 4 clocks at ceiling 2; one core of a
-# 2-vCPU Xeon, Python 3.11), so a small model file could otherwise keep
-# validation and graph building busy for many minutes.  The count is taken
-# in closed form before anything is enumerated.
+# the graph takes 0.007-0.016 ms per vertex once validation has built the
+# region table (0.03 s for 4 080 vertices over 3 clocks, 0.46 s for 28 704
+# over 4 clocks at ceiling 2, whose region table takes 0.15 s more; one
+# core of a 2-vCPU Xeon, Python 3.11), so a small model file could
+# otherwise keep validation and graph building busy for many minutes.  The
+# count is taken in closed form before anything is enumerated.
 MAX_VERTICES = 50_000
 
 
@@ -81,7 +79,6 @@ class ProductGraph:
     labels: Tuple[str, ...]
     vertices: Tuple[ProductVertex, ...]
     successors: Tuple[Tuple[int, ...], ...]
-    witnesses: Dict[Tuple[int, int], Tuple[tuple, object]]
     class_table: np.ndarray
     rule_target: np.ndarray
     rule_resets: np.ndarray
@@ -113,23 +110,16 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
     region graph.
 
     The regions, one representative each, and the rules enabled there
-    come from :func:`models.region_rules`.  Each region's representative
-    is delayed once through the finite set of delay intervals with
-    constant region; the region reached in each, with its midpoint delay,
-    forms the region's delay walk, whose first step is the region's plus
-    region.  No step is marginal: the delays avoid the landmarks where a
-    clock's fraction reaches 0.  A non-marginal region is its own plus
-    region, so a step into region r' fires the rule of r'.
-
-    One pass over (location, label, region) and the steps of that
-    region's walk reads each step's one enabled rule, raising
+    come from :func:`models.region_rules`.  One pass over (location,
+    label, region) and the steps of the region's delay walk
+    (:func:`regions.delay_walk`; no step is marginal, so each is its own
+    plus region) reads each step's one enabled rule, raising
     :class:`ModelIntegrityError` where none or several are enabled; the
     rule at the first step fills the rule table.  The region after the
-    reset depends only on r' and the reset clocks and is computed once
-    per pair.  Edges fan out over the CTMC states with positive jump
-    probability, and a concrete (valuation, delay) witness is kept per
-    edge.  Raises ``ValueError`` above :data:`MAX_VERTICES` vertices,
-    before enumerating.
+    reset, :func:`regions.reset_region`, is computed once per (step,
+    reset clocks).  Edges fan out over the CTMC states with positive jump
+    probability.  Raises ``ValueError`` above :data:`MAX_VERTICES`
+    vertices, before enumerating.
     """
     oversized = size_report(chain, dta)
     if not oversized.ok:
@@ -144,25 +134,22 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
         for s in chain.states for q in dta.locations for code in codes
     )
 
-    # region -> [(region reached, delay)], plus region first
-    walks = [
-        [(number[regions.region_of(regions.delay(rep, t), ceilings)], t)
-         for t in regions.delay_representatives(rep, ceilings, dta.t_max)]
-        for rep in reps
-    ]
+    # region -> the regions its delay walk steps through, plus region first
+    walks = [[number[step] for step in regions.delay_walk(code, ceilings)]
+             for code in codes]
 
     rule_target = np.zeros((n_loc, len(labels), n_reg), dtype=np.int32)
     rule_resets = np.zeros((n_loc, len(labels), n_reg, len(ceilings)), dtype=bool)
     # (region reached, reset clocks) -> region after the reset
     after: Dict[Tuple[int, FrozenSet[int]], int] = {}
     location_number = {q: qi for qi, q in enumerate(dta.locations)}
-    # (location, label, region) -> [(target location, target region, eta, t)]
-    moves: Dict[Tuple[int, int, int], list] = {}
+    # (location, label, region) -> {(target location, target region)}
+    moves: Dict[Tuple[int, int, int], set] = {}
     for qi, q in enumerate(dta.locations):
         for ai, a in enumerate(labels):
             for r, walk in enumerate(walks):
-                seen = {}
-                for reached, t in walk:
+                seen = set()
+                for reached in walk:
                     rules = enabled[qi][ai][reached]
                     if len(rules) != 1:
                         raise ModelIntegrityError(
@@ -177,30 +164,21 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
                         rule_resets[qi, ai, r, sorted(rule.resets)] = True
                     key = (reached, rule.resets)
                     if key not in after:
-                        after[key] = number[regions.region_of(
-                            regions.reset(reps[reached], rule.resets), ceilings
-                        )]
-                    seen.setdefault((target, after[key]), (reps[r], t))
-                moves[(qi, ai, r)] = [
-                    (loc, reg, eta, t) for (loc, reg), (eta, t) in seen.items()
-                ]
+                        after[key] = number[regions.reset_region(
+                            codes[reached], rule.resets)]
+                    seen.add((target, after[key]))
+                moves[(qi, ai, r)] = seen
 
     successors: List[Tuple[int, ...]] = []
-    witnesses: Dict[Tuple[int, int], Tuple[tuple, object]] = {}
     for si, row in enumerate(chain.transition):
         ai = labels.index(chain.labeling[si])
         for qi in range(n_loc):
             for r in range(n_reg):
-                v = len(successors)
-                targets = set()
-                for uj, p in enumerate(row):
-                    if p <= 0:
-                        continue
-                    for loc, reg, eta, t in moves[(qi, ai, r)]:
-                        w = (uj * n_loc + loc) * n_reg + reg
-                        targets.add(w)
-                        witnesses.setdefault((v, w), (eta, t))
-                successors.append(tuple(sorted(targets)))
+                successors.append(tuple(sorted(
+                    (uj * n_loc + loc) * n_reg + reg
+                    for uj, p in enumerate(row) if p > 0
+                    for loc, reg in moves[(qi, ai, r)]
+                )))
 
     final = np.zeros((len(chain.states), n_loc, n_reg), dtype=bool)
     final[:, [q in dta.final for q in dta.locations]] = True
@@ -212,7 +190,6 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
         labels=labels,
         vertices=vertices,
         successors=tuple(successors),
-        witnesses=witnesses,
         class_table=_class_table(successors, final),
         rule_target=rule_target,
         rule_resets=rule_resets,

@@ -12,7 +12,8 @@ whether the value exceeds its ceiling, on the integral part and on whether
 the fractional part is zero, and globally on the ordering of the
 fractional parts of all clocks at or below their ceilings.  Regions are
 encoded canonically by :class:`RegionCode` so that code equality coincides
-with the equivalence.
+with the equivalence, and a delay (:func:`delay_walk`) or a reset
+(:func:`reset_region`) steps from code to code without a valuation.
 """
 
 from __future__ import annotations
@@ -134,12 +135,14 @@ def _signatures(whole: np.ndarray, frac: np.ndarray,
     :class:`RegionCode`, so two rows share a signature exactly when they
     lie in the same region.
     """
-    below = ~above
-    columns = [np.where(above, -1, 2 * whole + (frac == 0))]
-    for a, b in itertools.combinations(range(whole.shape[1]), 2):
-        columns.append(np.where(below[:, [a]] & below[:, [b]],
-                                np.sign(frac[:, [a]] - frac[:, [b]]), 0))
-    return np.concatenate(columns, axis=1).astype(np.int64, copy=False)
+    n, k = whole.shape
+    out = np.empty((n, k * (k + 1) // 2), dtype=np.int64)
+    for a in range(k):
+        out[:, a] = np.where(above[:, a], -1, 2 * whole[:, a] + (frac[:, a] == 0))
+    for col, (a, b) in enumerate(itertools.combinations(range(k), 2), start=k):
+        out[:, col] = np.where(above[:, a] | above[:, b], 0,
+                               np.sign(frac[:, a] - frac[:, b]))
+    return out
 
 
 def region_signatures(valuations: np.ndarray,
@@ -162,9 +165,11 @@ def per_distinct_row(keys: np.ndarray,
     # a stable sort of the rows puts each distinct row's first occurrence
     # at the head of its run; rows without columns are all equal
     order = np.lexsort(keys.T) if keys.shape[1] else np.arange(len(keys))
-    ranked = keys[order]
-    head = np.ones(len(order), dtype=bool)
-    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    head = np.zeros(len(order), dtype=bool)
+    head[:1] = True
+    for column in keys.T:
+        ranked = column[order]
+        head[1:] |= ranked[1:] != ranked[:-1]
     run = np.empty(len(order), dtype=np.int64)
     run[order] = np.cumsum(head) - 1
     first = np.zeros(len(order), dtype=bool)
@@ -176,53 +181,62 @@ def per_distinct_row(keys: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Representatives
+# Region steps
 
 
-def frac_set(eta: Sequence, ceilings: Sequence[int]) -> tuple:
-    """The fractional landmark set of ``eta``: {0, 1} together with the
-    fractional parts of all clocks at or below their ceiling, sorted."""
-    values = {Fraction(0), Fraction(1)}
-    for v, c in zip(eta, ceilings):
-        if v <= c:
-            values.add(frac_part(v))
-    return tuple(sorted(values))
+def time_successor(code: RegionCode, ceilings: Sequence[int]) -> RegionCode:
+    """The region a delay enters on leaving ``code``, the time successor
+    of Alur and Dill.
+
+    The zero block moves off the integer, and a clock at its ceiling
+    leaves the box; without a zero block, the block with the largest
+    fraction reaches the next integer and becomes the zero block.  The
+    region with every clock above its ceiling is its own successor.
+    """
+    clocks = list(code.clocks)
+    blocks = code.frac_order
+    if code.is_marginal():
+        for i in blocks[0]:
+            clocks[i] = None if clocks[i][0] == ceilings[i] else (clocks[i][0], False)
+        moved = tuple(i for i in blocks[0] if clocks[i] is not None)
+        blocks = ((moved,) if moved else ()) + blocks[1:]
+    elif blocks:
+        for i in blocks[-1]:
+            clocks[i] = (clocks[i][0] + 1, True)
+        blocks = blocks[-1:] + blocks[:-1]
+    return RegionCode(tuple(clocks), blocks)
+
+
+def delay_walk(code: RegionCode, ceilings: Sequence[int]) -> list:
+    """The non-marginal regions a delay from ``code`` passes through, in
+    order: the plus region (``code`` itself unless it is marginal), then
+    every second time successor, up to the region with every clock above
+    its ceiling."""
+    step = time_successor(code, ceilings) if code.is_marginal() else code
+    walk = [step]
+    while step.frac_order:
+        step = time_successor(time_successor(step, ceilings), ceilings)
+        walk.append(step)
+    return walk
+
+
+def reset_region(code: RegionCode, clocks: Iterable[int]) -> RegionCode:
+    """The region of ``code``'s valuations with the given clocks set to
+    zero: each becomes ``(0, True)`` and joins the zero block."""
+    zeroed = frozenset(clocks)
+    if not zeroed:
+        return code
+    # the old zero block stays at zero
+    zero = zeroed.union(code.frac_order[0]) if code.is_marginal() else zeroed
+    rest = tuple(kept for kept in (tuple(i for i in block if i not in zero)
+                                   for block in code.frac_order) if kept)
+    per_clock = tuple((0, True) if i in zeroed else c
+                      for i, c in enumerate(code.clocks))
+    return RegionCode(per_clock, (tuple(sorted(zero)),) + rest)
 
 
 # ---------------------------------------------------------------------------
-# Delay intervals and region enumeration
-
-
-def delay_intervals(
-    eta: Sequence, ceilings: Sequence[int], t_max: int
-) -> list:
-    """Open delay intervals on which the region of ``eta + t`` is constant.
-
-    Returns ``(lo, hi)`` pairs partitioning ``(0, t_max)`` up to finitely
-    many boundary points, followed by ``(t_max, None)`` for the unbounded
-    tail where every clock sits above its ceiling.
-    """
-    offsets = sorted({1 - w for w in frac_set(eta, ceilings)})
-    intervals = []
-    for n in range(t_max):
-        for lo, hi in zip(offsets, offsets[1:]):
-            intervals.append((n + lo, n + hi))
-    intervals.append((Fraction(t_max), None))
-    return intervals
-
-
-def delay_representatives(
-    eta: Sequence, ceilings: Sequence[int], t_max: int
-) -> list:
-    """One positive delay per interval of :func:`delay_intervals`.
-
-    Midpoints for the bounded intervals; the unbounded tail is represented
-    half a unit past its left end.
-    """
-    reps = []
-    for lo, hi in delay_intervals(eta, ceilings, t_max):
-        reps.append(lo + HALF if hi is None else (lo + hi) * HALF)
-    return reps
+# Region enumeration
 
 
 def _ordered_set_partitions(items: tuple) -> Iterator[tuple]:

@@ -277,7 +277,7 @@ def _analysis(chain: Ctmc, dta: Dta) -> Tuple[ModelConstants, ProductGraph]:
     return model_constants(chain, dta), build_graph(chain, dta)
 
 
-@lru_cache(maxsize=2)  # a 2m estimate rereads its m grid
+@lru_cache(maxsize=2)  # prob_from_distribution reads every state on one grid
 def _solved(chain: Ctmc, dta: Dta, m: int) -> Solution:
     _, graph = _analysis(chain, dta)
     return solve(assemble_gamma_prime(build_grid(chain, dta, graph, m)))
@@ -376,10 +376,14 @@ def approximate(
         *_, row = _grid_table(chain, dta, state, location, eta, (m // 4, m // 2, m))
         empirical = richardson_error(row)
     elif with_empirical:
-        # the 2m grid is read at the m grid's point, not at a snap of its own
+        # the 2m grid is read at the m grid's point, not at a snap of its
+        # own; that point's m row is the answer unless the point is final or
+        # dead (and so solved nothing) where the start is not
         point = tuple(Fraction(j, m) for j in coords)
-        *_, finer = _grid_table(chain, dta, state, location, point, (m, 2 * m))
+        near, finer = _grid_table(chain, dta, state, location, point, (m, 2 * m))
         empirical = abs(finer.gap)
+        if near.solution is not None:
+            row = near
     if row is None:
         *_, row = _grid_table(chain, dta, state, location, eta, (m,))
     report = error_report(graph, constants, m, empirical_estimate=empirical)

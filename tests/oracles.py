@@ -8,7 +8,8 @@ against the sequential one-row-at-a-time Gauss-Seidel loops below, the
 Monte Carlo trial loop against the two separate estimator loops it merged,
 the one-pass DTA validator against the interval-box overlap check and
 region cover sweep it replaced, the product graph against the
-per-(location, label, region) delay walk it replaced, and the grid and
+per-(location, label, region) delay walk it replaced, the region-code
+delay walk and reset against the exact valuation walk, and the grid and
 both assemblies against the dict-keyed, point-by-point versions they
 replaced.  The one exception is the reading of a start's values on a
 family of grids: the epsilon sizings, the grid query's error estimate and
@@ -22,6 +23,7 @@ analysis per unit interval of the clock.
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from statistics import NormalDist
@@ -696,13 +698,81 @@ def validate_dta(dta: Dta) -> ValidationReport:
 
 
 # ---------------------------------------------------------------------------
+# Delay walk by valuations: the exact walk the product graph took before it
+# stepped region codes.  A region's representative is delayed by the
+# midpoint of every open interval between the landmarks where a clock's
+# fraction reaches 0, and past the last one.
+
+
+def frac_set(eta: Sequence, ceilings: Sequence[int]) -> tuple:
+    """The fractional landmark set of ``eta``: {0, 1} together with the
+    fractional parts of all clocks at or below their ceiling, sorted."""
+    values = {Fraction(0), Fraction(1)}
+    for v, c in zip(eta, ceilings):
+        if v <= c:
+            values.add(frac_part(v))
+    return tuple(sorted(values))
+
+
+def delay_intervals(
+    eta: Sequence, ceilings: Sequence[int], t_max: int
+) -> list:
+    """Open delay intervals on which the region of ``eta + t`` is constant.
+
+    Returns ``(lo, hi)`` pairs partitioning ``(0, t_max)`` up to finitely
+    many boundary points, followed by ``(t_max, None)`` for the unbounded
+    tail where every clock sits above its ceiling.
+    """
+    offsets = sorted({1 - w for w in frac_set(eta, ceilings)})
+    intervals = []
+    for n in range(t_max):
+        for lo, hi in zip(offsets, offsets[1:]):
+            intervals.append((n + lo, n + hi))
+    intervals.append((Fraction(t_max), None))
+    return intervals
+
+
+def delay_representatives(
+    eta: Sequence, ceilings: Sequence[int], t_max: int
+) -> list:
+    """One positive delay per interval of :func:`delay_intervals`.
+
+    Midpoints for the bounded intervals; the unbounded tail is represented
+    half a unit past its left end.
+    """
+    reps = []
+    for lo, hi in delay_intervals(eta, ceilings, t_max):
+        reps.append(lo + regions.HALF if hi is None else (lo + hi) * regions.HALF)
+    return reps
+
+
+def valuation_walk(code: regions.RegionCode, ceilings: Sequence[int],
+                   t_max: int) -> list:
+    """The valuations the delay walk from ``code``'s representative steps
+    through, one per delay of :func:`delay_representatives`; a region
+    recurs in consecutive steps once a clock above its ceiling crosses an
+    integer, or once every clock is above its ceiling."""
+    rep = regions.region_representative(code, ceilings)
+    return [regions.delay(rep, t)
+            for t in delay_representatives(rep, ceilings, t_max)]
+
+
+# ---------------------------------------------------------------------------
 # Product graph: the region walk that selected a rule with select_rule at
 # every plus representative and repeated the exact delay walk once per
-# (location, label, region).  The package derives the same graph from one
-# enabled-rule table and one delay walk per region.
+# (location, label, region), keeping a (valuation, delay) witness per edge.
+# The package derives the same graph from one enabled-rule table and one
+# region-code delay walk per region, and keeps no witnesses.
 
 
-def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
+@dataclass
+class WitnessedGraph(ProductGraph):
+    """A product graph with a (valuation, delay) witness per edge."""
+
+    witnesses: Dict[Tuple[int, int], Tuple[tuple, object]] = None
+
+
+def build_graph(chain: Ctmc, dta: Dta) -> WitnessedGraph:
     """Construct vertices, edges, rule table and classes of the product
     region graph.
 
@@ -750,7 +820,7 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
         for ai in range(len(labels)):
             for r, rep in enumerate(reps):
                 seen = {}
-                for t in regions.delay_representatives(rep, ceilings, dta.t_max):
+                for t in delay_representatives(rep, ceilings, dta.t_max):
                     delayed = regions.delay(rep, t)
                     code = regions.region_of(delayed, ceilings)
                     if code.is_marginal():
@@ -782,7 +852,7 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
 
     final = np.zeros((len(chain.states), n_loc, n_reg), dtype=bool)
     final[:, [q in dta.final for q in dta.locations]] = True
-    return ProductGraph(
+    return WitnessedGraph(
         ctmc=chain,
         dta=dta,
         codes=codes,

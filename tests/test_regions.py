@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from pathprob.models import Constraint, Guard
 from pathprob.regions import (
     delay,
-    delay_intervals,
-    delay_representatives,
+    delay_walk,
     enumerate_region_codes,
-    frac_set,
     guard_sat,
     per_distinct_row,
     region_count,
@@ -21,20 +19,25 @@ from pathprob.regions import (
     region_representative,
     region_signatures,
     reset,
+    reset_region,
     sample_in_region,
     UnknownClockError,
 )
 from oracles import (
     backtrack,
     clamp_delay,
+    delay_intervals,
+    delay_representatives,
     equiv_b,
     equiv_g,
     equivalent,
+    frac_set,
     is_marginal,
     minus_representative,
     plus_representative,
     random_valuation,
     region_sequence,
+    valuation_walk,
 )
 
 F = Fraction
@@ -294,6 +297,30 @@ def test_delay_walk_never_lands_on_a_marginal_region():
                     assert not is_marginal(reached), (ceilings, code, t)
                     steps += 1
     assert steps == 13_389
+
+
+def test_code_steps_match_the_valuation_walk():
+    """On every region of ceilings {0, 1, 2}^k (k = 1..3), the delay walk
+    stepped on region codes is the regions of the exact valuation walk,
+    consecutive repeats removed, and the reset on codes is the region of
+    the reset representative, for every set of clocks reset."""
+    checked = 0
+    for k in range(1, 4):
+        resets = [s for n in range(k + 1)
+                  for s in itertools.combinations(range(k), n)]
+        for ceilings in itertools.product(range(3), repeat=k):
+            for code in enumerate_region_codes(ceilings):
+                reached = [region_of(eta, ceilings) for eta in
+                           valuation_walk(code, ceilings, max(ceilings))]
+                assert delay_walk(code, ceilings) == [
+                    r for i, r in enumerate(reached)
+                    if i == 0 or r != reached[i - 1]], (ceilings, code)
+                rep = region_representative(code, ceilings)
+                for clocks in resets:
+                    assert reset_region(code, clocks) == region_of(
+                        reset(rep, clocks), ceilings), (ceilings, code, clocks)
+                    checked += 1
+    assert checked == 20_976
 
 
 # ---------------------------------------------------------------------------

@@ -238,6 +238,19 @@ def test_approximate_empirical_estimate(unit_deadline, m, x, expected):
                                                              abs=1e-12)
 
 
+def test_2m_estimate_solves_and_reads_each_grid_once(unit_deadline):
+    """x = 1/64 is off the m/4 grid, so m = 64 falls back to the 2m grid:
+    the answer is the m row of the (m, 2m) table, with no second read of
+    the m grid, and the same answer as reading the two grids apart."""
+    solver._solved.cache_clear()
+    result = approximate(*unit_deadline, "s", "q0", (F(1, 64),), m=64,
+                         with_empirical=True)
+    info = solver._solved.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
+    assert _estimated(result) == _as_before(
+        *grid_estimate(*unit_deadline, "s", "q0", (F(1, 64),), 64))
+
+
 def _synthetic_row(v_quarter, v_half, v):
     """The table row of the m = 64 grid over values of the 16, 32 and 64
     grids."""
