@@ -13,7 +13,9 @@ and each row keeps its entries in CSR order.  A step updates the rows
 entry reads a row of its own step exactly when ``lo <= column < hi``.
 The copy holds as many entries as the system, so a solve holds the
 system twice; planning takes O(nnz) memory besides, a few arrays over
-the entries.
+the entries.  While a pass with block levels runs it also holds, for
+the copy's entries, one byte each and, for each entry that reads a row
+of its own level, a place and a value.
 
 :func:`exact_plan` orders the rows so that one sweep solves the system
 exactly, in block-triangular order (Duff and Reid, 1978).  No rule resets
@@ -24,9 +26,17 @@ point it reads, by the longest chain of such reads ending at it, and the
 rows of a level come by point.  A level of multi-row blocks is one step:
 the entries of other points go to the right-hand side, those of its own
 point to a small dense matrix, and one batched ``np.linalg.solve`` solves
-all of the level's blocks.  When there is no such order (a rule resets
-every clock in a loop, a block is too large, or a slice holds delay
-chains) the plan is None.
+all of the level's blocks.  The plan lays out every block level at once,
+each row's slot being its block, counted from the level's first block,
+times the level's width plus its place in the block.  Before the first
+block level, one pass over the copy marks, for every block level, the
+entries that read an earlier level, and finds where each other entry
+lies in the level's stacked ``I - M`` and the value it puts there.  A
+level then only adds its right-hand side from its offset in CSR order,
+copies one identity per block (a padded slot keeps its identity row and
+solves to 0), places its entries and solves.  When there is no such
+order (a rule resets every clock in a loop, a block is too large, or a
+slice holds delay chains) the plan is None.
 
 :func:`sweep_plan` is the fallback: it levels each row by its horizon
 and then by a sub-level, one more than the highest sub-level of the
@@ -119,29 +129,36 @@ def _steps(order, starts, point=None) -> SweepPlan:
     row of ``order``, which groups the rows of a level, or None for the
     fallback plan, which has no blocks and is not exact."""
     n = len(order)
-    alone = np.diff(np.r_[starts, n]) >= WIDE
+    sizes = np.diff(np.r_[starts, n])
+    alone = sizes >= WIDE
     blocky = np.zeros(len(starts), dtype=bool)
     if point is not None:
         new = np.r_[True, point[1:] != point[:-1]]
         new[starts] = True
-        blocky = np.add.reduceat(new, starts) < np.diff(np.r_[starts, n])
+        count = np.add.reduceat(new, starts)
+        blocky = count < sizes
         alone |= blocky
-        del new
     # a step starts at every level of its own and at the first level of
     # each run of the others
     first = alone | np.r_[True, alone[:-1]]
     begins = starts[first].tolist()
+    ends = begins[1:] + [n]
+    layout = [None] * len(begins)
+    if blocky.any():
+        # every row's slot: its block, counted from its level's first
+        # block, times the level's width, plus its place in the block
+        block = np.cumsum(new) - 1
+        position = np.arange(n) - np.flatnonzero(new)[block]
+        width = np.maximum.reduceat(position, starts) + 1
+        slots = ((block - np.repeat(block[starts], sizes))
+                 * np.repeat(width, sizes) + position)
+        layout = [Blocks(slots[lo:hi], w, c) if b else None for lo, hi, w, c, b in
+                  zip(begins, ends, width[first].tolist(),
+                      count[first].tolist(), blocky[first].tolist())]
     steps = []
-    for lo, hi, own, block in zip(begins, begins[1:] + [n], alone[first].tolist(),
-                                  blocky[first].tolist()):
-        if block:
-            at = point[lo:hi]
-            new = np.r_[True, at[1:] != at[:-1]]
-            which = np.cumsum(new) - 1
-            position = np.arange(hi - lo) - np.flatnonzero(new)[which]
-            width = int(position.max()) + 1
-            steps.append((lo, hi, Blocks(which * width + position, width,
-                                         int(which[-1]) + 1)))
+    for lo, hi, own, blocks in zip(begins, ends, alone[first].tolist(), layout):
+        if blocks is not None:
+            steps.append((lo, hi, blocks))
         elif own:
             steps.append((lo, hi, None))
         else:
@@ -300,23 +317,66 @@ def _row_step(indptr, indices, data, offset, x, lo, hi, exact):
     return np.array(buf[len(cols):])
 
 
-def _block_step(indptr, indices, data, offset, x, lo, hi, blocks):
-    """Solve the stacked ``I - M`` systems of a level's blocks at once.
-    An entry reads a row of the level only inside its own block: it goes
-    to the matrix, every other entry to the right-hand side."""
+def _level_entries(indptr, indices, data, steps):
+    """What each block level of ``steps`` needs, in order, found in one
+    pass over the renumbered system when the first level asks: which of
+    its entries read an earlier level (a mask over the level's entries),
+    and for the others, which read a row of the level, their places in
+    the level's stacked ``I - M``, flattened, and the values there."""
+    blocky = np.array([blocks is not None for _, _, blocks in steps])
+    if not blocky.any():
+        return
+    lo, hi = np.array([(lo, hi) for lo, hi, _ in steps]).T
+    counts = indptr[hi] - indptr[lo]
+    # each entry's column counted from its step's first row, which reads
+    # a row of the step's block level when it is below the level's size
+    read = np.repeat(lo, counts)
+    np.subtract(indices, read, out=read)
+    inside = read < np.repeat(np.where(blocky, hi - lo, 0), counts)
+    inside &= read >= 0
+    del read
+    at = np.flatnonzero(inside)
+    outside = np.logical_not(inside, out=inside)
+    rows, cols = _entry_rows(indptr)[at], indices[at]
+    # such an entry reads a row of its own block, so it lies on the
+    # diagonal exactly when it reads its own row
+    value = np.subtract(rows == cols, data[at])
+    first, last = indptr[lo[blocky]], indptr[hi[blocky]]
+    ends = np.searchsorted(at, last)
+    del at
+    slot = np.concatenate([np.zeros(b - a, dtype=np.int64) if blocks is None
+                           else blocks.slots for a, b, blocks in steps])
+    place, cols = slot[rows], slot[cols]
+    del slot, rows
+    width = np.repeat([blocks.width for _, _, blocks in steps
+                       if blocks is not None], np.diff(ends, prepend=0))
+    cols %= width
+    place *= width
+    place += cols
+    del cols, width
+    start = 0
+    for a, b, end in zip(first.tolist(), last.tolist(), ends.tolist()):
+        yield outside[a:b], place[start:end], value[start:end]
+        start = end
+
+
+def _block_step(indptr, indices, data, offset, x, lo, hi, blocks, entries):
+    """Solve the stacked ``I - M`` systems of a level's blocks at once,
+    from the level's ``entries`` of :func:`_level_entries`.  The entries
+    that read an earlier level go to the right-hand side; the others read
+    a row of their own block and are placed in the matrix, which starts
+    as one identity per block, so a padded slot solves to 0."""
     slots, width, count = blocks
+    outside, place, value = entries
     cols, vals, owner = _step_entries(indptr, indices, data, lo, hi)
-    inside = (cols >= lo) & (cols < hi)
-    outside = ~inside
     acc = offset[lo:hi].copy()
     np.add.at(acc, owner[outside], vals[outside] * x[cols[outside]])
-    mat = np.tile(np.eye(width), (count, 1))  # row slot s of I - M
-    mat[slots[owner[inside]], slots[cols[inside] - lo] % width] -= vals[inside]
+    mat = np.repeat(np.eye(width)[np.newaxis], count, axis=0)
+    mat.reshape(-1)[place] = value
     rhs = np.zeros(count * width)
     rhs[slots] = acc
     try:
-        solved = np.linalg.solve(mat.reshape(count, width, width),
-                                 rhs.reshape(count, width, 1))
+        solved = np.linalg.solve(mat, rhs.reshape(count, width, 1))
     except np.linalg.LinAlgError as exc:
         raise ZeroDivisionError(
             f"singular block among rows {lo}..{hi - 1} of the plan") from exc
@@ -327,10 +387,11 @@ def gauss_seidel_sweep(indptr, indices, data, offset, x, plan: SweepPlan):
     """One in-place Gauss-Seidel pass of ``x = M x + offset`` in the level
     order of ``plan``, on the system and ``x`` renumbered into that order
     (:func:`renumber`)."""
+    levels = _level_entries(indptr, indices, data, plan.steps)
     for lo, hi, blocks in plan.steps:
         args = (indptr, indices, data, offset, x, lo, hi)
         x[lo:hi] = (_row_step(*args, plan.exact) if blocks is None
-                    else _block_step(*args, blocks))
+                    else _block_step(*args, blocks, next(levels)))
 
 
 def max_residual(indptr, indices, data, offset, x):

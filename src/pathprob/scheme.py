@@ -212,7 +212,9 @@ def _csr(grid: Grid, kind: str, offset: np.ndarray, *parts) -> SchemeSystem:
     Entries sharing a row and a column are summed one after another, in
     the order the parts list them: the order the scheme folds them in."""
     rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
-    order = np.lexsort((cols, rows))  # stable, so ties keep their order
+    # by row, then column: the key is one number per (row, column) pair,
+    # and the sort is stable, so ties keep their order
+    order = np.argsort(rows * len(offset) + cols, kind="stable")
     rows, cols, vals = rows[order], cols[order], vals[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])

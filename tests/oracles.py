@@ -6,6 +6,10 @@ equations and solved densely with numpy, valuation generators produce
 exact rationals from seeded integer draws, the sweep kernel is checked
 against the sequential one-row-at-a-time Gauss-Seidel loops below, the
 Monte Carlo trial loop against the two separate estimator loops it merged,
+the plans' steps and the exact pass's block levels against the steps
+built and the entries sorted level by level (:func:`plan_steps`;
+:func:`plan_pass` shares only the kernel's row step, which the sequential
+loops check),
 the one-pass DTA validator against the interval-box overlap check and
 region cover sweep it replaced, the product graph against the
 per-(location, label, region) delay walk it replaced, the region-code
@@ -35,6 +39,9 @@ import numpy as np
 
 from pathprob import regions
 from pathprob.dynamics import select_rule
+from pathprob.kernels import (
+    CHUNK, WIDE, Blocks, SweepPlan, _row_step, _step_entries,
+)
 from pathprob.mc import BATCH, Estimate, RngStream, default_k_max
 from pathprob.models import Ctmc, Dta, Guard, ValidationReport
 from pathprob.product import (
@@ -244,6 +251,77 @@ def max_residual(indptr, indices, data, offset, x):
         if defect > worst:
             worst = defect
     return worst
+
+
+def plan_steps(order, starts, point=None) -> SweepPlan:
+    """The steps of ``kernels._steps`` as they were built level by level,
+    each block level's :class:`~pathprob.kernels.Blocks` from its own
+    slice of ``point``."""
+    n = len(order)
+    alone = np.diff(np.r_[starts, n]) >= WIDE
+    blocky = np.zeros(len(starts), dtype=bool)
+    if point is not None:
+        new = np.r_[True, point[1:] != point[:-1]]
+        new[starts] = True
+        blocky = np.add.reduceat(new, starts) < np.diff(np.r_[starts, n])
+        alone |= blocky
+        del new
+    # a step starts at every level of its own and at the first level of
+    # each run of the others
+    first = alone | np.r_[True, alone[:-1]]
+    begins = starts[first].tolist()
+    steps = []
+    for lo, hi, own, block in zip(begins, begins[1:] + [n], alone[first].tolist(),
+                                  blocky[first].tolist()):
+        if block:
+            at = point[lo:hi]
+            new = np.r_[True, at[1:] != at[:-1]]
+            which = np.cumsum(new) - 1
+            position = np.arange(hi - lo) - np.flatnonzero(new)[which]
+            width = int(position.max()) + 1
+            steps.append((lo, hi, Blocks(which * width + position, width,
+                                         int(which[-1]) + 1)))
+        elif own:
+            steps.append((lo, hi, None))
+        else:
+            steps.extend(
+                (a, min(a + CHUNK, hi), None) for a in range(lo, hi, CHUNK)
+            )
+    return SweepPlan(order, tuple(steps), point is not None)
+
+
+def block_step(indptr, indices, data, offset, x, lo, hi, blocks):
+    """Solve the stacked ``I - M`` systems of a level's blocks at once,
+    the level's entries sorted into matrix and right-hand side on the
+    spot.  An entry reads a row of the level only inside its own block:
+    it goes to the matrix, every other entry to the right-hand side."""
+    slots, width, count = blocks
+    cols, vals, owner = _step_entries(indptr, indices, data, lo, hi)
+    inside = (cols >= lo) & (cols < hi)
+    outside = ~inside
+    acc = offset[lo:hi].copy()
+    np.add.at(acc, owner[outside], vals[outside] * x[cols[outside]])
+    mat = np.tile(np.eye(width), (count, 1))  # row slot s of I - M
+    mat[slots[owner[inside]], slots[cols[inside] - lo] % width] -= vals[inside]
+    rhs = np.zeros(count * width)
+    rhs[slots] = acc
+    try:
+        solved = np.linalg.solve(mat.reshape(count, width, width),
+                                 rhs.reshape(count, width, 1))
+    except np.linalg.LinAlgError as exc:
+        raise ZeroDivisionError(
+            f"singular block among rows {lo}..{hi - 1} of the plan") from exc
+    return solved.ravel()[slots]
+
+
+def plan_pass(indptr, indices, data, offset, x, plan: SweepPlan):
+    """One in-place pass of ``plan`` over the renumbered system, each block
+    level solved by :func:`block_step` and each row step by the kernel's
+    own ``_row_step``."""
+    for lo, hi, blocks in plan.steps:
+        args = (indptr, indices, data, offset, x, lo, hi)
+        x[lo:hi] = (_row_step(*args, plan.exact) if blocks is None
+                    else block_step(*args, blocks))
 
 
 def _coords_iter(maxima):

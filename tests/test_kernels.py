@@ -324,7 +324,8 @@ def test_blocks_above_the_cap_fall_back(exposure_window, exposure_graph,
 
 
 @pytest.mark.parametrize("model, m", [("exposure_window", 128),
-                                      ("unit_deadline", 65536)])
+                                      ("unit_deadline", 65536),
+                                      ("exposure_window", 64)])
 def test_solve_peaks_below_assembly(request, model, m):
     """The exact plan's transient memory stays below what assembling the
     same grid already took."""
@@ -427,6 +428,103 @@ def test_fixed_models_solve_bit_for_bit(request, model, m, kinds, method,
 def test_fixed_models_reach_every_step_kind():
     assert set().union(*(kinds for _, _, kinds, *_ in _FIXED)) == {
         "block", "level", "chain", "scalar", "fallback"}
+
+
+@pytest.mark.parametrize("model, m", [row[:2] for row in _FIXED if row[3] == "exact"])
+def test_exact_pass_ignores_the_start_vector(request, model, m):
+    """An exact pass reads only rows it has solved, so a start vector
+    changes neither its values nor its method and sweeps."""
+    system = _fixed_system(request, model, m)
+    solution = solve(system)
+    started = solve(system, x0=np.random.default_rng(11).random(system.size))
+    assert (started.method, started.sweeps) == (solution.method, solution.sweeps)
+    assert started.values_raw.tobytes() == solution.values_raw.tobytes()
+
+
+def _plans_against_level_by_level(system):
+    """Both plans of ``system`` step for step against the steps built
+    level by level in ``oracles.plan_steps``, from the levels the planner
+    found, and the exact pass bit for bit against the pass that sorts
+    each block level's entries on the spot; returns the exact plan."""
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        steps = kernels._steps
+        patch.setattr(kernels, "_steps",
+                      lambda *args: calls.append(args) or steps(*args))
+        exact = _exact_plan(system)
+        sweep = kernels.sweep_plan(system.indptr, system.indices,
+                                   system.grid.horizons)
+    plans = [exact, sweep] if exact is not None else [sweep]
+    assert len(calls) == len(plans)
+    for plan, args in zip(plans, calls):
+        old = oracles.plan_steps(*args)
+        assert np.array_equal(plan.order, old.order) and plan.exact == old.exact
+        assert [(lo, hi, blocks is None) for lo, hi, blocks in plan.steps] == [
+            (lo, hi, blocks is None) for lo, hi, blocks in old.steps]
+        for (_, _, new), (_, _, level) in zip(plan.steps, old.steps):
+            if new is not None:
+                assert new.slots.dtype == level.slots.dtype
+                assert np.array_equal(new.slots, level.slots)
+                assert (type(new.width), type(new.count)) == (int, int)
+                assert (new.width, new.count) == (level.width, level.count)
+    if exact is not None:
+        ordered = kernels.renumber(system.indptr, system.indices, system.data,
+                                   system.offset, exact.order)
+        got = np.random.default_rng(13).random(system.size)
+        expected = got.copy()
+        kernels.gauss_seidel_sweep(*ordered, got, exact)
+        oracles.plan_pass(*ordered, expected, exact)
+        assert got.tobytes() == expected.tobytes()
+    return exact
+
+
+@pytest.mark.parametrize("model, m", [row[:2] for row in _FIXED])
+def test_plans_match_level_by_level_on_fixed_models(request, model, m):
+    _plans_against_level_by_level(_fixed_system(request, model, m))
+
+
+def test_fixed_models_reach_a_padded_level(exposure_window, exposure_graph):
+    """At m = 64 exposure_window's second level holds 382 rows in 64
+    blocks of 6 slots: two slots are padding, and the fixed models'
+    comparison level by level covers them."""
+    assert ("exposure_window", 64) in [row[:2] for row in _FIXED]
+    system = assemble_gamma_prime(build_grid(*exposure_window, exposure_graph, 64))
+    lo, hi, blocks = _exact_plan(system).steps[1]
+    assert (lo, hi, blocks.width, blocks.count) == (6, 388, 6, 64)
+
+
+def test_row_steps_between_block_levels_match_level_by_level():
+    """Seven rows in four levels: one row, a block of two, a level of a
+    one-row and a two-row point (one padded slot), and a row reading
+    that level's second point from the same slice."""
+    reads = [[(0, .25)], [(0, .25), (2, .25)], [(0, .125), (1, .25), (2, .125)],
+             [(1, .25)], [(2, .25), (5, .25)], [(4, .5)], [(4, .25)]]
+    grid = SimpleNamespace(horizons=np.zeros(7, dtype=np.int64),
+                           slice_key=np.array([3, 2, 2, 1, 1, 1, 1]),
+                           point=np.array([0, 1, 1, 2, 3, 3, 4]), ceilings=(1,),
+                           graph=SimpleNamespace(vertex_count=3))
+    system = SchemeSystem(
+        "gamma_prime", grid, np.r_[0, np.cumsum([len(r) for r in reads])],
+        np.array([c for r in reads for c, _ in r]),
+        np.array([v for r in reads for _, v in r]), np.full(7, 0.25))
+    plan = _plans_against_level_by_level(system)
+    assert [(lo, hi, blocks is None) for lo, hi, blocks in plan.steps] == [
+        (0, 1, True), (1, 3, False), (3, 6, False), (6, 7, True)]
+    assert plan.steps[2][2].count * plan.steps[2][2].width == 4
+    solution = solve(system)
+    assert solution.method == "exact"
+    dense = oracles.solve_dense(*system.dense())
+    assert np.abs(solution.values_raw - dense).max() <= 1e-15
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(random_models(), st.sampled_from(GRIDS + (16,)))
+@example(clockless(), 4)
+def test_plans_match_level_by_level_on_random_models(model, m):
+    chain, dta = model
+    system = assemble_gamma_prime(build_grid(chain, dta, build_graph(chain, dta), m))
+    if system.size:
+        _plans_against_level_by_level(system)
 
 
 def _unit_diagonal_system(width, linked):
