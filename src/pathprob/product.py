@@ -172,12 +172,12 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
     successors: List[Tuple[int, ...]] = []
     for si, row in enumerate(chain.transition):
         ai = labels.index(chain.labeling[si])
+        positive = [uj for uj, p in enumerate(row) if p > 0]
         for qi in range(n_loc):
             for r in range(n_reg):
                 successors.append(tuple(sorted(
                     (uj * n_loc + loc) * n_reg + reg
-                    for uj, p in enumerate(row) if p > 0
-                    for loc, reg in moves[(qi, ai, r)]
+                    for uj in positive for loc, reg in moves[(qi, ai, r)]
                 )))
 
     final = np.zeros((len(chain.states), n_loc, n_reg), dtype=bool)

@@ -22,7 +22,7 @@ import itertools
 import math
 from fractions import Fraction
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
-                    Sequence, Tuple)
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -354,22 +354,29 @@ def sample_in_region(
 # Numbered regions on the grid
 
 
+def grid_points(ceilings: Sequence[int], m: int) -> np.ndarray:
+    """The points of the m-grid over the ceiling box, one row each: the
+    integer vectors ``j`` with ``0 <= j[i] <= m*ceilings[i]`` (valuation
+    ``j/m``) in ``itertools.product`` order."""
+    shape = tuple(m * c + 1 for c in ceilings)
+    return np.indices(shape).reshape(len(shape), math.prod(shape)).T
+
+
 def grid_region_numbers(
-    ceilings: Sequence[int], m: int, numbers: Mapping[RegionCode, int]
+    ceilings: Sequence[int], m: int, numbers: Mapping[RegionCode, int],
+    points: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Region number of every point of the m-grid over the ceiling box.
 
-    Points are the integer vectors ``j`` with ``0 <= j[i] <= m*ceilings[i]``
-    (valuation ``j/m``) in ``itertools.product`` order; ``numbers`` maps a
-    region to its number.  No grid point exceeds a ceiling, so its region
-    is fixed by an integer signature: per clock ``j // m`` and whether m
-    divides ``j``, and per pair of clocks the sign of ``j_a % m - j_b % m``
-    (:func:`_signatures`).  One exact :func:`region_of` call per distinct
-    signature numbers them all.
+    ``points`` are the :func:`grid_points` of the box, made here when not
+    given; ``numbers`` maps a region to its number.  No grid point exceeds
+    a ceiling, so its region is fixed by an integer signature: per clock
+    ``j // m`` and whether m divides ``j``, and per pair of clocks the
+    sign of ``j_a % m - j_b % m`` (:func:`_signatures`).  One exact
+    :func:`region_of` call per distinct signature numbers them all.
     """
-    k = len(ceilings)
-    shape = tuple(m * c + 1 for c in ceilings)
-    points = np.indices(shape).reshape(k, math.prod(shape)).T
+    if points is None:
+        points = grid_points(ceilings, m)
     whole, rest = np.divmod(points, m)
     signature = _signatures(whole, rest, np.zeros(points.shape, dtype=bool))
     return per_distinct_row(signature, lambda i: numbers[region_of(

@@ -5,11 +5,14 @@ The unit box spanned by the clock ceilings is discretized with step
 numerators of its valuation over m, and ``b``, its position in
 ``itertools.product`` order; a grid point is the integer cell
 ``c = (state * L + location) * B + b`` over L locations and B box points.
-Each box point is given its region number once, from an integer signature
-of its coordinates, and every cell inherits the class (final / alive /
-dead) of its region vertex and the jump rule of its region from the
-product graph's class and rule tables, by array lookups.  The alive
-cells, in cell order, are the unknowns of two equivalent sparse systems:
+What depends on the box point alone is worked out once per point, in
+tables of B rows: its region number (from an integer signature of its
+coordinates), the cells a saturated delay step adds, the cells a reset of
+each clock subset removes and its slice key.  Every cell inherits the
+class (final / alive / dead) of its region vertex and the jump rule of its
+region from the product graph's class and rule tables, and every row reads
+the point tables through its b, by array lookups.  The alive cells, in
+cell order, are the unknowns of two equivalent sparse systems:
 
 * the one-step form ``mu = C mu + d``: each interior row couples a point to
   its saturated diagonal-delay neighbour and to its jump successors;
@@ -68,12 +71,20 @@ class Grid:
     point with given integer coordinates (the numerators of its valuation
     over m), and ``horizons[k]``, computed on first read, is the horizon
     of row k (only the fallback sweeps and the unfolded form read it).
-    The exact pass of the solver reads two more per-row arrays, computed
-    on demand: ``point[k]``, the box point b of row k, and
+    The exact pass of the solver reads two more per-row arrays, stored
+    with the others: ``point[k]``, the box point b of row k, and
     ``slice_key[k]``, the sum of its coordinates over the clocks that no
     rule of the product graph resets, a sum that no jump or delay step
     lowers.  A query's exact start valuation becomes integer coordinates
     in one place, :func:`pathprob.solver._snap_to_grid`.
+
+    Rows are built from per-box-point tables, each read through the row's
+    b: the coordinates (:func:`regions.grid_points`), the region, the
+    cell step of the saturated delay, the cells removed by a reset of
+    each of the 2^k clock subsets (the column of a row's rule's reset
+    bits) and the slice key.  Rows come in one run per (state, location)
+    place, so the state and the rule table's (location, label) part of a
+    row are per-place values repeated over the run.
     """
 
     def __init__(self, chain: Ctmc, dta: Dta, graph: ProductGraph, m: int):
@@ -90,33 +101,55 @@ class Grid:
         self.box_size = math.prod(shape)
         self.strides = tuple(math.prod(shape[i + 1:]) for i in range(len(shape)))
         strides = np.array(self.strides, dtype=np.int64)
-        region = regions.grid_region_numbers(self.ceilings, m, graph.region_number)
 
-        self.cell_class = graph.class_table[:, :, region].ravel()
-        self.cells = np.flatnonzero(self.cell_class == ALIVE_CLASS)
+        # the per-box-point tables; column s of `removed` holds the cells
+        # a reset of the clocks in the bits of s removes
+        coords = regions.grid_points(self.ceilings, m)
+        region = regions.grid_region_numbers(self.ceilings, m,
+                                             graph.region_number, coords)
+        step = (coords < self.max_coords) @ strides
+        bits = 1 << np.arange(len(shape))
+        in_subset = (np.arange(1 << len(shape)) & bits[:, None]) != 0
+        removed = coords @ (in_subset * strides[:, None])
+        point_key = coords @ ~graph.rule_resets.any(axis=(0, 1, 2))
+
+        cell_class = graph.class_table[:, :, region]
+        alive = cell_class == ALIVE_CLASS
+        self.cell_class = cell_class.ravel()
+        self.cells = np.flatnonzero(alive)
         self.slot_of = np.full(self.d_m_size, -1, dtype=np.int32)
         self.slot_of[self.cells] = np.arange(len(self.cells))
 
-        b = self.cells % self.box_size
-        self.row_state, location = np.divmod(
-            self.cells // self.box_size, len(dta.locations)
-        )
-        coords = b[:, None] // strides % np.array(shape, dtype=np.int64)
+        # rows come in one run per place (state, location), in place
+        # order; a per-place quantity is repeated over its run
+        n_states, n_locations = len(chain.states), len(dta.locations)
+        run = np.count_nonzero(alive.reshape(n_states * n_locations, -1), axis=1)
+        b = self.cells - np.repeat(np.arange(len(run)) * self.box_size, run)
+        self.row_state = np.repeat(np.arange(n_states).repeat(n_locations), run)
+        self.point = b
+        self.slice_key = point_key[b]
         self.is_bmax = b == self.box_size - 1
-        stepped = self.cells + (coords < self.max_coords) @ strides
-        self.delay_row = np.where(self.is_bmax, -1, self.slot_of[stepped])
+        self.delay_row = np.where(self.is_bmax, -1,
+                                  self.slot_of[self.cells + step[b]])
 
+        # each row's rule, as a flat index into the (location, label,
+        # region) rule table, and its reset clocks as a clock subset
         label = np.array([graph.labels.index(a) for a in chain.labeling])
-        rule = (location, label[self.row_state], region[b])
-        target = graph.rule_target[rule]
-        after = b - (graph.rule_resets[rule] * coords) @ strides
+        n_labels, n_regions = len(graph.labels), len(graph.codes)
+        rule = np.repeat(
+            (np.arange(n_locations) * n_labels + label[:, None]) * n_regions, run
+        ) + region[b]
+        target = graph.rule_target.ravel()[rule]
+        reset = (graph.rule_resets @ bits).ravel()[rule]
+        after = b - removed.ravel()[b * removed.shape[1] + reset]
         self.to_final = np.array([q in dta.final for q in dta.locations])[target]
         self.jump_prob = np.array(chain.transition, dtype=np.float64)
-        jumps = (np.arange(len(chain.states)) * len(dta.locations)
-                 + target[:, None]) * self.box_size + after[:, None]
-        self.jump_rows = np.where(
-            self.jump_prob[self.row_state] > 0, self.slot_of[jumps], -1
-        )
+        # the jump to state u lands on cell u * L * B + target * B + after
+        landing = np.take(self.slot_of.reshape(n_states, -1),
+                          target.astype(np.int64) * self.box_size + after,
+                          axis=1).T
+        self.jump_rows = np.where((self.jump_prob > 0).take(self.row_state, axis=0),
+                                  landing, -1)
 
     def cell(self, state: str, location: str, coords: Sequence[int]) -> int:
         """Cell number of the point with integer coordinates ``coords``."""
@@ -125,19 +158,6 @@ class Grid:
         return place * self.box_size + sum(
             j * stride for j, stride in zip(coords, self.strides)
         )
-
-    @property
-    def point(self) -> np.ndarray:
-        return self.cells % self.box_size
-
-    @property
-    def slice_key(self) -> np.ndarray:
-        reset = self.graph.rule_resets.any(axis=(0, 1, 2))
-        key = np.zeros(len(self.cells), dtype=np.int64)
-        for stride, top, cleared in zip(self.strides, self.max_coords, reset):
-            if not cleared:
-                key += self.cells // stride % (top + 1)
-        return key
 
     @functools.cached_property
     def horizons(self) -> np.ndarray:
@@ -198,13 +218,14 @@ def _jump_entries(grid: Grid, rows: np.ndarray, at: np.ndarray,
     mass (value 1) to ``offset[rows]``, one CTMC state after another;
     alive targets are returned as (row, column, value) arrays in (row,
     state) order; dead targets contribute nothing."""
-    values = weight[:, None] * grid.jump_prob[grid.row_state[at]]
+    values = weight[:, None] * grid.jump_prob.take(grid.row_state[at], axis=0)
     final = grid.to_final[at]
+    done, mass = rows[final], values[final]
     for u in range(values.shape[1]):
-        offset[rows] += np.where(final, values[:, u], 0.0)
-    cols = grid.jump_rows[at]
-    hit = cols >= 0
-    return np.broadcast_to(rows[:, None], cols.shape)[hit], cols[hit], values[hit]
+        offset[done] += mass[:, u]
+    cols = grid.jump_rows.take(at, axis=0)
+    hit = np.flatnonzero(cols >= 0)  # (row, state) pairs in order, flat
+    return rows[hit // cols.shape[1]], cols.ravel()[hit], values.ravel()[hit]
 
 
 def _csr(grid: Grid, kind: str, offset: np.ndarray, *parts) -> SchemeSystem:
@@ -218,12 +239,16 @@ def _csr(grid: Grid, kind: str, offset: np.ndarray, *parts) -> SchemeSystem:
     rows, cols, vals = rows[order], cols[order], vals[order]
     first = np.ones(len(rows), dtype=bool)
     first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    data = np.zeros(int(first.sum()))
-    np.add.at(data, np.cumsum(first) - 1, vals)  # in order, per entry
+    if first.all():  # no pair repeats (always so in Γ′): nothing to fold,
+        data = vals  # and 0.0 + v is v, as no entry is -0.0
+    else:
+        data = np.zeros(int(first.sum()))
+        np.add.at(data, np.cumsum(first) - 1, vals)  # in order, per entry
+        rows, cols = rows[first], cols[first]
     indptr = np.zeros(len(offset) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows[first], minlength=len(offset)), out=indptr[1:])
+    np.cumsum(np.bincount(rows, minlength=len(offset)), out=indptr[1:])
     return SchemeSystem(kind=kind, grid=grid, indptr=indptr,
-                        indices=cols[first].astype(np.int64), data=data,
+                        indices=cols.astype(np.int64), data=data,
                         offset=offset)
 
 

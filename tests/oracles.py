@@ -13,9 +13,10 @@ loops check),
 the one-pass DTA validator against the interval-box overlap check and
 region cover sweep it replaced, the product graph against the
 per-(location, label, region) delay walk it replaced, the region-code
-delay walk and reset against the exact valuation walk, and the grid and
+delay walk and reset against the exact valuation walk, the grid and
 both assemblies against the dict-keyed, point-by-point versions they
-replaced.  The one exception is the reading of a start's values on a
+replaced, and the grid's per-row arrays against the per-row arithmetic
+that preceded its per-box-point tables.  The one exception is the reading of a start's values on a
 family of grids: the epsilon sizings, the grid query's error estimate and
 the ``convergence`` rows, as they stood before they shared one table, read
 those values straight from the package's solved grids, so that only the
@@ -34,10 +35,11 @@ from statistics import NormalDist
 from typing import (
     Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
+from unittest import mock
 
 import numpy as np
 
-from pathprob import regions
+from pathprob import regions, scheme
 from pathprob.dynamics import select_rule
 from pathprob.kernels import (
     CHUNK, WIDE, Blocks, SweepPlan, _row_step, _step_entries,
@@ -1233,6 +1235,119 @@ def assemble_gamma_double(grid: Grid) -> SchemeSystem:
         rows.append(row)
         consts.append(const)
     return _pack(rows, consts, grid, GAMMA_DOUBLE)
+
+
+# ---------------------------------------------------------------------------
+# The grid that worked out every per-row quantity from the row's cell: its
+# box point, coordinates, delay step, rule and reset by integer division
+# and products over (rows x clocks) and (rows x states) arrays, with
+# ``point`` and ``slice_key`` computed on each read, and the assembly
+# helpers it fed.  The package builds the same arrays from per-box-point
+# tables; :func:`per_row_system` runs a package assembler on these helpers.
+
+
+class PerRowGrid(scheme.Grid):
+    """:class:`pathprob.scheme.Grid` as built one row at a time."""
+
+    def __init__(self, chain: Ctmc, dta: Dta, graph: ProductGraph, m: int):
+        if m < 1:
+            raise ValueError("grid resolution m must be >= 1")
+        self.chain = chain
+        self.dta = dta
+        self.graph = graph
+        self.m = m
+        self.ceilings = dta.ceilings
+        self.max_coords = tuple(m * c for c in dta.ceilings)
+        self.d_m_size = grid_cells(chain, dta, m)
+        shape = tuple(mc + 1 for mc in self.max_coords)
+        self.box_size = math.prod(shape)
+        self.strides = tuple(math.prod(shape[i + 1:]) for i in range(len(shape)))
+        strides = np.array(self.strides, dtype=np.int64)
+        region = regions.grid_region_numbers(self.ceilings, m, graph.region_number)
+
+        self.cell_class = graph.class_table[:, :, region].ravel()
+        self.cells = np.flatnonzero(self.cell_class == ALIVE_CLASS)
+        self.slot_of = np.full(self.d_m_size, -1, dtype=np.int32)
+        self.slot_of[self.cells] = np.arange(len(self.cells))
+
+        b = self.cells % self.box_size
+        self.row_state, location = np.divmod(
+            self.cells // self.box_size, len(dta.locations)
+        )
+        coords = b[:, None] // strides % np.array(shape, dtype=np.int64)
+        self.is_bmax = b == self.box_size - 1
+        stepped = self.cells + (coords < self.max_coords) @ strides
+        self.delay_row = np.where(self.is_bmax, -1, self.slot_of[stepped])
+
+        label = np.array([graph.labels.index(a) for a in chain.labeling])
+        rule = (location, label[self.row_state], region[b])
+        target = graph.rule_target[rule]
+        after = b - (graph.rule_resets[rule] * coords) @ strides
+        self.to_final = np.array([q in dta.final for q in dta.locations])[target]
+        self.jump_prob = np.array(chain.transition, dtype=np.float64)
+        jumps = (np.arange(len(chain.states)) * len(dta.locations)
+                 + target[:, None]) * self.box_size + after[:, None]
+        self.jump_rows = np.where(
+            self.jump_prob[self.row_state] > 0, self.slot_of[jumps], -1
+        )
+
+    @property
+    def point(self) -> np.ndarray:
+        return self.cells % self.box_size
+
+    @property
+    def slice_key(self) -> np.ndarray:
+        reset = self.graph.rule_resets.any(axis=(0, 1, 2))
+        key = np.zeros(len(self.cells), dtype=np.int64)
+        for stride, top, cleared in zip(self.strides, self.max_coords, reset):
+            if not cleared:
+                key += self.cells // stride % (top + 1)
+        return key
+
+
+def per_row_jump_entries(grid: scheme.Grid, rows: np.ndarray, at: np.ndarray,
+                         weight: np.ndarray, offset: np.ndarray):
+    """The jump successors of the unknowns ``at``, weighted per row by
+    ``weight``, as entries of ``rows``.  A final target adds its weighted
+    mass (value 1) to ``offset[rows]``, one CTMC state after another;
+    alive targets are returned as (row, column, value) arrays in (row,
+    state) order; dead targets contribute nothing."""
+    values = weight[:, None] * grid.jump_prob[grid.row_state[at]]
+    final = grid.to_final[at]
+    for u in range(values.shape[1]):
+        offset[rows] += np.where(final, values[:, u], 0.0)
+    cols = grid.jump_rows[at]
+    hit = cols >= 0
+    return np.broadcast_to(rows[:, None], cols.shape)[hit], cols[hit], values[hit]
+
+
+def per_row_csr(grid: scheme.Grid, kind: str, offset: np.ndarray,
+                *parts) -> SchemeSystem:
+    """Pack (row, column, value) entries into rows sorted by column.
+    Entries sharing a row and a column are summed one after another, in
+    the order the parts list them: the order the scheme folds them in."""
+    rows, cols, vals = (np.concatenate(arrays) for arrays in zip(*parts))
+    # by row, then column: the key is one number per (row, column) pair,
+    # and the sort is stable, so ties keep their order
+    order = np.argsort(rows * len(offset) + cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    data = np.zeros(int(first.sum()))
+    np.add.at(data, np.cumsum(first) - 1, vals)  # in order, per entry
+    indptr = np.zeros(len(offset) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[first], minlength=len(offset)), out=indptr[1:])
+    return SchemeSystem(kind=kind, grid=grid, indptr=indptr,
+                        indices=cols[first].astype(np.int64), data=data,
+                        offset=offset)
+
+
+def per_row_system(assemble, grid) -> SchemeSystem:
+    """``assemble(grid)``, a package assembler, run on the jump-entry and
+    CSR helpers above."""
+    with mock.patch.multiple(scheme, _jump_entries=per_row_jump_entries,
+                             _csr=per_row_csr):
+        return assemble(grid)
 
 
 # ---------------------------------------------------------------------------

@@ -215,7 +215,9 @@ def test_boundary_row_defect_above_contraction(departure, departure_graph):
 
 # sha256 over (indptr, indices, data, offset, horizons, is_bmax), each array
 # with its dtype and shape, as assembled at commit ab91117 by the grid that
-# keyed its unknowns by Fraction valuations.
+# keyed its unknowns by Fraction valuations; the m = 64 entry, the README
+# grid, as assembled at commit f9ff366 by the grid that worked out each
+# row's quantities one row at a time.
 GOLDEN_DIGESTS = {
     ("unit_deadline", 4, "gamma_prime"):
         "8ce5ae19328728083a0466a9edb1e44ae99468c810ad1556bac5eed94f2c842d",
@@ -249,6 +251,8 @@ GOLDEN_DIGESTS = {
         "2b73ce1bf401208d2cd8e50b3a8c4b989fe1902846242df544bbe74f302c1506",
     ("exposure_window", 32, "gamma_double"):
         "e1931b258faa93556d1c00936c814b957b5a4da0a790f695d98d9ad691c5bcd5",
+    ("exposure_window", 64, "gamma_prime"):
+        "829ddc42f6924f1db5585459dbd1542113cee9b4c2658f7767e12e1ef0d7c75d",
     ("departure", 4, "gamma_prime"):
         "2d6ef9ad667707744e338642d3bee7dd83b0fbe5005560cb218cb113ff91eb46",
     ("departure", 4, "gamma_double"):
