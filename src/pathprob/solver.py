@@ -252,7 +252,8 @@ def error_report(
 class ApproxResult(NamedTuple):
     """The answer of a query.  ``solver_method`` and ``sweeps`` are those
     of the m-grid solve (:attr:`Solution.method`), or "shortcut" and 0
-    when a final or dead start was answered without solving.
+    when a final or dead start, or grid point, was answered without
+    solving.
     ``grid_probability`` is the grid value v_m at the reported m.
     ``richardson_level`` says which entry of the start's Richardson table
     the answer is (:func:`_empirical_m`): 0 for v_m itself, 1 for the
@@ -320,12 +321,22 @@ def approximate(
 
     Exactly one of ``m`` (grid resolution) and ``epsilon`` (target accuracy)
     must be given.  The start valuation is clamped into the ceiling box and
-    snapped to the nearest grid point; the Lipschitz slack of the snap is
-    part of the report.  Final locations answer exactly 1 and dead start
-    vertices exactly 0, without solving and, for an ``epsilon`` query,
-    without sizing a grid: the report is the probe's at m = 1, with bound
-    0.  A grid above :data:`MAX_GRID_CELLS` cells is refused with
-    :class:`ValueError` before any grid is built (:func:`_grid_table`).
+    snapped, once, to the nearest point of the m grid; the Lipschitz slack
+    of the snap is part of the report.  Final locations answer exactly 1
+    and dead start vertices exactly 0, without solving and, for an
+    ``epsilon`` query, without sizing a grid: the report is the probe's at
+    m = 1, with bound 0.  A grid above :data:`MAX_GRID_CELLS` cells is
+    refused with :class:`ValueError` before any grid is built
+    (:func:`_grid_table`).
+
+    The answer, the estimate and the solve report come from one
+    :func:`_grid_table` walk at the m grid's point: over the m/4, m/2 and
+    m grids with ``with_empirical`` when the start lies on the m/4 grid,
+    over the m and 2m grids with ``with_empirical`` otherwise, and over
+    the m grid alone without it.  A point that is final or dead, where the
+    start is not, reads its exact value and solves no grid; it is
+    reported as a final or dead start is, "shortcut" with 0 sweeps and
+    residual 0.0, and with ``with_empirical`` its estimate is 0.0.
 
     With ``with_empirical`` the report carries the empirical error
     estimate of v_m described at :func:`richardson_error`.
@@ -371,28 +382,26 @@ def approximate(
             m = row.m
 
     coords, distance = _snap_to_grid(eta, dta.ceilings, m)
-    if (with_empirical and m % 4 == 0
-            and _snap_to_grid(eta, dta.ceilings, m // 4)[1] == 0):
-        *_, row = _grid_table(chain, dta, state, location, eta, (m // 4, m // 2, m))
-        empirical = richardson_error(row)
-    elif with_empirical:
-        # the 2m grid is read at the m grid's point, not at a snap of its
-        # own; that point's m row is the answer unless the point is final or
-        # dead (and so solved nothing) where the start is not
+    if row is None or with_empirical:  # one walk, at the m grid's point
         point = tuple(Fraction(j, m) for j in coords)
-        near, finer = _grid_table(chain, dta, state, location, point, (m, 2 * m))
-        empirical = abs(finer.gap)
-        if near.solution is not None:
-            row = near
-    if row is None:
-        *_, row = _grid_table(chain, dta, state, location, eta, (m,))
+        if not with_empirical:
+            row, = _grid_table(chain, dta, state, location, point, (m,))
+        elif m % 4 or distance or any(j % 4 for j in coords):
+            row, finer = _grid_table(chain, dta, state, location, point, (m, 2 * m))
+            empirical = abs(finer.gap)
+        else:  # the start lies on the m/4 grid
+            *_, row = _grid_table(chain, dta, state, location, point,
+                                  (m // 4, m // 2, m))
+            empirical = richardson_error(row)
     report = error_report(graph, constants, m, empirical_estimate=empirical)
     report.snap_distance = float(distance)
     if distance:  # an infinite M1 times a zero snap is no slack, not NaN
         report.snap_slack = report.m1 * float(distance)
-    return ApproxResult(row.value if answer is None else answer, report,
-                        row.solution.residual, grid_cells(chain, dta, m),
-                        row.solution.method, row.solution.sweeps, row.value,
+    solution = row.solution  # None where the point is final or dead
+    residual, method, sweeps = ((0.0, "shortcut", 0) if solution is None else
+                                (solution.residual, solution.method, solution.sweeps))
+    return ApproxResult(row.value if answer is None else answer, report, residual,
+                        grid_cells(chain, dta, m), method, sweeps, row.value,
                         order, level)
 
 
@@ -439,13 +448,17 @@ def _grid_table(chain, dta, state, location, eta, grids):
     the :func:`observed_order` of g_{m/2} and g_m when the one before that
     was m/4.  A final or dead start reads its exact value on every grid
     without solving any, with solution None, so its gaps are 0 and its
-    orders None.  Before any grid is built, every m must be at least 1
-    and, unless the start is final or dead, the largest grid must have at
-    most :data:`MAX_GRID_CELLS` cells; otherwise :class:`ValueError`.
+    orders None.  On a grid where the start snaps to a point other than
+    itself, and that point is final or dead (:func:`_shortcut` at the
+    point), the row reads the point's exact value, again without a
+    solution.  Before any grid is built, every m must be at least 1 and,
+    unless the start is final or dead, the largest grid must have at most
+    :data:`MAX_GRID_CELLS` cells; otherwise :class:`ValueError`.
     """
     if any(m < 1 for m in grids):
         raise ValueError("grid resolution m must be >= 1")
-    shortcut = _shortcut(_analysis(chain, dta)[1], state, location, eta)
+    graph = _analysis(chain, dta)[1]
+    shortcut = _shortcut(graph, state, location, eta)
     if shortcut is None and grids:
         cells = grid_cells(chain, dta, max(grids))
         if cells > MAX_GRID_CELLS:
@@ -457,8 +470,12 @@ def _grid_table(chain, dta, state, location, eta, grids):
     for m in grids:
         value, solution = shortcut, None
         if shortcut is None:
+            coords, distance = _snap_to_grid(eta, dta.ceilings, m)
+            if distance:
+                value = _shortcut(graph, state, location,
+                                  tuple(Fraction(j, m) for j in coords))
+        if value is None:
             solution = _solved(chain, dta, m)
-            coords, _ = _snap_to_grid(eta, dta.ceilings, m)
             value = solution.value_of(solution.grid.cell(state, location, coords))
         gap = value - row.value if 2 * row.m == m else None
         row = GridRow(m, value, solution, gap, observed_order(row.gap, gap))
@@ -499,9 +516,13 @@ def _empirical_m(chain, dta, state, location, eta, epsilon):
     grid under :data:`MAX_GRID_CELLS`, and stop at the first grid where
     one of three tests passes, checked in this order.
 
-    1. The grid test: the gap g_m = v_m - v_{m/2} is at most epsilon/2.
-       The scheme is first order, so the gap tracks the error of the
-       finer grid; the answer is v_m (level 0).
+    1. The grid test: the gap g_m = v_m - v_{m/2} is at most epsilon/2,
+       and both rows were read from solved grids.  The scheme is first
+       order, so the gap tracks the error of the finer grid; the answer
+       is v_m (level 0).  A row read at a final or dead point instead
+       (:func:`_grid_table`) holds that point's exact value: from
+       x = 63/64 on ``unit_deadline`` the 8 and 16 grids both read the
+       dead x = 1, a gap of 0 that says nothing of the error.
     2. The extrapolant test: R_m = v_m + g_m cancels the first-order
        term of the error (Richardson's deferred approach to the limit).
        It holds when the start lies on the m/4 grid (and so on the m/2
@@ -538,9 +559,12 @@ def _empirical_m(chain, dta, state, location, eta, epsilon):
         grids.append(2 * grids[-1])
     *grids, m_required = grids
     r_half = r_quarter = None  # R_{m/2} and R_{m/4} once they are set
+    solved = None  # the previous row's solution
     for row in _grid_table(chain, dta, state, location, eta, grids):
-        if row.gap is not None and abs(row.gap) <= epsilon / 2:
+        if (row.gap is not None and abs(row.gap) <= epsilon / 2
+                and row.solution is not None and solved is not None):
             return row, row.value, 0, None, abs(row.gap)
+        solved = row.solution
         r = None if row.gap is None else row.value + row.gap
         # an order is set only when both gaps are, and neither is zero here
         if (row.order is not None

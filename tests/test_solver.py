@@ -281,15 +281,15 @@ def test_three_grid_estimate_covers_the_error_on_unit_deadline(
     assert result.report.empirical_estimate >= error
 
 
-# Each reference is the Richardson extrapolant at the observed order of
-# the start's grid values v_128, v_256 and v_512 (``approximate`` with
-# m = 128, 256, 512): v_512 + (v_512 - v_256) / (2^p - 1), where
-# p = observed_order(v_256 - v_128, v_512 - v_256) read 1.99, 0.99 and
-# 1.00 in the order listed.
+# Each reference is the second Richardson level S_512 of the start's grid
+# values v_64 … v_512 (``approximate`` with m = 64, 128, 256, 512):
+# S_m = R_m + (R_m - R_{m/2}) / 3 with R_m = 2 v_m - v_{m/2}, which
+# cancels the m^-1 and m^-2 terms of the error.  S_256 and S_512 differ
+# by 1.2e-8, 4.4e-8 and 9.7e-9 in the order listed.
 EXPOSURE_REFERENCES = {
-    ("a", (F(0), F(0))): 0.2642411180614609,
-    ("a", (F(1, 2), F(1, 4))): 0.09020241017335404,
-    ("b", (F(0), F(1, 2))): 0.23105703725312385,
+    ("a", (F(0), F(0))): 0.2642411194634245,
+    ("a", (F(1, 2), F(1, 4))): 0.09020401679461845,
+    ("b", (F(0), F(1, 2))): 0.23105691814518198,
 }
 
 
@@ -386,6 +386,18 @@ def test_empirical_sizing_against_the_doubling_rule_on_unit_deadline(
         assert result.report.m == 128
 
 
+# Each start snaps to the dead point x = 1 on the coarse grids (m = 8, 16
+# from 63/64), whose values of 0 agree; the grid test must not stop on them.
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-5, 1e-7])
+@pytest.mark.parametrize("x", [F(63, 64), F(127, 128), F(255, 256)])
+def test_empirical_sizing_past_grids_read_at_a_dead_point(unit_deadline, x,
+                                                          epsilon):
+    result = approximate(*unit_deadline, "s", "q0", (x,), epsilon=epsilon,
+                         force_empirical=True)
+    assert abs(result.probability - (1 - math.exp(-(1 - float(x))))) <= epsilon
+    assert result.solver_method == "exact"
+
+
 @pytest.mark.parametrize("epsilon", [1e-3, 1e-4])
 def test_empirical_sizing_against_the_doubling_rule_on_exposure_window(
         exposure_window, epsilon):
@@ -423,16 +435,32 @@ def test_epsilon_sizing_answers_as_the_walk_it_replaced_on_unit_deadline(
                                                  (x,), epsilon, levels=2)
 
 
-# x = 99/100 snaps to the dead point x = 1 on the m = 6 grid, which the
-# 2m estimate reads without solving the 2m grid
+# x = 99/100 snaps to the dead point x = 1 on the m = 4, 6 and 8 grids; the
+# query reads its exact 0 there and solves no grid, so it reports the
+# stats of a dead start where the old walk solved the m grid
 @pytest.mark.parametrize("m", [4, 6, 8, 64])
 @pytest.mark.parametrize("x", [F(0), F(1, 3), F(1, 10), F(1, 100), F(99, 100)])
 def test_grid_estimate_answers_as_the_walk_it_replaced_on_unit_deadline(
         unit_deadline, x, m):
     result = approximate(*unit_deadline, "s", "q0", (x,), m=m,
                          with_empirical=True)
-    assert _estimated(result) == _as_before(
-        *grid_estimate(*unit_deadline, "s", "q0", (x,), m))
+    value, solution, estimate = grid_estimate(*unit_deadline, "s", "q0", (x,), m)
+    if x == F(99, 100) and m < 64:
+        assert (value, estimate) == (0.0, 0.0)
+        assert _estimated(result) == (0.0, 0.0, 0.0, "shortcut", 0)
+    else:
+        assert _estimated(result) == _as_before(value, solution, estimate)
+
+
+@pytest.mark.parametrize("m,misses", [(6, 0), (64, 2)])
+def test_grid_query_solves_no_grid_at_a_dead_point(unit_deadline, m, misses):
+    """x = 99/100 snaps to the dead point x = 1 at m = 6 and to 63/64 at
+    m = 64: the first reads 0 on both the 6 and the 12 grid without
+    solving either, the second solves both."""
+    solver._solved.cache_clear()
+    approximate(*unit_deadline, "s", "q0", (F(99, 100),), m=m,
+                with_empirical=True)
+    assert solver._solved.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("start", list(EXPOSURE_REFERENCES))
@@ -456,12 +484,15 @@ def test_table_readers_answer_as_the_walks_they_replaced_on_exposure_window(
 
 def _sizing_on_values(monkeypatch, model, x, epsilon, value):
     """``_empirical_m`` from the start x of a one-clock model, on the
-    table of the values v_m = value(m) in place of solved grids."""
+    table of the values v_m = value(m) in place of solved grids.  Each
+    row stands for a solved grid: the sizing only tests that its solution
+    is set."""
     def table(chain, dta, state, location, eta, grids):
         row = GridRow(0, 0.0, None, None, None)
         for m in grids:
             gap = value(m) - row.value if 2 * row.m == m else None
-            row = GridRow(m, value(m), None, gap, observed_order(row.gap, gap))
+            row = GridRow(m, value(m), "solved", gap,
+                          observed_order(row.gap, gap))
             yield row
     monkeypatch.setattr(solver, "_grid_table", table)
     row, answer, level, order, change = solver._empirical_m(
