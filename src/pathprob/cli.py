@@ -210,8 +210,8 @@ def _cmd_convergence(args) -> int:
     if not grids:
         raise UsageError("--grids needs at least one resolution")
     rows = []
-    for row in solver._grid_table(chain, dta, args.state, args.location, eta,
-                                  grids):
+    for row in solver._grid_table(chain, dta, ((args.state, 1.0),),
+                                  args.location, eta, grids):
         if args.exact is not None:
             err = abs(row.value - args.exact)
         else:

@@ -278,7 +278,7 @@ def _analysis(chain: Ctmc, dta: Dta) -> Tuple[ModelConstants, ProductGraph]:
     return model_constants(chain, dta), build_graph(chain, dta)
 
 
-@lru_cache(maxsize=2)  # prob_from_distribution reads every state on one grid
+@lru_cache(maxsize=2)  # a repeated query rereads the two finest grids of its walk
 def _solved(chain: Ctmc, dta: Dta, m: int) -> Solution:
     _, graph = _analysis(chain, dta)
     return solve(assemble_gamma_prime(build_grid(chain, dta, graph, m)))
@@ -317,7 +317,8 @@ def approximate(
     force_empirical: bool = False,
     with_empirical: bool = False,
 ) -> ApproxResult:
-    """Approximate the acceptance probability from one starting triple.
+    """Approximate the acceptance probability from one starting triple,
+    the point mass ``((state, 1.0),)`` of :func:`prob_from_distribution`.
 
     Exactly one of ``m`` (grid resolution) and ``epsilon`` (target accuracy)
     must be given.  The start valuation is clamped into the ceiling box and
@@ -346,21 +347,29 @@ def approximate(
     extrapolant R_m or S_m, ``richardson_level`` is 1 or 2,
     ``observed_order`` is set and ``grid_probability`` keeps v_m.
     """
+    return _approximate(chain, dta, ((state, 1.0),), location, valuation,
+                        m, epsilon, force_empirical, with_empirical)
+
+
+def _approximate(chain, dta, weights, location, valuation, m=None,
+                 epsilon=None, force_empirical=False, with_empirical=False):
+    """:func:`approximate` on the ``(state, weight)`` pairs ``weights``."""
     if (m is None) == (epsilon is None):
         raise ValueError("specify exactly one of m and epsilon")
     if m is not None and m < 1:
         raise ValueError("grid resolution m must be >= 1")
     constants, graph = _analysis(chain, dta)
     eta = tuple(Fraction(v) for v in valuation)
-    shortcut = _shortcut(graph, state, location, eta)
+    shortcuts = [_shortcut(graph, state, location, eta) for state, _ in weights]
     if epsilon is not None and not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0,1)")
-    if shortcut is not None:
+    if None not in shortcuts:
+        value = _mix(weights, shortcuts)
         m = 1 if m is None else m
         report = error_report(graph, constants, m)
         report.theoretical_bound = 0.0
-        return ApproxResult(shortcut, report, 0.0, grid_cells(chain, dta, m),
-                            "shortcut", 0, shortcut, None, 0)
+        return ApproxResult(value, report, 0.0, grid_cells(chain, dta, m),
+                            "shortcut", 0, value, None, 0)
 
     row = answer = order = empirical = None
     level = 0
@@ -378,19 +387,19 @@ def approximate(
             )
         else:
             row, answer, level, order, empirical = _empirical_m(
-                chain, dta, state, location, eta, epsilon)
+                chain, dta, weights, location, eta, epsilon)
             m = row.m
 
     coords, distance = _snap_to_grid(eta, dta.ceilings, m)
     if row is None or with_empirical:  # one walk, at the m grid's point
         point = tuple(Fraction(j, m) for j in coords)
         if not with_empirical:
-            row, = _grid_table(chain, dta, state, location, point, (m,))
+            row, = _grid_table(chain, dta, weights, location, point, (m,))
         elif m % 4 or distance or any(j % 4 for j in coords):
-            row, finer = _grid_table(chain, dta, state, location, point, (m, 2 * m))
+            row, finer = _grid_table(chain, dta, weights, location, point, (m, 2 * m))
             empirical = abs(finer.gap)
         else:  # the start lies on the m/4 grid
-            *_, row = _grid_table(chain, dta, state, location, point,
+            *_, row = _grid_table(chain, dta, weights, location, point,
                                   (m // 4, m // 2, m))
             empirical = richardson_error(row)
     report = error_report(graph, constants, m, empirical_estimate=empirical)
@@ -403,6 +412,14 @@ def approximate(
     return ApproxResult(row.value if answer is None else answer, report, residual,
                         grid_cells(chain, dta, m), method, sweeps, row.value,
                         order, level)
+
+
+def _mix(weights, values) -> float:
+    """Sum w * v in the order given, from 0: a point mass reads v itself."""
+    total = 0
+    for (_, w), v in zip(weights, values):
+        total += w * v
+    return total
 
 
 def _shortcut(graph: ProductGraph, state: str, location: str, eta) -> Optional[float]:
@@ -429,7 +446,7 @@ def observed_order(coarse_gap: float, fine_gap: float) -> Optional[float]:
 
 
 class GridRow(NamedTuple):
-    """One grid of a start's Richardson table (see :func:`_grid_table`)."""
+    """One grid of a Richardson table (see :func:`_grid_table`)."""
 
     m: int
     value: float
@@ -438,28 +455,29 @@ class GridRow(NamedTuple):
     order: Optional[float]
 
 
-def _grid_table(chain, dta, state, location, eta, grids):
-    """Yield the start's Richardson table over the grid family ``grids``,
-    one :class:`GridRow` per grid, in the order given.
+def _grid_table(chain, dta, weights, location, eta, grids):
+    """Yield the Richardson table of the starts (s, location, eta), mixed
+    by the ``(s, weight)`` pairs ``weights``, over the grid family
+    ``grids``: one :class:`GridRow` per grid, in the order given.
 
-    Each row holds the value v_m at the start, snapped to the m grid
-    (:func:`_snap_to_grid`), and the :class:`Solution` it was read from.
-    The gap g_m = v_m - v_{m/2} is set when the previous grid was m/2, and
-    the :func:`observed_order` of g_{m/2} and g_m when the one before that
-    was m/4.  A final or dead start reads its exact value on every grid
-    without solving any, with solution None, so its gaps are 0 and its
-    orders None.  On a grid where the start snaps to a point other than
-    itself, and that point is final or dead (:func:`_shortcut` at the
-    point), the row reads the point's exact value, again without a
-    solution.  Before any grid is built, every m must be at least 1 and,
-    unless the start is final or dead, the largest grid must have at most
-    :data:`MAX_GRID_CELLS` cells; otherwise :class:`ValueError`.
+    Each row holds the :func:`_mix` v_m of the states' values at eta
+    snapped to the m grid (:func:`_snap_to_grid`), and the
+    :class:`Solution` they were read from, solved once if any state needs
+    it.  The gap g_m = v_m - v_{m/2} is set when the previous grid was
+    m/2, and the :func:`observed_order` of g_{m/2} and g_m when the one
+    before that was m/4.  A state whose start is final or dead reads its
+    exact value on every grid; so does, on a grid where the start snaps
+    to another point, a state that is final or dead at that point
+    (:func:`_shortcut` at the point).  A row where every state reads so
+    has no solution.  Before any grid is built, every m must be at least
+    1 and, unless every start is final or dead, the largest grid must
+    have at most :data:`MAX_GRID_CELLS` cells; otherwise ValueError.
     """
     if any(m < 1 for m in grids):
         raise ValueError("grid resolution m must be >= 1")
     graph = _analysis(chain, dta)[1]
-    shortcut = _shortcut(graph, state, location, eta)
-    if shortcut is None and grids:
+    shortcuts = [_shortcut(graph, state, location, eta) for state, _ in weights]
+    if None in shortcuts and grids:
         cells = grid_cells(chain, dta, max(grids))
         if cells > MAX_GRID_CELLS:
             raise ValueError(
@@ -468,15 +486,18 @@ def _grid_table(chain, dta, state, location, eta, grids):
             )
     row = GridRow(0, 0.0, None, None, None)  # before the first: no m is 2 * 0
     for m in grids:
-        value, solution = shortcut, None
-        if shortcut is None:
-            coords, distance = _snap_to_grid(eta, dta.ceilings, m)
-            if distance:
+        coords, distance = _snap_to_grid(eta, dta.ceilings, m)
+        solution, values = None, []
+        for (state, _), value in zip(weights, shortcuts):
+            if value is None and distance:
                 value = _shortcut(graph, state, location,
                                   tuple(Fraction(j, m) for j in coords))
-        if value is None:
-            solution = _solved(chain, dta, m)
-            value = solution.value_of(solution.grid.cell(state, location, coords))
+            if value is None:
+                if solution is None:
+                    solution = _solved(chain, dta, m)
+                value = solution.value_of(solution.grid.cell(state, location, coords))
+            values.append(value)
+        value = _mix(weights, values)
         gap = value - row.value if 2 * row.m == m else None
         row = GridRow(m, value, solution, gap, observed_order(row.gap, gap))
         yield row
@@ -511,10 +532,10 @@ def richardson_error(row: GridRow) -> Optional[float]:
     return SAFETY_FACTOR * abs(row.gap) / (2.0 ** row.order - 1.0)
 
 
-def _empirical_m(chain, dta, state, location, eta, epsilon):
-    """Size the grid on the table over m = 8, 16, ... up to the largest
-    grid under :data:`MAX_GRID_CELLS`, and stop at the first grid where
-    one of three tests passes, checked in this order.
+def _empirical_m(chain, dta, weights, location, eta, epsilon):
+    """Size the grid on the mixture's table over m = 8, 16, ... up to the
+    largest grid under :data:`MAX_GRID_CELLS`, and stop at the first grid
+    where one of three tests passes, checked in this order.
 
     1. The grid test: the gap g_m = v_m - v_{m/2} is at most epsilon/2,
        and both rows were read from solved grids.  The scheme is first
@@ -560,7 +581,7 @@ def _empirical_m(chain, dta, state, location, eta, epsilon):
     *grids, m_required = grids
     r_half = r_quarter = None  # R_{m/2} and R_{m/4} once they are set
     solved = None  # the previous row's solution
-    for row in _grid_table(chain, dta, state, location, eta, grids):
+    for row in _grid_table(chain, dta, weights, location, eta, grids):
         if (row.gap is not None and abs(row.gap) <= epsilon / 2
                 and row.solution is not None and solved is not None):
             return row, row.value, 0, None, abs(row.gap)
@@ -596,16 +617,14 @@ def prob_from_distribution(
     valuation: Sequence,
     **options,
 ) -> ApproxResult:
-    """Mix per-state answers by an initial distribution over states.
+    """:func:`approximate` from an initial distribution over states.
 
-    ``theta`` maps state names to exact weights in [0, 1] summing to one;
-    zero-weight states are skipped.  The grid probability mixes by the
-    same weights.  The reported bound is the worst per-state bound.  The
-    Richardson level is the highest among the states, and the observed
-    order the smallest among the states answered at that level (None at
-    level 0).  The solver method and sweeps are
-    those of the last state that needed a solve ("shortcut" and 0 when
-    none did).
+    ``theta`` maps state names to exact weights in [0, 1] summing to one.
+    One walk reads every state of positive weight on each grid, in the
+    order of ``theta``, and yields the mixed value sum w * v_m(s).  The
+    gaps, orders, extrapolants, estimate and epsilon stop read that
+    mixture, so the whole result describes the answer returned; on a
+    point mass it is that of :func:`approximate` in every field.
     """
     weights = {s: Fraction(w) for s, w in theta.items()}
     for s, w in weights.items():
@@ -616,33 +635,5 @@ def prob_from_distribution(
     unknown = set(weights) - set(chain.states)
     if unknown:
         raise ValueError(f"distribution names unknown states {sorted(unknown)}")
-    total = grid_total = 0.0
-    worst: Optional[ApproxResult] = None
-    level, orders = 0, []
-    residual = 0.0
-    cells = 0
-    method, sweeps = "shortcut", 0
-    for s, w in weights.items():
-        if w == 0:
-            continue
-        result = approximate(chain, dta, s, location, valuation, **options)
-        total += float(w) * result.probability
-        grid_total += float(w) * result.grid_probability
-        residual = max(residual, result.residual)
-        cells = max(cells, result.grid_points)
-        if result.solver_method != "shortcut":
-            method, sweeps = result.solver_method, result.sweeps
-        if result.richardson_level > level:
-            level, orders = result.richardson_level, []
-        if result.richardson_level == level and level > 0:
-            orders.append(result.observed_order)
-        if worst is None or _total_bound(result.report) > _total_bound(worst.report):
-            worst = result
-    if worst is None:
-        raise ValueError("initial distribution has no positive weight")
-    return ApproxResult(total, worst.report, residual, cells, method, sweeps,
-                        grid_total, min(orders, default=None), level)
-
-
-def _total_bound(report: ErrorReport) -> float:
-    return report.theoretical_bound + report.snap_slack
+    positive = tuple((s, float(w)) for s, w in weights.items() if w)
+    return _approximate(chain, dta, positive, location, valuation, **options)

@@ -20,7 +20,9 @@ that preceded its per-box-point tables.  The one exception is the reading of a s
 family of grids: the epsilon sizings, the grid query's error estimate and
 the ``convergence`` rows, as they stood before they shared one table, read
 those values straight from the package's solved grids, so that only the
-walk over the grids differs.  :func:`decode` reads a cell of the package's grid back as its
+walk over the grids differs.  :func:`prob_from_distribution` is the
+answer from an initial distribution as one query per state merged field
+by field, before one walk read every state.  :func:`decode` reads a cell of the package's grid back as its
 state, location and integer coordinates.  :func:`exact_one_clock` computes
 a one-clock model's acceptance probability without any grid, by transient
 analysis per unit interval of the clock.
@@ -56,7 +58,7 @@ from pathprob.scheme import (
 )
 from pathprob.solver import (
     MAX_GRID_CELLS, ORDER_MIN, ROMBERG_ORDER_MIN, SAFETY_FACTOR,
-    BoundInfeasibleError,
+    ApproxResult, BoundInfeasibleError, ErrorReport,
     _snap_to_grid, _solved, approximate, observed_order,
 )
 
@@ -1494,6 +1496,71 @@ def convergence_rows(chain, dta, state, location, eta, grids, exact=None):
         rows.append([m, 1.0 / m, value, err, "" if order is None else order])
         values.append(value)
     return rows
+
+
+# The answer from an initial distribution as it stood before one walk read
+# every state: one ``approximate`` query per state of positive weight, and
+# the answers merged field by field.
+
+
+def prob_from_distribution(
+    chain: Ctmc,
+    dta: Dta,
+    theta: Dict[str, object],
+    location: str,
+    valuation: Sequence,
+    **options,
+) -> ApproxResult:
+    """Mix per-state answers by an initial distribution over states.
+
+    ``theta`` maps state names to exact weights in [0, 1] summing to one;
+    zero-weight states are skipped.  The grid probability mixes by the
+    same weights.  The reported bound is the worst per-state bound.  The
+    Richardson level is the highest among the states, and the observed
+    order the smallest among the states answered at that level (None at
+    level 0).  The solver method and sweeps are
+    those of the last state that needed a solve ("shortcut" and 0 when
+    none did).
+    """
+    weights = {s: Fraction(w) for s, w in theta.items()}
+    for s, w in weights.items():
+        if not 0 <= w <= 1:
+            raise ValueError(f"initial weight {w} of state {s!r} is outside [0, 1]")
+    if sum(weights.values()) != 1:
+        raise ValueError(f"initial distribution sums to {sum(weights.values())}")
+    unknown = set(weights) - set(chain.states)
+    if unknown:
+        raise ValueError(f"distribution names unknown states {sorted(unknown)}")
+    total = grid_total = 0.0
+    worst: Optional[ApproxResult] = None
+    level, orders = 0, []
+    residual = 0.0
+    cells = 0
+    method, sweeps = "shortcut", 0
+    for s, w in weights.items():
+        if w == 0:
+            continue
+        result = approximate(chain, dta, s, location, valuation, **options)
+        total += float(w) * result.probability
+        grid_total += float(w) * result.grid_probability
+        residual = max(residual, result.residual)
+        cells = max(cells, result.grid_points)
+        if result.solver_method != "shortcut":
+            method, sweeps = result.solver_method, result.sweeps
+        if result.richardson_level > level:
+            level, orders = result.richardson_level, []
+        if result.richardson_level == level and level > 0:
+            orders.append(result.observed_order)
+        if worst is None or _total_bound(result.report) > _total_bound(worst.report):
+            worst = result
+    if worst is None:
+        raise ValueError("initial distribution has no positive weight")
+    return ApproxResult(total, worst.report, residual, cells, method, sweeps,
+                        grid_total, min(orders, default=None), level)
+
+
+def _total_bound(report: ErrorReport) -> float:
+    return report.theoretical_bound + report.snap_slack
 
 
 # ---------------------------------------------------------------------------

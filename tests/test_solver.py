@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pathprob import solver
 from pathprob.modelio import validate_pair
@@ -25,6 +27,7 @@ from pathprob.solver import (
     richardson_error,
     solve,
 )
+import oracles
 from oracles import (
     exact_one_clock, extrapolated_answer, grid_estimate, grid_sized_answer,
 )
@@ -281,16 +284,67 @@ def test_three_grid_estimate_covers_the_error_on_unit_deadline(
     assert result.report.empirical_estimate >= error
 
 
-# Each reference is the second Richardson level S_512 of the start's grid
+def _exposure_one_clock(dta):
+    """``exposure_window`` without clock y.  From a start with y <= x,
+    y stays at most x (y is only ever reset to 0), so every ``y<1`` term
+    holds wherever its ``x<1`` does and a rule that needs ``y>=1`` never
+    fires: drop those terms and rules, and y from the resets."""
+    rules = []
+    for rule in dta.rules:
+        on_y = {(t.op, t.bound) for t in rule.guard.terms if t.clock == 1}
+        assert on_y <= {("<", 1), (">=", 1)}, rule
+        if (">=", 1) not in on_y:
+            guard = Guard(tuple(t for t in rule.guard.terms if t.clock == 0))
+            rules.append(rule._replace(guard=guard, resets=rule.resets - {1}))
+    return replace(dta, clocks=dta.clocks[:1], rules=tuple(rules))
+
+
+@pytest.fixture(scope="module")
+def exposure_one_clock(exposure_window):
+    chain, dta = exposure_window
+    one_clock = _exposure_one_clock(dta)
+    validate_pair(chain, one_clock)
+    assert len(one_clock.rules) == len(dta.rules) - 2
+    return chain, one_clock
+
+
+def test_exposure_window_is_one_clock_where_y_is_at_most_x(
+        exposure_window, exposure_one_clock):
+    """The grids of both models agree to rounding at starts with y <= x,
+    which grounds the exact references below."""
+    for m in (16, 64, 128):
+        for state in "abc":
+            for location in ("q0", "q1"):
+                for x, y in ((F(0), F(0)), (F(1, 2), F(1, 4)),
+                             (F(3, 4), F(3, 4)), (F(1, 4), F(0))):
+                    two = approximate(*exposure_window, state, location,
+                                      (x, y), m=m)
+                    one = approximate(*exposure_one_clock, state, location,
+                                      (x,), m=m)
+                    assert abs(two.grid_probability - one.grid_probability) \
+                        <= 1e-15, (m, state, location, x, y)
+
+
+# The references from starts with y <= x are the exact acceptance
+# probabilities of the one-clock reduction (``exact_one_clock``).  The one
+# from (0, 1/2) is the second Richardson level S_512 of the start's grid
 # values v_64 … v_512 (``approximate`` with m = 64, 128, 256, 512):
 # S_m = R_m + (R_m - R_{m/2}) / 3 with R_m = 2 v_m - v_{m/2}, which
-# cancels the m^-1 and m^-2 terms of the error.  S_256 and S_512 differ
-# by 1.2e-8, 4.4e-8 and 9.7e-9 in the order listed.
+# cancels the m^-1 and m^-2 terms of the error; S_256 and S_512 differ
+# by 9.7e-9 there.
 EXPOSURE_REFERENCES = {
-    ("a", (F(0), F(0))): 0.2642411194634245,
-    ("a", (F(1, 2), F(1, 4))): 0.09020401679461845,
+    ("a", (F(0), F(0))): 0.2642411176571153,
+    ("a", (F(1, 2), F(1, 4))): 0.09020401043104985,
     ("b", (F(0), F(1, 2))): 0.23105691814518198,
 }
+
+
+def test_exposure_references_are_exact_where_y_is_at_most_x(
+        exposure_one_clock):
+    for (state, (x, y)), reference in EXPOSURE_REFERENCES.items():
+        if y <= x:
+            exact = exact_one_clock(*exposure_one_clock, state, "q0", x)
+            assert abs(exact - reference) <= 1e-14, (state, x, y)
 
 
 @pytest.mark.parametrize("m", [16, 32, 64, 128])
@@ -487,7 +541,7 @@ def _sizing_on_values(monkeypatch, model, x, epsilon, value):
     table of the values v_m = value(m) in place of solved grids.  Each
     row stands for a solved grid: the sizing only tests that its solution
     is set."""
-    def table(chain, dta, state, location, eta, grids):
+    def table(chain, dta, weights, location, eta, grids):
         row = GridRow(0, 0.0, None, None, None)
         for m in grids:
             gap = value(m) - row.value if 2 * row.m == m else None
@@ -496,7 +550,7 @@ def _sizing_on_values(monkeypatch, model, x, epsilon, value):
             yield row
     monkeypatch.setattr(solver, "_grid_table", table)
     row, answer, level, order, change = solver._empirical_m(
-        *model, "s", "q0", (x,), epsilon)
+        *model, (("s", 1.0),), "q0", (x,), epsilon)
     return row.m, answer, level, order
 
 
@@ -662,22 +716,30 @@ def test_distribution_reports_the_solver_method(unit_deadline):
     assert (dead.probability, dead.solver_method, dead.sweeps) == (0.0, "shortcut", 0)
 
 
+# a resets y when it leaves, so its value from (0, 1/2) is that from (0, 0)
+MIXED_REFERENCE = (EXPOSURE_REFERENCES[("a", (F(0), F(0)))]
+                   + EXPOSURE_REFERENCES[("b", (F(0), F(1, 2)))]) / 2
+
+
 def test_distribution_reports_an_order_when_a_state_was_extrapolated(
         exposure_window):
-    """From (0, 1/2) at epsilon = 1e-3, a stops on its grid test and b on
-    its extrapolant.  Both bounds are infinite, so a carries the report;
-    the order is b's, since the mixed answer is not the grid value."""
+    """From (0, 1/2) at epsilon = 1e-3, a alone stops on its grid test at
+    m = 16.  The mixture with b is sized on its own table and stops on
+    its extrapolant at m = 32, whose grid value mixes the states' values
+    on that grid."""
     start = ("q0", (F(0), F(1, 2)))
     options = dict(epsilon=1e-3, force_empirical=True)
     a = approximate(*exposure_window, "a", *start, **options)
-    b = approximate(*exposure_window, "b", *start, **options)
-    assert a.observed_order is None and b.observed_order is not None
+    assert (a.report.m, a.richardson_level) == (16, 0)
     mixed = prob_from_distribution(
         *exposure_window, {"a": F(1, 2), "b": F(1, 2)}, *start, **options)
-    assert mixed.report.m == a.report.m
+    assert (mixed.report.m, mixed.richardson_level) == (32, 1)
+    assert mixed.observed_order == pytest.approx(1.028, abs=1e-3)
+    values = [approximate(*exposure_window, s, *start, m=32).probability
+              for s in "ab"]
+    assert mixed.grid_probability == 0.5 * values[0] + 0.5 * values[1]
     assert mixed.probability != mixed.grid_probability
-    assert mixed.observed_order == b.observed_order
-    assert mixed.richardson_level == b.richardson_level > 0
+    assert abs(mixed.probability - MIXED_REFERENCE) <= 2e-5  # 1.8e-5
     grid = prob_from_distribution(
         *exposure_window, {"a": 1}, *start, **options)
     assert grid.observed_order is None
@@ -685,19 +747,110 @@ def test_distribution_reports_an_order_when_a_state_was_extrapolated(
     assert grid.probability == grid.grid_probability
 
 
-def test_distribution_reports_the_highest_level_and_its_least_order(
-        monkeypatch, unit_deadline):
-    """s answers on S_m at order 1.9 and g on R_m at order 0.8: the mix
-    reports level 2 and order 1.9, the smallest among the level-2
-    states, not 0.8."""
-    single = approximate(*unit_deadline, "s", "q0", (F(0),), m=4)
-    answers = {"s": single._replace(observed_order=1.9, richardson_level=2),
-               "g": single._replace(observed_order=0.8, richardson_level=1)}
-    monkeypatch.setattr(solver, "approximate",
-                        lambda chain, dta, state, *_, **__: answers[state])
+def test_mixed_grid_estimate_covers_the_error_of_the_mixture(
+        exposure_window):
+    """The estimate is that of the mixed values, whatever the order of the
+    weights.  The per-state merge reported a's estimate alone, 1.55e-4
+    against an error of 1.95e-3."""
+    start = ("q0", (F(0), F(1, 2)))
+    options = dict(m=16, with_empirical=True)
     mixed = prob_from_distribution(
-        *unit_deadline, {"s": F(1, 2), "g": F(1, 2)}, "q0", (F(0),), m=4)
-    assert (mixed.richardson_level, mixed.observed_order) == (2, 1.9)
+        *exposure_window, {"a": F(1, 2), "b": F(1, 2)}, *start, **options)
+    error = abs(mixed.probability - MIXED_REFERENCE)
+    assert mixed.report.empirical_estimate >= error
+    swapped = prob_from_distribution(
+        *exposure_window, {"b": F(1, 2), "a": F(1, 2)}, *start, **options)
+    assert swapped == mixed
+    merged = oracles.prob_from_distribution(
+        *exposure_window, {"a": F(1, 2), "b": F(1, 2)}, *start, **options)
+    assert merged.probability == mixed.probability
+    assert merged.report.empirical_estimate < error
+
+
+@pytest.mark.parametrize("m", [16, 128])
+def test_distribution_solves_each_grid_once(exposure_window, m):
+    """a and b read the m/4, m/2 and m grids of one walk."""
+    solver._solved.cache_clear()
+    prob_from_distribution(*exposure_window, {"a": F(1, 2), "b": F(1, 2)},
+                           "q0", (F(0), F(0)), m=m, with_empirical=True)
+    assert solver._solved.cache_info().misses == 3
+
+
+_MIXTURES = [
+    ("unit_deadline", {"s": F(1, 2), "g": F(1, 2)}, (F(0),)),
+    ("unit_deadline", {"g": F(1, 4), "s": F(3, 4)}, (F(1, 3),)),
+    ("unit_deadline", {"s": 1, "g": 0}, (F(99, 100),)),
+    ("exposure_window", {"a": F(1, 2), "b": F(1, 2)}, (F(0), F(1, 2))),
+    ("exposure_window", {"a": F(1, 4), "b": F(1, 4), "c": F(1, 2)},
+     (F(0), F(1))),  # b is dead at y = 1
+    ("exposure_window", {"c": F(1, 3), "a": 0, "b": F(2, 3)},
+     (F(1, 2), F(1, 4))),
+    ("exposure_window", {"a": F(1, 3), "b": F(1, 3), "c": F(1, 3)},
+     (F(1), F(0))),  # every state is dead at x = 1
+    ("departure", {"w": 1}, (F(1, 2),)),
+]
+
+
+@pytest.mark.parametrize("with_empirical", [False, True])
+@pytest.mark.parametrize("name,theta,eta", _MIXTURES)
+def test_distribution_mixes_grid_queries_as_the_merge_it_replaced(
+        request, name, theta, eta, with_empirical):
+    model = request.getfixturevalue(name)
+    for m in (4, 6, 8, 64):
+        new = prob_from_distribution(*model, theta, "q0", eta, m=m,
+                                     with_empirical=with_empirical)
+        old = oracles.prob_from_distribution(*model, theta, "q0", eta, m=m,
+                                             with_empirical=with_empirical)
+        assert (new.probability, new.grid_probability, new.residual,
+                new.grid_points) == (old.probability, old.grid_probability,
+                                     old.residual, old.grid_points), m
+
+
+@pytest.mark.parametrize("name,state,location,eta,options", [
+    ("unit_deadline", "s", "q0", (F(0),), dict(m=64, with_empirical=True)),
+    ("unit_deadline", "s", "q0", (F(1, 64),), dict(m=64, with_empirical=True)),
+    ("unit_deadline", "s", "q0", (F(99, 100),), dict(m=6, with_empirical=True)),
+    ("unit_deadline", "s", "q0", (F(1, 3),), dict(m=8)),
+    ("unit_deadline", "s", "q0", (F(0),),
+     dict(epsilon=1e-5, force_empirical=True)),
+    ("unit_deadline", "s", "q0", (F(63, 64),),
+     dict(epsilon=1e-5, force_empirical=True)),
+    ("unit_deadline", "g", "q0", (F(0),), dict(m=4, with_empirical=True)),
+    ("unit_deadline", "s", "q1", (F(0),), dict(epsilon=1e-3)),
+    ("exposure_window", "a", "q0", (F(1, 2), F(1, 4)),
+     dict(epsilon=1e-3, force_empirical=True)),
+    ("exposure_window", "b", "q0", (F(0), F(1, 2)),
+     dict(m=16, with_empirical=True)),
+    ("exposure_window", "a", "qsink", (F(0), F(0)), dict(m=8)),
+    ("departure", "w", "q0", (F(1, 2),), dict(m=8, with_empirical=True)),
+])
+def test_a_point_mass_answers_as_approximate(request, name, state, location,
+                                             eta, options):
+    model = request.getfixturevalue(name)
+    assert (prob_from_distribution(*model, {state: 1}, location, eta, **options)
+            == approximate(*model, state, location, eta, **options))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=15)
+@given(random_models(), st.sampled_from((2, 3, 4)))
+def test_uniform_distribution_mixes_as_the_merge_on_random_models(model, m):
+    chain, dta = model
+    assume(len(chain.states) >= 2)
+    eta = (F(0),) * len(dta.clocks)
+    uniform = {s: F(1, len(chain.states)) for s in chain.states}
+    new = prob_from_distribution(chain, dta, uniform, "q0", eta, m=m,
+                                 with_empirical=True)
+    old = oracles.prob_from_distribution(chain, dta, uniform, "q0", eta, m=m,
+                                         with_empirical=True)
+    assert (new.probability, new.grid_probability, new.residual,
+            new.grid_points) == (old.probability, old.grid_probability,
+                                 old.residual, old.grid_points)
+    assert 0.0 <= new.probability <= 1.0
+    for state in chain.states:
+        assert (prob_from_distribution(chain, dta, {state: 1}, "q0", eta, m=m,
+                                       with_empirical=True)
+                == approximate(chain, dta, state, "q0", eta, m=m,
+                               with_empirical=True))
 
 
 def test_distribution_skips_zero_weight_and_rejects_unnormalized(unit_deadline):
