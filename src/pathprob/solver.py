@@ -453,6 +453,7 @@ class GridRow(NamedTuple):
     solution: Optional[Solution]
     gap: Optional[float]
     order: Optional[float]
+    snapped_exact: bool = False  # a state read a final or dead snapped point
 
 
 def _grid_table(chain, dta, weights, location, eta, grids):
@@ -468,10 +469,11 @@ def _grid_table(chain, dta, weights, location, eta, grids):
     before that was m/4.  A state whose start is final or dead reads its
     exact value on every grid; so does, on a grid where the start snaps
     to another point, a state that is final or dead at that point
-    (:func:`_shortcut` at the point).  A row where every state reads so
-    has no solution.  Before any grid is built, every m must be at least
-    1 and, unless every start is final or dead, the largest grid must
-    have at most :data:`MAX_GRID_CELLS` cells; otherwise ValueError.
+    (:func:`_shortcut` at the point), and its row is ``snapped_exact``.
+    A row where every state reads an exact value has no solution.  Before
+    any grid is built, every m must be at least 1 and, unless every start
+    is final or dead, the largest grid must have at most
+    :data:`MAX_GRID_CELLS` cells; otherwise ValueError.
     """
     if any(m < 1 for m in grids):
         raise ValueError("grid resolution m must be >= 1")
@@ -487,11 +489,12 @@ def _grid_table(chain, dta, weights, location, eta, grids):
     row = GridRow(0, 0.0, None, None, None)  # before the first: no m is 2 * 0
     for m in grids:
         coords, distance = _snap_to_grid(eta, dta.ceilings, m)
-        solution, values = None, []
+        solution, values, snapped_exact = None, [], False
         for (state, _), value in zip(weights, shortcuts):
             if value is None and distance:
                 value = _shortcut(graph, state, location,
                                   tuple(Fraction(j, m) for j in coords))
+                snapped_exact = snapped_exact or value is not None
             if value is None:
                 if solution is None:
                     solution = _solved(chain, dta, m)
@@ -499,7 +502,8 @@ def _grid_table(chain, dta, weights, location, eta, grids):
             values.append(value)
         value = _mix(weights, values)
         gap = value - row.value if 2 * row.m == m else None
-        row = GridRow(m, value, solution, gap, observed_order(row.gap, gap))
+        row = GridRow(m, value, solution, gap, observed_order(row.gap, gap),
+                      snapped_exact)
         yield row
 
 
@@ -538,12 +542,16 @@ def _empirical_m(chain, dta, weights, location, eta, epsilon):
     where one of three tests passes, checked in this order.
 
     1. The grid test: the gap g_m = v_m - v_{m/2} is at most epsilon/2,
-       and both rows were read from solved grids.  The scheme is first
-       order, so the gap tracks the error of the finer grid; the answer
-       is v_m (level 0).  A row read at a final or dead point instead
-       (:func:`_grid_table`) holds that point's exact value: from
-       x = 63/64 on ``unit_deadline`` the 8 and 16 grids both read the
-       dead x = 1, a gap of 0 that says nothing of the error.
+       and neither row is ``snapped_exact``.  The scheme is first order,
+       so the gap tracks the error of the finer grid; the answer is v_m
+       (level 0).  A state that reads a final or dead point its start was
+       snapped to (:func:`_grid_table`) holds that point's exact value:
+       from x = 63/64 on ``unit_deadline`` the 8 and 16 grids both read
+       the dead x = 1, a gap of 0 that says nothing of the error.  In a
+       mixture such a state spoils the gap even where another state is
+       solved: {a: 1/2, b: 1/2} on ``exposure_window`` from
+       (0, 63/64) would stop at m = 16, 6.9e-3 from the answer at
+       epsilon = 1e-3, with b read at its dead y = 1 on both grids.
     2. The extrapolant test: R_m = v_m + g_m cancels the first-order
        term of the error (Richardson's deferred approach to the limit).
        It holds when the start lies on the m/4 grid (and so on the m/2
@@ -580,12 +588,12 @@ def _empirical_m(chain, dta, weights, location, eta, epsilon):
         grids.append(2 * grids[-1])
     *grids, m_required = grids
     r_half = r_quarter = None  # R_{m/2} and R_{m/4} once they are set
-    solved = None  # the previous row's solution
+    snapped_exact = True  # the previous row's, or True before the first
     for row in _grid_table(chain, dta, weights, location, eta, grids):
         if (row.gap is not None and abs(row.gap) <= epsilon / 2
-                and row.solution is not None and solved is not None):
+                and not (row.snapped_exact or snapped_exact)):
             return row, row.value, 0, None, abs(row.gap)
-        solved = row.solution
+        snapped_exact = row.snapped_exact
         r = None if row.gap is None else row.value + row.gap
         # an order is set only when both gaps are, and neither is zero here
         if (row.order is not None

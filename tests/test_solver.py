@@ -539,8 +539,8 @@ def test_table_readers_answer_as_the_walks_they_replaced_on_exposure_window(
 def _sizing_on_values(monkeypatch, model, x, epsilon, value):
     """``_empirical_m`` from the start x of a one-clock model, on the
     table of the values v_m = value(m) in place of solved grids.  Each
-    row stands for a solved grid: the sizing only tests that its solution
-    is set."""
+    row stands for a solved grid read at the start, so none is
+    ``snapped_exact``."""
     def table(chain, dta, weights, location, eta, grids):
         row = GridRow(0, 0.0, None, None, None)
         for m in grids:
@@ -804,6 +804,44 @@ def test_distribution_mixes_grid_queries_as_the_merge_it_replaced(
         assert (new.probability, new.grid_probability, new.residual,
                 new.grid_points) == (old.probability, old.grid_probability,
                                      old.residual, old.grid_points), m
+
+
+# b from (0, 63/64), where y > x: the second Richardson level S_512 of
+# its grid values v_64 … v_512, as for (0, 1/2); S_256 and S_512 differ
+# by 6.3e-9.  a resets y when it leaves, so its value is that from (0, 0).
+LATE_MIXED_REFERENCE = (EXPOSURE_REFERENCES[("a", (F(0), F(0)))]
+                        + 0.013700880438602184) / 2
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-5])
+def test_mixture_is_not_sized_on_a_state_read_at_a_snapped_dead_point(
+        exposure_window, epsilon):
+    """From (0, 63/64) the 8 and 16 grids snap y to the dead y = 1, where
+    b reads 0 on both, while a is solved.  The mixed gap at m = 16 is
+    then half of a's, within epsilon/2 at 1e-3, yet b's part of it says
+    nothing: the grid test must not stop there (it did, 6.9e-3 off)."""
+    theta = {"a": F(1, 2), "b": F(1, 2)}
+    start = ("q0", (F(0), F(63, 64)))
+    options = dict(epsilon=epsilon, force_empirical=True)
+    mixed = prob_from_distribution(*exposure_window, theta, *start, **options)
+    assert mixed.report.m > 16
+    assert abs(mixed.probability - LATE_MIXED_REFERENCE) <= epsilon
+
+
+@pytest.mark.parametrize("epsilon", [1e-3, 1e-5])
+@pytest.mark.parametrize("name,theta,eta", _MIXTURES + [
+    ("unit_deadline", {"s": F(1, 2), "g": F(1, 2)}, (F(63, 64),)),
+    ("exposure_window", {"a": F(1, 2), "b": F(1, 2)}, (F(0), F(63, 64))),
+])
+def test_distribution_sizes_epsilon_queries_near_the_merge_it_replaced(
+        request, name, theta, eta, epsilon):
+    """The mixture is sized on its own table, so its grid can differ from
+    every state's: the answers agree within epsilon, not bit for bit."""
+    model = request.getfixturevalue(name)
+    options = dict(epsilon=epsilon, force_empirical=True)
+    new = prob_from_distribution(*model, theta, "q0", eta, **options)
+    old = oracles.prob_from_distribution(*model, theta, "q0", eta, **options)
+    assert abs(new.probability - old.probability) <= epsilon
 
 
 @pytest.mark.parametrize("name,state,location,eta,options", [
