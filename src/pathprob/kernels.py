@@ -324,8 +324,6 @@ def _level_entries(indptr, indices, data, steps):
     and for the others, which read a row of the level, their places in
     the level's stacked ``I - M``, flattened, and the values there."""
     blocky = np.array([blocks is not None for _, _, blocks in steps])
-    if not blocky.any():
-        return
     lo, hi = np.array([(lo, hi) for lo, hi, _ in steps]).T
     counts = indptr[hi] - indptr[lo]
     # each entry's column counted from its step's first row, which reads

@@ -395,9 +395,9 @@ def _approximate(chain, dta, weights, location, valuation, m=None,
         point = tuple(Fraction(j, m) for j in coords)
         if not with_empirical:
             row, = _grid_table(chain, dta, weights, location, point, (m,))
-        elif m % 4 or distance or any(j % 4 for j in coords):
+        elif m % 4 or _snap_to_grid(eta, dta.ceilings, m // 4)[1]:
             row, finer = _grid_table(chain, dta, weights, location, point, (m, 2 * m))
-            empirical = abs(finer.gap)
+            empirical = SAFETY_FACTOR * 2 * abs(finer.gap)
         else:  # the start lies on the m/4 grid
             *_, row = _grid_table(chain, dta, weights, location, point,
                                   (m // 4, m // 2, m))
@@ -446,14 +446,14 @@ def observed_order(coarse_gap: float, fine_gap: float) -> Optional[float]:
 
 
 class GridRow(NamedTuple):
-    """One grid of a Richardson table (see :func:`_grid_table`)."""
+    """One grid of a Richardson table (see :func:`_grid_table`); ``gap``
+    and ``order`` are None where they are undefined."""
 
     m: int
     value: float
     solution: Optional[Solution]
     gap: Optional[float]
     order: Optional[float]
-    snapped_exact: bool = False  # a state read a final or dead snapped point
 
 
 def _grid_table(chain, dta, weights, location, eta, grids):
@@ -464,15 +464,17 @@ def _grid_table(chain, dta, weights, location, eta, grids):
     Each row holds the :func:`_mix` v_m of the states' values at eta
     snapped to the m grid (:func:`_snap_to_grid`), and the
     :class:`Solution` they were read from, solved once if any state needs
-    it.  The gap g_m = v_m - v_{m/2} is set when the previous grid was
-    m/2, and the :func:`observed_order` of g_{m/2} and g_m when the one
-    before that was m/4.  A state whose start is final or dead reads its
-    exact value on every grid; so does, on a grid where the start snaps
-    to another point, a state that is final or dead at that point
-    (:func:`_shortcut` at the point), and its row is ``snapped_exact``.
-    A row where every state reads an exact value has no solution.  Before
-    any grid is built, every m must be at least 1 and, unless every start
-    is final or dead, the largest grid must have at most
+    it.  A state whose start is final or dead reads its exact value on
+    every grid; so does, on a grid where the start snaps to another
+    point, a state that is final or dead at that point (:func:`_shortcut`
+    at the point).  A row where every state reads an exact value has no
+    solution.  The gap g_m = v_m - v_{m/2} is set when the previous grid
+    was m/2 and neither grid read such a snapped exact value, whose
+    difference says nothing of the error: from x = 63/64 on
+    ``unit_deadline`` the 8 and 16 grids both read the dead x = 1.  The
+    :func:`observed_order` of g_{m/2} and g_m is set where both gaps are.
+    Before any grid is built, every m must be at least 1 and, unless
+    every start is final or dead, the largest grid must have at most
     :data:`MAX_GRID_CELLS` cells; otherwise ValueError.
     """
     if any(m < 1 for m in grids):
@@ -487,23 +489,25 @@ def _grid_table(chain, dta, weights, location, eta, grids):
                 f"max_grid_cells = {MAX_GRID_CELLS}"
             )
     row = GridRow(0, 0.0, None, None, None)  # before the first: no m is 2 * 0
+    snapped_before = False  # the previous grid read a snapped exact value
     for m in grids:
         coords, distance = _snap_to_grid(eta, dta.ceilings, m)
-        solution, values, snapped_exact = None, [], False
+        solution, values, snapped = None, [], False
         for (state, _), value in zip(weights, shortcuts):
             if value is None and distance:
                 value = _shortcut(graph, state, location,
                                   tuple(Fraction(j, m) for j in coords))
-                snapped_exact = snapped_exact or value is not None
+                snapped = snapped or value is not None
             if value is None:
                 if solution is None:
                     solution = _solved(chain, dta, m)
                 value = solution.value_of(solution.grid.cell(state, location, coords))
             values.append(value)
         value = _mix(weights, values)
-        gap = value - row.value if 2 * row.m == m else None
-        row = GridRow(m, value, solution, gap, observed_order(row.gap, gap),
-                      snapped_exact)
+        gap = (value - row.value
+               if 2 * row.m == m and not (snapped or snapped_before) else None)
+        row = GridRow(m, value, solution, gap, observed_order(row.gap, gap))
+        snapped_before = snapped
         yield row
 
 
@@ -519,17 +523,18 @@ def richardson_error(row: GridRow) -> Optional[float]:
     the factor of safety 1.25 covers what the assumption misses.  On
     ``exposure_window`` from (a, q0, 0, 0) at m = 64 it reads 9.46e-6 at
     p = 1.95 against a true error of 7.37e-6.  It is None when a gap is
-    zero or p is below ORDER_MIN, where the values do not converge
-    regularly enough for the formula to mean anything.
+    zero or undefined (:func:`_grid_table`) or p is below ORDER_MIN, where
+    the values do not converge regularly enough for the formula to mean
+    anything.
 
     A grid query (:func:`approximate` with ``with_empirical``) reports it
-    when 4 divides m and the start lies on the m/4 grid (every clamped
-    clock a multiple of 4/m).  Any other grid query reads the m grid's
-    point on the 2m grid and reports |v_m - v_2m|.  On a first-order
-    scheme that tracks the error of the 2m value and under-reports that
-    of the reported v_m, which is about twice as large: on
-    ``unit_deadline`` from x = 1/64 at m = 64 it reads 1.42e-3 while the
-    reported value is 2.85e-3 from 1 - e^(-63/64).
+    when 4 divides m and the start lies on the m/4 grid.  Any other grid
+    query reads the m grid's point on the 2m grid and reports the same
+    index for the coarse value at the scheme's order p = 1,
+    SAFETY_FACTOR * 2 |v_m - v_2m|: on a first-order scheme |v_m - v_2m|
+    tracks the error of v_2m, and that of v_m is about twice as large.
+    On ``unit_deadline`` from x = 1/64 at m = 64 it reads 3.56e-3 against
+    an error of 2.85e-3 at the grid point, 1 - e^(-63/64).
     """
     if row.order is None or row.order < ORDER_MIN:
         return None
@@ -541,17 +546,14 @@ def _empirical_m(chain, dta, weights, location, eta, epsilon):
     largest grid under :data:`MAX_GRID_CELLS`, and stop at the first grid
     where one of three tests passes, checked in this order.
 
-    1. The grid test: the gap g_m = v_m - v_{m/2} is at most epsilon/2,
-       and neither row is ``snapped_exact``.  The scheme is first order,
-       so the gap tracks the error of the finer grid; the answer is v_m
-       (level 0).  A state that reads a final or dead point its start was
-       snapped to (:func:`_grid_table`) holds that point's exact value:
-       from x = 63/64 on ``unit_deadline`` the 8 and 16 grids both read
-       the dead x = 1, a gap of 0 that says nothing of the error.  In a
-       mixture such a state spoils the gap even where another state is
-       solved: {a: 1/2, b: 1/2} on ``exposure_window`` from
-       (0, 63/64) would stop at m = 16, 6.9e-3 from the answer at
-       epsilon = 1e-3, with b read at its dead y = 1 on both grids.
+    1. The grid test: the gap g_m = v_m - v_{m/2} is set and at most
+       epsilon/2.  The scheme is first order, so the gap tracks the error
+       of the finer grid; the answer is v_m (level 0).  No gap is set
+       next to a grid where a state read a final or dead point its start
+       was snapped to (:func:`_grid_table`), even where another state is
+       solved: {a: 1/2, b: 1/2} on ``exposure_window`` from (0, 63/64)
+       would stop at m = 16, 6.9e-3 from the answer at epsilon = 1e-3,
+       with b read at its dead y = 1 on both grids.
     2. The extrapolant test: R_m = v_m + g_m cancels the first-order
        term of the error (Richardson's deferred approach to the limit).
        It holds when the start lies on the m/4 grid (and so on the m/2
@@ -588,12 +590,9 @@ def _empirical_m(chain, dta, weights, location, eta, epsilon):
         grids.append(2 * grids[-1])
     *grids, m_required = grids
     r_half = r_quarter = None  # R_{m/2} and R_{m/4} once they are set
-    snapped_exact = True  # the previous row's, or True before the first
     for row in _grid_table(chain, dta, weights, location, eta, grids):
-        if (row.gap is not None and abs(row.gap) <= epsilon / 2
-                and not (row.snapped_exact or snapped_exact)):
+        if row.gap is not None and abs(row.gap) <= epsilon / 2:
             return row, row.value, 0, None, abs(row.gap)
-        snapped_exact = row.snapped_exact
         r = None if row.gap is None else row.value + row.gap
         # an order is set only when both gaps are, and neither is zero here
         if (row.order is not None

@@ -25,6 +25,14 @@ def exposure_window():
 
 
 @pytest.fixture(scope="session")
+def three_clock():
+    """Three clocks that all bind: ``exposure_window``'s chain, where s
+    resets y while z < 1, u resets z while y < 1, and g accepts, all
+    before x reaches two."""
+    return modelio.parse_model(str(MODELS / "three_clock.json"))
+
+
+@pytest.fixture(scope="session")
 def departure():
     """Single state, single clock, accepting once the clock passed one.
 

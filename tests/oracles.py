@@ -20,12 +20,17 @@ that preceded its per-box-point tables.  The one exception is the reading of a s
 family of grids: the epsilon sizings, the grid query's error estimate and
 the ``convergence`` rows, as they stood before they shared one table, read
 those values straight from the package's solved grids, so that only the
-walk over the grids differs.  :func:`prob_from_distribution` is the
+walk over the grids differs; so do :func:`flagged_grid_table` and
+:func:`flagged_empirical_m`, the table and the epsilon sizing as they
+stood when a flag marked the rows read at a snapped final or dead point.
+:func:`prob_from_distribution` is the
 answer from an initial distribution as one query per state merged field
 by field, before one walk read every state.  :func:`decode` reads a cell of the package's grid back as its
 state, location and integer coordinates.  :func:`exact_one_clock` computes
 a one-clock model's acceptance probability without any grid, by transient
-analysis per unit interval of the clock.
+analysis per unit interval of the clock, and :func:`exact_on_diagonal`
+that of a two-clock model along a diagonal whose resets land on a
+one-clock reduction.
 """
 
 import itertools
@@ -58,8 +63,9 @@ from pathprob.scheme import (
 )
 from pathprob.solver import (
     MAX_GRID_CELLS, ORDER_MIN, ROMBERG_ORDER_MIN, SAFETY_FACTOR,
-    ApproxResult, BoundInfeasibleError, ErrorReport,
-    _snap_to_grid, _solved, approximate, observed_order,
+    ApproxResult, BoundInfeasibleError, ErrorReport, Solution,
+    _analysis, _mix, _shortcut, _snap_to_grid, _solved, approximate,
+    observed_order,
 )
 
 
@@ -1498,6 +1504,115 @@ def convergence_rows(chain, dta, state, location, eta, grids, exact=None):
     return rows
 
 
+# The Richardson table and the epsilon sizing as they stood when a row
+# flagged a state read at a final or dead point its start was snapped to,
+# and the grid test skipped a gap next to such a row; the table now leaves
+# that gap undefined.  Only the names differ from the code they were.
+
+
+class FlaggedRow(NamedTuple):
+    """One grid of a Richardson table (see :func:`flagged_grid_table`)."""
+
+    m: int
+    value: float
+    solution: Optional[Solution]
+    gap: Optional[float]
+    order: Optional[float]
+    snapped_exact: bool = False  # a state read a final or dead snapped point
+
+
+def flagged_grid_table(chain, dta, weights, location, eta, grids):
+    """Yield the Richardson table of the starts (s, location, eta), mixed
+    by the ``(s, weight)`` pairs ``weights``, over the grid family
+    ``grids``: one :class:`FlaggedRow` per grid, in the order given.
+
+    Each row holds the :func:`_mix` v_m of the states' values at eta
+    snapped to the m grid (:func:`_snap_to_grid`), and the
+    :class:`Solution` they were read from, solved once if any state needs
+    it.  The gap g_m = v_m - v_{m/2} is set when the previous grid was
+    m/2, and the :func:`observed_order` of g_{m/2} and g_m when the one
+    before that was m/4.  A state whose start is final or dead reads its
+    exact value on every grid; so does, on a grid where the start snaps
+    to another point, a state that is final or dead at that point
+    (:func:`_shortcut` at the point), and its row is ``snapped_exact``.
+    A row where every state reads an exact value has no solution.  Before
+    any grid is built, every m must be at least 1 and, unless every start
+    is final or dead, the largest grid must have at most
+    :data:`MAX_GRID_CELLS` cells; otherwise ValueError.
+    """
+    if any(m < 1 for m in grids):
+        raise ValueError("grid resolution m must be >= 1")
+    graph = _analysis(chain, dta)[1]
+    shortcuts = [_shortcut(graph, state, location, eta) for state, _ in weights]
+    if None in shortcuts and grids:
+        cells = grid_cells(chain, dta, max(grids))
+        if cells > MAX_GRID_CELLS:
+            raise ValueError(
+                f"the m = {max(grids)} grid has {cells} cells, above the limit "
+                f"max_grid_cells = {MAX_GRID_CELLS}"
+            )
+    row = FlaggedRow(0, 0.0, None, None, None)  # before the first: no m is 2 * 0
+    for m in grids:
+        coords, distance = _snap_to_grid(eta, dta.ceilings, m)
+        solution, values, snapped_exact = None, [], False
+        for (state, _), value in zip(weights, shortcuts):
+            if value is None and distance:
+                value = _shortcut(graph, state, location,
+                                  tuple(Fraction(j, m) for j in coords))
+                snapped_exact = snapped_exact or value is not None
+            if value is None:
+                if solution is None:
+                    solution = _solved(chain, dta, m)
+                value = solution.value_of(solution.grid.cell(state, location, coords))
+            values.append(value)
+        value = _mix(weights, values)
+        gap = value - row.value if 2 * row.m == m else None
+        row = FlaggedRow(m, value, solution, gap, observed_order(row.gap, gap),
+                         snapped_exact)
+        yield row
+
+
+def flagged_empirical_m(chain, dta, weights, location, eta, epsilon):
+    """The epsilon sizing on :func:`flagged_grid_table`: the grid, R and S
+    tests over m = 8, 16, ... up to the largest grid under
+    :data:`MAX_GRID_CELLS`, the grid test skipping a gap next to a
+    ``snapped_exact`` row.  Returns the row of the last grid, the answer,
+    its level, the order (None at level 0) and the difference compared
+    with epsilon/2."""
+    grids = [8]  # up to the first grid above the cap
+    while grid_cells(chain, dta, grids[-1]) <= MAX_GRID_CELLS:
+        grids.append(2 * grids[-1])
+    *grids, m_required = grids
+    r_half = r_quarter = None  # R_{m/2} and R_{m/4} once they are set
+    snapped_exact = True  # the previous row's, or True before the first
+    for row in flagged_grid_table(chain, dta, weights, location, eta, grids):
+        if (row.gap is not None and abs(row.gap) <= epsilon / 2
+                and not (row.snapped_exact or snapped_exact)):
+            return row, row.value, 0, None, abs(row.gap)
+        snapped_exact = row.snapped_exact
+        r = None if row.gap is None else row.value + row.gap
+        # an order is set only when both gaps are, and neither is zero here
+        if (row.order is not None
+                and _snap_to_grid(eta, dta.ceilings, row.m // 4)[1] == 0):
+            change = abs(r - r_half)
+            if row.order >= ORDER_MIN and change <= epsilon / 2:
+                return row, min(max(r, 0.0), 1.0), 1, row.order, change
+        if (r_quarter is not None
+                and _snap_to_grid(eta, dta.ceilings, row.m // 8)[1] == 0):
+            order = observed_order(r_half - r_quarter, r - r_half)
+            s = r + (r - r_half) / 3.0
+            change = abs(s - (r_half + (r_half - r_quarter) / 3.0))
+            if (order is not None and order >= ROMBERG_ORDER_MIN
+                    and change <= epsilon / 2):
+                return row, min(max(s, 0.0), 1.0), 2, order, change
+        r_half, r_quarter = r, r_half
+    raise BoundInfeasibleError(
+        f"empirical sizing exceeded {MAX_GRID_CELLS} grid cells before "
+        f"successive values or extrapolants settled within {epsilon / 2}",
+        m_required=m_required,
+    )
+
+
 # The answer from an initial distribution as it stood before one walk read
 # every state: one ``approximate`` query per state of positive weight, and
 # the answers merged field by field.
@@ -1683,3 +1798,67 @@ def exact_one_clock(chain: Ctmc, dta: Dta, state: str, location: str,
     w[alive] = np.linalg.solve(np.eye(len(alive)) - t[np.ix_(alive, alive)],
                                t[alive, n])
     return float(here[start] @ w)
+
+
+# The exact acceptance probability of a two-clock model on the diagonal
+# t -> (t, offset + t), where clock x is never reset and a reset of y lands
+# at (t, 0), from where the model is a one-clock model (its reduction
+# ``one_clock``, gated apart).  With D(t) the values of the non-final pairs
+# on the diagonal and U(t) those of the reduction at x = t, a sojourn of
+# rate E from t ending at tau reads D(tau), U(tau) or a final location by
+# the rule enabled at (tau, offset + tau), and one from the reduction
+# reads U(tau) or a final location.  So (D, U, 1) solves one linear ODE on
+# each piece of [0, ceiling of x) where no clock crosses an integer, as in
+# :func:`exact_one_clock`.
+
+
+def exact_on_diagonal(chain: Ctmc, dta: Dta, one_clock: Dta, state: str,
+                      location: str, offset) -> float:
+    """Acceptance probability from (state, location, (0, offset)) on the
+    two-clock ``dta``, by one matrix exponential per piece of the
+    diagonal (see above).  Past the ceiling of x, where every clock is
+    beyond its ceiling on the diagonal, no rule may lead to a final
+    location, so every value there is 0."""
+    if location in dta.final:
+        return 1.0
+    offset = Fraction(offset)
+    cx, cy = dta.ceilings
+    assert (one_clock.ceilings == (cx,) and cy <= cx + offset
+            and not any(0 in r.resets for r in dta.rules))
+    pairs = [(s, q) for s in chain.states for q in dta.locations
+             if q not in dta.final]
+    index = {p: i for i, p in enumerate(pairs)}
+    n = len(pairs)
+    rates = np.array([float(chain.exit_rates[chain.state_index(s)])
+                      for s, _ in pairs] * 2)
+
+    def reads(tau):
+        """The rows of (D, U) as reads of (D, U, 1) by jumps at tau."""
+        out = np.zeros((2 * n, 2 * n + 1))
+        for row, (s, q) in enumerate(pairs * 2):
+            i = chain.state_index(s)
+            on_diagonal = row < n
+            rule = (select_rule(dta, q, chain.labeling[i], (tau, offset + tau))
+                    if on_diagonal else
+                    select_rule(one_clock, q, chain.labeling[i], (tau,)))
+            for j, p in enumerate(chain.transition[i]):
+                if rule.target in dta.final:
+                    column = 2 * n
+                else:
+                    target = index[(chain.states[j], rule.target)]
+                    column = target + n * (not on_diagonal or 1 in rule.resets)
+                out[row, column] += float(p)
+        return out
+
+    tail = reads(Fraction(cx + 1))
+    assert not tail[:, 2 * n].any()  # no final location past the ceilings
+    z = np.zeros(2 * n + 1)
+    z[2 * n] = 1.0
+    cuts = sorted({Fraction(k) for k in range(cx + 1)} | {
+        k - offset for k in range(1, cy + 1) if 0 < k - offset < cx})
+    for a, b in reversed(list(zip(cuts, cuts[1:]))):
+        generator = np.zeros((2 * n + 1, 2 * n + 1))
+        generator[:2 * n] = rates[:, None] * (np.eye(2 * n, 2 * n + 1)
+                                              - reads((a + b) / 2))
+        z = _expm(-generator * float(b - a)) @ z
+    return float(z[index[(state, location)]])

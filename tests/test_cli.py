@@ -341,6 +341,25 @@ def test_convergence_rows_as_the_walk_they_replaced_on_unit_deadline(
     assert rows == [[str(c) for c in row] for row in expected]
 
 
+def test_convergence_leaves_no_order_next_to_a_grid_read_at_a_dead_point(
+        tmp_path, capsys, unit_deadline):
+    """From x = 63/64 the 4, 8 and 16 grids snap to the dead x = 1, so
+    the gap from 16 to 32 says nothing and the order at m = 64 that reads
+    it is empty (the loop it replaced wrote 1.0223678130284546).  The
+    values, errors and the order at m = 128 are as before."""
+    grids = [4, 8, 16, 32, 64, 128]
+    rows = _convergence_csv(capsys, tmp_path / "conv.csv", UNIT, "s", "q0",
+                            "x=63/64", ",".join(map(str, grids)))
+    expected = convergence_rows(*unit_deadline, "s", "q0",
+                                (Fraction(63, 64),), grids)
+    assert [row[:4] for row in rows] == [[str(c) for c in row[:4]]
+                                         for row in expected]
+    assert expected[4][4] == 1.0223678130284546
+    assert [row[4] for row in rows] == ["", "", "", "", "",
+                                        "7.978060391488102"]
+    assert expected[5][4] == 7.978060391488102
+
+
 @pytest.mark.parametrize("exact", [None, 0.25])
 def test_convergence_rows_as_the_walk_they_replaced_on_exposure_window(
         tmp_path, capsys, exposure_window, exact):
