@@ -214,6 +214,8 @@ def _cmd_convergence(args) -> int:
                                   args.location, eta, grids):
         if args.exact is not None:
             err = abs(row.value - args.exact)
+        elif rows and rows[-1][0] * 2 == row.m:  # the gap, empty where undefined
+            err = "" if row.gap is None else abs(row.gap)
         else:
             err = abs(row.value - rows[-1][2]) if rows else ""
         # the csv module writes a missing order, None, as an empty field

@@ -12,7 +12,8 @@ each clock subset removes and its slice key.  Every cell inherits the
 class (final / alive / dead) of its region vertex and the jump rule of its
 region from the product graph's class and rule tables, and every row reads
 the point tables through its b, by array lookups.  The alive cells, in
-cell order, are the unknowns of two equivalent sparse systems:
+cell order, at the box points a query's start reaches (or at all of
+them), are the unknowns of two equivalent sparse systems:
 
 * the one-step form ``mu = C mu + d``: each interior row couples a point to
   its saturated diagonal-delay neighbour and to its jump successors;
@@ -32,7 +33,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +43,7 @@ from .product import ALIVE_CLASS, ProductGraph
 
 GAMMA_PRIME = "gamma_prime"
 GAMMA_DOUBLE = "gamma_double"
+_NEVER = np.iinfo(np.int64).max  # the lower bound of a clock that fixes t
 
 
 def grid_cells(chain: Ctmc, dta: Dta, m: int) -> int:
@@ -54,14 +56,19 @@ def grid_cells(chain: Ctmc, dta: Dta, m: int) -> int:
 
 
 class Grid:
-    """All points of the m-grid for one (CTMC, DTA) pair, as cell numbers.
+    """The m-grid for one (CTMC, DTA) pair, as cell numbers: every point,
+    or with ``start`` the box points that the box point ``start`` (integer
+    coordinates) reaches, :func:`reachable_points`.
 
     ``cell_class[c]`` is the class of cell c (an index into
-    :data:`CLASS_NAMES`), ``cells[k]`` the cell of row k, the k-th unknown
-    in cell order, and ``slot_of[c]`` the row of cell c, or -1 when c is
-    dead or final.  Per row, ``row_state`` is its CTMC state number,
-    ``delay_row`` the row of its saturated rho-delay neighbour (-1 when
-    that point is dead, and on the all-ceilings boundary ``is_bmax``),
+    :data:`CLASS_NAMES`) at every point, ``cells[k]`` the cell of row k,
+    the k-th kept alive cell in cell order, and ``slot_of[c]`` the row of
+    cell c, or -1 when c is dead, final or not kept.  A box point is kept
+    or dropped with all its cells, and no kept row reads a dropped one, so
+    the rows of a kept point are those of the full grid.  Per row,
+    ``row_state`` is its CTMC state number, ``delay_row`` the row of its
+    saturated rho-delay neighbour (-1 when that point is dead, and on the
+    all-ceilings boundary ``is_bmax``),
     ``jump_rows[k, u]`` the row a jump to state u lands on (-1 when the
     jump has probability 0 or lands on a dead or final point) and
     ``to_final`` whether the rule enabled immediately after the point
@@ -87,7 +94,8 @@ class Grid:
     row are per-place values repeated over the run.
     """
 
-    def __init__(self, chain: Ctmc, dta: Dta, graph: ProductGraph, m: int):
+    def __init__(self, chain: Ctmc, dta: Dta, graph: ProductGraph, m: int,
+                 start: Optional[Sequence[int]] = None):
         if m < 1:
             raise ValueError("grid resolution m must be >= 1")
         self.chain = chain
@@ -111,10 +119,13 @@ class Grid:
         bits = 1 << np.arange(len(shape))
         in_subset = (np.arange(1 << len(shape)) & bits[:, None]) != 0
         removed = coords @ (in_subset * strides[:, None])
-        point_key = coords @ ~graph.rule_resets.any(axis=(0, 1, 2))
+        resettable = graph.rule_resets.any(axis=(0, 1, 2))
+        point_key = coords @ ~resettable
+        kept = (np.ones(self.box_size, dtype=bool) if start is None else
+                reachable_points(coords, self.max_coords, resettable, start))
 
         cell_class = graph.class_table[:, :, region]
-        alive = cell_class == ALIVE_CLASS
+        alive = (cell_class == ALIVE_CLASS) & kept
         self.cell_class = cell_class.ravel()
         self.cells = np.flatnonzero(alive)
         self.slot_of = np.full(self.d_m_size, -1, dtype=np.int32)
@@ -175,8 +186,43 @@ class Grid:
         return steps[:n]
 
 
-def build_grid(chain: Ctmc, dta: Dta, graph: ProductGraph, m: int) -> Grid:
-    return Grid(chain, dta, graph, m)
+def build_grid(chain: Ctmc, dta: Dta, graph: ProductGraph, m: int,
+               start: Optional[Sequence[int]] = None) -> Grid:
+    return Grid(chain, dta, graph, m, start)
+
+
+def reachable_points(coords: np.ndarray, top: Sequence[int],
+                     resettable: np.ndarray, start: Sequence[int]) -> np.ndarray:
+    """Which box points (rows of ``coords``) the point ``start`` reaches
+    by saturated rho-delay steps and resets of the ``resettable`` clocks.
+
+    A point p is reached after t >= 0 delay steps when every clock c
+    reads p_c = min(start_c + t, top_c), or, where c is resettable, was
+    reset at some step and reads p_c <= min(t, top_c).  So clock c admits
+    t = p_c - start_c and, from a lower bound on, every larger t: from
+    top_c - start_c when p_c = top_c, from p_c when c is resettable, and
+    from nowhere else.  A clock of the last kind fixes t, and every clock
+    must fit that t; where no clock fixes t, the largest lower bound fits
+    every clock.  The set is closed under both moves, so no row of a grid
+    kept to it reads a row outside it.
+    """
+    t_fixed, t_ray, clocks = _NEVER, 0, []
+    for p, top_c, start_c, reset in zip(coords.T, top, start, resettable.tolist()):
+        exact = p - start_c
+        below = p < top_c
+        if reset:
+            lower = np.where(below, p, exact)
+        else:
+            lower = np.where(below, _NEVER, exact)
+            t_fixed = np.minimum(t_fixed, np.where(below, exact, _NEVER))
+        t_ray = np.maximum(t_ray, lower)
+        clocks.append((exact, lower))
+    t = np.minimum(t_fixed, t_ray)
+    # an array also without clocks, where t is the scalar 0
+    kept = np.greater_equal(t, 0, out=np.empty(len(coords), dtype=bool))
+    for exact, lower in clocks:
+        kept &= (t == exact) | (t >= lower)
+    return kept
 
 
 @dataclass

@@ -90,13 +90,17 @@ class Solution:
     method: str
 
     def value_of(self, cell: int) -> float:
-        """Value at a cell of the grid (see :meth:`Grid.cell`)."""
+        """Value at a cell of the grid (see :meth:`Grid.cell`); ValueError
+        at an alive cell the grid did not keep."""
         cls = self.grid.cell_class[cell]
         if cls == FINAL_CLASS:
             return 1.0
         if cls == DEAD_CLASS:
             return 0.0
-        return min(max(float(self.values_raw[self.grid.slot_of[cell]]), 0.0), 1.0)
+        slot = self.grid.slot_of[cell]
+        if slot < 0:
+            raise ValueError(f"cell {cell} lies outside the points the grid kept")
+        return min(max(float(self.values_raw[slot]), 0.0), 1.0)
 
 
 def solve(
@@ -279,9 +283,12 @@ def _analysis(chain: Ctmc, dta: Dta) -> Tuple[ModelConstants, ProductGraph]:
 
 
 @lru_cache(maxsize=2)  # a repeated query rereads the two finest grids of its walk
-def _solved(chain: Ctmc, dta: Dta, m: int) -> Solution:
+def _solved(chain: Ctmc, dta: Dta, m: int, coords: Tuple[int, ...]) -> Solution:
+    """The m grid kept to the box points the start ``coords`` reaches,
+    solved; every state of a distribution shares the start, and so the
+    solve."""
     _, graph = _analysis(chain, dta)
-    return solve(assemble_gamma_prime(build_grid(chain, dta, graph, m)))
+    return solve(assemble_gamma_prime(build_grid(chain, dta, graph, m, coords)))
 
 
 def _snap_to_grid(eta: Sequence, ceilings: Sequence[int], m: int):
@@ -500,7 +507,7 @@ def _grid_table(chain, dta, weights, location, eta, grids):
                 snapped = snapped or value is not None
             if value is None:
                 if solution is None:
-                    solution = _solved(chain, dta, m)
+                    solution = _solved(chain, dta, m, coords)
                 value = solution.value_of(solution.grid.cell(state, location, coords))
             values.append(value)
         value = _mix(weights, values)

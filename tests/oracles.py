@@ -1369,7 +1369,7 @@ def per_row_system(assemble, grid) -> SchemeSystem:
 def _value_at(chain, dta, state, location, coords, m):
     """The solved m-grid's value at integer coordinates ``coords``, and
     the solution it was read from."""
-    solution = _solved(chain, dta, m)
+    solution = _solved(chain, dta, m, tuple(coords))
     return solution.value_of(solution.grid.cell(state, location, coords)), solution
 
 
@@ -1562,7 +1562,7 @@ def flagged_grid_table(chain, dta, weights, location, eta, grids):
                 snapped_exact = snapped_exact or value is not None
             if value is None:
                 if solution is None:
-                    solution = _solved(chain, dta, m)
+                    solution = _solved(chain, dta, m, coords)
                 value = solution.value_of(solution.grid.cell(state, location, coords))
             values.append(value)
         value = _mix(weights, values)

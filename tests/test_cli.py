@@ -344,20 +344,39 @@ def test_convergence_rows_as_the_walk_they_replaced_on_unit_deadline(
 def test_convergence_leaves_no_order_next_to_a_grid_read_at_a_dead_point(
         tmp_path, capsys, unit_deadline):
     """From x = 63/64 the 4, 8 and 16 grids snap to the dead x = 1, so
-    the gap from 16 to 32 says nothing and the order at m = 64 that reads
-    it is empty (the loop it replaced wrote 1.0223678130284546).  The
-    values, errors and the order at m = 128 are as before."""
+    the gaps from 4 to 8, 8 to 16 and 16 to 32 say nothing: their error
+    fields are empty (the loop it replaced wrote 0.0, 0.0 and 0.0303), and
+    so is the order at m = 64 that reads the last (it wrote
+    1.0223678130284546).  The values, the errors at m = 64 and 128 and
+    the order at m = 128 are as before."""
     grids = [4, 8, 16, 32, 64, 128]
     rows = _convergence_csv(capsys, tmp_path / "conv.csv", UNIT, "s", "q0",
                             "x=63/64", ",".join(map(str, grids)))
     expected = convergence_rows(*unit_deadline, "s", "q0",
                                 (Fraction(63, 64),), grids)
-    assert [row[:4] for row in rows] == [[str(c) for c in row[:4]]
+    assert [row[:3] for row in rows] == [[str(c) for c in row[:3]]
                                          for row in expected]
+    assert [row[3] for row in rows] == ["", "", "", "", str(expected[4][3]),
+                                        str(expected[5][3])]
+    assert [row[3] for row in expected[1:4]] == [0.0, 0.0, 0.030303030303030304]
     assert expected[4][4] == 1.0223678130284546
     assert [row[4] for row in rows] == ["", "", "", "", "",
                                         "7.978060391488102"]
     assert expected[5][4] == 7.978060391488102
+
+
+@pytest.mark.parametrize("grids", [[4, 12, 32], [64, 32, 16, 8]])
+def test_convergence_keeps_the_plain_difference_where_the_grids_do_not_double(
+        tmp_path, capsys, unit_deadline, grids):
+    """Next to a grid read at the dead x = 1, a grid list that does not
+    double still writes the difference to the previous row: from x = 63/64
+    the 4 and 12 grids, and the 16 and 8 grids, read the dead point."""
+    rows = _convergence_csv(capsys, tmp_path / "conv.csv", UNIT, "s", "q0",
+                            "x=63/64", ",".join(map(str, grids)))
+    expected = convergence_rows(*unit_deadline, "s", "q0",
+                                (Fraction(63, 64),), grids)
+    assert rows == [[str(c) for c in row] for row in expected]
+    assert all(row[3] != "" for row in rows[1:])
 
 
 @pytest.mark.parametrize("exact", [None, 0.25])
