@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import mc, modelio, solver
-from .models import ModelIntegrityError, model_constants
+from .models import ModelIntegrityError
 from .product import build_graph
 from .solver import BoundInfeasibleError, SolverError
 
@@ -195,7 +195,7 @@ def _cmd_graph(args) -> int:
 def _cmd_bound(args) -> int:
     chain, dta = modelio.parse_model(args.model)
     graph = build_graph(chain, dta)
-    report = solver.error_report(graph, model_constants(chain, dta), args.grid)
+    report = solver.error_report(graph, args.grid)
     _emit(modelio.report_document(report), None)
     return EXIT_OK
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from . import regions
-from .models import Dta, ModelIntegrityError, Rule
+from .models import Dta, Rule, the_enabled_rule
 
 
 @dataclass(frozen=True)
@@ -23,19 +23,13 @@ def select_rule(dta: Dta, location: str, signature: str, eta: Sequence) -> Rule:
     """The unique rule enabled at (location, signature, eta).
 
     On a validated automaton exactly one rule matches; anything else is a
-    model-integrity failure, not a user error.
+    model-integrity failure, not a user error, raised by
+    :func:`models.the_enabled_rule` as the product graph raises it.
     """
-    enabled = [
-        r
-        for r in dta.rules_from(location, signature)
-        if regions.guard_sat(eta, r.guard)
-    ]
-    if len(enabled) != 1:
-        raise ModelIntegrityError(
-            f"{len(enabled)} rules enabled at ({location},{signature}) for "
-            f"valuation {tuple(eta)}; the automaton is not deterministic+total"
-        )
-    return enabled[0]
+    return the_enabled_rule(
+        [r for r in dta.rules_from(location, signature)
+         if regions.guard_sat(eta, r.guard)],
+        location, signature, eta)
 
 
 def kappa(

@@ -215,7 +215,7 @@ def exact_plan(indptr, indices, slice_key, point, clocks) -> Optional[SweepPlan]
     if sub is None:
         return None
     level = int(slice_key.max(initial=0)) - slice_key
-    level *= int(sub.max()) + 1
+    level *= int(sub.max(initial=0)) + 1
     level += sub[point]
     del sub
     level *= points

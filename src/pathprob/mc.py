@@ -129,9 +129,12 @@ def estimate(
 ) -> Estimate:
     """Estimate the unbounded acceptance probability with early absorption.
 
-    The tracked clock valuation is saturated at the ceilings after every
-    step; values beyond a ceiling are interchangeable for the acceptance
-    probability, and saturation keeps the region lookup domain finite.
+    ``chain`` and ``dta`` must be ``graph``'s own (``graph.ctmc`` and
+    ``graph.dta``); they stay in the signature for callers that pass them
+    positionally.  The tracked clock valuation is saturated at the
+    ceilings after every step; values beyond a ceiling are
+    interchangeable for the acceptance probability, and saturation keeps
+    the region lookup domain finite.
     """
     if k_max is None:
         k_max = default_k_max(graph)

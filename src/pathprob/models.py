@@ -175,7 +175,7 @@ class Guard:
 
     def __post_init__(self):
         for t in self.terms:
-            if t.op not in ("<", "<=", ">", ">="):
+            if t.op not in regions.RELATIONS:
                 raise ValueError(f"unknown relation {t.op!r}")
             if t.bound < 0 or t.bound != int(t.bound):
                 raise ValueError(f"guard constant {t.bound!r} must be a natural")
@@ -194,6 +194,21 @@ class Rule(NamedTuple):
     guard: Guard
     resets: FrozenSet[int]
     target: str
+
+
+def the_enabled_rule(enabled: Sequence[Rule], location: str, signature: str,
+                     valuation: Sequence) -> Rule:
+    """The one rule of ``enabled``, the rules of (location, signature)
+    enabled at ``valuation``; no rule or several is a
+    :class:`ModelIntegrityError`, which a validated automaton never
+    raises.  Rule selection and the product graph both decide here."""
+    if len(enabled) != 1:
+        raise ModelIntegrityError(
+            f"{len(enabled)} rules enabled at ({location},{signature}) for "
+            f"valuation {tuple(valuation)}; the automaton is not "
+            f"deterministic+total"
+        )
+    return enabled[0]
 
 
 @dataclass(frozen=True)

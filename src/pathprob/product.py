@@ -30,6 +30,7 @@ check and the solver's shortcut all read these tables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,8 +40,8 @@ import numpy as np
 
 from . import regions
 from .models import (
-    Ctmc, Dta, ModelConstants, ModelIntegrityError, ValidationReport,
-    region_rules,
+    Ctmc, Dta, ModelConstants, ValidationReport, model_constants,
+    region_rules, the_enabled_rule,
 )
 
 FINAL = "final"
@@ -70,7 +71,13 @@ class ProductVertex(NamedTuple):
 
 @dataclass
 class ProductGraph:
-    """Built product graph; treat as immutable once constructed."""
+    """Built product graph; treat as immutable once constructed.
+
+    Below parsing the graph is the model: it carries the chain and the
+    automaton it was built from, and :attr:`constants`, their
+    :class:`ModelConstants`, so grids, error reports and the contraction
+    constant take the graph alone.
+    """
 
     ctmc: Ctmc
     dta: Dta
@@ -86,6 +93,12 @@ class ProductGraph:
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
+
+    @functools.cached_property
+    def constants(self) -> ModelConstants:
+        """:func:`model_constants` of the chain and the automaton, computed
+        on first read, so building a graph raises nothing it did not."""
+        return model_constants(self.ctmc, self.dta)
 
     def classes(self) -> Tuple[str, ...]:
         """Class name of every vertex, by vertex number."""
@@ -114,7 +127,8 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
     label, region) and the steps of the region's delay walk
     (:func:`regions.delay_walk`; no step is marginal, so each is its own
     plus region) reads each step's one enabled rule, raising
-    :class:`ModelIntegrityError` where none or several are enabled; the
+    :class:`ModelIntegrityError` where none or several are enabled
+    (:func:`models.the_enabled_rule`, as rule selection does); the
     rule at the first step fills the rule table.  The region after the
     reset, :func:`regions.reset_region`, is computed once per (step,
     reset clocks).  Edges fan out over the CTMC states with positive jump
@@ -150,14 +164,8 @@ def build_graph(chain: Ctmc, dta: Dta) -> ProductGraph:
             for r, walk in enumerate(walks):
                 seen = set()
                 for reached in walk:
-                    rules = enabled[qi][ai][reached]
-                    if len(rules) != 1:
-                        raise ModelIntegrityError(
-                            f"{len(rules)} rules enabled at ({q},{a}) for "
-                            f"valuation {reps[reached]}; the automaton is not "
-                            f"deterministic+total"
-                        )
-                    rule = rules[0]
+                    rule = the_enabled_rule(enabled[qi][ai][reached], q, a,
+                                            reps[reached])
                     target = location_number[rule.target]
                     if not seen:  # the plus region: the rule table's entry
                         rule_target[qi, ai, r] = target
@@ -234,35 +242,35 @@ def _log(q: Fraction) -> float:
     return math.log(q.numerator) - math.log(q.denominator)
 
 
-def _contraction_factors(graph: ProductGraph, constants: ModelConstants):
+def _contraction_factors(graph: ProductGraph):
     """``lambda_max * t_max``, ``p_min`` and ``lambda_min / (2|V|^2 +
-    lambda_min)``: 𝔠 is the product of the last two and exp(-first)."""
+    lambda_min)`` of the graph's model constants: 𝔠 is the product of the
+    last two and exp(-first)."""
     n = graph.vertex_count
+    constants = graph.constants
     lam_min = constants.lambda_min
     return (constants.lambda_max * constants.t_max, constants.p_min,
             lam_min / (2 * n * n + lam_min))
 
 
-def contraction_constant(
-    graph: ProductGraph, constants: ModelConstants
-) -> Contraction:
+def contraction_constant(graph: ProductGraph) -> Contraction:
     """Geometric-decay constant of the unfolded scheme and the grid
-    threshold above which the scheme matrix is provably a contraction.
+    threshold above which the scheme matrix is provably a contraction,
+    from the graph's vertex count and model constants.
 
     The float value is rounded down one ulp so the reported error bound
     (which divides by powers of this constant) stays conservative.  It
     underflows on fast chains (to 0.0 once lambda * t_max passes about
     745); :func:`log_contraction_constant` stays finite there.
     """
-    lam_t, p_min, share = _contraction_factors(graph, constants)
+    lam_t, p_min, share = _contraction_factors(graph)
     c = math.exp(-float(lam_t)) * float(p_min) * float(share)
     n = graph.vertex_count
     return Contraction(math.nextafter(c, 0.0), 2 * n * n + 1)
 
 
-def log_contraction_constant(graph: ProductGraph,
-                             constants: ModelConstants) -> float:
+def log_contraction_constant(graph: ProductGraph) -> float:
     """log 𝔠 = -lambda * t_max + log p_min + log(lambda_min / (2|V|^2 +
-    lambda_min)), rounded down one ulp like 𝔠 itself."""
-    lam_t, p_min, share = _contraction_factors(graph, constants)
+    lambda_min)) of the graph, rounded down one ulp like 𝔠 itself."""
+    lam_t, p_min, share = _contraction_factors(graph)
     return math.nextafter(-float(lam_t) + _log(p_min) + _log(share), -math.inf)

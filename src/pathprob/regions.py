@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
@@ -60,27 +61,24 @@ def reset(eta: Sequence, clocks: Iterable[int]) -> tuple:
     return tuple(0 * v if i in zeroed else v for i, v in enumerate(eta))
 
 
+# guard relation -> its test of a clock value against a bound; the one
+# place the relations are defined, read by guard evaluation here and by
+# guard validation in :class:`pathprob.models.Guard`
+RELATIONS: Mapping[str, Callable[[object, int], bool]] = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 def guard_sat(eta: Sequence, guard) -> bool:
-    """Exact satisfaction of a conjunctive guard at ``eta``."""
+    """Exact satisfaction of a conjunctive guard at ``eta``, each term
+    tested by its relation in :data:`RELATIONS`."""
     for term in guard.terms:
         if term.clock >= len(eta):
             raise UnknownClockError(
                 f"guard constrains clock #{term.clock} but the valuation has "
                 f"{len(eta)} clocks"
             )
-        v = eta[term.clock]
-        op = term.op
-        if op == "<":
-            ok = v < term.bound
-        elif op == "<=":
-            ok = v <= term.bound
-        elif op == ">":
-            ok = v > term.bound
-        elif op == ">=":
-            ok = v >= term.bound
-        else:
-            raise ValueError(f"unknown relation {op!r}")
-        if not ok:
+        if not RELATIONS[term.op](eta[term.clock], term.bound):
             return False
     return True
 

@@ -56,9 +56,10 @@ def grid_cells(chain: Ctmc, dta: Dta, m: int) -> int:
 
 
 class Grid:
-    """The m-grid for one (CTMC, DTA) pair, as cell numbers: every point,
-    or with ``start`` the box points that the box point ``start`` (integer
-    coordinates) reaches, :func:`reachable_points`.
+    """The m-grid of a product graph's model (its ``ctmc`` and ``dta``),
+    as cell numbers: every point, or with ``start`` the box points that
+    the box point ``start`` (integer coordinates) reaches,
+    :func:`reachable_points`.
 
     ``cell_class[c]`` is the class of cell c (an index into
     :data:`CLASS_NAMES`) at every point, ``cells[k]`` the cell of row k,
@@ -94,12 +95,12 @@ class Grid:
     row are per-place values repeated over the run.
     """
 
-    def __init__(self, chain: Ctmc, dta: Dta, graph: ProductGraph, m: int,
+    def __init__(self, graph: ProductGraph, m: int,
                  start: Optional[Sequence[int]] = None):
         if m < 1:
             raise ValueError("grid resolution m must be >= 1")
-        self.chain = chain
-        self.dta = dta
+        self.chain = chain = graph.ctmc
+        self.dta = dta = graph.dta
         self.graph = graph
         self.m = m
         self.ceilings = dta.ceilings
@@ -186,9 +187,11 @@ class Grid:
         return steps[:n]
 
 
-def build_grid(chain: Ctmc, dta: Dta, graph: ProductGraph, m: int,
+def build_grid(graph: ProductGraph, m: int,
                start: Optional[Sequence[int]] = None) -> Grid:
-    return Grid(chain, dta, graph, m, start)
+    """The m :class:`Grid` of ``graph``'s model, kept to the box points
+    ``start`` reaches when it is given."""
+    return Grid(graph, m, start)
 
 
 def reachable_points(coords: np.ndarray, top: Sequence[int],

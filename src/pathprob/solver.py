@@ -34,7 +34,7 @@ from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import kernels
-from .models import Ctmc, Dta, ModelConstants, check_start, model_constants
+from .models import Ctmc, Dta, check_start
 from .product import (
     DEAD_CLASS, FINAL_CLASS, ProductGraph, build_graph, contraction_constant,
     log_contraction_constant,
@@ -217,15 +217,17 @@ class ErrorReport:
 
 def error_report(
     graph: ProductGraph,
-    constants: ModelConstants,
     m: int,
     empirical_estimate: Optional[float] = None,
 ) -> ErrorReport:
+    """The a-priori error report of the m grid of ``graph``'s model, from
+    the graph's vertex count and model constants
+    (:attr:`ProductGraph.constants`)."""
     if m < 1:
         raise ValueError("grid resolution m must be >= 1")
-    m1, m2, m3 = scaled_error_constants(constants)
-    c, m_min = contraction_constant(graph, constants)
-    log_c = log_contraction_constant(graph, constants)  # finite where c underflows
+    m1, m2, m3 = scaled_error_constants(graph.constants)
+    c, m_min = contraction_constant(graph)
+    log_c = log_contraction_constant(graph)  # finite where c underflows
     n = graph.vertex_count
     if m3 == 0.0:
         bound = 0.0
@@ -278,8 +280,9 @@ class ApproxResult(NamedTuple):
 
 
 @lru_cache(maxsize=8)
-def _analysis(chain: Ctmc, dta: Dta) -> Tuple[ModelConstants, ProductGraph]:
-    return model_constants(chain, dta), build_graph(chain, dta)
+def _analysis(chain: Ctmc, dta: Dta) -> ProductGraph:
+    """The product graph of the model, built once per (chain, dta)."""
+    return build_graph(chain, dta)
 
 
 @lru_cache(maxsize=2)  # a repeated query rereads the two finest grids of its walk
@@ -287,8 +290,7 @@ def _solved(chain: Ctmc, dta: Dta, m: int, coords: Tuple[int, ...]) -> Solution:
     """The m grid kept to the box points the start ``coords`` reaches,
     solved; every state of a distribution shares the start, and so the
     solve."""
-    _, graph = _analysis(chain, dta)
-    return solve(assemble_gamma_prime(build_grid(chain, dta, graph, m, coords)))
+    return solve(assemble_gamma_prime(build_grid(_analysis(chain, dta), m, coords)))
 
 
 def _snap_to_grid(eta: Sequence, ceilings: Sequence[int], m: int):
@@ -365,7 +367,7 @@ def _approximate(chain, dta, weights, location, valuation, m=None,
         raise ValueError("specify exactly one of m and epsilon")
     if m is not None and m < 1:
         raise ValueError("grid resolution m must be >= 1")
-    constants, graph = _analysis(chain, dta)
+    graph = _analysis(chain, dta)
     eta = tuple(Fraction(v) for v in valuation)
     shortcuts = [_shortcut(graph, state, location, eta) for state, _ in weights]
     if epsilon is not None and not 0 < epsilon < 1:
@@ -373,7 +375,7 @@ def _approximate(chain, dta, weights, location, valuation, m=None,
     if None not in shortcuts:
         value = _mix(weights, shortcuts)
         m = 1 if m is None else m
-        report = error_report(graph, constants, m)
+        report = error_report(graph, m)
         report.theoretical_bound = 0.0
         return ApproxResult(value, report, 0.0, grid_cells(chain, dta, m),
                             "shortcut", 0, value, None, 0)
@@ -381,7 +383,7 @@ def _approximate(chain, dta, weights, location, valuation, m=None,
     row = answer = order = empirical = None
     level = 0
     if epsilon is not None:
-        probe = error_report(graph, constants, 1)
+        probe = error_report(graph, 1)
         m_req = _required_m(probe, epsilon)
         if m_req > 0 and grid_cells(chain, dta, m_req) <= MAX_GRID_CELLS:
             m = m_req
@@ -409,7 +411,7 @@ def _approximate(chain, dta, weights, location, valuation, m=None,
             *_, row = _grid_table(chain, dta, weights, location, point,
                                   (m // 4, m // 2, m))
             empirical = richardson_error(row)
-    report = error_report(graph, constants, m, empirical_estimate=empirical)
+    report = error_report(graph, m, empirical_estimate=empirical)
     report.snap_distance = float(distance)
     if distance:  # an infinite M1 times a zero snap is no slack, not NaN
         report.snap_slack = report.m1 * float(distance)
@@ -486,7 +488,7 @@ def _grid_table(chain, dta, weights, location, eta, grids):
     """
     if any(m < 1 for m in grids):
         raise ValueError("grid resolution m must be >= 1")
-    graph = _analysis(chain, dta)[1]
+    graph = _analysis(chain, dta)
     shortcuts = [_shortcut(graph, state, location, eta) for state, _ in weights]
     if None in shortcuts and grids:
         cells = grid_cells(chain, dta, max(grids))

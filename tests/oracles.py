@@ -10,6 +10,8 @@ the plans' steps and the exact pass's block levels against the steps
 built and the entries sorted level by level (:func:`plan_steps`;
 :func:`plan_pass` shares only the kernel's row step, which the sequential
 loops check),
+guard evaluation through the relation table against the if-chain over
+the relations it replaced (:func:`guard_sat`),
 the one-pass DTA validator against the interval-box overlap check and
 region cover sweep it replaced, the product graph against the
 per-(location, label, region) delay walk it replaced, the region-code
@@ -67,6 +69,36 @@ from pathprob.solver import (
     _analysis, _mix, _shortcut, _snap_to_grid, _solved, approximate,
     observed_order,
 )
+
+
+# ---------------------------------------------------------------------------
+# Guard satisfaction: the if-chain over the four relations that the
+# relation table of :data:`pathprob.regions.RELATIONS` replaced.
+
+
+def guard_sat(eta: Sequence, guard) -> bool:
+    """Exact satisfaction of a conjunctive guard at ``eta``."""
+    for term in guard.terms:
+        if term.clock >= len(eta):
+            raise regions.UnknownClockError(
+                f"guard constrains clock #{term.clock} but the valuation has "
+                f"{len(eta)} clocks"
+            )
+        v = eta[term.clock]
+        op = term.op
+        if op == "<":
+            ok = v < term.bound
+        elif op == "<=":
+            ok = v <= term.bound
+        elif op == ">":
+            ok = v > term.bound
+        elif op == ">=":
+            ok = v >= term.bound
+        else:
+            raise ValueError(f"unknown relation {op!r}")
+        if not ok:
+            return False
+    return True
 
 
 def random_valuation(rng, ceilings, max_den=12, beyond=1):
@@ -1542,7 +1574,7 @@ def flagged_grid_table(chain, dta, weights, location, eta, grids):
     """
     if any(m < 1 for m in grids):
         raise ValueError("grid resolution m must be >= 1")
-    graph = _analysis(chain, dta)[1]
+    graph = _analysis(chain, dta)
     shortcuts = [_shortcut(graph, state, location, eta) for state, _ in weights]
     if None in shortcuts and grids:
         cells = grid_cells(chain, dta, max(grids))

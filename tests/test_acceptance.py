@@ -94,7 +94,7 @@ def test_criterion_2_first_order_convergence(unit_deadline, unit_graph):
     started = time.perf_counter()
     values = {}
     for m in (8, 16, 32, 64, 128):
-        grid = build_grid(*unit_deadline, unit_graph, m)
+        grid = build_grid(unit_graph, m)
         values[m] = solve(assemble_gamma_prime(grid)).value_of(
             grid.cell("s", "q0", (0,))
         )
@@ -121,7 +121,7 @@ def test_criterion_3_scheme_equivalence(unit_deadline, unit_graph,
     for model, graph in ((unit_deadline, unit_graph),
                          (exposure_window, exposure_graph)):
         for m in (4, 8, 16):
-            grid = build_grid(*model, graph, m)
+            grid = build_grid(graph, m)
             one_step = solve(assemble_gamma_prime(grid), tol=1e-12)
             unfolded = solve(assemble_gamma_double(grid), tol=1e-12)
             _, mat, off = unfolded_dense_system(*model, graph, m)
@@ -143,9 +143,9 @@ def test_criterion_4_monte_carlo_cross_validation(exposure_window,
     started = time.perf_counter()
     chain, dta = exposure_window
     query = ("a", "q0", (0, 0))
-    fine_grid = build_grid(chain, dta, exposure_graph, 64)
+    fine_grid = build_grid(exposure_graph, 64)
     fine = solve(assemble_gamma_prime(fine_grid)).value_of(fine_grid.cell(*query))
-    coarse_grid = build_grid(chain, dta, exposure_graph, 32)
+    coarse_grid = build_grid(exposure_graph, 32)
     coarse = solve(assemble_gamma_prime(coarse_grid)).value_of(
         coarse_grid.cell(*query)
     )
@@ -168,7 +168,7 @@ def test_criterion_5_boundary_exactness(unit_deadline, unit_graph,
     total = 0
     for model, graph in ((unit_deadline, unit_graph),
                          (exposure_window, exposure_graph)):
-        grid = build_grid(*model, graph, 16)
+        grid = build_grid(graph, 16)
         solution = solve(assemble_gamma_prime(grid))
         for cell, cls in enumerate(grid.cell_class.tolist()):
             total += 1
@@ -263,9 +263,9 @@ def test_criterion_7_lipschitz_grid_consistency(unit_deadline, unit_graph,
                          (exposure_window, exposure_graph)):
         constants = model_constants(*model)
         m1, _, _ = scaled_error_constants(constants)
-        fine_grid = build_grid(*model, graph, 32)
+        fine_grid = build_grid(graph, 32)
         fine = solve(assemble_gamma_prime(fine_grid))
-        coarse_grid = build_grid(*model, graph, 16)
+        coarse_grid = build_grid(graph, 16)
         coarse = solve(assemble_gamma_prime(coarse_grid))
         empirical = 0.0
         for cell in coarse_grid.cells.tolist():
@@ -293,9 +293,8 @@ def test_criterion_7_lipschitz_grid_consistency(unit_deadline, unit_graph,
 
 
 def test_criterion_8_constants_audit(unit_deadline, unit_graph):
-    constants = model_constants(*unit_deadline)
-    m1, m2, m3 = scaled_error_constants(constants)
-    c, m_min = contraction_constant(unit_graph, constants)
+    m1, m2, m3 = scaled_error_constants(unit_graph.constants)
+    c, m_min = contraction_constant(unit_graph)
     n = unit_graph.vertex_count
     audits = {
         "M1": (m1, math.e),
@@ -321,7 +320,7 @@ def test_criterion_9_solver_robustness(unit_deadline, unit_graph,
     worst = 0.0
     for model, graph in ((unit_deadline, unit_graph),
                          (exposure_window, exposure_graph)):
-        system = assemble_gamma_prime(build_grid(*model, graph, 16))
+        system = assemble_gamma_prime(build_grid(graph, 16))
         solutions = [
             solve(system, tol=1e-12, x0=rng.random(system.size)).values_raw
             for _ in range(5)

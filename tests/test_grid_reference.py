@@ -29,7 +29,7 @@ ASSEMBLERS = (
 
 
 def assert_same_grid(chain, dta, graph, m):
-    got = build_grid(chain, dta, graph, m)
+    got = build_grid(graph, m)
     want = oracles.Grid(chain, dta, graph, m)
     assert got.d_m_size == want.d_m_size
     points = list(want.points())
@@ -102,7 +102,7 @@ def test_grid_matches_reference_without_clocks():
     graph = build_graph(chain, dta)
     for m in (1, 4):
         assert_same_grid(chain, dta, graph, m)
-    grid = build_grid(chain, dta, graph, 4)
+    grid = build_grid(graph, 4)
     assert grid.d_m_size == 9 and grid.is_bmax.all()
     assert [CLASS_NAMES[cls] for cls in grid.cell_class.tolist()] == [
         ALIVE, DEAD, FINAL, ALIVE, DEAD, FINAL, DEAD, DEAD, FINAL,

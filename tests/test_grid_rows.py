@@ -32,7 +32,7 @@ def _same_bytes(x, y, name):
 
 
 def assert_same_rows(chain, dta, graph, m):
-    got = build_grid(chain, dta, graph, m)
+    got = build_grid(graph, m)
     want = oracles.PerRowGrid(chain, dta, graph, m)
     for name in ROW_ARRAYS:
         _same_bytes(getattr(got, name), getattr(want, name), name)

@@ -48,7 +48,7 @@ _GRAPHS = {"unit_deadline": "unit_graph", "exposure_window": "exposure_graph",
 
 def _system(request, model, m):
     return assemble_gamma_prime(build_grid(
-        *request.getfixturevalue(model), request.getfixturevalue(_GRAPHS[model]), m
+        request.getfixturevalue(_GRAPHS[model]), m
     ))
 
 
@@ -129,7 +129,7 @@ def test_sweeps_are_bit_identical_to_sequential_loops(request, model, m, start):
 @pytest.mark.parametrize("m", [4, 8, 16, 32, 64])
 def test_fallback_sweeps_are_bit_identical_to_sequential_loops(
         reset_loop, reset_loop_graph, m, start):
-    system = assemble_gamma_prime(build_grid(*reset_loop, reset_loop_graph, m))
+    system = assemble_gamma_prime(build_grid(reset_loop_graph, m))
     assert _exact_plan(system) is None
     x0 = _start(system, start)
     sweeps = _sweeps_to_tolerance(system, x0)
@@ -140,7 +140,7 @@ def test_fallback_sweeps_are_bit_identical_to_sequential_loops(
 def test_nan_residual_is_no_convergence(reset_loop, reset_loop_graph):
     """Fallback sweeps from a NaN start stay NaN; their residual must not
     read as converged, so the dense fallback answers."""
-    system = assemble_gamma_prime(build_grid(*reset_loop, reset_loop_graph, 8))
+    system = assemble_gamma_prime(build_grid(reset_loop_graph, 8))
     nan = np.full(system.size, np.nan)
     args = (system.indptr, system.indices, system.data, system.offset)
     assert np.isnan(kernels.max_residual(*args, nan))
@@ -152,7 +152,7 @@ def test_nan_residual_is_no_convergence(reset_loop, reset_loop_graph):
 def test_exposure_window_plan_reaches_every_path(exposure_window, exposure_graph):
     """Every step of the sweep plan is one vectorised update, steps narrower
     than ``WIDE`` among them; the bit-identity tests at m = 16 sweep it."""
-    system = assemble_gamma_prime(build_grid(*exposure_window, exposure_graph, 16))
+    system = assemble_gamma_prime(build_grid(exposure_graph, 16))
     h = system.grid.horizons
     plan = kernels.sweep_plan(system.indptr, system.indices, h)
     assert _kinds(system, plan) == {"level"}
@@ -172,7 +172,7 @@ def test_exposure_window_plan_reaches_every_path(exposure_window, exposure_graph
 @example(_chain_of_splits(), 8)
 def test_sweeps_match_sequential_loops_on_random_models(model, m):
     chain, dta = model
-    system = assemble_gamma_prime(build_grid(chain, dta, build_graph(chain, dta), m))
+    system = assemble_gamma_prime(build_grid(build_graph(chain, dta), m))
     args = (system.indptr, system.indices, system.data, system.offset)
     order = oracles.level_order(system.indptr, system.indices, system.grid.horizons)
     plan = kernels.sweep_plan(system.indptr, system.indices, system.grid.horizons)
@@ -247,10 +247,32 @@ def _reset_departure():
     return chain, dta
 
 
+def _mixed_levels():
+    """One clock and two states, s (label a) and t (label b), where b
+    keeps q0 while x < 1 and a accepts while x < 2: below x = 1 both
+    states are alive at a point, and the exact plan solves their two
+    rows as block levels; from x = 1 on only s is, and the plan steps
+    row by row.  Neither the other fixed models nor the random draws mix
+    the two kinds."""
+    x = lambda op, bound: Guard((Constraint(0, op, bound),))  # noqa: E731
+    rules = (
+        Rule("q0", "a", x("<", 2), frozenset(), "qf"),
+        Rule("q0", "a", x(">=", 2), frozenset(), "qsink"),
+        Rule("q0", "b", x("<", 1), frozenset(), "q0"),
+        Rule("q0", "b", x(">=", 1), frozenset(), "qsink"),
+    ) + tuple(Rule(q, a, Guard(), frozenset(), q)
+              for q in ("qf", "qsink") for a in ("a", "b"))
+    chain = Ctmc(states=("s", "t"), transition=((F(1, 2), F(1, 2)), (F(1), F(0))),
+                 exit_rates=(F(2), F(3)), labeling=("a", "b"))
+    dta = Dta(locations=("q0", "qf", "qsink"), final=frozenset({"qf"}),
+              clocks=("x",), rules=rules, alphabet=frozenset({"a", "b"}))
+    return chain, dta
+
+
 @pytest.mark.parametrize("m", [64, 128])
 def test_exact_pass_matches_sweeps_to_stagnation(exposure_window, exposure_graph,
                                                  monkeypatch, m):
-    system = assemble_gamma_prime(build_grid(*exposure_window, exposure_graph, m))
+    system = assemble_gamma_prime(build_grid(exposure_graph, m))
     calls = []
     residual = kernels.max_residual
     monkeypatch.setattr(kernels, "max_residual",
@@ -268,7 +290,7 @@ def test_exact_plan_of_a_chain_chains_the_sweep_plan(unit_deadline, unit_graph, 
     """On the one-clock chain the exact plan has the sweep plan's order and
     steps, and solves each chunk by recursive doubling where the sweep
     plan runs the scalar loop."""
-    system = assemble_gamma_prime(build_grid(*unit_deadline, unit_graph, m))
+    system = assemble_gamma_prime(build_grid(unit_graph, m))
     exact = _exact_plan(system)
     sweep = kernels.sweep_plan(system.indptr, system.indices, system.grid.horizons)
     assert np.array_equal(exact.order, sweep.order)
@@ -283,7 +305,7 @@ def test_chain_pass_matches_the_sequential_loop(unit_deadline, unit_graph, m):
     """The grids of the accuracy query, m = 8 ... 65 536: the chain steps'
     pass against the sequential loop in the plan's order, and at m <= 4096
     against that loop run in long double."""
-    system = assemble_gamma_prime(build_grid(*unit_deadline, unit_graph, m))
+    system = assemble_gamma_prime(build_grid(unit_graph, m))
     plan = _exact_plan(system)
     assert _kinds(system, plan) == {"chain"}
     args = (system.indptr, system.indices, system.data, system.offset)
@@ -304,7 +326,7 @@ def test_chain_pass_matches_the_sequential_loop(unit_deadline, unit_graph, m):
 
 def test_exact_plan_solves_a_clockless_pair():
     chain, dta = clockless()
-    system = assemble_gamma_prime(build_grid(chain, dta, build_graph(chain, dta), 4))
+    system = assemble_gamma_prime(build_grid(build_graph(chain, dta), 4))
     assert _kinds(system, _exact_plan(system)) == {"block"}
     solution = solve(system)
     assert solution.method == "exact" and solution.sweeps == 1
@@ -314,7 +336,7 @@ def test_exact_plan_solves_a_clockless_pair():
 
 def test_blocks_above_the_cap_fall_back(exposure_window, exposure_graph,
                                         monkeypatch):
-    system = assemble_gamma_prime(build_grid(*exposure_window, exposure_graph, 8))
+    system = assemble_gamma_prime(build_grid(exposure_graph, 8))
     exact = solve(system)
     monkeypatch.setattr(kernels, "BLOCK", 5)  # exposure_window has 6 rows at a point
     assert _exact_plan(system) is None
@@ -333,7 +355,7 @@ def test_solve_peaks_below_assembly(request, model, m):
     graph = request.getfixturevalue(_GRAPHS[model])
     tracemalloc.start()
     try:
-        system = assemble_gamma_prime(build_grid(chain, dta, graph, m))
+        system = assemble_gamma_prime(build_grid(graph, m))
         _, assembly = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         solution = solve(system)
@@ -349,6 +371,7 @@ def test_solve_peaks_below_assembly(request, model, m):
 @example(_chain_of_splits(), 8)
 @example(_two_clock_departure(), 16)
 @example(_reset_departure(), 16)
+@example(_mixed_levels(), 8)
 @example(clockless(), 4)
 def test_exact_pass_matches_oracles_on_random_models(model, m):
     """The exact pass against the sequential sweeps run to stagnation and,
@@ -356,7 +379,7 @@ def test_exact_pass_matches_oracles_on_random_models(model, m):
     fall back to the sweeps.  Which step kinds the draws reach is left to
     chance: the fixed models below reach each of them."""
     chain, dta = model
-    system = assemble_gamma_prime(build_grid(chain, dta, build_graph(chain, dta), m))
+    system = assemble_gamma_prime(build_grid(build_graph(chain, dta), m))
     if system.size == 0:
         return
     solution = solve(system)
@@ -404,7 +427,7 @@ def _fixed_system(request, model, m):
     else:
         chain, dta = request.getfixturevalue(model)
         graph = request.getfixturevalue(_FIXTURE_GRAPHS[model])
-    return assemble_gamma_prime(build_grid(chain, dta, graph, m))
+    return assemble_gamma_prime(build_grid(graph, m))
 
 
 @pytest.mark.parametrize("model, m, kinds, method, sweeps, digest", _FIXED)
@@ -488,7 +511,7 @@ def test_fixed_models_reach_a_padded_level(exposure_window, exposure_graph):
     blocks of 6 slots: two slots are padding, and the fixed models'
     comparison level by level covers them."""
     assert ("exposure_window", 64) in [row[:2] for row in _FIXED]
-    system = assemble_gamma_prime(build_grid(*exposure_window, exposure_graph, 64))
+    system = assemble_gamma_prime(build_grid(exposure_graph, 64))
     lo, hi, blocks = _exact_plan(system).steps[1]
     assert (lo, hi, blocks.width, blocks.count) == (6, 388, 6, 64)
 
@@ -519,12 +542,41 @@ def test_row_steps_between_block_levels_match_level_by_level():
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(random_models(), st.sampled_from(GRIDS + (16,)))
+@example(_mixed_levels(), 8)
 @example(clockless(), 4)
 def test_plans_match_level_by_level_on_random_models(model, m):
     chain, dta = model
-    system = assemble_gamma_prime(build_grid(chain, dta, build_graph(chain, dta), m))
+    system = assemble_gamma_prime(build_grid(build_graph(chain, dta), m))
     if system.size:
         _plans_against_level_by_level(system)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_mixed_levels_plan_has_block_levels_and_row_steps(m):
+    """The example that the random-model plan tests add: its exact plan
+    holds block levels (two rows a point, below x = 1) and row steps
+    (one row a point, above), and it is the plan that solves it."""
+    system = assemble_gamma_prime(build_grid(build_graph(*_mixed_levels()), m))
+    plan = _plans_against_level_by_level(system)
+    blocks = [blocks is not None for _, _, blocks in plan.steps]
+    assert any(blocks) and not all(blocks)
+    solution = solve(system)
+    assert solution.method == "exact" and solution.sweeps == 1
+
+
+def test_planners_return_no_steps_on_a_system_without_rows(exposure_graph):
+    """exposure_window's m = 8 grid kept to the start (8, 0), x = 1, has
+    no alive cell: both planners give a plan without steps, and the
+    solve answers "empty" before it plans."""
+    system = assemble_gamma_prime(build_grid(exposure_graph, 8, (8, 0)))
+    assert system.size == 0
+    exact = _exact_plan(system)
+    sweep = kernels.sweep_plan(system.indptr, system.indices,
+                               system.grid.horizons)
+    for plan in (exact, sweep):
+        assert plan.steps == () and len(plan.order) == 0
+    assert exact.exact and not sweep.exact
+    assert solve(system).method == "empty"
 
 
 def _unit_diagonal_system(width, linked):

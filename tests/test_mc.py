@@ -175,9 +175,9 @@ def test_oracle_agrees_with_grid_on_sampled_vertices(model_name, graph_name,
 
     chain, dta = request.getfixturevalue(model_name)
     graph = request.getfixturevalue(graph_name)
-    coarse_grid = build_grid(chain, dta, graph, 16)
+    coarse_grid = build_grid(graph, 16)
     coarse = solve(assemble_gamma_prime(coarse_grid))
-    fine_grid = build_grid(chain, dta, graph, 32)
+    fine_grid = build_grid(graph, 32)
     fine = solve(assemble_gamma_prime(fine_grid))
     rng = np.random.default_rng(404)
     picks = rng.choice(len(coarse_grid.cells), size=3, replace=False)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from pathprob import mc, modelio
-from pathprob.dynamics import Configuration, kappa
+from pathprob.dynamics import Configuration, kappa, select_rule
 from pathprob.modelio import validate_pair
 from pathprob.models import (
     Constraint, Ctmc, Dta, Guard, ModelIntegrityError, Rule, model_constants,
@@ -74,16 +74,25 @@ def test_final_class_everywhere_final(exposure_graph):
 
 
 def test_contraction_constant_unit_deadline(unit_graph, unit_deadline):
-    k = model_constants(*unit_deadline)
-    c, m_min = contraction_constant(unit_graph, k)
+    c, m_min = contraction_constant(unit_graph)
     assert m_min == 2 * 24 * 24 + 1 == 1153
     assert abs(c - math.exp(-1) / 1153) <= 1e-12 * c
 
 
+def test_graph_carries_the_model_constants_computed_on_first_read(unit_graph,
+                                                                 unit_deadline):
+    assert unit_graph.constants == model_constants(*unit_deadline)
+    chain, dta = unit_deadline
+    stalled = Ctmc(states=chain.states, transition=chain.transition,
+                   exit_rates=(F(0),) * len(chain.states), labeling=chain.labeling)
+    graph = build_graph(stalled, dta)  # a zero rate does not stop the graph
+    with pytest.raises(ValueError, match="rates must be positive"):
+        graph.constants
+
+
 def test_contraction_threshold_scales_with_squared_vertices(exposure_graph,
                                                             exposure_window):
-    k = model_constants(*exposure_window)
-    c, m_min = contraction_constant(exposure_graph, k)
+    c, m_min = contraction_constant(exposure_graph)
     n = exposure_graph.vertex_count
     assert n == 216
     assert m_min == 2 * n * n + 1
@@ -337,6 +346,25 @@ def test_overlap_in_an_open_region_is_refused():
     assert str(err.value) == (
         "2 rules enabled at (q0,a) for valuation (Fraction(3, 2),); the "
         "automaton is not deterministic+total")
+
+
+@pytest.mark.parametrize("guards, count", [
+    (((Constraint(0, "<=", 1),), (Constraint(0, ">=", 2),)), 0),
+    (((Constraint(0, "<", 2),), (Constraint(0, ">", 1),)), 2),
+])
+def test_rule_selection_and_the_graph_refuse_alike(guards, count):
+    """A gap and an overlap at 1 < x < 2: the graph and rule selection at
+    the region's representative raise one message, as both did before
+    they shared :func:`models.the_enabled_rule`."""
+    chain, dta = _one_clock(*guards)
+    expected = (
+        f"{count} rules enabled at (q0,a) for valuation (Fraction(3, 2),); "
+        f"the automaton is not deterministic+total")
+    with pytest.raises(ModelIntegrityError) as built:
+        build_graph(chain, dta)
+    with pytest.raises(ModelIntegrityError) as selected:
+        select_rule(dta, "q0", "a", (F(3, 2),))
+    assert str(built.value) == str(selected.value) == expected
 
 
 def test_gap_at_a_boundary_point_only_builds():

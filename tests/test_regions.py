@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from pathprob.models import Constraint, Guard
 from pathprob.regions import (
+    RELATIONS,
     delay,
     delay_walk,
     enumerate_region_codes,
@@ -23,6 +25,7 @@ from pathprob.regions import (
     sample_in_region,
     UnknownClockError,
 )
+import oracles
 from oracles import (
     backtrack,
     clamp_delay,
@@ -67,6 +70,62 @@ def test_guard_sat_unknown_clock():
     g = Guard((Constraint(3, "<", 1),))
     with pytest.raises(UnknownClockError):
         guard_sat((F(0),), g)
+
+
+_RELATIONS = ("<", "<=", ">", ">=")
+
+
+def _near(bound):
+    """Values just below, at and just above ``bound``, exact and as floats."""
+    exact = [F(bound) + d for d in (-F(1, 10 ** 9), F(0), F(1, 10 ** 9))]
+    floats = [math.nextafter(float(bound), -math.inf), float(bound),
+              math.nextafter(float(bound), math.inf)]
+    return exact + floats
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2])
+@pytest.mark.parametrize("op", _RELATIONS)
+def test_relation_table_decides_as_the_if_chain_it_replaced(op, bound):
+    g = Guard((Constraint(0, op, bound),))
+    decided = []
+    for v in _near(bound):
+        assert guard_sat((v,), g) is oracles.guard_sat((v,), g), v
+        decided.append(guard_sat((v,), g))
+    # below, at and above, once exact and once as floats
+    assert decided == list({"<": (True, False, False), "<=": (True, True, False),
+                            ">": (False, False, True),
+                            ">=": (False, True, True)}[op]) * 2
+
+
+def test_relation_table_decides_multi_term_guards_as_the_if_chain():
+    terms = [Constraint(c, op, b) for c in (0, 1) for op in _RELATIONS
+             for b in range(3)]
+    values = [F(j, 2) for j in range(6)]
+    for a, b in itertools.product(terms, repeat=2):
+        g = Guard((a, b))
+        for eta in itertools.product(values, repeat=2):
+            assert guard_sat(eta, g) is oracles.guard_sat(eta, g), (g, eta)
+            floats = tuple(float(v) for v in eta)
+            assert guard_sat(floats, g) is oracles.guard_sat(floats, g), (g, eta)
+    assert guard_sat((F(0),), Guard()) is oracles.guard_sat((F(0),), Guard()) is True
+
+
+def test_relation_table_refuses_an_unknown_clock_as_the_if_chain():
+    """Terms are tested in order, so a failing term before the unknown
+    clock decides without raising, in both."""
+    g = Guard((Constraint(0, "<", 1), Constraint(3, "<", 1)))
+    for check in (guard_sat, oracles.guard_sat):
+        assert check((F(2),), g) is False
+        with pytest.raises(UnknownClockError) as err:
+            check((F(0),), g)
+        assert str(err.value) == (
+            "guard constrains clock #3 but the valuation has 1 clocks")
+
+
+def test_guard_validation_reads_the_relation_table():
+    assert set(RELATIONS) == set(_RELATIONS)
+    with pytest.raises(ValueError, match="unknown relation '=='"):
+        Guard((Constraint(0, "==", 1),))
 
 
 # ---------------------------------------------------------------------------

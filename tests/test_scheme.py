@@ -18,7 +18,7 @@ from oracles import decode, row, unfolded_dense_system
 
 @pytest.fixture(scope="module")
 def unit_grid4(unit_deadline, unit_graph):
-    return build_grid(*unit_deadline, unit_graph, 4)
+    return build_grid(unit_graph, 4)
 
 
 def _row(grid, state, location, coords):
@@ -33,7 +33,7 @@ def _class(grid, cell):
 
 def test_grid_size_is_combinatorial(unit_grid4, exposure_window, exposure_graph):
     assert unit_grid4.d_m_size == 2 * 3 * 5
-    grid = build_grid(*exposure_window, exposure_graph, 4)
+    grid = build_grid(exposure_graph, 4)
     assert grid.d_m_size == 3 * 4 * 5 * 5
 
 
@@ -53,7 +53,7 @@ def test_b_m_membership(unit_grid4):
 
 
 def test_bmax_points_sit_on_all_ceilings(departure, departure_graph):
-    grid = build_grid(*departure, departure_graph, 8)
+    grid = build_grid(departure_graph, 8)
     flags = grid.is_bmax
     assert flags.sum() == 1
     boundary = np.flatnonzero(flags)
@@ -69,7 +69,7 @@ def test_horizons_by_forward_scan(unit_grid4):
 
 
 def test_horizon_bounded_by_box_diameter(exposure_window, exposure_graph):
-    grid = build_grid(*exposure_window, exposure_graph, 8)
+    grid = build_grid(exposure_graph, 8)
     assert (grid.horizons <= 8 * exposure_window[1].t_max).all()
     assert (grid.horizons >= 0).all()
 
@@ -104,7 +104,7 @@ def test_closed_form_chain_value(unit_grid4):
 
 def test_boundary_row_is_convex_combination_without_self_term(departure,
                                                               departure_graph):
-    grid = build_grid(*departure, departure_graph, 4)
+    grid = build_grid(departure_graph, 4)
     system = assemble_gamma_prime(grid)
     k = _row(grid, "w", "q0", (4,))
     # the only successor is the final location, so the row is empty and the
@@ -144,7 +144,7 @@ def test_unfolded_assembly_against_independent_transcription(
     """The packaged unfolding equals a direct dense transcription of the
     horizon-expanded equations, coefficient by coefficient."""
     chain, dta = exposure_window
-    grid = build_grid(chain, dta, exposure_graph, 4)
+    grid = build_grid(exposure_graph, 4)
     system = assemble_gamma_double(grid)
     unknowns, mat, off = unfolded_dense_system(chain, dta, exposure_graph, 4)
     assert len(unknowns) == system.size
@@ -160,7 +160,7 @@ def test_unfolded_assembly_against_independent_transcription(
 
 @pytest.mark.parametrize("assembler", [assemble_gamma_prime, assemble_gamma_double])
 def test_rows_are_substochastic(assembler, exposure_window, exposure_graph):
-    grid = build_grid(*exposure_window, exposure_graph, 8)
+    grid = build_grid(exposure_graph, 8)
     system = assembler(grid)
     assert (system.data >= 0).all()
     for k in range(system.size):
@@ -170,7 +170,7 @@ def test_rows_are_substochastic(assembler, exposure_window, exposure_graph):
 
 def test_unknown_columns_never_point_at_dead_or_final(exposure_window,
                                                       exposure_graph):
-    grid = build_grid(*exposure_window, exposure_graph, 4)
+    grid = build_grid(exposure_graph, 4)
     system = assemble_gamma_prime(grid)
     for j in system.indices:
         assert _class(grid, grid.cells[j]) == ALIVE
@@ -180,7 +180,7 @@ def test_grid_closure_under_step_and_jump(exposure_window, exposure_graph):
     """The saturated step and every jump successor of a grid point are grid
     points themselves; the delay row names the stepped point whenever that
     point is an unknown."""
-    grid = build_grid(*exposure_window, exposure_graph, 4)
+    grid = build_grid(exposure_graph, 4)
     n = len(grid.cells)
     for k, cell in enumerate(grid.cells.tolist()):
         state, location, coords = decode(grid, cell)
@@ -200,13 +200,11 @@ def test_grid_closure_under_step_and_jump(exposure_window, exposure_graph):
 def test_boundary_row_defect_above_contraction(departure, departure_graph):
     """Above the guaranteed threshold the boundary rows leak at least the
     contraction constant."""
-    chain, dta = departure
-    k = model_constants(chain, dta)
     from pathprob.product import contraction_constant
 
-    c, m_min = contraction_constant(departure_graph, k)
+    c, m_min = contraction_constant(departure_graph)
     m = m_min + 1  # 8 vertices -> m = 130, still tiny
-    grid = build_grid(chain, dta, departure_graph, m)
+    grid = build_grid(departure_graph, m)
     system = assemble_gamma_double(grid)
     for kk in np.nonzero(grid.is_bmax)[0]:
         lo, hi = system.indptr[kk], system.indptr[kk + 1]
@@ -288,8 +286,7 @@ def _system_digest(system):
 
 @pytest.mark.parametrize("model, m, kind", list(GOLDEN_DIGESTS))
 def test_assembly_is_bit_identical_to_golden_digest(request, model, m, kind):
-    grid = build_grid(*request.getfixturevalue(model),
-                      request.getfixturevalue(_GRAPHS[model]), m)
+    grid = build_grid(request.getfixturevalue(_GRAPHS[model]), m)
     system = _ASSEMBLERS[kind](grid)
     assert _system_digest(system) == GOLDEN_DIGESTS[(model, m, kind)]
 

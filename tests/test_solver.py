@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pathprob import mc, solver
 from pathprob.modelio import validate_pair
-from pathprob.models import Ctmc, Dta, Guard, Rule, model_constants
+from pathprob.models import Ctmc, Dta, Guard, Rule
 from pathprob.product import build_graph
 from pathprob.scheme import assemble_gamma_prime, build_grid
 from pathprob.solver import (
@@ -39,7 +39,7 @@ F = Fraction
 
 
 def _system(model, graph, m):
-    return assemble_gamma_prime(build_grid(*model, graph, m))
+    return assemble_gamma_prime(build_grid(graph, m))
 
 
 @pytest.mark.parametrize("m", [4, 8])
@@ -137,8 +137,7 @@ def test_first_order_convergence_on_chain(unit_deadline, unit_graph):
 
 
 def test_error_report_fields(unit_deadline, unit_graph):
-    k = model_constants(*unit_deadline)
-    report = error_report(unit_graph, k, 1153)
+    report = error_report(unit_graph, 1153)
     assert report.m_min == 1153
     assert report.below_threshold is False
     assert report.m == 1153
@@ -146,7 +145,7 @@ def test_error_report_fields(unit_deadline, unit_graph):
         24 * (math.exp(-1) / 1153) ** -24 * report.m3 / 1153
     )
     assert report.theoretical_bound == pytest.approx(bound_by_hand, rel=1e-9)
-    assert error_report(unit_graph, k, 64).below_threshold is True
+    assert error_report(unit_graph, 64).below_threshold is True
 
 
 def test_error_constants_of_a_clockless_pair_are_exactly_zero():
@@ -162,15 +161,14 @@ def test_error_constants_of_a_clockless_pair_are_exactly_zero():
                Rule("q1", "b", Guard(), frozenset(), "q1")),
         alphabet=frozenset({"a", "b"}),
     )
-    report = error_report(build_graph(chain, dta), model_constants(chain, dta), 4)
+    report = error_report(build_graph(chain, dta), 4)
     assert report.m1 == report.m2 == report.m3 == 0.0
     assert report.theoretical_bound == 0.0
 
 
 def test_bound_halves_when_m_doubles(unit_deadline, unit_graph):
-    k = model_constants(*unit_deadline)
-    coarse = error_report(unit_graph, k, 100).theoretical_bound
-    fine = error_report(unit_graph, k, 200).theoretical_bound
+    coarse = error_report(unit_graph, 100).theoretical_bound
+    fine = error_report(unit_graph, 200).theoretical_bound
     assert fine == pytest.approx(coarse / 2, rel=1e-12)
 
 

@@ -118,8 +118,8 @@ def check_start_cone(chain, dta, graph, m, start, bitwise=True):
     """The grid kept to ``start`` against the full grid: closure, the
     same rows, and the values at the start, bit for bit where both
     solves are exact and ``bitwise``.  Returns the two methods."""
-    full = build_grid(chain, dta, graph, m)
-    kept = build_grid(chain, dta, graph, m, start)
+    full = build_grid(graph, m)
+    kept = build_grid(graph, m, start)
     assert kept.d_m_size == full.d_m_size
     assert np.array_equal(kept.cell_class, full.cell_class)
     twin = full.slot_of[kept.cells]
@@ -214,8 +214,8 @@ def test_value_of_refuses_an_alive_cell_the_grid_did_not_keep(
     """From (0, 0) on ``exposure_window`` no point with y > x is reached:
     x is never reset and y only to 0.  The full grid reads such a point;
     the kept grid refuses it rather than read ``values_raw[-1]``."""
-    full = build_grid(*exposure_window, exposure_graph, 8)
-    kept = build_grid(*exposure_window, exposure_graph, 8, (0, 0))
+    full = build_grid(exposure_graph, 8)
+    kept = build_grid(exposure_graph, 8, (0, 0))
     cell = full.cell("a", "q0", (0, 4))
     assert full.cell_class[cell] == ALIVE_CLASS and kept.slot_of[cell] == -1
     assert 0 < solve(assemble_gamma_prime(full)).value_of(cell) < 1
@@ -235,8 +235,8 @@ def test_the_readme_solve_keeps_half_the_unknowns(exposure_window):
                                 with_empirical=True)
     assert result.probability == 0.2642337485503773
     graph = build_graph(*exposure_window)
-    full = [len(build_grid(*exposure_window, graph, m).cells) for m in (16, 32, 64)]
-    kept = [len(build_grid(*exposure_window, graph, m, (0, 0)).cells)
+    full = [len(build_grid(graph, m).cells) for m in (16, 32, 64)]
+    kept = [len(build_grid(graph, m, (0, 0)).cells)
             for m in (16, 32, 64)]
     assert (sum(full), sum(kept)) == (32704, 16464)
     solved = solver._solved(*exposure_window, 64, (0, 0))

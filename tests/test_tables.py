@@ -50,7 +50,7 @@ def check_tables(chain, dta, graph, m):
     for i, (v, cls) in enumerate(zip(graph.vertices, graph.class_table.ravel())):
         assert CLASS_NAMES[cls] == expected[i] == named[v], v
 
-    grid = build_grid(chain, dta, graph, m)
+    grid = build_grid(graph, m)
     for cell, cls in enumerate(grid.cell_class.tolist()):
         state, location, coords = decode(grid, cell)
         eta = tuple(F(j, m) for j in coords)
