@@ -150,11 +150,10 @@ def _cmd_simulate(args) -> int:
     eta = parse_valuation(args.valuation, dta.clocks)
     mc.check_arguments(chain, dta, args.state, args.location, eta, args.samples,
                        args.kmax, args.seed, stream=0, confidence=args.confidence)
-    graph = build_graph(chain, dta)
     est = mc.estimate(
         chain,
         dta,
-        graph,
+        build_graph(chain, dta),
         args.state,
         args.location,
         eta,
@@ -183,8 +182,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    chain, dta = modelio.parse_model(args.model)
-    graph = build_graph(chain, dta)
+    graph = build_graph(*modelio.parse_model(args.model))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(modelio.graph_to_dot(graph))
@@ -193,8 +191,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    chain, dta = modelio.parse_model(args.model)
-    graph = build_graph(chain, dta)
+    graph = build_graph(*modelio.parse_model(args.model))
     report = solver.error_report(graph, args.grid)
     _emit(modelio.report_document(report), None)
     return EXIT_OK
@@ -210,7 +207,7 @@ def _cmd_convergence(args) -> int:
     if not grids:
         raise UsageError("--grids needs at least one resolution")
     rows = []
-    for row in solver._grid_table(chain, dta, ((args.state, 1.0),),
+    for row in solver._grid_table(build_graph(chain, dta), ((args.state, 1.0),),
                                   args.location, eta, grids):
         if args.exact is not None:
             err = abs(row.value - args.exact)

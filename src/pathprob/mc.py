@@ -129,13 +129,15 @@ def estimate(
 ) -> Estimate:
     """Estimate the unbounded acceptance probability with early absorption.
 
-    ``chain`` and ``dta`` must be ``graph``'s own (``graph.ctmc`` and
-    ``graph.dta``); they stay in the signature for callers that pass them
-    positionally.  The tracked clock valuation is saturated at the
-    ceilings after every step; values beyond a ceiling are
-    interchangeable for the acceptance probability, and saturation keeps
-    the region lookup domain finite.
+    ``chain`` and ``dta`` must equal ``graph``'s own (``graph.ctmc`` and
+    ``graph.dta``), else ValueError; they stay in the signature for
+    callers that pass them positionally.  The tracked clock valuation is
+    saturated at the ceilings after every step; values beyond a ceiling
+    are interchangeable for the acceptance probability, and saturation
+    keeps the region lookup domain finite.
     """
+    if chain != graph.ctmc or dta != graph.dta:
+        raise ValueError("chain and dta are not the model of the product graph")
     if k_max is None:
         k_max = default_k_max(graph)
     return _simulate(chain, dta, graph, state, location, valuation, n, k_max,

@@ -25,7 +25,7 @@ from .models import (
     validate_dta,
 )
 from .product import ProductGraph, size_report
-from .regions import RegionCode
+from .regions import RELATIONS, RegionCode
 from .solver import ApproxResult, ErrorReport
 
 
@@ -39,7 +39,10 @@ class ModelValidationError(ValueError):
         self.report = report
 
 
-_TERM_RE = re.compile(r"^([A-Za-z_]\w*)(<=|>=|<|>)(\d+)$")
+# a guard term, clock relation bound; the relations are those of
+# :data:`RELATIONS`, longest first, so "<=" is not read as "<"
+_TERM_RE = re.compile(r"^([A-Za-z_]\w*)(%s)(\d+)$" % "|".join(
+    map(re.escape, sorted(RELATIONS, key=len, reverse=True))))
 
 
 def parse_guard(text: str, clocks: Tuple[str, ...], where: str = "guard") -> Guard:

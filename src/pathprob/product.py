@@ -69,14 +69,15 @@ class ProductVertex(NamedTuple):
     region: regions.RegionCode
 
 
-@dataclass
+@dataclass(eq=False)
 class ProductGraph:
     """Built product graph; treat as immutable once constructed.
 
     Below parsing the graph is the model: it carries the chain and the
     automaton it was built from, and :attr:`constants`, their
-    :class:`ModelConstants`, so grids, error reports and the contraction
-    constant take the graph alone.
+    :class:`ModelConstants`, so grids, the query walk, error reports and
+    the contraction constant take the graph alone.  A graph compares and
+    hashes by identity, so caches of grid solutions key on it cheaply.
     """
 
     ctmc: Ctmc

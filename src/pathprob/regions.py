@@ -330,24 +330,6 @@ def region_representative(
                   lambda: HALF)
 
 
-def sample_in_region(
-    code: RegionCode, ceilings: Sequence[int], rng
-) -> ClockValuation:
-    """A random exact valuation inside the region ``code``.
-
-    Fraction blocks get strictly increasing random rationals in (0, 1);
-    above-ceiling clocks get a random positive offset past the ceiling.
-    """
-    def fractions(k):
-        draws = set()
-        while len(draws) < k:
-            draws.add(Fraction(int(rng.integers(1, 997)), 997))
-        return sorted(draws)
-
-    return _place(code, ceilings, fractions,
-                  lambda: Fraction(int(rng.integers(1, 5000)), 1000))
-
-
 # ---------------------------------------------------------------------------
 # Numbered regions on the grid
 

@@ -38,7 +38,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from . import regions
-from .models import Ctmc, Dta, ModelConstants
+from .models import ModelConstants
 from .product import ALIVE_CLASS, ProductGraph
 
 GAMMA_PRIME = "gamma_prime"
@@ -46,12 +46,13 @@ GAMMA_DOUBLE = "gamma_double"
 _NEVER = np.iinfo(np.int64).max  # the lower bound of a clock that fixes t
 
 
-def grid_cells(chain: Ctmc, dta: Dta, m: int) -> int:
-    """Number of (state, location, valuation) points of the m-grid."""
+def grid_cells(graph: ProductGraph, m: int) -> int:
+    """Number of (state, location, valuation) points of the m-grid of
+    ``graph``'s model."""
     return (
-        len(chain.states)
-        * len(dta.locations)
-        * math.prod(m * c + 1 for c in dta.ceilings)
+        len(graph.ctmc.states)
+        * len(graph.dta.locations)
+        * math.prod(m * c + 1 for c in graph.dta.ceilings)
     )
 
 
@@ -99,13 +100,12 @@ class Grid:
                  start: Optional[Sequence[int]] = None):
         if m < 1:
             raise ValueError("grid resolution m must be >= 1")
-        self.chain = chain = graph.ctmc
-        self.dta = dta = graph.dta
+        chain, dta = graph.ctmc, graph.dta
         self.graph = graph
         self.m = m
         self.ceilings = dta.ceilings
         self.max_coords = tuple(m * c for c in dta.ceilings)
-        self.d_m_size = grid_cells(chain, dta, m)
+        self.d_m_size = grid_cells(graph, m)
         shape = tuple(mc + 1 for mc in self.max_coords)
         self.box_size = math.prod(shape)
         self.strides = tuple(math.prod(shape[i + 1:]) for i in range(len(shape)))
@@ -165,8 +165,8 @@ class Grid:
 
     def cell(self, state: str, location: str, coords: Sequence[int]) -> int:
         """Cell number of the point with integer coordinates ``coords``."""
-        place = (self.chain.state_index(state) * len(self.dta.locations)
-                 + self.dta.locations.index(location))
+        place = (self.graph.ctmc.state_index(state) * len(self.graph.dta.locations)
+                 + self.graph.dta.locations.index(location))
         return place * self.box_size + sum(
             j * stride for j, stride in zip(coords, self.strides)
         )
@@ -255,7 +255,7 @@ def _weights(grid: Grid) -> Tuple[np.ndarray, np.ndarray]:
     """Per row, the delay weight ``1/(1+rho*lambda)`` and the jump weight
     ``rho*lambda/(1+rho*lambda)`` of its state."""
     rho_lam = np.array([float(Fraction(rate, grid.m))
-                        for rate in grid.chain.exit_rates])
+                        for rate in grid.graph.ctmc.exit_rates])
     return ((1.0 / (1.0 + rho_lam))[grid.row_state],
             (rho_lam / (1.0 + rho_lam))[grid.row_state])
 

@@ -281,16 +281,24 @@ class ApproxResult(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _analysis(chain: Ctmc, dta: Dta) -> ProductGraph:
-    """The product graph of the model, built once per (chain, dta)."""
+    """The product graph of the model, one per equal (chain, dta): the
+    model handle that :func:`approximate` and
+    :func:`prob_from_distribution` pass down the query walk."""
     return build_graph(chain, dta)
 
 
-@lru_cache(maxsize=2)  # a repeated query rereads the two finest grids of its walk
-def _solved(chain: Ctmc, dta: Dta, m: int, coords: Tuple[int, ...]) -> Solution:
-    """The m grid kept to the box points the start ``coords`` reaches,
-    solved; every state of a distribution shares the start, and so the
-    solve."""
-    return solve(assemble_gamma_prime(build_grid(_analysis(chain, dta), m, coords)))
+# Walks ask for their grids in ascending order, so a repeated walk of
+# three or more grids finds each one evicted (the README query and the
+# epsilon = 1e-5 accuracy query hit nothing); only a walk of one or two
+# grids rereads, as the repeated unit_deadline query from x = 1/64 at
+# m = 64 does.  The key is the graph, of which :func:`_analysis` keeps
+# one per equal model, so a reparsed model rereads too.
+@lru_cache(maxsize=2)
+def _solved(graph: ProductGraph, m: int, coords: Tuple[int, ...]) -> Solution:
+    """The m grid of ``graph`` kept to the box points the start
+    ``coords`` reaches, solved; every state of a distribution shares the
+    start, and so the solve."""
+    return solve(assemble_gamma_prime(build_grid(graph, m, coords)))
 
 
 def _snap_to_grid(eta: Sequence, ceilings: Sequence[int], m: int):
@@ -356,18 +364,18 @@ def approximate(
     extrapolant R_m or S_m, ``richardson_level`` is 1 or 2,
     ``observed_order`` is set and ``grid_probability`` keeps v_m.
     """
-    return _approximate(chain, dta, ((state, 1.0),), location, valuation,
-                        m, epsilon, force_empirical, with_empirical)
+    return _approximate(_analysis(chain, dta), ((state, 1.0),), location,
+                        valuation, m, epsilon, force_empirical, with_empirical)
 
 
-def _approximate(chain, dta, weights, location, valuation, m=None,
-                 epsilon=None, force_empirical=False, with_empirical=False):
-    """:func:`approximate` on the ``(state, weight)`` pairs ``weights``."""
+def _approximate(graph, weights, location, valuation, m=None, epsilon=None,
+                 force_empirical=False, with_empirical=False):
+    """:func:`approximate` on the model ``graph`` from the ``(state,
+    weight)`` pairs ``weights``."""
     if (m is None) == (epsilon is None):
         raise ValueError("specify exactly one of m and epsilon")
     if m is not None and m < 1:
         raise ValueError("grid resolution m must be >= 1")
-    graph = _analysis(chain, dta)
     eta = tuple(Fraction(v) for v in valuation)
     shortcuts = [_shortcut(graph, state, location, eta) for state, _ in weights]
     if epsilon is not None and not 0 < epsilon < 1:
@@ -377,7 +385,7 @@ def _approximate(chain, dta, weights, location, valuation, m=None,
         m = 1 if m is None else m
         report = error_report(graph, m)
         report.theoretical_bound = 0.0
-        return ApproxResult(value, report, 0.0, grid_cells(chain, dta, m),
+        return ApproxResult(value, report, 0.0, grid_cells(graph, m),
                             "shortcut", 0, value, None, 0)
 
     row = answer = order = empirical = None
@@ -385,7 +393,7 @@ def _approximate(chain, dta, weights, location, valuation, m=None,
     if epsilon is not None:
         probe = error_report(graph, 1)
         m_req = _required_m(probe, epsilon)
-        if m_req > 0 and grid_cells(chain, dta, m_req) <= MAX_GRID_CELLS:
+        if m_req > 0 and grid_cells(graph, m_req) <= MAX_GRID_CELLS:
             m = m_req
         elif not force_empirical:
             raise BoundInfeasibleError(
@@ -396,19 +404,19 @@ def _approximate(chain, dta, weights, location, valuation, m=None,
             )
         else:
             row, answer, level, order, empirical = _empirical_m(
-                chain, dta, weights, location, eta, epsilon)
+                graph, weights, location, eta, epsilon)
             m = row.m
 
-    coords, distance = _snap_to_grid(eta, dta.ceilings, m)
+    coords, distance = _snap_to_grid(eta, graph.dta.ceilings, m)
     if row is None or with_empirical:  # one walk, at the m grid's point
         point = tuple(Fraction(j, m) for j in coords)
         if not with_empirical:
-            row, = _grid_table(chain, dta, weights, location, point, (m,))
-        elif m % 4 or _snap_to_grid(eta, dta.ceilings, m // 4)[1]:
-            row, finer = _grid_table(chain, dta, weights, location, point, (m, 2 * m))
+            row, = _grid_table(graph, weights, location, point, (m,))
+        elif m % 4 or _snap_to_grid(eta, graph.dta.ceilings, m // 4)[1]:
+            row, finer = _grid_table(graph, weights, location, point, (m, 2 * m))
             empirical = SAFETY_FACTOR * 2 * abs(finer.gap)
         else:  # the start lies on the m/4 grid
-            *_, row = _grid_table(chain, dta, weights, location, point,
+            *_, row = _grid_table(graph, weights, location, point,
                                   (m // 4, m // 2, m))
             empirical = richardson_error(row)
     report = error_report(graph, m, empirical_estimate=empirical)
@@ -419,7 +427,7 @@ def _approximate(chain, dta, weights, location, valuation, m=None,
     residual, method, sweeps = ((0.0, "shortcut", 0) if solution is None else
                                 (solution.residual, solution.method, solution.sweeps))
     return ApproxResult(row.value if answer is None else answer, report, residual,
-                        grid_cells(chain, dta, m), method, sweeps, row.value,
+                        grid_cells(graph, m), method, sweeps, row.value,
                         order, level)
 
 
@@ -465,10 +473,11 @@ class GridRow(NamedTuple):
     order: Optional[float]
 
 
-def _grid_table(chain, dta, weights, location, eta, grids):
-    """Yield the Richardson table of the starts (s, location, eta), mixed
-    by the ``(s, weight)`` pairs ``weights``, over the grid family
-    ``grids``: one :class:`GridRow` per grid, in the order given.
+def _grid_table(graph, weights, location, eta, grids):
+    """Yield the Richardson table, on the model ``graph``, of the starts
+    (s, location, eta), mixed by the ``(s, weight)`` pairs ``weights``,
+    over the grid family ``grids``: one :class:`GridRow` per grid, in the
+    order given.
 
     Each row holds the :func:`_mix` v_m of the states' values at eta
     snapped to the m grid (:func:`_snap_to_grid`), and the
@@ -488,10 +497,9 @@ def _grid_table(chain, dta, weights, location, eta, grids):
     """
     if any(m < 1 for m in grids):
         raise ValueError("grid resolution m must be >= 1")
-    graph = _analysis(chain, dta)
     shortcuts = [_shortcut(graph, state, location, eta) for state, _ in weights]
     if None in shortcuts and grids:
-        cells = grid_cells(chain, dta, max(grids))
+        cells = grid_cells(graph, max(grids))
         if cells > MAX_GRID_CELLS:
             raise ValueError(
                 f"the m = {max(grids)} grid has {cells} cells, above the limit "
@@ -500,7 +508,7 @@ def _grid_table(chain, dta, weights, location, eta, grids):
     row = GridRow(0, 0.0, None, None, None)  # before the first: no m is 2 * 0
     snapped_before = False  # the previous grid read a snapped exact value
     for m in grids:
-        coords, distance = _snap_to_grid(eta, dta.ceilings, m)
+        coords, distance = _snap_to_grid(eta, graph.dta.ceilings, m)
         solution, values, snapped = None, [], False
         for (state, _), value in zip(weights, shortcuts):
             if value is None and distance:
@@ -509,7 +517,7 @@ def _grid_table(chain, dta, weights, location, eta, grids):
                 snapped = snapped or value is not None
             if value is None:
                 if solution is None:
-                    solution = _solved(chain, dta, m, coords)
+                    solution = _solved(graph, m, coords)
                 value = solution.value_of(solution.grid.cell(state, location, coords))
             values.append(value)
         value = _mix(weights, values)
@@ -550,8 +558,8 @@ def richardson_error(row: GridRow) -> Optional[float]:
     return SAFETY_FACTOR * abs(row.gap) / (2.0 ** row.order - 1.0)
 
 
-def _empirical_m(chain, dta, weights, location, eta, epsilon):
-    """Size the grid on the mixture's table over m = 8, 16, ... up to the
+def _empirical_m(graph, weights, location, eta, epsilon):
+    """Size the grid on the mixture's table, on the model ``graph``, over m = 8, 16, ... up to the
     largest grid under :data:`MAX_GRID_CELLS`, and stop at the first grid
     where one of three tests passes, checked in this order.
 
@@ -595,22 +603,22 @@ def _empirical_m(chain, dta, weights, location, eta, epsilon):
     no grid passes, with the first grid above the cap as ``m_required``.
     """
     grids = [8]  # up to the first grid above the cap
-    while grid_cells(chain, dta, grids[-1]) <= MAX_GRID_CELLS:
+    while grid_cells(graph, grids[-1]) <= MAX_GRID_CELLS:
         grids.append(2 * grids[-1])
     *grids, m_required = grids
     r_half = r_quarter = None  # R_{m/2} and R_{m/4} once they are set
-    for row in _grid_table(chain, dta, weights, location, eta, grids):
+    for row in _grid_table(graph, weights, location, eta, grids):
         if row.gap is not None and abs(row.gap) <= epsilon / 2:
             return row, row.value, 0, None, abs(row.gap)
         r = None if row.gap is None else row.value + row.gap
         # an order is set only when both gaps are, and neither is zero here
         if (row.order is not None
-                and _snap_to_grid(eta, dta.ceilings, row.m // 4)[1] == 0):
+                and _snap_to_grid(eta, graph.dta.ceilings, row.m // 4)[1] == 0):
             change = abs(r - r_half)
             if row.order >= ORDER_MIN and change <= epsilon / 2:
                 return row, min(max(r, 0.0), 1.0), 1, row.order, change
         if (r_quarter is not None
-                and _snap_to_grid(eta, dta.ceilings, row.m // 8)[1] == 0):
+                and _snap_to_grid(eta, graph.dta.ceilings, row.m // 8)[1] == 0):
             order = observed_order(r_half - r_quarter, r - r_half)
             s = r + (r - r_half) / 3.0
             change = abs(s - (r_half + (r_half - r_quarter) / 3.0))
@@ -652,4 +660,5 @@ def prob_from_distribution(
     if unknown:
         raise ValueError(f"distribution names unknown states {sorted(unknown)}")
     positive = tuple((s, float(w)) for s, w in weights.items() if w)
-    return _approximate(chain, dta, positive, location, valuation, **options)
+    return _approximate(_analysis(chain, dta), positive, location, valuation,
+                        **options)

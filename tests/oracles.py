@@ -3,7 +3,8 @@
 Nothing here goes through the scheme-assembly or solver code paths under
 test: the unfolded system is transcribed directly from its defining
 equations and solved densely with numpy, valuation generators produce
-exact rationals from seeded integer draws, the sweep kernel is checked
+exact rationals from seeded integer draws (:func:`sample_in_region`
+draws one inside a given region), the sweep kernel is checked
 against the sequential one-row-at-a-time Gauss-Seidel loops below, the
 Monte Carlo trial loop against the two separate estimator loops it merged,
 the plans' steps and the exact pass's block levels against the steps
@@ -59,7 +60,7 @@ from pathprob.product import (
     ALIVE, ALIVE_CLASS, CLASS_NAMES, DEAD, FINAL, ProductGraph, ProductVertex,
     _class_table, size_report,
 )
-from pathprob.regions import frac_part, int_part, region_of
+from pathprob.regions import _place, frac_part, int_part, region_of
 from pathprob.scheme import (
     GAMMA_DOUBLE, GAMMA_PRIME, SchemeSystem, grid_cells,
 )
@@ -109,6 +110,24 @@ def random_valuation(rng, ceilings, max_den=12, beyond=1):
         num = int(rng.integers(0, den * (c + beyond) + 1))
         out.append(Fraction(num, den))
     return tuple(out)
+
+
+def sample_in_region(
+    code: regions.RegionCode, ceilings: Sequence[int], rng
+) -> regions.ClockValuation:
+    """A random exact valuation inside the region ``code``.
+
+    Fraction blocks get strictly increasing random rationals in (0, 1);
+    above-ceiling clocks get a random positive offset past the ceiling.
+    """
+    def fractions(k):
+        draws = set()
+        while len(draws) < k:
+            draws.add(Fraction(int(rng.integers(1, 997)), 997))
+        return sorted(draws)
+
+    return _place(code, ceilings, fractions,
+                  lambda: Fraction(int(rng.integers(1, 5000)), 1000))
 
 
 def bound_equivalent_partner(rng, eta, ceilings):
@@ -999,12 +1018,13 @@ def decode(grid, cell: int) -> Tuple[str, str, tuple]:
     valuation over m) of a cell of the package's grid, by dividing the cell
     number ``(state * L + location) * B + b`` apart again."""
     place, b = divmod(int(cell), grid.box_size)
-    s, q = divmod(place, len(grid.dta.locations))
+    s, q = divmod(place, len(grid.graph.dta.locations))
     coords = []
     for mc in reversed(grid.max_coords):
         b, j = divmod(b, mc + 1)
         coords.append(j)
-    return grid.chain.states[s], grid.dta.locations[q], tuple(reversed(coords))
+    return (grid.graph.ctmc.states[s], grid.graph.dta.locations[q],
+            tuple(reversed(coords)))
 
 
 class GridPoint(NamedTuple):
@@ -1036,7 +1056,7 @@ class Grid:
         self.rho = Fraction(1, m)
         self.ceilings = dta.ceilings
         self.max_coords = tuple(m * c for c in dta.ceilings)
-        self.d_m_size = grid_cells(chain, dta, m)
+        self.d_m_size = grid_cells(graph, m)
         self._location_number = {q: i for i, q in enumerate(dta.locations)}
         # state -> (label number, positive jumps as (successor, probability))
         self._jumps = {
@@ -1292,13 +1312,11 @@ class PerRowGrid(scheme.Grid):
     def __init__(self, chain: Ctmc, dta: Dta, graph: ProductGraph, m: int):
         if m < 1:
             raise ValueError("grid resolution m must be >= 1")
-        self.chain = chain
-        self.dta = dta
         self.graph = graph
         self.m = m
         self.ceilings = dta.ceilings
         self.max_coords = tuple(m * c for c in dta.ceilings)
-        self.d_m_size = grid_cells(chain, dta, m)
+        self.d_m_size = grid_cells(graph, m)
         shape = tuple(mc + 1 for mc in self.max_coords)
         self.box_size = math.prod(shape)
         self.strides = tuple(math.prod(shape[i + 1:]) for i in range(len(shape)))
@@ -1401,7 +1419,7 @@ def per_row_system(assemble, grid) -> SchemeSystem:
 def _value_at(chain, dta, state, location, coords, m):
     """The solved m-grid's value at integer coordinates ``coords``, and
     the solution it was read from."""
-    solution = _solved(chain, dta, m, tuple(coords))
+    solution = _solved(_analysis(chain, dta), m, tuple(coords))
     return solution.value_of(solution.grid.cell(state, location, coords)), solution
 
 
@@ -1411,7 +1429,7 @@ def _empirical_m(chain, dta, state, location, eta, epsilon):
     error of the finer grid)."""
     m = 8
     previous = None
-    while grid_cells(chain, dta, m) <= MAX_GRID_CELLS:
+    while grid_cells(_analysis(chain, dta), m) <= MAX_GRID_CELLS:
         coords, _ = _snap_to_grid(eta, dta.ceilings, m)
         value, _ = _value_at(chain, dta, state, location, coords, m)
         if previous is not None and abs(value - previous) <= epsilon / 2:
@@ -1441,7 +1459,7 @@ def _extrapolated_m(chain, dta, state, location, eta, epsilon, levels):
     epsilon/2."""
     m = 8
     value = gap = extrapolant = previous_extrapolant = None
-    while grid_cells(chain, dta, m) <= MAX_GRID_CELLS:
+    while grid_cells(_analysis(chain, dta), m) <= MAX_GRID_CELLS:
         coords, _ = _snap_to_grid(eta, dta.ceilings, m)
         previous, previous_gap = value, gap
         older_extrapolant, previous_extrapolant = previous_extrapolant, extrapolant
@@ -1553,7 +1571,7 @@ class FlaggedRow(NamedTuple):
     snapped_exact: bool = False  # a state read a final or dead snapped point
 
 
-def flagged_grid_table(chain, dta, weights, location, eta, grids):
+def flagged_grid_table(graph, weights, location, eta, grids):
     """Yield the Richardson table of the starts (s, location, eta), mixed
     by the ``(s, weight)`` pairs ``weights``, over the grid family
     ``grids``: one :class:`FlaggedRow` per grid, in the order given.
@@ -1574,10 +1592,9 @@ def flagged_grid_table(chain, dta, weights, location, eta, grids):
     """
     if any(m < 1 for m in grids):
         raise ValueError("grid resolution m must be >= 1")
-    graph = _analysis(chain, dta)
     shortcuts = [_shortcut(graph, state, location, eta) for state, _ in weights]
     if None in shortcuts and grids:
-        cells = grid_cells(chain, dta, max(grids))
+        cells = grid_cells(graph, max(grids))
         if cells > MAX_GRID_CELLS:
             raise ValueError(
                 f"the m = {max(grids)} grid has {cells} cells, above the limit "
@@ -1585,7 +1602,7 @@ def flagged_grid_table(chain, dta, weights, location, eta, grids):
             )
     row = FlaggedRow(0, 0.0, None, None, None)  # before the first: no m is 2 * 0
     for m in grids:
-        coords, distance = _snap_to_grid(eta, dta.ceilings, m)
+        coords, distance = _snap_to_grid(eta, graph.dta.ceilings, m)
         solution, values, snapped_exact = None, [], False
         for (state, _), value in zip(weights, shortcuts):
             if value is None and distance:
@@ -1594,7 +1611,7 @@ def flagged_grid_table(chain, dta, weights, location, eta, grids):
                 snapped_exact = snapped_exact or value is not None
             if value is None:
                 if solution is None:
-                    solution = _solved(chain, dta, m, coords)
+                    solution = _solved(graph, m, coords)
                 value = solution.value_of(solution.grid.cell(state, location, coords))
             values.append(value)
         value = _mix(weights, values)
@@ -1604,7 +1621,7 @@ def flagged_grid_table(chain, dta, weights, location, eta, grids):
         yield row
 
 
-def flagged_empirical_m(chain, dta, weights, location, eta, epsilon):
+def flagged_empirical_m(graph, weights, location, eta, epsilon):
     """The epsilon sizing on :func:`flagged_grid_table`: the grid, R and S
     tests over m = 8, 16, ... up to the largest grid under
     :data:`MAX_GRID_CELLS`, the grid test skipping a gap next to a
@@ -1612,12 +1629,12 @@ def flagged_empirical_m(chain, dta, weights, location, eta, epsilon):
     its level, the order (None at level 0) and the difference compared
     with epsilon/2."""
     grids = [8]  # up to the first grid above the cap
-    while grid_cells(chain, dta, grids[-1]) <= MAX_GRID_CELLS:
+    while grid_cells(graph, grids[-1]) <= MAX_GRID_CELLS:
         grids.append(2 * grids[-1])
     *grids, m_required = grids
     r_half = r_quarter = None  # R_{m/2} and R_{m/4} once they are set
     snapped_exact = True  # the previous row's, or True before the first
-    for row in flagged_grid_table(chain, dta, weights, location, eta, grids):
+    for row in flagged_grid_table(graph, weights, location, eta, grids):
         if (row.gap is not None and abs(row.gap) <= epsilon / 2
                 and not (row.snapped_exact or snapped_exact)):
             return row, row.value, 0, None, abs(row.gap)
@@ -1625,12 +1642,12 @@ def flagged_empirical_m(chain, dta, weights, location, eta, epsilon):
         r = None if row.gap is None else row.value + row.gap
         # an order is set only when both gaps are, and neither is zero here
         if (row.order is not None
-                and _snap_to_grid(eta, dta.ceilings, row.m // 4)[1] == 0):
+                and _snap_to_grid(eta, graph.dta.ceilings, row.m // 4)[1] == 0):
             change = abs(r - r_half)
             if row.order >= ORDER_MIN and change <= epsilon / 2:
                 return row, min(max(r, 0.0), 1.0), 1, row.order, change
         if (r_quarter is not None
-                and _snap_to_grid(eta, dta.ceilings, row.m // 8)[1] == 0):
+                and _snap_to_grid(eta, graph.dta.ceilings, row.m // 8)[1] == 0):
             order = observed_order(r_half - r_quarter, r - r_half)
             s = r + (r - r_half) / 3.0
             change = abs(s - (r_half + (r_half - r_quarter) / 3.0))

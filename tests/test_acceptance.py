@@ -23,7 +23,6 @@ from pathprob.regions import (
     guard_sat,
     region_of,
     reset,
-    sample_in_region,
 )
 from pathprob.scheme import (
     assemble_gamma_double,
@@ -39,6 +38,7 @@ from oracles import (
     minus_representative,
     plus_representative,
     random_valuation,
+    sample_in_region,
     solve_dense,
     unfolded_dense_system,
 )

@@ -402,8 +402,8 @@ def test_convergence_from_a_final_or_dead_start_solves_nothing(
         tmp_path, capsys, model, state, location, valuation, expected, big):
     """Every row is the exact value, with no grid solved, also on a grid
     ``big`` above the cell cap."""
-    assert solver.grid_cells(*modelio.parse_model(model), big) > \
-        solver.MAX_GRID_CELLS
+    assert solver.grid_cells(solver._analysis(*modelio.parse_model(model)),
+                             big) > solver.MAX_GRID_CELLS
     solver._solved.cache_clear()
     rows = _convergence_csv(capsys, tmp_path / "conv.csv", model, state,
                             location, valuation, f"4,8,16,{big}")
@@ -631,7 +631,7 @@ def test_force_empirical_with_the_cap_below_the_first_grid_exit_code(
     """No grid of the doubling fits, so the sizing is refused as numerical
     with the first grid as m_required, not as an invalid query."""
     monkeypatch.setattr(solver, "MAX_GRID_CELLS",
-                        solver.grid_cells(*unit_deadline, 8) - 1)
+                        solver.grid_cells(solver._analysis(*unit_deadline), 8) - 1)
     code, _, err = run(
         capsys, "solve", "--model", UNIT, "--state", "s", "--location", "q0",
         "--epsilon", "1e-3", "--force-empirical",
@@ -734,7 +734,7 @@ def test_grid_cap_counts_the_grids_the_query_builds(capsys, monkeypatch,
     since its estimate reads the coarser grids; a start off it needs the
     m = 16 grid for its estimate and is refused."""
     monkeypatch.setattr(solver, "MAX_GRID_CELLS",
-                        solver.grid_cells(*unit_deadline, 8))
+                        solver.grid_cells(solver._analysis(*unit_deadline), 8))
     query = ("solve", "--model", UNIT, "--state", "s", "--location", "q0",
              "--grid", "8")
     code, out, _ = run(capsys, *query, "--valuation", "x=0")

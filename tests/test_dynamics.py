@@ -121,8 +121,8 @@ def test_bound_equivalent_starts_accept_the_same_words(exposure_window):
 def test_kappa_respects_regions(exposure_window):
     """Same start region plus delays landing in matching regions: the same
     rule fires and the resulting valuations share a region."""
-    from pathprob.regions import enumerate_region_codes, sample_in_region
-    from oracles import delay_representatives
+    from pathprob.regions import enumerate_region_codes
+    from oracles import delay_representatives, sample_in_region
 
     _, dta = exposure_window
     rng = np.random.default_rng(9)

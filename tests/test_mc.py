@@ -87,6 +87,23 @@ def test_estimate_is_reproducible(unit_deadline, unit_graph):
     assert a != c
 
 
+def test_estimate_refuses_a_model_other_than_the_graphs(
+        exposure_window, exposure_graph, three_clock):
+    """A chain or automaton other than the graph's own is refused, not
+    simulated against the other model's graph; an equal model parsed
+    again is the graph's own and estimates alike."""
+    chain, dta = exposure_window
+    faster = replace(chain, exit_rates=tuple(2 * r for r in chain.exit_rates))
+    for other in ((faster, dta), (chain, three_clock[1])):
+        with pytest.raises(ValueError, match="not the model of the product graph"):
+            mc.estimate(*other, exposure_graph, "a", "q0", (0, 0), n=10)
+    again = modelio.parse_model(str(MODELS / "exposure_window.json"))
+    assert again[0] is not chain and again[1] is not dta
+    assert (mc.estimate(*again, exposure_graph, "a", "q0", (0, 0), n=200, seed=3)
+            == mc.estimate(chain, dta, exposure_graph, "a", "q0", (0, 0),
+                           n=200, seed=3))
+
+
 def test_estimate_final_start(unit_deadline, unit_graph):
     chain, dta = unit_deadline
     est = mc.estimate(chain, dta, unit_graph, "s", "q1", (0.0,), n=500, seed=3)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pathprob.modelio import parse_guard
 from pathprob.models import Constraint, Guard
 from pathprob.regions import (
     RELATIONS,
@@ -22,7 +23,6 @@ from pathprob.regions import (
     region_signatures,
     reset,
     reset_region,
-    sample_in_region,
     UnknownClockError,
 )
 import oracles
@@ -40,6 +40,7 @@ from oracles import (
     plus_representative,
     random_valuation,
     region_sequence,
+    sample_in_region,
     valuation_walk,
 )
 
@@ -120,6 +121,17 @@ def test_relation_table_refuses_an_unknown_clock_as_the_if_chain():
             check((F(0),), g)
         assert str(err.value) == (
             "guard constrains clock #3 but the valuation has 1 clocks")
+
+
+@pytest.mark.parametrize("op", list(RELATIONS))
+def test_every_relation_of_the_table_parses_and_renders_back(op):
+    """The model parser reads each relation of :data:`RELATIONS`, and a
+    parsed guard renders to text that parses to it again."""
+    clocks = ("x", "y")
+    guard = parse_guard(f"y {op} 2 & x{op}1", clocks)
+    assert guard == Guard((Constraint(1, op, 2), Constraint(0, op, 1)))
+    assert guard.render(clocks) == f"y{op}2 & x{op}1"
+    assert parse_guard(guard.render(clocks), clocks) == guard
 
 
 def test_guard_validation_reads_the_relation_table():

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pathprob import mc, solver
+from conftest import MODELS
+from pathprob import mc, modelio, solver
 from pathprob.modelio import validate_pair
 from pathprob.models import Ctmc, Dta, Guard, Rule
 from pathprob.product import build_graph
@@ -254,6 +255,22 @@ def test_2m_estimate_solves_and_reads_each_grid_once(unit_deadline):
     assert (info.hits, info.misses) == (0, 2)
     assert _estimated(result) == _as_before(
         *_grid_estimate(unit_deadline, "s", (F(1, 64),), 64))
+
+
+def test_a_repeated_two_grid_query_rereads_both_grids_of_a_reparsed_model():
+    """The walk of a two-grid query fits the solved-grid cache, so asking
+    it again on a freshly parsed copy of the model reads both grids from
+    the cache: the cache keys on the graph, and :func:`solver._analysis`
+    keeps one graph per equal model."""
+    solver._solved.cache_clear()
+    models = [modelio.parse_model(str(MODELS / "unit_deadline.json"))
+              for _ in range(2)]
+    assert models[0] is not models[1] and models[0] == models[1]
+    for model in models:
+        approximate(*model, "s", "q0", (F(1, 64),), m=64, with_empirical=True)
+    info = solver._solved.cache_info()
+    assert (info.hits, info.misses) == (2, 2)
+    assert solver._analysis(*models[0]) is solver._analysis(*models[1])
 
 
 def _synthetic_row(v_quarter, v_half, v):
@@ -647,7 +664,7 @@ def _sizing_on_values(monkeypatch, model, x, epsilon, value):
     """``_empirical_m`` from the start x of a one-clock model, on the
     table of the values v_m = value(m) in place of solved grids, each
     read at the start."""
-    def table(chain, dta, weights, location, eta, grids):
+    def table(graph, weights, location, eta, grids):
         row = GridRow(0, 0.0, None, None, None)
         for m in grids:
             gap = value(m) - row.value if 2 * row.m == m else None
@@ -656,7 +673,7 @@ def _sizing_on_values(monkeypatch, model, x, epsilon, value):
             yield row
     monkeypatch.setattr(solver, "_grid_table", table)
     row, answer, level, order, change = solver._empirical_m(
-        *model, (("s", 1.0),), "q0", (x,), epsilon)
+        solver._analysis(*model), (("s", 1.0),), "q0", (x,), epsilon)
     return row.m, answer, level, order
 
 
@@ -951,11 +968,11 @@ def test_distribution_sizes_epsilon_queries_near_the_merge_it_replaced(
     assert abs(new.probability - old.probability) <= epsilon
 
 
-def _sizing(sizing, chain, dta, weights, eta, epsilon):
+def _sizing(sizing, graph, weights, eta, epsilon):
     """The fields of an epsilon sizing's result, its row's fields but a
     flag first, or the refusal's ``m_required``."""
     try:
-        row, *rest = sizing(chain, dta, weights, "q0", eta, epsilon)
+        row, *rest = sizing(graph, weights, "q0", eta, epsilon)
     except BoundInfeasibleError as exc:
         return exc.m_required
     return (*row[:5], *rest)
@@ -983,12 +1000,12 @@ def test_epsilon_sizing_answers_as_the_flagged_table_it_replaced(
     the gap; every sizing returns what it did then (tests/oracles.py), or
     is refused at the same grid.  Both walks read one solve per grid, so
     their rows hold the same solution."""
-    model = request.getfixturevalue(name)
+    graph = solver._analysis(*request.getfixturevalue(name))
     solved = lru_cache(maxsize=None)(solver._solved.__wrapped__)
     monkeypatch.setattr(solver, "_solved", solved)
     monkeypatch.setattr(oracles, "_solved", solved)
-    assert (_sizing(solver._empirical_m, *model, weights, eta, epsilon)
-            == _sizing(oracles.flagged_empirical_m, *model, weights, eta,
+    assert (_sizing(solver._empirical_m, graph, weights, eta, epsilon)
+            == _sizing(oracles.flagged_empirical_m, graph, weights, eta,
                        epsilon))
 
 

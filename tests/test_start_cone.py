@@ -239,6 +239,6 @@ def test_the_readme_solve_keeps_half_the_unknowns(exposure_window):
     kept = [len(build_grid(graph, m, (0, 0)).cells)
             for m in (16, 32, 64)]
     assert (sum(full), sum(kept)) == (32704, 16464)
-    solved = solver._solved(*exposure_window, 64, (0, 0))
+    solved = solver._solved(solver._analysis(*exposure_window), 64, (0, 0))
     assert solver._solved.cache_info().misses == 3  # read from the query's walk
     assert len(solved.grid.cells) == kept[-1]
